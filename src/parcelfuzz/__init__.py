@@ -42,7 +42,7 @@ from .recorder import (
     record_session,
     save_corpus,
 )
-from .replayer import HandleMap, ReplaySession, Unreplayable, plan
+from .replayer import HandleMap, PreparedCorpus, ReplaySession, Unreplayable, plan, prepare_corpus
 from .router import (
     CrashInfo,
     DispatchContext,
@@ -90,9 +90,11 @@ __all__ = [
     "record_session",
     "save_corpus",
     "HandleMap",
+    "PreparedCorpus",
     "ReplaySession",
     "Unreplayable",
     "plan",
+    "prepare_corpus",
     "CrashInfo",
     "DispatchContext",
     "IpcEdge",

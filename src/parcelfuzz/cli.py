@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--corpus", metavar="PATH", help="seed corpus (required for semi-valid)")
     p_fuzz.add_argument("--budget", required=True, type=int, metavar="N")
     p_fuzz.add_argument("--rng-seed", type=int, default=1, metavar="S")
-    p_fuzz.add_argument("--mode", choices=("isolated", "fast"), default="isolated")
     p_fuzz.add_argument("--out", required=True, metavar="PATH", help="report file to write")
 
     p_replay = sub.add_parser("replay", help="reproduce one crash from a report")
@@ -132,7 +131,6 @@ def _cmd_fuzz(args) -> int:
         rng_seed=args.rng_seed,
         corpus=corpus,
         corpus_id=digest,
-        mode=args.mode,
     )
     report = run_fuzz(config)
     save_report(report, args.out)

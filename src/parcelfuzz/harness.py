@@ -22,14 +22,13 @@ from pathlib import Path
 
 from .mutator import (
     CATALOG_VERSION,
-    ConfigurationError,
     FuzzCase,
     Policy,
     _normalize_policies,
     generate_campaign,
 )
 from .recorder import SeedRecord, TraceBuilder, TraceNode, corpus_text
-from .replayer import ReplaySession, Unreplayable
+from .replayer import ReplaySession, Unreplayable, prepare_corpus
 from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
@@ -184,12 +183,7 @@ class FuzzConfig:
     rng_seed: int = 1
     corpus: list[SeedRecord] = field(default_factory=list)
     corpus_id: str | None = None
-    mode: str = "isolated"
     sender_id: str = "fuzzer"
-
-    def __post_init__(self):
-        if self.mode not in ("isolated", "fast"):
-            raise ConfigurationError("mode must be isolated or fast, got %r" % self.mode)
 
 
 def corpus_digest(records) -> str:
@@ -198,8 +192,13 @@ def corpus_digest(records) -> str:
 
 
 def run_fuzz(config: FuzzConfig) -> CampaignReport:
-    """Run one deterministic campaign and triage everything it dispatched."""
+    """Run one deterministic campaign and triage everything it dispatched.
+
+    The corpus is prepared once; every case then replays on a fresh
+    router of its own, so nothing one case does reaches the next.
+    """
     cases = generate_campaign(config.corpus, config.policy, config.budget, config.rng_seed)
+    prepared = prepare_corpus(config.corpus)
 
     counters = {name: 0 for name in OUTCOMES}
     per_method: dict[str, dict[str, int]] = {}
@@ -208,18 +207,10 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     edges_by_sender: dict[str, int] = {}
     edges_by_descriptor: dict[str, int] = {}
 
-    shared_session = None
-    if config.mode == "fast":
-        shared_session = ReplaySession(config.corpus)
-
     executed = 0
     for case in cases:
         executed += 1
-        if config.mode == "fast":
-            session = shared_session
-            session.router.reset_named_services()
-        else:
-            session = ReplaySession(config.corpus)
+        session = ReplaySession(prepared)
 
         method_key = "%s:%d" % (case.descriptor, case.code)
         tally = per_method.setdefault(method_key, {name: 0 for name in OUTCOMES})
@@ -227,29 +218,18 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         try:
             txn = session.prepare(case, config.sender_id)
         except Unreplayable:
-            counters["unreplayable"] += 1
-            tally["unreplayable"] += 1
-            if config.mode == "isolated":
-                _absorb_edges(session.router, edges_by_sender, edges_by_descriptor)
-                edge_total += len(session.router.edges)
-            continue
-
-        builder = TraceBuilder()
-        reply = session.router.transact(txn, trace_hook=builder)
-        outcome = classify(reply)
+            outcome = "unreplayable"
+        else:
+            builder = TraceBuilder()
+            reply = session.router.transact(txn, trace_hook=builder)
+            outcome = classify(reply)
+            if reply.kind is ReplyKind.FATAL_CRASH:
+                _record_crash(crashes, case, reply.crash, builder.finish(), config)
         counters[outcome] += 1
         tally[outcome] += 1
 
-        if reply.kind is ReplyKind.FATAL_CRASH:
-            _record_crash(crashes, case, reply.crash, builder.finish(), config)
-
-        if config.mode == "isolated":
-            _absorb_edges(session.router, edges_by_sender, edges_by_descriptor)
-            edge_total += len(session.router.edges)
-
-    if config.mode == "fast":
-        _absorb_edges(shared_session.router, edges_by_sender, edges_by_descriptor)
-        edge_total += len(shared_session.router.edges)
+        _absorb_edges(session.router, edges_by_sender, edges_by_descriptor)
+        edge_total += len(session.router.edges)
 
     policy_echo = [p.value for p in _normalize_policies(config.policy)]
 
@@ -260,7 +240,9 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
             "rng_seed": config.rng_seed,
             "catalog_version": CATALOG_VERSION,
             "corpus_id": config.corpus_id or (corpus_digest(config.corpus) if config.corpus else None),
-            "mode": config.mode,
+            # Every case runs isolated; the key keeps reports comparable
+            # byte for byte with those of versions that had a second mode.
+            "mode": "isolated",
         },
         counters=counters,
         crashes=sorted(crashes.values(), key=lambda c: c.fingerprint),

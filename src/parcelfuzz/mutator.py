@@ -24,7 +24,7 @@ import math
 import random
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .parcel import I32_MAX, Kind, Parcel
@@ -319,21 +319,36 @@ def mutate_field(record: SeedRecord, field_path, mutation_id: str, case_id: int 
 
     leaves = decompose(record)
     index = next(i for i, leaf in enumerate(leaves) if leaf.path == field_path)
+    return _mutate_leaf(record, leaves, index, mutation_id, case_id)
+
+
+def _with_fresh_leaf(leaves: list[_Leaf], index: int) -> list[_Leaf]:
+    """A copy of leaves whose leaf at index can be edited without
+    touching the original list or any leaf in it."""
+    fresh = list(leaves)
+    fresh[index] = replace(leaves[index])
+    return fresh
+
+
+def _mutate_leaf(record: SeedRecord, leaves: list[_Leaf], index: int, mutation_id: str, case_id: int = 0) -> FuzzCase:
+    """mutate_field on an already decomposed seed; leaves is only read."""
+    leaves = _with_fresh_leaf(leaves, index)
     leaf = leaves[index]
+    field_path = leaf.path
     overrides: list[tuple[int, str]] = []
     patch = None
 
-    if node.kind in ("I32", "BOOL"):
+    if leaf.kind in ("I32", "BOOL"):
         leaf.value = _mutate_int(leaf.value, mutation_id, 32)
-    elif node.kind == "I64":
+    elif leaf.kind == "I64":
         leaf.value = _mutate_int(leaf.value, mutation_id, 64)
-    elif node.kind == "F64":
+    elif leaf.kind == "F64":
         leaf.value = _mutate_f64(leaf.value, mutation_id)
-    elif node.kind == "STRING":
+    elif leaf.kind == "STRING":
         leaf.value, leaf.write_as = _mutate_string(leaf.value, mutation_id)
         if mutation_id == "declared_length_plus_4":
             patch = "plus_4"
-    elif node.kind == "BYTES":
+    elif leaf.kind == "BYTES":
         if mutation_id == "truncate_half":
             leaf.value = leaf.value[: len(leaf.value) // 2]
         else:
@@ -399,7 +414,11 @@ def mutate_structural(record: SeedRecord, path, mutation_id: str, case_id: int =
     if mutation_id not in structural_mutations_for(record, path):
         raise CatalogError("mutation %r does not apply at %r" % (mutation_id, path))
 
-    leaves = decompose(record)
+    return _mutate_subtree(record, decompose(record), path, mutation_id, case_id)
+
+
+def _mutate_subtree(record: SeedRecord, leaves: list[_Leaf], path: tuple[int, ...], mutation_id: str, case_id: int = 0) -> FuzzCase:
+    """mutate_structural on an already decomposed seed; leaves is only read."""
     in_subtree = [i for i, leaf in enumerate(leaves) if leaf.path[: len(path)] == path]
     lo = in_subtree[0] if in_subtree else 0
     hi = in_subtree[-1] + 1 if in_subtree else 0
@@ -411,8 +430,9 @@ def mutate_structural(record: SeedRecord, path, mutation_id: str, case_id: int =
     else:
         tag_value = int(mutation_id.rsplit("_", 1)[1])
         tag_path = path + (1,)
-        tag_leaf = next(leaf for leaf in leaves if leaf.path == tag_path)
-        tag_leaf.value = tag_value
+        tag_index = next(i for i, leaf in enumerate(leaves) if leaf.path == tag_path)
+        leaves = _with_fresh_leaf(leaves, tag_index)
+        leaves[tag_index].value = tag_value
 
     parcel = _rebuild(leaves)
     return FuzzCase(
@@ -482,14 +502,17 @@ def _normalize_policies(policy) -> tuple[Policy, ...]:
 
 
 def semi_valid_cases(record: SeedRecord):
-    """Every semi-valid case for one seed: leaf sweeps, then structural."""
-    for path in enumerate_fields(record):
-        kind = _node_at(record.trace, path).kind
-        for mutation_id in CATALOG.get(kind, ()):
-            yield mutate_field(record, path, mutation_id)
+    """Every semi-valid case for one seed: leaf sweeps, then structural.
+
+    The seed is decomposed once; each mutation copies what it edits.
+    """
+    leaves = decompose(record)
+    for index, leaf in enumerate(leaves):
+        for mutation_id in CATALOG.get(leaf.kind, ()):
+            yield _mutate_leaf(record, leaves, index, mutation_id)
     for path in enumerate_composites(record):
         for mutation_id in structural_mutations_for(record, path):
-            yield mutate_structural(record, path, mutation_id)
+            yield _mutate_subtree(record, leaves, path, mutation_id)
 
 
 def _policy_stream(policy: Policy, corpus, rng_seed: int):
@@ -530,24 +553,9 @@ def generate_campaign(corpus, policy, budget: int, rng_seed: int):
                 case_id += 1
                 if case_id > budget:
                     return
-                yield _with_case_id(case, case_id)
+                yield replace(case, case_id=case_id)
             if case_id >= budget:
                 return
 
     return stream()
 
-
-def _with_case_id(case: FuzzCase, case_id: int) -> FuzzCase:
-    return FuzzCase(
-        case_id=case_id,
-        policy=case.policy,
-        descriptor=case.descriptor,
-        code=case.code,
-        payload_hex=case.payload_hex,
-        offsets=case.offsets,
-        seed_seq=case.seed_seq,
-        field_path=case.field_path,
-        mutation_id=case.mutation_id,
-        frame_breaking=case.frame_breaking,
-        slot_overrides=case.slot_overrides,
-    )

@@ -49,6 +49,10 @@ CORPUS_MANIFEST_REF = "corpus-manifest-v1"
 COMPOSITE = "COMPOSITE"
 STATIC_PREFIX = "STATIC:"
 
+# Bytes a trace leaf of each kind holds at least: the value itself, or
+# the length prefix of a STRING or BYTES.
+_FIXED_PART = {"I32": 4, "I64": 8, "F64": 8, "BOOL": 4, "STRING": 4, "BYTES": 4, "HANDLE": 4}
+
 # Descriptor reported for the service manager itself; targets recorded
 # against it always materialize back to handle 0.
 MANAGER_DESCRIPTOR = "service_manager"
@@ -115,19 +119,37 @@ class TraceNode:
         return node
 
     @classmethod
-    def from_json(cls, obj) -> "TraceNode":
+    def from_json(cls, obj, payload_size: int | None = None, handle_starts: list[int] | None = None) -> "TraceNode":
+        """Parse a trace tree.
+
+        With payload_size, every leaf must fit inside a payload of that
+        many bytes, its kind's fixed-width part included, and the start
+        of every HANDLE leaf is appended to handle_starts in tree order.
+        """
         try:
             kind = obj["kind"]
             label = obj.get("label", "")
             start, end = obj["byte_range"]
-        except (KeyError, TypeError, ValueError) as exc:
+            start, end = int(start), int(end)
+        except (KeyError, TypeError, ValueError):
             raise CorpusError("malformed trace node: %r" % (obj,)) from None
-        if kind != COMPOSITE and kind not in Kind.__members__:
-            raise CorpusError("unknown trace leaf kind %r" % kind)
-        children = [cls.from_json(c) for c in obj.get("children", ())]
-        if kind != COMPOSITE and children:
+        if kind == COMPOSITE:
+            children = [cls.from_json(c, payload_size, handle_starts) for c in obj.get("children", ())]
+            return cls(kind, label, start, end, children)
+        fixed_part = _FIXED_PART.get(kind)
+        if fixed_part is None:
+            raise CorpusError("unknown trace leaf kind %r" % (kind,))
+        if obj.get("children"):
             raise CorpusError("trace leaf %r carries children" % kind)
-        return cls(kind, label, int(start), int(end), children)
+        if payload_size is not None:
+            if not 0 <= start <= end - fixed_part or end > payload_size:
+                raise CorpusError(
+                    "trace leaf %s at [%d, %d) does not fit the %d-byte payload"
+                    % (kind, start, end, payload_size)
+                )
+            if kind == "HANDLE":
+                handle_starts.append(start)
+        return cls(kind, label, start, end)
 
 
 class TraceBuilder:
@@ -235,7 +257,8 @@ class SeedRecord:
                 ):
                     raise CorpusError("bad handle origin %r" % (origin,))
                 consumed.append((int(pos), origin))
-            return cls(
+            handle_starts: list[int] = []
+            record = cls(
                 seq=int(obj["seq"]),
                 scenario=str(obj.get("scenario", "")),
                 descriptor=str(obj["descriptor"]),
@@ -243,7 +266,7 @@ class SeedRecord:
                 target=int(obj["target"]),
                 payload_hex=str(obj["payload_hex"]),
                 offsets=tuple(int(p) for p in obj["offsets"]),
-                trace=TraceNode.from_json(obj["trace"]),
+                trace=TraceNode.from_json(obj["trace"], len(obj["payload_hex"]) // 2, handle_starts),
                 consumed_handles=tuple(consumed),
                 produced_handles=tuple((int(v), int(p)) for v, p in obj["produced_handles"]),
                 reply_kind=str(obj["reply_kind"]),
@@ -252,6 +275,11 @@ class SeedRecord:
             raise
         except (KeyError, TypeError, ValueError):
             raise CorpusError("malformed seed record: %r" % (obj,)) from None
+        if tuple(handle_starts) != record.offsets:
+            raise CorpusError(
+                "record %d: HANDLE leaves start at %r, offsets are %r" % (record.seq, handle_starts, record.offsets)
+            )
+        return record
 
 
 class RecordingClient(Client):
@@ -463,7 +491,7 @@ def build_dependency_graph(records) -> DependencyGraph:
     prereqs: dict[int, list[str]] = {}
 
     for record in ordered:
-        buf = bytes.fromhex(record.payload_hex)
+        buf = bytes.fromhex(record.payload_hex) if record.consumed_handles else b""
         for pos, origin in record.consumed_handles:
             if pos not in record.offsets:
                 raise CorpusError(

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .parcel import Kind, Parcel, handle_at
 from .recorder import (
@@ -65,7 +67,8 @@ def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
     """All ancestors of seed_seq, ascending; the seed itself excluded.
 
     Ascending seq is a valid topological order because every edge points
-    from an earlier record to a later one.
+    from an earlier record to a later one.  ``prepare_corpus`` computes
+    the same plans for every seed at once; this walk is their reference.
     """
     if seed_seq not in graph.nodes:
         raise CorpusError("seed %d is not in the dependency graph" % seed_seq)
@@ -80,33 +83,60 @@ def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
     return sorted(ancestors)
 
 
-class ReplaySession:
-    """One router, one handle map, one corpus: the unit of replay isolation.
+@dataclass(frozen=True)
+class PreparedCorpus:
+    """What replay derives from a corpus alone, built once and only read.
 
-    The default flow is one session per fuzz case on a fresh router.  A
-    longer-lived session caches which supports it has already replayed and
-    only executes the ones a new case adds, which is what the harness's
-    fast mode leans on (it resets named services between cases; anonymous
-    objects and therefore the handle map survive the reset).
+    records maps seq to record; static_names maps each handle value a
+    service-manager lookup produced to the descriptor it was looked up
+    under, recovered from the recorded requests; plans maps each seq to
+    its support plan (see ``plan``).
+    """
+
+    records: Mapping[int, SeedRecord]
+    graph: DependencyGraph
+    static_names: Mapping[int, str]
+    plans: Mapping[int, tuple[int, ...]]
+
+
+def prepare_corpus(records) -> PreparedCorpus:
+    """Validate a corpus and derive everything replay needs from it."""
+    ordered = sorted(records, key=lambda r: r.seq)
+    graph = build_dependency_graph(ordered)
+    static_names: dict[int, str] = {}
+    for record in ordered:
+        if record.target == SERVICE_MANAGER_HANDLE and record.reply_kind == ReplyKind.OK.value:
+            name = record.payload().read_lenient(Kind.STRING)
+            if name is not None:
+                for value, _pos in record.produced_handles:
+                    static_names[value] = name
+    # Edges come in ascending consumer order and point forward, so each
+    # producer's plan is final before any edge out of it is reached.
+    plans = dict.fromkeys(graph.nodes, ())
+    for edge in graph.edges:
+        found = {*plans[edge.consumer_seq], edge.producer_seq, *plans[edge.producer_seq]}
+        plans[edge.consumer_seq] = tuple(sorted(found))
+    return PreparedCorpus(
+        MappingProxyType({r.seq: r for r in ordered}), graph, MappingProxyType(static_names), MappingProxyType(plans)
+    )
+
+
+class ReplaySession:
+    """One router and one handle map over a prepared corpus: the unit of
+    replay isolation.
+
+    The harness builds one session per fuzz case, each on a fresh router,
+    over a corpus it prepared once for the whole campaign.  A session
+    only reads that corpus.  Passing plain records instead prepares them
+    for this session alone.  Within a session each support is replayed at
+    most once (see ``ensure_supports``).
     """
 
     def __init__(self, corpus, router: Router | None = None, burn_probe: bool = True):
-        records = sorted(corpus, key=lambda r: r.seq)
+        self.prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare_corpus(corpus)
         self.router = router if router is not None else fresh_router()
-        self.corpus: dict[int, SeedRecord] = {r.seq: r for r in records}
-        self.graph = build_dependency_graph(records)
         self.map = HandleMap()
         self._replayed: set[int] = set()
-        # Descriptor each manager-produced handle value was looked up under,
-        # recovered from the recorded lookup requests themselves.
-        self._recorded_static: dict[int, str] = {}
-        for record in records:
-            if record.target == SERVICE_MANAGER_HANDLE and record.reply_kind == ReplyKind.OK.value:
-                request = record.payload()
-                name = request.read_lenient(Kind.STRING)
-                if name is not None:
-                    for value, _pos in record.produced_handles:
-                        self._recorded_static[value] = name
         self.probe_handle: int | None = None
         if burn_probe:
             self.probe_handle = self.router.register_service("", Service())
@@ -126,13 +156,17 @@ class ReplaySession:
     # -- replaying records ------------------------------------------------------
 
     def missing_supports(self, seed_seq: int) -> list[int]:
-        return [s for s in plan(seed_seq, self.graph) if s not in self._replayed]
+        try:
+            support_plan = self.prepared.plans[seed_seq]
+        except KeyError:
+            raise CorpusError("seed %d is not in the dependency graph" % seed_seq) from None
+        return [s for s in support_plan if s not in self._replayed]
 
     def ensure_supports(self, seed_seq: int) -> list[int]:
         """Replay whatever ancestors of seed_seq have not run yet."""
         executed = []
         for support_seq in self.missing_supports(seed_seq):
-            record = self.corpus[support_seq]
+            record = self.prepared.records[support_seq]
             reply = self._execute_record(record)
             if reply.kind is not ReplyKind.OK:
                 raise Unreplayable(
@@ -146,10 +180,11 @@ class ReplaySession:
 
     def replay_seed(self, seed_seq: int) -> Reply:
         """Replay one record, unmutated, with its supports; returns its reply."""
-        if seed_seq not in self.corpus:
+        record = self.prepared.records.get(seed_seq)
+        if record is None:
             raise CorpusError("no record with seq %d" % seed_seq)
         self.ensure_supports(seed_seq)
-        return self._execute_record(self.corpus[seed_seq])
+        return self._execute_record(record)
 
     def _execute_record(self, record: SeedRecord) -> Reply:
         payload = self._patch_record_slots(record)
@@ -160,7 +195,7 @@ class ReplaySession:
             for recorded_value, pos in record.produced_handles:
                 live_value = handle_at(reply.payload.buffer, pos)
                 if record.target == SERVICE_MANAGER_HANDLE:
-                    name = self._recorded_static.get(recorded_value)
+                    name = self.prepared.static_names.get(recorded_value)
                     if name is not None:
                         self.map.static[name] = live_value
                 else:
@@ -175,18 +210,17 @@ class ReplaySession:
         return self.resolve_static(record.descriptor)
 
     def _patch_record_slots(self, record: SeedRecord) -> Parcel:
-        buf = bytearray(bytes.fromhex(record.payload_hex))
+        buf = bytearray.fromhex(record.payload_hex)
         for pos in record.offsets:
-            recorded = handle_at(bytes(buf), pos)
-            struct.pack_into("<i", buf, pos, self._live_handle(recorded))
-        return Parcel.from_hex(bytes(buf).hex(), list(record.offsets))
+            struct.pack_into("<i", buf, pos, self._live_handle(handle_at(buf, pos)))
+        return Parcel(buf, record.offsets)
 
     def _live_handle(self, recorded: int) -> int:
         if recorded == SERVICE_MANAGER_HANDLE:
             return SERVICE_MANAGER_HANDLE
         if recorded in self.map.dynamic:
             return self.map.dynamic[recorded]
-        name = self._recorded_static.get(recorded)
+        name = self.prepared.static_names.get(recorded)
         if name is not None:
             return self.resolve_static(name)
         raise Unreplayable("recorded handle %d has no live mapping" % recorded)
@@ -201,7 +235,7 @@ class ReplaySession:
 
     def materialize(self, case, sender_id: str = "fuzzer") -> Transaction:
         """Live-handle-patched Transaction for a case whose supports are ready."""
-        buf = bytearray(bytes.fromhex(case.payload_hex))
+        buf = bytearray.fromhex(case.payload_hex)
         overrides = dict(case.slot_overrides)
         for pos in case.offsets:
             directive = overrides.get(pos)
@@ -210,14 +244,14 @@ class ReplaySession:
             if directive is not None and directive.startswith("swap:"):
                 live = self.resolve_static(directive[len("swap:"):])
             else:
-                live = self._live_handle(handle_at(bytes(buf), pos))
+                live = self._live_handle(handle_at(buf, pos))
             struct.pack_into("<i", buf, pos, live)
-        payload = Parcel.from_hex(bytes(buf).hex(), list(case.offsets))
+        payload = Parcel(buf, case.offsets)
         return Transaction(self._case_target(case), case.code, payload, 0, sender_id)
 
     def _case_target(self, case) -> int:
         if case.seed_seq is not None:
-            return self._record_target(self.corpus[case.seed_seq])
+            return self._record_target(self.prepared.records[case.seed_seq])
         if case.descriptor == MANAGER_DESCRIPTOR:
             return SERVICE_MANAGER_HANDLE
         return self.resolve_static(case.descriptor)

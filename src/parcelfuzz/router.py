@@ -303,19 +303,6 @@ class Router:
             return "<unknown>"
         return reg.descriptor or "<anonymous:%d>" % handle
 
-    def live_handles(self) -> dict[str, int]:
-        """Named services currently registered (descriptor to handle)."""
-        return dict(self._by_name)
-
-    def service_instance(self, handle: int) -> Service:
-        return self._registrations[handle].instance
-
-    def reset_named_services(self) -> None:
-        """Rebuild every named service instance; anonymous objects survive."""
-        for reg in self._registrations.values():
-            if reg.descriptor and reg.handle != SERVICE_MANAGER_HANDLE:
-                reg.instance = reg.factory()
-
     # -- dispatch ---------------------------------------------------------------
 
     def transact(self, txn: Transaction, trace_hook=None) -> Reply:

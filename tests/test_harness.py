@@ -1,10 +1,12 @@
 """Campaign orchestration: triage, fingerprints, reproduction, reporting, CLI."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
+from parcelfuzz import harness
 from parcelfuzz.cli import main
 from parcelfuzz.harness import (
     ATTRIBUTION_WINDOW,
@@ -29,9 +31,10 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION, ConfigurationError
-from parcelfuzz.recorder import corpus_text, record_session
-from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind
+from parcelfuzz.mutator import CATALOG_VERSION
+from parcelfuzz.recorder import CorpusError, corpus_text, record_session
+from parcelfuzz.replayer import prepare_corpus
+from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +153,47 @@ def test_unreplayable_cases_are_counted_not_fatal(corpus):
     assert sum(report.counters.values()) == report.executed
 
 
-def test_fast_mode_reproduces_isolated_results(corpus, semi_report):
-    fast = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus, mode="fast"))
-    assert fast.distinct_fingerprints() == semi_report.distinct_fingerprints()
-    assert fast.counters == semi_report.counters
+def test_a_campaign_leaves_its_prepared_corpus_unchanged(monkeypatch, corpus):
+    prepared = []
+
+    def capture(records):
+        prepared.append(prepare_corpus(records))
+        return prepared[-1]
+
+    monkeypatch.setattr(harness, "prepare_corpus", capture)
+
+    def snapshot(p):
+        return copy.deepcopy((dict(p.records), p.graph, dict(p.static_names), dict(p.plans)))
+
+    report = run_fuzz(FuzzConfig(policy=["semi-valid", "empty", "random"], budget=500, corpus=corpus))
+    assert report.executed == 500
+    (once,) = prepared
+    assert snapshot(once) == snapshot(prepare_corpus(corpus))
+
+
+def test_a_failed_support_replay_leaves_later_cases_alone(corpus, semi_report):
+    broken = [
+        dataclasses.replace(r, code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
+        for r in corpus
+    ]
+    report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
+    assert report.counters["unreplayable"] > 0
+    # Every scenario recorded after the audio one runs as if nothing failed.
+    later_services = ("svc.bluetooth", "svc.view", "svc.graphics", "svc.activity")
+    later = [key for key in semi_report.per_method if key.split(":")[0] in later_services]
+    assert later
+    for key in later:
+        assert report.per_method[key] == semi_report.per_method[key]
+    later_crashes = {c.fingerprint for c in semi_report.crashes if c.descriptor != "svc.audio"}
+    assert later_crashes <= report.distinct_fingerprints()
+
+
+def test_a_non_contiguous_corpus_fails_before_any_dispatch(monkeypatch, corpus):
+    dispatched = []
+    monkeypatch.setattr(Router, "transact", lambda self, *args, **kwargs: dispatched.append(args))
+    with pytest.raises(CorpusError):
+        run_fuzz(FuzzConfig(policy=["empty", "random"], budget=50, corpus=list(corpus)[1:]))
+    assert dispatched == []
 
 
 def test_config_echo_includes_the_corpus_digest(semi_report, corpus):
@@ -166,11 +206,6 @@ def test_config_echo_includes_the_corpus_digest(semi_report, corpus):
     import hashlib
 
     assert corpus_digest(corpus) == hashlib.sha256(corpus_text(corpus).encode()).hexdigest()
-
-
-def test_mode_is_validated():
-    with pytest.raises(ConfigurationError):
-        FuzzConfig(policy="empty", budget=1, mode="warp")
 
 
 def test_crash_schema_is_depth_capped(semi_report):
@@ -452,6 +487,26 @@ def test_cli_replay_mismatch_is_an_error(tmp_path, capsys, corpus):
     capsys.readouterr()
     assert main(["replay", "--report", str(report_path), "--fingerprint", "zz", "--corpus", str(corpus_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_trace_leaf_past_the_payload(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    header, first, *rest = corpus_path.read_text().splitlines()
+    record = json.loads(first)
+    leaf = record["trace"]
+    while "children" in leaf:
+        leaf = leaf["children"][0]
+    size = len(record["payload_hex"]) // 2
+    leaf["byte_range"] = [size, size + 4]
+    corpus_path.write_text("\n".join([header, json.dumps(record, sort_keys=True), *rest]) + "\n")
+    capsys.readouterr()
+    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_manifest_error_is_distinct():

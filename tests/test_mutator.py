@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parcelfuzz import mutator
 from parcelfuzz.mutator import (
     BYTES_MUTATIONS,
     CATALOG,
@@ -387,6 +388,21 @@ def test_semi_valid_order_is_seeds_then_leaves_then_structural(corpus):
         c.mutation_id in ("duplicate_subtree", "remove_subtree") or c.mutation_id.startswith("tag_swap")
         for c in cases[first_structural:]
     )
+
+
+def test_semi_valid_cases_decompose_once_and_match_one_off_mutations(monkeypatch, corpus):
+    calls = []
+    monkeypatch.setattr(mutator, "decompose", lambda record: calls.append(record.seq) or decompose(record))
+    for record in corpus:
+        cases = list(semi_valid_cases(record))
+        assert calls == [record.seq]
+        for case in cases:
+            if case.mutation_id in CATALOG.get(_kind_at(record, case.field_path), ()):
+                expected = mutate_field(record, case.field_path, case.mutation_id)
+            else:
+                expected = mutate_structural(record, case.field_path, case.mutation_id)
+            assert case == expected
+        calls.clear()
 
 
 def test_empty_policy_covers_every_method_once(corpus):

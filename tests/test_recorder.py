@@ -203,9 +203,29 @@ def test_load_rejects_malformed_records(tmp_path):
         load_corpus(path)
 
 
-def test_seed_record_json_round_trip(corpus):
-    for record in corpus:
+def test_seed_record_json_round_trip(corpus, shuffled_corpus):
+    for record in list(corpus) + list(shuffled_corpus):
         assert SeedRecord.from_json(record.to_json()) == record
+
+
+def test_records_whose_trace_misdescribes_the_payload_are_rejected(corpus):
+    record = next(r for r in corpus if r.offsets)
+    size = len(record.payload_hex) // 2
+
+    def first_leaf(obj):
+        while "children" in obj:
+            obj = obj["children"][0]
+        return obj
+
+    past_end = record.to_json()
+    first_leaf(past_end["trace"])["byte_range"] = [size, size + 4]
+    straddling = record.to_json()
+    first_leaf(straddling["trace"])["byte_range"] = [size - 2, size]
+    unbacked_offset = record.to_json()
+    unbacked_offset["offsets"].append(size - 4)
+    for obj in (past_end, straddling, unbacked_offset):
+        with pytest.raises(CorpusError):
+            SeedRecord.from_json(obj)
 
 
 def test_trace_node_json_validation():

@@ -7,7 +7,7 @@ import pytest
 from parcelfuzz.mutator import FuzzCase, Policy, mutate_field
 from parcelfuzz.parcel import I32_MAX, Kind, handle_at
 from parcelfuzz.recorder import CorpusError, build_dependency_graph
-from parcelfuzz.replayer import HandleMap, ReplaySession, Unreplayable, plan
+from parcelfuzz.replayer import HandleMap, ReplaySession, Unreplayable, plan, prepare_corpus
 from parcelfuzz.router import ReplyKind
 from parcelfuzz.services import fresh_router
 
@@ -69,6 +69,24 @@ def test_only_the_audio_scenario_needs_supports(corpus, graph, audio_seqs):
     assert dependents == {audio_seqs["ping"], audio_seqs["register"]}
     assert plan(audio_seqs["ping"], graph) == [audio_seqs["open_session"]]
     assert plan(audio_seqs["register"], graph) == [audio_seqs["open_session"]]
+
+
+def test_prepared_plans_match_plan_for_every_seed(shuffled_corpus):
+    prepared = prepare_corpus(shuffled_corpus)
+    assert set(prepared.plans) == {r.seq for r in shuffled_corpus}
+    for record in shuffled_corpus:
+        assert prepared.plans[record.seq] == tuple(plan(record.seq, prepared.graph))
+    assert sum(1 for p in prepared.plans.values() if p) == 8  # ping + register, four times
+
+
+def test_a_prepared_corpus_serves_many_sessions(corpus, audio_seqs):
+    prepared = prepare_corpus(corpus)
+    for _ in range(2):
+        session = ReplaySession(prepared)
+        assert session.prepared is prepared
+        assert session.ensure_supports(audio_seqs["ping"]) == [audio_seqs["open_session"]]
+    with pytest.raises(TypeError):
+        prepared.plans[audio_seqs["ping"]] = ()
 
 
 # -- replay soundness --------------------------------------------------------------
@@ -226,7 +244,7 @@ def test_empty_policy_case_targets_the_named_service(corpus):
 
 def test_static_descriptors_are_recovered_from_manager_records(corpus):
     session = ReplaySession(corpus)
-    recorded_names = set(session._recorded_static.values())
+    recorded_names = set(session.prepared.static_names.values())
     assert recorded_names == {
         "svc.queue",
         "svc.audio",
@@ -244,32 +262,6 @@ def test_resolve_static_caches_and_manager_is_special(corpus):
     assert session.resolve_static("service_manager") == 0
     with pytest.raises(Unreplayable):
         session.resolve_static("svc.ghost")
-
-
-# -- sharing a session across resets (the fast-mode contract) ------------------------------
-
-
-def test_handle_map_survives_named_service_resets(corpus, audio_seqs):
-    session = ReplaySession(corpus)
-    session.ensure_supports(audio_seqs["register"])
-    before = dict(session.map.dynamic)
-    session.router.reset_named_services()
-    assert session.ensure_supports(audio_seqs["register"]) == []
-    register = next(r for r in corpus if r.seq == audio_seqs["register"])
-    case = FuzzCase(
-        1,
-        Policy.SEMI_VALID,
-        register.descriptor,
-        register.code,
-        register.payload_hex,
-        register.offsets,
-        seed_seq=register.seq,
-        field_path=(0,),
-        mutation_id="plus_one",
-    )
-    txn = session.prepare(case)
-    assert session.map.dynamic == before
-    assert session.router.transact(txn).kind is ReplyKind.OK
 
 
 def test_shared_router_can_be_injected(corpus):

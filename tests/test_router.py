@@ -206,19 +206,6 @@ def test_rejections_and_handled_faults_keep_state(router):
     assert _call(router, moody, Moody.ANSWER).payload.read_value(Kind.I32) == 4
 
 
-def test_reset_named_services_spares_anonymous_objects(router):
-    moody = router.get_service("test.moody")
-    anon = router.register_service("", Moody())
-    _call(router, moody, Moody.ANSWER)
-    _call(router, anon, Moody.ANSWER)
-    _call(router, anon, Moody.ANSWER)
-    manager_instance = router.service_instance(SERVICE_MANAGER_HANDLE)
-    router.reset_named_services()
-    assert _call(router, moody, Moody.ANSWER).payload.read_value(Kind.I32) == 1
-    assert _call(router, anon, Moody.ANSWER).payload.read_value(Kind.I32) == 3
-    assert router.service_instance(SERVICE_MANAGER_HANDLE) is manager_instance
-
-
 def test_exported_objects_get_fresh_callable_handles(router):
     moody = router.get_service("test.moody")
     reply = _call(router, moody, Moody.EXPORT)
