@@ -7,6 +7,11 @@ canonical JSON with no wall-clock anywhere, so identical configurations
 serialize byte-identically; every crash embeds enough provenance to be
 re-run from the report plus the corpus, nothing else.
 
+Cases dispatch without a trace hook.  A crash's schema (the type trace
+of the input that caused it) comes from one traced replay of the first
+case to reach each distinct fingerprint, on a fresh session over the
+same prepared corpus; repeat crashes only count hits.
+
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
 (never per recursion level), which is what makes parameter variants of
@@ -28,7 +33,7 @@ from .mutator import (
     generate_campaign,
 )
 from .recorder import SeedRecord, TraceBuilder, TraceNode, corpus_text
-from .replayer import ReplaySession, Unreplayable, prepare_corpus
+from .replayer import PreparedCorpus, ReplaySession, Unreplayable, prepare_corpus
 from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
@@ -169,6 +174,8 @@ def load_report(path) -> CampaignReport:
         return CampaignReport.from_json(obj)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise HarnessError("unreadable campaign report %s: %s" % (path, exc)) from None
+    except RecursionError:
+        raise HarnessError("unreadable campaign report %s: nested too deeply" % path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +227,10 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         except Unreplayable:
             outcome = "unreplayable"
         else:
-            builder = TraceBuilder()
-            reply = session.router.transact(txn, trace_hook=builder)
+            reply = session.router.transact(txn)
             outcome = classify(reply)
             if reply.kind is ReplyKind.FATAL_CRASH:
-                _record_crash(crashes, case, reply.crash, builder.finish(), config)
+                _record_crash(crashes, case, reply.crash, prepared, config)
         counters[outcome] += 1
         tally[outcome] += 1
 
@@ -281,7 +287,22 @@ def _schema_json(node: TraceNode, depth: int = 0) -> dict:
     return obj
 
 
-def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, schema: TraceNode, config: FuzzConfig) -> None:
+def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str, sender_id: str) -> TraceNode:
+    """Type trace of a crashing case, from one more run of it, traced,
+    on a fresh session; replay is deterministic, so the run must crash
+    with the same fingerprint again."""
+    session = ReplaySession(prepared)
+    builder = TraceBuilder()
+    reply = session.router.transact(session.prepare(case, sender_id), trace_hook=builder)
+    got = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else reply.kind.value
+    if got != digest:
+        raise HarnessError(
+            "case %d crashed as %s, but its traced re-run gave %s" % (case.case_id, digest[:12], got[:12])
+        )
+    return builder.finish()
+
+
+def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, prepared: PreparedCorpus, config: FuzzConfig) -> None:
     digest = fingerprint(crash)
     existing = crashes.get(digest)
     if existing is not None:
@@ -302,7 +323,7 @@ def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, schema: TraceNode, 
             "rng_seed": config.rng_seed,
             "case": case.to_json(),
         },
-        schema=_schema_json(schema),
+        schema=_schema_json(_traced_rerun(prepared, case, digest, config.sender_id)),
         first_seen_case_id=case.case_id,
     )
 

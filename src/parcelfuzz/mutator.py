@@ -20,15 +20,17 @@ fixed length cycle and per-case sub-seeds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterator
 
 from .parcel import I32_MAX, Kind, Parcel
-from .recorder import COMPOSITE, SeedRecord, TraceNode
+from .recorder import SeedRecord, TraceNode
 from .services import TAG_NAMES, all_methods
 
 CATALOG_VERSION = "catalog-v1"
@@ -468,7 +470,9 @@ def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
 def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id: int = 0) -> FuzzCase:
     if not 0 <= length <= MAX_RANDOM_LENGTH:
         raise ConfigurationError("random payload length %d outside [0, %d]" % (length, MAX_RANDOM_LENGTH))
-    payload = random.Random(rng_seed).randbytes(length)
+    # An empty payload needs no seeded generator, and one RANDOM case
+    # in six is empty.
+    payload = random.Random(rng_seed).randbytes(length) if length else b""
     return FuzzCase(
         case_id=case_id,
         policy=Policy.RANDOM,
@@ -501,44 +505,46 @@ def _normalize_policies(policy) -> tuple[Policy, ...]:
     return tuple(out)
 
 
-def semi_valid_cases(record: SeedRecord):
+def semi_valid_cases(record: SeedRecord, case_ids: Iterator[int] | None = None):
     """Every semi-valid case for one seed: leaf sweeps, then structural.
 
     The seed is decomposed once; each mutation copies what it edits.
+    Each case takes its case_id from case_ids as it is built (0 without).
     """
+    if case_ids is None:
+        case_ids = itertools.repeat(0)
     leaves = decompose(record)
     for index, leaf in enumerate(leaves):
         for mutation_id in CATALOG.get(leaf.kind, ()):
-            yield _mutate_leaf(record, leaves, index, mutation_id)
+            yield _mutate_leaf(record, leaves, index, mutation_id, next(case_ids))
     for path in enumerate_composites(record):
         for mutation_id in structural_mutations_for(record, path):
-            yield _mutate_subtree(record, leaves, path, mutation_id)
+            yield _mutate_subtree(record, leaves, path, mutation_id, next(case_ids))
 
 
-def _policy_stream(policy: Policy, corpus, rng_seed: int):
+def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int]):
     if policy is Policy.EMPTY:
         for descriptor, code, _name in all_methods():
-            yield make_empty(descriptor, code)
+            yield make_empty(descriptor, code, next(case_ids))
     elif policy is Policy.RANDOM:
         methods = all_methods()
-        i = 0
-        while True:
+        for i in itertools.count():
             descriptor, code, _name = methods[i % len(methods)]
             length = RANDOM_LENGTH_CYCLE[(i // len(methods)) % len(RANDOM_LENGTH_CYCLE)]
-            yield make_random(descriptor, code, length, rng_seed * 1_000_003 + i)
-            i += 1
+            yield make_random(descriptor, code, length, rng_seed * 1_000_003 + i, next(case_ids))
     else:
         for record in sorted(corpus, key=lambda r: r.seq):
-            yield from semi_valid_cases(record)
+            yield from semi_valid_cases(record, case_ids)
 
 
 def generate_campaign(corpus, policy, budget: int, rng_seed: int):
     """Ordered, deterministic case stream, truncated at budget.
 
     Multiple policies concatenate in the order given; case_id numbers the
-    combined stream from 1.  EMPTY and SEMI_VALID are finite (the method
-    registry, respectively the seed enumeration); RANDOM never runs dry,
-    so it is the natural filler when combined with EMPTY.
+    combined stream from 1, each case getting its id as it is built, and
+    no case past the budget is built.  EMPTY and SEMI_VALID are finite
+    (the method registry, respectively the seed enumeration); RANDOM
+    never runs dry, so it is the natural filler when combined with EMPTY.
     """
     policies = _normalize_policies(policy)
     if budget < 1:
@@ -546,16 +552,7 @@ def generate_campaign(corpus, policy, budget: int, rng_seed: int):
     if Policy.SEMI_VALID in policies and not corpus:
         raise ConfigurationError("SEMI_VALID needs a non-empty seed corpus")
 
-    def stream():
-        case_id = 0
-        for p in policies:
-            for case in _policy_stream(p, corpus, rng_seed):
-                case_id += 1
-                if case_id > budget:
-                    return
-                yield replace(case, case_id=case_id)
-            if case_id >= budget:
-                return
-
-    return stream()
+    case_ids = itertools.count(1)
+    streams = (_policy_stream(p, corpus, rng_seed, case_ids) for p in policies)
+    return itertools.islice(itertools.chain.from_iterable(streams), budget)
 

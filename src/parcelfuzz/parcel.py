@@ -26,7 +26,7 @@ text-decoding failure is load-bearing for the services built on top.
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from enum import Enum
 from typing import Iterator
 
@@ -264,17 +264,27 @@ class Parcel:
     def clear_read_hook(self) -> None:
         self._hook = None
 
-    @contextmanager
-    def composite(self, label: str) -> Iterator[None]:
-        """Scope marker for decoders of nested structures; no-op without a hook."""
+    def composite(self, label: str) -> AbstractContextManager[None]:
+        """Scope marker for decoders of nested structures.
+
+        Without a hook this is one shared no-op: decoders open a scope per
+        nested value, and untraced dispatch is the common case.
+        """
         if self._hook is None:
-            yield
-            return
-        self._hook.enter_composite(label)
-        try:
-            yield
-        finally:
-            self._hook.exit_composite()
+            return _NO_SCOPE
+        return _hooked_scope(self._hook, label)
+
+
+_NO_SCOPE = nullcontext()
+
+
+@contextmanager
+def _hooked_scope(hook, label: str) -> Iterator[None]:
+    hook.enter_composite(label)
+    try:
+        yield
+    finally:
+        hook.exit_composite()
 
 
 def _check_range(value, lo: int, hi: int) -> int:

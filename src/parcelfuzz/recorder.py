@@ -46,7 +46,7 @@ from .services import (
 CORPUS_FORMAT_VERSION = 1
 CORPUS_MANIFEST_REF = "corpus-manifest-v1"
 
-COMPOSITE = "COMPOSITE"
+COMPOSITE = Kind.COMPOSITE.value
 STATIC_PREFIX = "STATIC:"
 
 # Bytes a trace leaf of each kind holds at least: the value itself, or
@@ -560,15 +560,18 @@ def load_corpus(path) -> list[SeedRecord]:
         header = json.loads(lines[0])
     except json.JSONDecodeError:
         raise CorpusError("corpus header is not JSON") from None
+    except RecursionError:
+        raise CorpusError("corpus header nests too deeply") from None
     if not isinstance(header, dict) or header.get("format_version") != CORPUS_FORMAT_VERSION:
         raise CorpusError("unsupported corpus header: %r" % (header,))
     records = []
     for line in lines[1:]:
         try:
-            obj = json.loads(line)
+            records.append(SeedRecord.from_json(json.loads(line)))
         except json.JSONDecodeError:
             raise CorpusError("corpus line is not JSON: %r" % line[:80]) from None
-        records.append(SeedRecord.from_json(obj))
+        except RecursionError:
+            raise CorpusError("corpus line nests too deeply: %r" % line[:80]) from None
     return records
 
 

@@ -31,9 +31,9 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION
-from parcelfuzz.recorder import CorpusError, corpus_text, record_session
-from parcelfuzz.replayer import prepare_corpus
+from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase
+from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_text, record_session
+from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
 
 
@@ -228,6 +228,46 @@ def test_crash_provenance_carries_the_full_case(semi_report):
         assert prov["policy"] == "SEMI_VALID"
         assert prov["case"]["payload_hex"] == crash.provenance["case"]["payload_hex"]
         assert prov["case"]["case_id"] == crash.first_seen_case_id
+
+
+def test_a_campaign_traces_once_per_distinct_fingerprint(monkeypatch, corpus):
+    built = []
+
+    class CountingBuilder(TraceBuilder):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(harness, "TraceBuilder", CountingBuilder)
+    report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus))
+    assert report.counters["fatal_crash"] > len(report.crashes) == 10
+    assert len(built) == len(report.crashes)
+
+
+def test_every_crash_schema_is_the_trace_of_its_saved_case(semi_report, corpus):
+    prepared = prepare_corpus(corpus)
+    for crash in semi_report.crashes:
+        session = ReplaySession(prepared)
+        builder = TraceBuilder()
+        case = FuzzCase.from_json(crash.provenance["case"])
+        reply = session.router.transact(session.prepare(case), trace_hook=builder)
+        assert fingerprint(reply.crash) == crash.fingerprint
+        assert crash.schema == harness._schema_json(builder.finish())
+
+
+def test_a_traced_rerun_on_another_fingerprint_is_a_harness_error(monkeypatch, corpus, semi_report):
+    transact = Router.transact
+
+    def elsewhere_when_traced(self, txn, trace_hook=None):
+        reply = transact(self, txn, trace_hook)
+        if trace_hook is None or reply.kind is not ReplyKind.FATAL_CRASH:
+            return reply
+        return Reply.fatal(_crash("ELSEWHERE", ("elsewhere",)))
+
+    monkeypatch.setattr(Router, "transact", elsewhere_when_traced)
+    first = min(c.first_seen_case_id for c in semi_report.crashes)
+    with pytest.raises(HarnessError, match=r"^case %d crashed as " % first):
+        run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus))
 
 
 # -- determinism and persistence ------------------------------------------------------
@@ -507,6 +547,38 @@ def test_cli_rejects_a_trace_leaf_past_the_payload(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_rejects_a_corpus_line_nested_too_deeply(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    header, first, *rest = corpus_path.read_text().splitlines()
+    trace = json.dumps(json.loads(first)["trace"], sort_keys=True)
+    depth = 2000
+    opening = '{"kind": "COMPOSITE", "label": "x", "byte_range": [0, 0], "children": ['
+    line = first.replace(trace, opening * depth + trace + "]}" * depth)
+    assert line != first
+    corpus_path.write_text("\n".join([header, line, *rest]) + "\n")
+    capsys.readouterr()
+    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+    corpus_path.write_text("\n".join(["[" * depth + "]" * depth, line, *rest]) + "\n")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_rejects_a_report_nested_too_deeply(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    report_path.write_text("[" * 5000 + "]" * 5000)
+    assert main(["report", "--in", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_manifest_error_is_distinct():

@@ -5,6 +5,7 @@ walks over the recorded traces rather than calling back into the
 functions under test.
 """
 
+import random
 import struct
 
 import pytest
@@ -340,6 +341,12 @@ def test_structural_mutation_validation(corpus):
 # -- unstructured policies ---------------------------------------------------------
 
 
+def test_empty_random_payloads_match_a_seeded_generator():
+    for seed in (1, 2, 99, 1_000_003, 7 * 1_000_003 + 5):
+        case = make_random("svc.queue", 1, 0, seed)
+        assert bytes.fromhex(case.payload_hex) == random.Random(seed).randbytes(0) == b""
+
+
 def test_make_random_is_seed_deterministic():
     a = make_random("svc.queue", 1, 64, 99)
     b = make_random("svc.queue", 1, 64, 99)
@@ -422,11 +429,14 @@ def test_random_policy_round_robins_with_the_length_cycle(corpus):
         assert len(bytes.fromhex(case.payload_hex)) == expected_length
 
 
-def test_policies_concatenate_in_order(corpus):
+def test_policies_concatenate_in_order(monkeypatch, corpus):
+    built = []
+    monkeypatch.setattr(mutator, "make_random", lambda *args: built.append(args) or make_random(*args))
     cases = list(generate_campaign(corpus, ["empty", "random"], 15, 1))
     assert [c.policy for c in cases[:11]] == [Policy.EMPTY] * 11
     assert [c.policy for c in cases[11:]] == [Policy.RANDOM] * 4
     assert [c.case_id for c in cases] == list(range(1, 16))
+    assert len(built) == 4  # no 16th case is built past the budget
 
 
 def test_campaign_is_deterministic(corpus):

@@ -198,6 +198,15 @@ def test_read_hook_sees_leaves_and_scopes():
     ]
 
 
+def test_composite_without_a_hook_is_one_shared_no_op():
+    first = Parcel().composite("a")
+    assert Parcel.from_hex("2a000000").composite("b") is first
+    with first:
+        pass
+    with first:
+        pass
+
+
 def test_composite_exits_on_decoder_error():
     reader = Parcel.from_hex("2a00")
     events = _Events()
