@@ -11,6 +11,11 @@ prefix in place after an identity rebuild and are flagged frame_breaking,
 as are the structural mutations (subtree duplication and removal, bundle
 tag rewrites), which change the leaf list itself.
 
+Payloads are ``bytes`` from the seed to the dispatched parcel: a case is
+built as bytes and materialized from them.  Hex appears only where a case
+or a seed is written to or read from JSON (``payload_hex`` in corpus and
+report files).
+
 Campaign enumeration is a pure function of (corpus, policies, budget,
 rng_seed, catalog version): seeds ascending, leaves in depth-first order,
 mutations in catalog order, then each seed's structural mutations; EMPTY
@@ -20,6 +25,7 @@ fixed length cycle and per-case sub-seeds.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import math
 import random
@@ -104,7 +110,7 @@ class FuzzCase:
     policy: Policy
     descriptor: str
     code: int
-    payload_hex: str
+    payload: bytes
     offsets: tuple[int, ...]
     seed_seq: int | None = None
     field_path: tuple[int, ...] | None = None
@@ -120,8 +126,8 @@ class FuzzCase:
         elif any(r is not None for r in refs):
             raise ValueError("%s cases reference no seed" % self.policy.value)
 
-    def payload(self) -> Parcel:
-        return Parcel.from_hex(self.payload_hex, self.offsets)
+    def parcel(self) -> Parcel:
+        return Parcel(self.payload, self.offsets)
 
     def to_json(self) -> dict:
         return {
@@ -129,7 +135,7 @@ class FuzzCase:
             "policy": self.policy.value,
             "descriptor": self.descriptor,
             "code": self.code,
-            "payload_hex": self.payload_hex,
+            "payload_hex": self.payload.hex(),
             "offsets": list(self.offsets),
             "seed_seq": self.seed_seq,
             "field_path": list(self.field_path) if self.field_path is not None else None,
@@ -146,7 +152,7 @@ class FuzzCase:
             policy=Policy(obj["policy"]),
             descriptor=str(obj["descriptor"]),
             code=int(obj["code"]),
-            payload_hex=str(obj["payload_hex"]),
+            payload=binascii.unhexlify(obj["payload_hex"]),
             offsets=tuple(int(p) for p in obj["offsets"]),
             seed_seq=obj.get("seed_seq"),
             field_path=tuple(path) if path is not None else None,
@@ -173,14 +179,15 @@ class _Leaf:
             self.write_as = self.kind
 
 
-_FIXED_FORMATS = {"I32": "<i", "I64": "<q", "F64": "<d", "BOOL": "<i", "HANDLE": "<i"}
+_I32 = struct.Struct("<i")
+_FIXED_CODECS = {"I32": _I32, "I64": struct.Struct("<q"), "F64": struct.Struct("<d"), "BOOL": _I32, "HANDLE": _I32}
 
 
 def _decode_leaf(buf: bytes, node: TraceNode) -> object:
-    fmt = _FIXED_FORMATS.get(node.kind)
-    if fmt is not None:
-        return struct.unpack_from(fmt, buf, node.start)[0]
-    declared = struct.unpack_from("<i", buf, node.start)[0]
+    codec = _FIXED_CODECS.get(node.kind)
+    if codec is not None:
+        return codec.unpack_from(buf, node.start)[0]
+    declared = _I32.unpack_from(buf, node.start)[0]
     content = buf[node.start + 4 : node.start + 4 + declared]
     if node.kind == "STRING":
         return content.decode("utf-8")
@@ -189,7 +196,7 @@ def _decode_leaf(buf: bytes, node: TraceNode) -> object:
 
 def decompose(record: SeedRecord) -> list[_Leaf]:
     """Seed payload as an ordered list of typed leaf values."""
-    buf = bytes.fromhex(record.payload_hex)
+    buf = record.payload
     leaves: list[_Leaf] = []
 
     def walk(node: TraceNode, path: tuple[int, ...]) -> None:
@@ -203,15 +210,17 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
     return leaves
 
 
+# Kind by name, without an Enum call per leaf.
+_KIND_NAMED = {kind.value: kind for kind in Kind}
+
+
 def _rebuild(leaves) -> Parcel:
     parcel = Parcel()
     for leaf in leaves:
         if leaf.kind == "HANDLE":
             parcel.write_handle(leaf.value)
-        elif leaf.write_as == "BYTES":
-            parcel.write_value(Kind.BYTES, leaf.value)
         else:
-            parcel.write_value(Kind(leaf.write_as), leaf.value)
+            parcel.write_value(_KIND_NAMED[leaf.write_as], leaf.value)
     return parcel
 
 
@@ -368,19 +377,18 @@ def _mutate_leaf(record: SeedRecord, leaves: list[_Leaf], index: int, mutation_i
 
     parcel = _rebuild(leaves)
     new_start = parcel.write_log[index][1]
-    buf = bytearray(parcel.buffer)
-    if patch == "plus_4":
-        declared = struct.unpack_from("<i", buf, new_start)[0]
-        struct.pack_into("<i", buf, new_start, declared + 4)
-    elif patch == "max":
-        struct.pack_into("<i", buf, new_start, I32_MAX)
+    payload = parcel.buffer
+    if patch is not None:
+        declared = _I32.unpack_from(payload, new_start)[0]
+        lie = declared + 4 if patch == "plus_4" else I32_MAX
+        payload = payload[:new_start] + _I32.pack(lie) + payload[new_start + 4 :]
 
     return FuzzCase(
         case_id=case_id,
         policy=Policy.SEMI_VALID,
         descriptor=record.descriptor,
         code=record.code,
-        payload_hex=bytes(buf).hex(),
+        payload=payload,
         offsets=tuple(parcel.offsets),
         seed_seq=record.seq,
         field_path=field_path,
@@ -404,8 +412,7 @@ def structural_mutations_for(record: SeedRecord, path) -> list[str]:
     if _ENTRY_LABEL.match(node.label) and len(node.children) >= 2:
         tag_leaf = node.children[1]
         if tag_leaf.is_leaf and tag_leaf.kind == "I32":
-            buf = bytes.fromhex(record.payload_hex)
-            current = struct.unpack_from("<i", buf, tag_leaf.start)[0]
+            current = _I32.unpack_from(record.payload, tag_leaf.start)[0]
             out.extend("tag_swap_to_%d" % t for t in sorted(TAG_NAMES) if t != current)
     return out
 
@@ -442,7 +449,7 @@ def _mutate_subtree(record: SeedRecord, leaves: list[_Leaf], path: tuple[int, ..
         policy=Policy.SEMI_VALID,
         descriptor=record.descriptor,
         code=record.code,
-        payload_hex=parcel.to_hex(),
+        payload=parcel.buffer,
         offsets=tuple(parcel.offsets),
         seed_seq=record.seq,
         field_path=path,
@@ -462,7 +469,7 @@ def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
         policy=Policy.EMPTY,
         descriptor=descriptor,
         code=code,
-        payload_hex="",
+        payload=b"",
         offsets=(),
     )
 
@@ -478,7 +485,7 @@ def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id:
         policy=Policy.RANDOM,
         descriptor=descriptor,
         code=code,
-        payload_hex=payload.hex(),
+        payload=payload,
         offsets=(),
     )
 

@@ -51,6 +51,17 @@ class Kind(str, Enum):
     COMPOSITE = "COMPOSITE"
 
 
+# Kind members under module names for the read and write paths, which
+# compare kinds once per field: on Python 3.11 each ``Kind.X`` lookup is a
+# descriptor call costing about half as much as a whole fixed-width read.
+_K_I32, _K_I64, _K_F64, _K_BOOL = Kind.I32, Kind.I64, Kind.F64, Kind.BOOL
+_K_STRING, _K_BYTES, _K_HANDLE = Kind.STRING, Kind.BYTES, Kind.HANDLE
+
+_I32 = struct.Struct("<i")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+
+
 class ParcelError(Exception):
     """Base class for read/write failures on a parcel."""
 
@@ -136,22 +147,22 @@ class Parcel:
     def write_value(self, kind: Kind, value) -> "Parcel":
         """Append one value; returns self so writes chain."""
         start = len(self._buf)
-        if kind is Kind.I32:
-            self._buf += struct.pack("<i", _check_range(value, I32_MIN, I32_MAX))
-        elif kind is Kind.I64:
-            self._buf += struct.pack("<q", _check_range(value, I64_MIN, I64_MAX))
-        elif kind is Kind.F64:
-            self._buf += struct.pack("<d", float(value))
-        elif kind is Kind.BOOL:
-            self._buf += struct.pack("<i", 1 if value else 0)
-        elif kind is Kind.STRING:
+        if kind is _K_I32:
+            self._buf += _I32.pack(_check_range(value, I32_MIN, I32_MAX))
+        elif kind is _K_I64:
+            self._buf += _I64.pack(_check_range(value, I64_MIN, I64_MAX))
+        elif kind is _K_F64:
+            self._buf += _F64.pack(float(value))
+        elif kind is _K_BOOL:
+            self._buf += _I32.pack(1 if value else 0)
+        elif kind is _K_STRING:
             if not isinstance(value, str):
                 raise CapacityError("STRING write needs str, got %s" % type(value).__name__)
             self._append_sized(value.encode("utf-8"))
-        elif kind is Kind.BYTES:
+        elif kind is _K_BYTES:
             if not isinstance(value, (bytes, bytearray)):
                 raise CapacityError("BYTES write needs bytes, got %s" % type(value).__name__)
-            self._append_sized(bytes(value))
+            self._append_sized(value)
         else:
             raise CapacityError("cannot write kind %s through write_value" % kind)
         self.write_log.append((kind, start, len(self._buf)))
@@ -163,42 +174,52 @@ class Parcel:
             raise CapacityError("handle out of range: %r" % (handle,))
         start = len(self._buf)
         self.offsets.append(start)
-        self._buf += struct.pack("<i", handle)
-        self.write_log.append((Kind.HANDLE, start, len(self._buf)))
+        self._buf += _I32.pack(handle)
+        self.write_log.append((_K_HANDLE, start, len(self._buf)))
         return self
 
     def _append_sized(self, raw: bytes) -> None:
         if len(raw) > I32_MAX:
             raise CapacityError("length %d exceeds declared-length capacity" % len(raw))
-        self._buf += struct.pack("<i", len(raw))
+        self._buf += _I32.pack(len(raw))
         self._buf += raw
         self._buf += b"\x00" * (pad4(len(raw)) - len(raw))
 
     # -- read side ------------------------------------------------------------
+    #
+    # Reads decode straight out of the buffer at the cursor; only the body
+    # of a STRING or BYTES value is copied, once.  A failed read leaves the
+    # cursor where the read began.
 
     def read_value(self, kind: Kind):
         start = self.cursor
-        if kind is Kind.I32:
-            value = struct.unpack("<i", self._take(4, "I32"))[0]
-        elif kind is Kind.I64:
-            value = struct.unpack("<q", self._take(8, "I64"))[0]
-        elif kind is Kind.F64:
-            value = struct.unpack("<d", self._take(8, "F64"))[0]
-        elif kind is Kind.BOOL:
-            value = struct.unpack("<i", self._take(4, "BOOL"))[0] != 0
-        elif kind is Kind.STRING:
-            raw = self._take_sized("STRING")
+        if kind is _K_STRING:
+            end, body_end = self._sized_bounds("STRING")
             try:
-                value = raw.decode("utf-8")
+                value = self._buf[start + 4 : body_end].decode("utf-8")
             except UnicodeDecodeError as exc:
-                self.cursor = start
                 raise EncodingError("STRING is not valid UTF-8 at %d: %s" % (start, exc)) from None
-        elif kind is Kind.BYTES:
-            value = self._take_sized("BYTES")
+        elif kind is _K_BYTES:
+            end, body_end = self._sized_bounds("BYTES")
+            value = memoryview(self._buf)[start + 4 : body_end].tobytes()
         else:
-            raise TruncationError("cannot read kind %s through read_value" % kind)
+            if kind is _K_I32 or kind is _K_BOOL:
+                codec = _I32
+            elif kind is _K_I64:
+                codec = _I64
+            elif kind is _K_F64:
+                codec = _F64
+            else:
+                raise TruncationError("cannot read kind %s through read_value" % kind)
+            end = start + codec.size
+            if end > len(self._buf):
+                raise _truncated(kind.value, codec.size, start, len(self._buf))
+            value = codec.unpack_from(self._buf, start)[0]
+            if kind is _K_BOOL:
+                value = value != 0
+        self.cursor = end
         if self._hook is not None:
-            self._hook.on_leaf(kind, start, self.cursor)
+            self._hook.on_leaf(kind, start, end)
         return value
 
     def read_handle(self) -> tuple[int, bool]:
@@ -209,10 +230,14 @@ class Parcel:
         was not written by write_handle.
         """
         start = self.cursor
-        value = struct.unpack("<i", self._take(4, "HANDLE"))[0]
+        end = start + 4
+        if end > len(self._buf):
+            raise _truncated("HANDLE", 4, start, len(self._buf))
+        value = _I32.unpack_from(self._buf, start)[0]
+        self.cursor = end
         slot_valid = start in self.offsets
         if self._hook is not None:
-            self._hook.on_leaf(Kind.HANDLE, start, self.cursor)
+            self._hook.on_leaf(_K_HANDLE, start, end)
         return value, slot_valid
 
     def read_lenient(self, kind: Kind):
@@ -233,27 +258,20 @@ class Parcel:
         except _LENIENT:
             return None, False
 
-    def _take(self, n: int, what: str) -> bytes:
-        if self.cursor + n > len(self._buf):
-            raise TruncationError(
-                "%s read needs %d bytes at %d, buffer has %d"
-                % (what, n, self.cursor, len(self._buf))
-            )
-        chunk = bytes(self._buf[self.cursor : self.cursor + n])
-        self.cursor += n
-        return chunk
-
-    def _take_sized(self, what: str) -> bytes:
-        declared = struct.unpack("<i", self._take(4, what + " length"))[0]
-        if declared < 0 or self.cursor + pad4(declared) > len(self._buf):
-            self.cursor -= 4
+    def _sized_bounds(self, what: str) -> tuple[int, int]:
+        """(end of the padded value, end of its body) for the STRING or
+        BYTES value at the cursor, from its declared length."""
+        start = self.cursor
+        size = len(self._buf)
+        if start + 4 > size:
+            raise _truncated(what + " length", 4, start, size)
+        declared = _I32.unpack_from(self._buf, start)[0]
+        end = start + 4 + pad4(declared)
+        if declared < 0 or end > size:
             raise MalformedLengthError(
-                "%s declares %d bytes at %d with %d remaining"
-                % (what, declared, self.cursor, len(self._buf) - self.cursor - 4)
+                "%s declares %d bytes at %d with %d remaining" % (what, declared, start, size - start - 4)
             )
-        raw = bytes(self._buf[self.cursor : self.cursor + declared])
-        self.cursor += pad4(declared)
-        return raw
+        return end, start + 4 + declared
 
     # -- instrumentation ------------------------------------------------------
 
@@ -287,6 +305,10 @@ def _hooked_scope(hook, label: str) -> Iterator[None]:
         hook.exit_composite()
 
 
+def _truncated(what: str, n: int, at: int, size: int) -> TruncationError:
+    return TruncationError("%s read needs %d bytes at %d, buffer has %d" % (what, n, at, size))
+
+
 def _check_range(value, lo: int, hi: int) -> int:
     if not isinstance(value, int) or not lo <= value <= hi:
         raise CapacityError("integer out of range [%d, %d]: %r" % (lo, hi, value))
@@ -307,4 +329,4 @@ def _check_offsets(offsets: list[int], size: int) -> None:
 
 def handle_at(buffer: bytes, pos: int) -> int:
     """Decode the handle value stored at a given offsets-table position."""
-    return struct.unpack_from("<i", buffer, pos)[0]
+    return _I32.unpack_from(buffer, pos)[0]

@@ -18,8 +18,10 @@ line with sorted keys, so identical sessions serialize byte-identically.
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,6 +80,71 @@ class RecordingAborted(RecordingError):
         self.cause = cause
 
 
+def _excerpt(value) -> str:
+    """A bounded repr of value for error messages, at most 80 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _ints(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in value)
+
+
+def _int_pairs(value) -> tuple[tuple[int, int], ...]:
+    return tuple((int(a), int(b)) for a, b in value)
+
+
+def _consumed_handles(value) -> tuple[tuple[int, int | str], ...]:
+    consumed = []
+    for pos, origin in value:
+        if not isinstance(origin, int) and not (isinstance(origin, str) and origin.startswith(STATIC_PREFIX)):
+            raise CorpusError("bad handle origin %s" % _excerpt(origin))
+        consumed.append((int(pos), origin))
+    return tuple(consumed)
+
+
+def _record_error(obj, cause: Exception) -> CorpusError:
+    """What is wrong with a seed record SeedRecord.from_json refused.
+
+    Parses the record again one field at a time and names the first
+    field that is missing or fails; past all of them, the fault was in
+    the trace and cause says what it is.  from_json does not parse this
+    way itself, because load_corpus runs it on every record it loads.
+    """
+    if not isinstance(obj, dict):
+        return CorpusError("seed record is not an object: %s" % _excerpt(obj))
+    where = "seed record"
+    for key, parse in _RECORD_FIELDS:
+        if key not in obj:
+            return CorpusError("%s has no %r" % (where, key))
+        try:
+            value = parse(obj[key])
+        except CorpusError as exc:
+            return CorpusError("%s %s: %s" % (where, key, exc))
+        except (TypeError, ValueError):
+            return CorpusError("%s has a bad %r: %s" % (where, key, _excerpt(obj[key])))
+        if key == "seq":
+            where = "record %d" % value
+    if "trace" not in obj:
+        return CorpusError("%s has no 'trace'" % where)
+    return CorpusError("%s trace: %s" % (where, cause))
+
+
+# Every seed record field but the trace, with the function that parses it.
+# unhexlify takes only an even-length string of hex digits.
+_RECORD_FIELDS = (
+    ("seq", int),
+    ("descriptor", str),
+    ("code", int),
+    ("target", int),
+    ("payload_hex", binascii.unhexlify),
+    ("offsets", _ints),
+    ("consumed_handles", _consumed_handles),
+    ("produced_handles", _int_pairs),
+    ("reply_kind", str),
+)
+
+
 # ---------------------------------------------------------------------------
 # Type traces.
 # ---------------------------------------------------------------------------
@@ -131,14 +198,16 @@ class TraceNode:
             label = obj.get("label", "")
             start, end = obj["byte_range"]
             start, end = int(start), int(end)
-        except (KeyError, TypeError, ValueError):
-            raise CorpusError("malformed trace node: %r" % (obj,)) from None
+        except KeyError as exc:
+            raise CorpusError("trace node has no %s" % exc) from None
+        except (TypeError, ValueError):
+            raise CorpusError("malformed trace node: %s" % _excerpt(obj)) from None
         if kind == COMPOSITE:
             children = [cls.from_json(c, payload_size, handle_starts) for c in obj.get("children", ())]
             return cls(kind, label, start, end, children)
         fixed_part = _FIXED_PART.get(kind)
         if fixed_part is None:
-            raise CorpusError("unknown trace leaf kind %r" % (kind,))
+            raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
         if obj.get("children"):
             raise CorpusError("trace leaf %r carries children" % kind)
         if payload_size is not None:
@@ -222,15 +291,15 @@ class SeedRecord:
     descriptor: str
     code: int
     target: int
-    payload_hex: str
+    payload: bytes
     offsets: tuple[int, ...]
     trace: TraceNode
     consumed_handles: tuple[tuple[int, int | str], ...]
     produced_handles: tuple[tuple[int, int], ...]
     reply_kind: str
 
-    def payload(self) -> Parcel:
-        return Parcel.from_hex(self.payload_hex, self.offsets)
+    def parcel(self) -> Parcel:
+        return Parcel(self.payload, self.offsets)
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +308,7 @@ class SeedRecord:
             "descriptor": self.descriptor,
             "code": self.code,
             "target": self.target,
-            "payload_hex": self.payload_hex,
+            "payload_hex": self.payload.hex(),
             "offsets": list(self.offsets),
             "trace": self.trace.to_json(),
             "consumed_handles": [[pos, origin] for pos, origin in self.consumed_handles],
@@ -249,35 +318,30 @@ class SeedRecord:
 
     @classmethod
     def from_json(cls, obj) -> "SeedRecord":
+        """Parse one corpus record.  An unusable record is a CorpusError
+        that names the record's seq, when it has one, and what is wrong."""
+        handle_starts: list[int] = []
         try:
-            consumed = []
-            for pos, origin in obj["consumed_handles"]:
-                if not isinstance(origin, int) and not (
-                    isinstance(origin, str) and origin.startswith(STATIC_PREFIX)
-                ):
-                    raise CorpusError("bad handle origin %r" % (origin,))
-                consumed.append((int(pos), origin))
-            handle_starts: list[int] = []
+            payload = binascii.unhexlify(obj["payload_hex"])
             record = cls(
                 seq=int(obj["seq"]),
                 scenario=str(obj.get("scenario", "")),
                 descriptor=str(obj["descriptor"]),
                 code=int(obj["code"]),
                 target=int(obj["target"]),
-                payload_hex=str(obj["payload_hex"]),
-                offsets=tuple(int(p) for p in obj["offsets"]),
-                trace=TraceNode.from_json(obj["trace"], len(obj["payload_hex"]) // 2, handle_starts),
-                consumed_handles=tuple(consumed),
-                produced_handles=tuple((int(v), int(p)) for v, p in obj["produced_handles"]),
+                payload=payload,
+                offsets=_ints(obj["offsets"]),
+                trace=TraceNode.from_json(obj["trace"], len(payload), handle_starts),
+                consumed_handles=_consumed_handles(obj["consumed_handles"]),
+                produced_handles=_int_pairs(obj["produced_handles"]),
                 reply_kind=str(obj["reply_kind"]),
             )
-        except CorpusError:
-            raise
-        except (KeyError, TypeError, ValueError):
-            raise CorpusError("malformed seed record: %r" % (obj,)) from None
+        except (KeyError, TypeError, ValueError, CorpusError) as exc:
+            raise _record_error(obj, exc) from None
         if tuple(handle_starts) != record.offsets:
             raise CorpusError(
-                "record %d: HANDLE leaves start at %r, offsets are %r" % (record.seq, handle_starts, record.offsets)
+                "record %d: HANDLE leaves start at %s, offsets are %s"
+                % (record.seq, _excerpt(handle_starts), _excerpt(record.offsets))
             )
         return record
 
@@ -326,7 +390,7 @@ class RecordingClient(Client):
                 descriptor=self.router.descriptor_of(handle),
                 code=code,
                 target=handle,
-                payload_hex=data.to_hex(),
+                payload=data.buffer,
                 offsets=tuple(data.offsets),
                 trace=builder.finish(),
                 consumed_handles=tuple(consumed),
@@ -491,13 +555,12 @@ def build_dependency_graph(records) -> DependencyGraph:
     prereqs: dict[int, list[str]] = {}
 
     for record in ordered:
-        buf = bytes.fromhex(record.payload_hex) if record.consumed_handles else b""
         for pos, origin in record.consumed_handles:
             if pos not in record.offsets:
                 raise CorpusError(
                     "record %d consumes position %d outside its offsets" % (record.seq, pos)
                 )
-            value = handle_at(buf, pos)
+            value = handle_at(record.payload, pos)
             if isinstance(origin, int):
                 if dyn_produced.get(value) != origin:
                     raise CorpusError(
@@ -563,7 +626,7 @@ def load_corpus(path) -> list[SeedRecord]:
     except RecursionError:
         raise CorpusError("corpus header nests too deeply") from None
     if not isinstance(header, dict) or header.get("format_version") != CORPUS_FORMAT_VERSION:
-        raise CorpusError("unsupported corpus header: %r" % (header,))
+        raise CorpusError("unsupported corpus header: %s" % _excerpt(header))
     records = []
     for line in lines[1:]:
         try:

@@ -106,7 +106,7 @@ def prepare_corpus(records) -> PreparedCorpus:
     static_names: dict[int, str] = {}
     for record in ordered:
         if record.target == SERVICE_MANAGER_HANDLE and record.reply_kind == ReplyKind.OK.value:
-            name = record.payload().read_lenient(Kind.STRING)
+            name = record.parcel().read_lenient(Kind.STRING)
             if name is not None:
                 for value, _pos in record.produced_handles:
                     static_names[value] = name
@@ -210,7 +210,7 @@ class ReplaySession:
         return self.resolve_static(record.descriptor)
 
     def _patch_record_slots(self, record: SeedRecord) -> Parcel:
-        buf = bytearray.fromhex(record.payload_hex)
+        buf = bytearray(record.payload)
         for pos in record.offsets:
             struct.pack_into("<i", buf, pos, self._live_handle(handle_at(buf, pos)))
         return Parcel(buf, record.offsets)
@@ -235,7 +235,7 @@ class ReplaySession:
 
     def materialize(self, case, sender_id: str = "fuzzer") -> Transaction:
         """Live-handle-patched Transaction for a case whose supports are ready."""
-        buf = bytearray.fromhex(case.payload_hex)
+        buf = bytearray(case.payload)
         overrides = dict(case.slot_overrides)
         for pos in case.offsets:
             directive = overrides.get(pos)

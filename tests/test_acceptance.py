@@ -123,7 +123,7 @@ def test_criterion_02_recorded_traces_equal_writer_logs_exactly():
 
 def test_criterion_03_callback_scenario_replays_on_live_handles(corpus):
     register = next(r for r in corpus if (r.descriptor, r.code) == ("svc.audio", 2))
-    recorded_handle = handle_at(bytes.fromhex(register.payload_hex), register.offsets[0])
+    recorded_handle = handle_at(register.payload, register.offsets[0])
 
     # unmutated terminal transaction is accepted on a fresh router
     session = ReplaySession(corpus)

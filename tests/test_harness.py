@@ -326,7 +326,7 @@ def test_reproduce_flags_provenance_that_no_longer_crashes(semi_report, corpus):
     doctored = copy.deepcopy(semi_report)
     crash = doctored.crashes[0]
     seed = next(r for r in corpus if r.seq == crash.provenance["case"]["seed_seq"])
-    crash.provenance["case"]["payload_hex"] = seed.payload_hex
+    crash.provenance["case"]["payload_hex"] = seed.payload.hex()
     crash.provenance["case"]["offsets"] = list(seed.offsets)
     crash.provenance["case"]["slot_overrides"] = []
     with pytest.raises(FingerprintMismatch):
@@ -547,6 +547,72 @@ def test_cli_rejects_a_trace_leaf_past_the_payload(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "report.json").exists()
+
+
+def _fuzz_on_edited_corpus(tmp_path, capsys, edit) -> tuple[int, str]:
+    """Exit code and stderr of a semi-valid fuzz run on the shipped corpus
+    with its first record passed through edit."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    header, first, *rest = corpus_path.read_text().splitlines()
+    record = json.loads(first)
+    edit(record)
+    corpus_path.write_text("\n".join([header, json.dumps(record, sort_keys=True), *rest]) + "\n")
+    capsys.readouterr()
+    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10",
+            "--out", str(tmp_path / "report.json")]
+    code = main(argv)
+    assert not (tmp_path / "report.json").exists()
+    return code, capsys.readouterr().err
+
+
+def test_cli_error_for_a_large_malformed_record_is_one_short_line(tmp_path, capsys):
+    def edit(record):
+        del record["seq"]
+        record["payload_hex"] += "00" * 50000
+
+    code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'seq'" in err and len(err) < 300
+
+    def edit(record):
+        record["trace"]["children"][0]["byte_range"] = "x" * 50000
+
+    code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith("error: record 0 ") and err.count("\n") == 1
+    assert "'byte_range'" in err and len(err) < 300
+
+
+def test_cli_rejects_a_corpus_payload_that_is_not_hex(tmp_path, capsys):
+    for bad in ("zz" + "00" * 8, "0" * 17, "00 00"):
+        def edit(record):
+            record["payload_hex"] = bad
+
+        code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: record 0 ") and err.count("\n") == 1
+        assert "payload_hex" in err
+
+
+def test_cli_replay_rejects_a_report_payload_that_is_not_hex(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    report_path = tmp_path / "report.json"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    main(["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
+          "--out", str(report_path)])
+    report = json.loads(report_path.read_text())
+    crash = report["crashes"][0]
+    for bad in ("zz", "000"):
+        crash["provenance"]["case"]["payload_hex"] = bad
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        argv = ["replay", "--report", str(report_path), "--fingerprint", crash["fingerprint"],
+                "--corpus", str(corpus_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: crash provenance is unusable") and err.count("\n") == 1
 
 
 def test_cli_rejects_a_corpus_line_nested_too_deeply(tmp_path, capsys):

@@ -5,6 +5,8 @@ walks over the recorded traces rather than calling back into the
 functions under test.
 """
 
+import hashlib
+import json
 import random
 import struct
 
@@ -67,7 +69,7 @@ def _synthetic_four_ints():
         descriptor="svc.queue",
         code=1,
         target=1,
-        payload_hex=payload.to_hex(),
+        payload=payload.buffer,
         offsets=(),
         trace=trace,
         consumed_handles=(),
@@ -103,7 +105,7 @@ def test_catalog_is_pinned():
 def test_identity_rebuild_reproduces_every_seed_exactly(corpus):
     for record in corpus:
         rebuilt = _rebuild(decompose(record))
-        assert rebuilt.to_hex() == record.payload_hex, "record %d" % record.seq
+        assert rebuilt.buffer == record.payload, "record %d" % record.seq
         assert tuple(rebuilt.offsets) == record.offsets
 
 
@@ -137,8 +139,8 @@ def test_enumerate_composites_is_preorder_with_root_first(corpus):
 def test_int_max_mutation_rewrites_exactly_one_leaf(corpus):
     gfx = _record_for(corpus, "svc.graphics")
     case = mutate_field(gfx, (1,), "max")
-    original = bytes.fromhex(gfx.payload_hex)
-    mutated = bytes.fromhex(case.payload_hex)
+    original = gfx.payload
+    mutated = case.payload
     leaf = gfx.trace.children[1]
     assert len(mutated) == len(original)
     assert struct.unpack_from("<i", mutated, leaf.start)[0] == I32_MAX
@@ -151,9 +153,9 @@ def test_int_max_mutation_rewrites_exactly_one_leaf(corpus):
 def test_int_wrapping_mutations():
     record = _synthetic_four_ints()
     top = mutate_field(record, (0,), "flip_high_bit")
-    assert struct.unpack_from("<i", bytes.fromhex(top.payload_hex), 0)[0] == _wrap(10 ^ (1 << 31))
+    assert struct.unpack_from("<i", top.payload, 0)[0] == _wrap(10 ^ (1 << 31))
     negated = mutate_field(record, (1,), "negate")
-    assert struct.unpack_from("<i", bytes.fromhex(negated.payload_hex), 4)[0] == -20
+    assert struct.unpack_from("<i", negated.payload, 4)[0] == -20
 
 
 def _wrap(value):
@@ -164,13 +166,13 @@ def _wrap(value):
 def test_string_empty_shrinks_and_shifts(corpus):
     add = _record_for(corpus, "svc.queue", 1)
     case = mutate_field(add, (0,), "empty")
-    assert case.payload_hex == "00000000"
+    assert case.payload == bytes.fromhex("00000000")
 
 
 def test_string_long_64k(corpus):
     add = _record_for(corpus, "svc.queue", 1)
     case = mutate_field(add, (0,), "long_64k")
-    buf = bytes.fromhex(case.payload_hex)
+    buf = case.payload
     assert struct.unpack_from("<i", buf, 0)[0] == 65536
     assert len(buf) == 4 + 65536
 
@@ -178,7 +180,7 @@ def test_string_long_64k(corpus):
 def test_string_embedded_nul(corpus):
     add = _record_for(corpus, "svc.queue", 1)
     case = mutate_field(add, (0,), "embedded_nul")
-    buf = bytes.fromhex(case.payload_hex)
+    buf = case.payload
     declared = struct.unpack_from("<i", buf, 0)[0]
     assert b"\x00" in buf[4 : 4 + declared]
     assert declared == 6  # "alpha" with one NUL inserted
@@ -187,14 +189,14 @@ def test_string_embedded_nul(corpus):
 def test_string_invalid_utf8_keeps_string_framing(corpus):
     add = _record_for(corpus, "svc.queue", 1)
     case = mutate_field(add, (0,), "invalid_utf8")
-    assert case.payload_hex == "03000000eda08000"
+    assert case.payload == bytes.fromhex("03000000eda08000")
 
 
 def test_string_declared_length_plus_4_only_touches_the_prefix(corpus):
     add = _record_for(corpus, "svc.queue", 1)
     case = mutate_field(add, (0,), "declared_length_plus_4")
-    original = bytes.fromhex(add.payload_hex)
-    mutated = bytes.fromhex(case.payload_hex)
+    original = add.payload
+    mutated = case.payload
     assert struct.unpack_from("<i", mutated, 0)[0] == struct.unpack_from("<i", original, 0)[0] + 4
     assert mutated[4:] == original[4:]
     assert case.frame_breaking
@@ -207,10 +209,10 @@ def test_bytes_mutations(corpus):
         p for p in enumerate_fields(activity) if _kind_at(activity, p) == "BYTES"
     )
     truncated = mutate_field(activity, blob_path, "truncate_half")
-    t_buf = bytes.fromhex(truncated.payload_hex)
+    t_buf = truncated.payload
     lied = mutate_field(activity, blob_path, "declared_length_max")
-    l_buf = bytes.fromhex(lied.payload_hex)
-    original = bytes.fromhex(activity.payload_hex)
+    l_buf = lied.payload
+    original = activity.payload
     node = activity.trace
     for index in blob_path:
         node = node.children[index]
@@ -230,10 +232,10 @@ def _kind_at(record, path):
 def test_handle_mutations_pin_or_swap(corpus):
     register = _record_for(corpus, "svc.audio", 2)
     zeroed = mutate_field(register, (0,), "zero_handle")
-    assert struct.unpack_from("<i", bytes.fromhex(zeroed.payload_hex), 0)[0] == 0
+    assert struct.unpack_from("<i", zeroed.payload, 0)[0] == 0
     assert zeroed.slot_overrides == ((0, "pin"),)
     huge = mutate_field(register, (0,), "huge_handle")
-    assert struct.unpack_from("<i", bytes.fromhex(huge.payload_hex), 0)[0] == I32_MAX
+    assert struct.unpack_from("<i", huge.payload, 0)[0] == I32_MAX
     assert huge.slot_overrides == ((0, "pin"),)
     swapped = mutate_field(register, (0,), "cross_service_swap")
     assert swapped.slot_overrides == ((0, "swap:svc.queue"),)
@@ -243,11 +245,11 @@ def test_handle_mutations_pin_or_swap(corpus):
 def test_f64_mutations_apply():
     payload = Parcel().write_value(Kind.F64, 2.5)
     trace = TraceNode(COMPOSITE, "request", 0, 8, [TraceNode("F64", "", 0, 8)])
-    record = SeedRecord(0, "synthetic", "svc.queue", 1, 1, payload.to_hex(), (), trace, (), (), "OK")
+    record = SeedRecord(0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK")
     tiny = mutate_field(record, (0,), "min_positive")
-    assert struct.unpack_from("<d", bytes.fromhex(tiny.payload_hex), 0)[0] == 5e-324
+    assert struct.unpack_from("<d", tiny.payload, 0)[0] == 5e-324
     gone = mutate_field(record, (0,), "nan")
-    value = struct.unpack_from("<d", bytes.fromhex(gone.payload_hex), 0)[0]
+    value = struct.unpack_from("<d", gone.payload, 0)[0]
     assert value != value
 
 
@@ -303,25 +305,25 @@ def test_duplicate_subtree_splices_the_leaf_slice(corpus):
     # duplicate the first child of the root pair node (a leaf view)
     case = mutate_structural(view, (1, 1), "duplicate_subtree")
     original_leaves = decompose(view)
-    mutated = bytes.fromhex(case.payload_hex)
+    mutated = case.payload
     subtree = [leaf for leaf in original_leaves if leaf.path[:2] == (1, 1)]
     assert len(subtree) == 2  # mode + content
     assert case.frame_breaking
-    assert len(mutated) > len(bytes.fromhex(view.payload_hex))
+    assert len(mutated) > len(view.payload)
 
 
 def test_remove_subtree_drops_the_leaf_slice(corpus):
     view = _record_for(corpus, "svc.view")
     case = mutate_structural(view, (1, 1), "remove_subtree")
-    assert len(bytes.fromhex(case.payload_hex)) < len(bytes.fromhex(view.payload_hex))
+    assert len(case.payload) < len(view.payload)
 
 
 def test_tag_swap_rewrites_only_the_tag(corpus):
     activity = _record_for(corpus, "svc.activity")
     entry_path = _entry_paths(activity)[0]
     case = mutate_structural(activity, entry_path, "tag_swap_to_6")
-    original = bytes.fromhex(activity.payload_hex)
-    mutated = bytes.fromhex(case.payload_hex)
+    original = activity.payload
+    mutated = case.payload
     assert len(mutated) == len(original)
     diff = [i for i, (a, b) in enumerate(zip(original, mutated)) if a != b]
     tag_node = activity.trace
@@ -344,15 +346,15 @@ def test_structural_mutation_validation(corpus):
 def test_empty_random_payloads_match_a_seeded_generator():
     for seed in (1, 2, 99, 1_000_003, 7 * 1_000_003 + 5):
         case = make_random("svc.queue", 1, 0, seed)
-        assert bytes.fromhex(case.payload_hex) == random.Random(seed).randbytes(0) == b""
+        assert case.payload == random.Random(seed).randbytes(0) == b""
 
 
 def test_make_random_is_seed_deterministic():
     a = make_random("svc.queue", 1, 64, 99)
     b = make_random("svc.queue", 1, 64, 99)
     c = make_random("svc.queue", 1, 64, 100)
-    assert a.payload_hex == b.payload_hex
-    assert a.payload_hex != c.payload_hex
+    assert a.payload == b.payload
+    assert a.payload != c.payload
     with pytest.raises(ConfigurationError):
         make_random("svc.queue", 1, 1 << 20, 1)
 
@@ -362,15 +364,30 @@ def test_make_random_is_seed_deterministic():
 
 def test_fuzz_case_reference_validation():
     with pytest.raises(ValueError):
-        FuzzCase(1, Policy.SEMI_VALID, "svc.queue", 1, "", ())
+        FuzzCase(1, Policy.SEMI_VALID, "svc.queue", 1, b"", ())
     with pytest.raises(ValueError):
-        FuzzCase(1, Policy.EMPTY, "svc.queue", 1, "", (), seed_seq=3)
+        FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", (), seed_seq=3)
 
 
 def test_fuzz_case_json_round_trip(corpus):
     register = _record_for(corpus, "svc.audio", 2)
     case = mutate_field(register, (0,), "cross_service_swap", case_id=17)
     assert FuzzCase.from_json(case.to_json()) == case
+
+
+def test_case_json_is_pinned(corpus):
+    """Case JSON, payload_hex included, is byte for byte what the
+    hex-carrying data model of earlier versions wrote."""
+    pins = (
+        ("semi-valid", 10000, 349, "02779d25783c316a34c80e8ff80d7b9e2996f7cfd76744306fbbe02f0a367277"),
+        ("empty,random", 300, 300, "e4ad1868cca6aa7b678cc124b8eede9a53016e2e05ca93eeb51e522d8ed154ec"),
+    )
+    for policy, budget, count, expected in pins:
+        cases = list(generate_campaign(corpus, policy.split(","), budget, 1))
+        digest = hashlib.sha256()
+        for case in cases:
+            digest.update(json.dumps(case.to_json(), sort_keys=True).encode("utf-8") + b"\n")
+        assert (len(cases), digest.hexdigest()) == (count, expected), policy
 
 
 # -- campaign enumeration ---------------------------------------------------------------
@@ -416,7 +433,7 @@ def test_empty_policy_covers_every_method_once(corpus):
     cases = list(generate_campaign(corpus, "empty", 100, 1))
     assert len(cases) == 11
     assert [(c.descriptor, c.code) for c in cases] == [(d, c) for d, c, _ in all_methods()]
-    assert all(c.payload_hex == "" and c.policy is Policy.EMPTY for c in cases)
+    assert all(c.payload == b"" and c.policy is Policy.EMPTY for c in cases)
 
 
 def test_random_policy_round_robins_with_the_length_cycle(corpus):
@@ -426,7 +443,7 @@ def test_random_policy_round_robins_with_the_length_cycle(corpus):
         descriptor, code, _name = methods[i % 11]
         assert (case.descriptor, case.code) == (descriptor, code)
         expected_length = RANDOM_LENGTH_CYCLE[(i // 11) % len(RANDOM_LENGTH_CYCLE)]
-        assert len(bytes.fromhex(case.payload_hex)) == expected_length
+        assert len(case.payload) == expected_length
 
 
 def test_policies_concatenate_in_order(monkeypatch, corpus):
@@ -480,12 +497,12 @@ def test_every_int_mutation_yields_a_decodable_payload(values, data):
         [TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(len(values))],
     )
     record = SeedRecord(
-        0, "synthetic", "svc.queue", 1, 1, payload.to_hex(), (), trace, (), (), "OK"
+        0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK"
     )
     index = data.draw(st.integers(0, len(values) - 1))
     mutation = data.draw(st.sampled_from(INT_MUTATIONS))
     case = mutate_field(record, (index,), mutation)
-    reader = Parcel.from_hex(case.payload_hex)
+    reader = Parcel(case.payload)
     out = [reader.read_value(Kind.I32) for _ in values]
     assert reader.remaining() == 0
     for i, (before, after) in enumerate(zip(values, out)):

@@ -107,6 +107,95 @@ def test_invalid_utf8_raises_encoding_error():
     assert reader.cursor == 0
 
 
+def _after_one_i32(tail: bytes) -> Parcel:
+    """A parcel whose leading I32 has been read, so the next read starts at 4."""
+    p = Parcel(struct.pack("<i", 7) + tail)
+    assert p.read_value(Kind.I32) == 7
+    return p
+
+
+class _LeafLog:
+    def __init__(self):
+        self.leaves = []
+
+    def on_leaf(self, kind, start, end):
+        self.leaves.append((kind, start, end))
+
+
+def _read_error(p: Parcel, read):
+    """The error a failing read raises; the read must call no hook."""
+    log = _LeafLog()
+    p.install_read_hook(log)
+    with pytest.raises(Exception) as info:
+        read(p)
+    assert log.leaves == []
+    return info.value
+
+
+def test_truncated_fixed_width_read_message_and_cursor():
+    for kind, size in ((Kind.I32, 4), (Kind.BOOL, 4), (Kind.I64, 8), (Kind.F64, 8)):
+        p = _after_one_i32(b"\x01\x02")
+        err = _read_error(p, lambda p: p.read_value(kind))
+        assert type(err) is TruncationError
+        assert str(err) == "%s read needs %d bytes at 4, buffer has 6" % (kind.value, size)
+        assert p.cursor == 4
+
+
+def test_truncated_handle_read_message_and_cursor():
+    p = _after_one_i32(b"\x01\x02\x03")
+    err = _read_error(p, lambda p: p.read_handle())
+    assert type(err) is TruncationError
+    assert str(err) == "HANDLE read needs 4 bytes at 4, buffer has 7"
+    assert p.cursor == 4
+
+
+def test_truncated_length_prefix_message_and_cursor():
+    for kind in (Kind.STRING, Kind.BYTES):
+        p = _after_one_i32(b"\x05\x00")
+        err = _read_error(p, lambda p: p.read_value(kind))
+        assert type(err) is TruncationError
+        assert str(err) == "%s length read needs 4 bytes at 4, buffer has 6" % kind.value
+        assert p.cursor == 4
+
+
+def test_bad_declared_length_message_returns_the_cursor_to_the_prefix():
+    cases = (
+        (Kind.BYTES, -4, "BYTES declares -4 bytes at 4 with 4 remaining"),
+        (Kind.STRING, 5, "STRING declares 5 bytes at 4 with 4 remaining"),
+        (Kind.BYTES, 0x7FFFFFFF, "BYTES declares 2147483647 bytes at 4 with 4 remaining"),
+    )
+    for kind, declared, message in cases:
+        p = _after_one_i32(struct.pack("<i", declared) + b"abcd")
+        err = _read_error(p, lambda p: p.read_value(kind))
+        assert type(err) is MalformedLengthError
+        assert str(err) == message
+        assert p.cursor == 4
+
+
+def test_invalid_utf8_message_returns_the_cursor_to_the_start():
+    p = _after_one_i32(struct.pack("<i", 3) + b"\xed\xa0\x80\x00")
+    err = _read_error(p, lambda p: p.read_value(Kind.STRING))
+    assert type(err) is EncodingError
+    assert str(err) == (
+        "STRING is not valid UTF-8 at 4: 'utf-8' codec can't decode byte 0xed "
+        "in position 0: invalid continuation byte"
+    )
+    assert p.cursor == 4
+    assert p.read_value(Kind.BYTES) == b"\xed\xa0\x80"
+    assert p.cursor == 12
+
+
+def test_sized_reads_return_their_body_and_skip_the_padding():
+    p = _after_one_i32(struct.pack("<i", 5) + b"hello\x00\x00\x00" + struct.pack("<i", 2) + b"\x01\x02\x00\x00")
+    log = _LeafLog()
+    p.install_read_hook(log)
+    text = p.read_value(Kind.STRING)
+    raw = p.read_value(Kind.BYTES)
+    assert (text, raw, type(raw)) == ("hello", b"\x01\x02", bytes)
+    assert log.leaves == [(Kind.STRING, 4, 16), (Kind.BYTES, 16, 24)]
+    assert p.cursor == p.size == 24
+
+
 def test_lenient_reads_absorb_all_three_error_classes():
     assert Parcel.from_hex("2a00").read_lenient(Kind.I32) is None
     assert Parcel.from_hex("ffffff7f").read_lenient(Kind.STRING) is None

@@ -20,6 +20,7 @@ from parcelfuzz.recorder import (
     TraceNode,
     build_dependency_graph,
     corpus_id,
+    corpus_text,
     coverage_gaps,
     load_corpus,
     record_session,
@@ -76,7 +77,7 @@ def test_traces_tile_their_payloads(corpus):
             assert leaf.start == cursor
             assert leaf.end > leaf.start or leaf.end == leaf.start
             cursor = leaf.end
-        assert cursor == len(record.payload())
+        assert cursor == len(record.parcel())
         handle_positions = [leaf.start for leaf in leaves if leaf.kind == Kind.HANDLE.value]
         assert tuple(handle_positions) == record.offsets
 
@@ -85,7 +86,7 @@ def test_trace_roots_are_request_composites(corpus):
     for record in corpus:
         assert not record.trace.is_leaf
         assert record.trace.label == "request"
-        assert record.trace.byte_range == (0, len(record.payload()))
+        assert record.trace.byte_range == (0, len(record.parcel()))
 
 
 # -- handle bookkeeping --------------------------------------------------------------
@@ -114,11 +115,11 @@ def test_audio_scenario_bookkeeping(corpus):
     assert reply_pos == 0
     # the ping targeted that dynamic handle
     assert ping.target == session_value
-    assert ping.payload_hex == ""
+    assert ping.payload == b""
     # register_client embedded it in a declared slot, attributed to open_session
     (pos, origin) = register.consumed_handles[0]
     assert origin == open_session.seq
-    assert handle_at(register.payload().buffer, pos) == session_value
+    assert handle_at(register.parcel().buffer, pos) == session_value
 
 
 # -- dependency graph -----------------------------------------------------------------
@@ -179,6 +180,15 @@ def test_corpus_round_trips_through_jsonl(tmp_path, corpus):
     assert corpus_id(path) == corpus_id(path)
 
 
+def test_saved_corpus_text_is_pinned(tmp_path, corpus):
+    """save_corpus writes the shipped corpus byte for byte as the
+    hex-carrying data model of earlier versions did."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, path)
+    assert path.read_text(encoding="utf-8") == corpus_text(corpus)
+    assert corpus_id(path) == "5062513bed9b0b3a0490f7cea319c990ca7cf1fba422d1877e221fdc0f4691d6"
+
+
 def test_recording_is_deterministic(tmp_path, corpus):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
@@ -203,6 +213,35 @@ def test_load_rejects_malformed_records(tmp_path):
         load_corpus(path)
 
 
+def test_malformed_record_errors_name_the_record_and_the_field(corpus):
+    good = corpus[3].to_json()
+    cases = (
+        ({"seq": "x"}, "seed record has a bad 'seq': 'x'"),
+        ({"seq": None}, "seed record has a bad 'seq': None"),
+        ({"payload_hex": "abc"}, "record 3 has a bad 'payload_hex': 'abc'"),
+        ({"offsets": [0, "x"]}, "record 3 has a bad 'offsets': [0, 'x']"),
+        ({"consumed_handles": [[0, "nowhere"]]}, "record 3 consumed_handles: bad handle origin 'nowhere'"),
+    )
+    for change, message in cases:
+        with pytest.raises(CorpusError) as info:
+            SeedRecord.from_json({**good, **change})
+        assert str(info.value) == message
+    with pytest.raises(CorpusError) as info:
+        SeedRecord.from_json({**good, "code": "x" * 100000})
+    assert str(info.value).startswith("record 3 has a bad 'code': 'xxx")
+    assert len(str(info.value)) <= 110
+    for key in ("seq", "descriptor", "trace", "reply_kind"):
+        obj = dict(good)
+        del obj[key]
+        with pytest.raises(CorpusError) as info:
+            SeedRecord.from_json(obj)
+        assert str(info.value) == ("seed record has no 'seq'" if key == "seq" else "record 3 has no %r" % key)
+    with pytest.raises(CorpusError) as info:
+        SeedRecord.from_json([good])
+    assert str(info.value).startswith("seed record is not an object: [{")
+    assert len(str(info.value)) <= 110
+
+
 def test_seed_record_json_round_trip(corpus, shuffled_corpus):
     for record in list(corpus) + list(shuffled_corpus):
         assert SeedRecord.from_json(record.to_json()) == record
@@ -210,7 +249,7 @@ def test_seed_record_json_round_trip(corpus, shuffled_corpus):
 
 def test_records_whose_trace_misdescribes_the_payload_are_rejected(corpus):
     record = next(r for r in corpus if r.offsets)
-    size = len(record.payload_hex) // 2
+    size = len(record.payload)
 
     def first_leaf(obj):
         while "children" in obj:

@@ -169,7 +169,7 @@ def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs):
         Policy.SEMI_VALID,
         register.descriptor,
         register.code,
-        register.payload_hex,
+        register.payload,
         register.offsets,
         seed_seq=register.seq,
         field_path=(0,),
@@ -178,7 +178,7 @@ def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs):
     session = ReplaySession(corpus)
     txn = session.prepare(case)
     slot = handle_at(txn.data.buffer, 0)
-    recorded = handle_at(bytes.fromhex(register.payload_hex), 0)
+    recorded = handle_at(register.payload, 0)
     assert slot == session.map.dynamic[recorded]
     assert slot != recorded
     assert session.router.transact(txn).kind is ReplyKind.OK
@@ -215,7 +215,7 @@ def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs):
         Policy.SEMI_VALID,
         register.descriptor,
         register.code,
-        register.payload_hex,
+        register.payload,
         register.offsets,
         seed_seq=register.seq,
         field_path=(0,),
@@ -226,13 +226,13 @@ def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs):
 
 
 def test_unknown_static_descriptor_is_unreplayable(corpus):
-    case = FuzzCase(1, Policy.EMPTY, "svc.ghost", 1, "", ())
+    case = FuzzCase(1, Policy.EMPTY, "svc.ghost", 1, b"", ())
     with pytest.raises(Unreplayable):
         ReplaySession(corpus).prepare(case)
 
 
 def test_empty_policy_case_targets_the_named_service(corpus):
-    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 2, "", ())
+    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 2, b"", ())
     session = ReplaySession(corpus)
     txn = session.prepare(case)
     assert txn.target_handle == session.router.get_service("svc.queue")

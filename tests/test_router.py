@@ -138,6 +138,14 @@ def test_get_service_unknown_name_rejects(router):
     assert reply.kind is ReplyKind.REJECTED
 
 
+def test_get_service_quotes_only_the_start_of_a_long_unknown_name(router):
+    request = Parcel().write_value(Kind.STRING, "x" * 65536)
+    reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, request)
+    assert reply.kind is ReplyKind.REJECTED
+    assert reply.message.startswith("no such service: 'xxx")
+    assert len(reply.message) < 200
+
+
 def test_get_service_malformed_request_rejects(router):
     reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, Parcel.from_hex("ffffff7f"))
     assert reply.kind is ReplyKind.REJECTED
