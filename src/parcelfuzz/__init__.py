@@ -53,7 +53,7 @@ from .router import (
     Service,
     Transaction,
 )
-from .services import SEEDED_BUGS, all_methods, fresh_router, install_services
+from .services import SEEDED_BUGS, all_methods, fresh_router
 
 __all__ = [
     "CampaignReport",
@@ -106,5 +106,4 @@ __all__ = [
     "SEEDED_BUGS",
     "all_methods",
     "fresh_router",
-    "install_services",
 ]

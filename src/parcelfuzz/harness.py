@@ -207,8 +207,8 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     cases = generate_campaign(config.corpus, config.policy, config.budget, config.rng_seed)
     prepared = prepare_corpus(config.corpus)
 
-    counters = {name: 0 for name in OUTCOMES}
-    per_method: dict[str, dict[str, int]] = {}
+    counters = dict.fromkeys(OUTCOMES, 0)
+    tallies: dict[tuple[str, int], dict[str, int]] = {}
     crashes: dict[str, CrashReport] = {}
     edge_total = 0
     edges_by_sender: dict[str, int] = {}
@@ -219,8 +219,10 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         executed += 1
         session = ReplaySession(prepared)
 
-        method_key = "%s:%d" % (case.descriptor, case.code)
-        tally = per_method.setdefault(method_key, {name: 0 for name in OUTCOMES})
+        method = (case.descriptor, case.code)
+        tally = tallies.get(method)
+        if tally is None:
+            tally = tallies[method] = dict.fromkeys(OUTCOMES, 0)
 
         try:
             txn = session.prepare(case, config.sender_id)
@@ -252,7 +254,7 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         },
         counters=counters,
         crashes=sorted(crashes.values(), key=lambda c: c.fingerprint),
-        per_method=per_method,
+        per_method={"%s:%d" % method: tally for method, tally in tallies.items()},
         edge_summary={
             "total": edge_total,
             "by_sender": edges_by_sender,

@@ -31,7 +31,7 @@ import math
 import random
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -119,11 +119,10 @@ class FuzzCase:
     slot_overrides: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        refs = (self.seed_seq, self.field_path, self.mutation_id)
         if self.policy is Policy.SEMI_VALID:
-            if any(r is None for r in refs):
+            if self.seed_seq is None or self.field_path is None or self.mutation_id is None:
                 raise ValueError("SEMI_VALID cases reference a seed, a path, and a mutation")
-        elif any(r is not None for r in refs):
+        elif self.seed_seq is not None or self.field_path is not None or self.mutation_id is not None:
             raise ValueError("%s cases reference no seed" % self.policy.value)
 
     def parcel(self) -> Parcel:
@@ -337,7 +336,8 @@ def _with_fresh_leaf(leaves: list[_Leaf], index: int) -> list[_Leaf]:
     """A copy of leaves whose leaf at index can be edited without
     touching the original list or any leaf in it."""
     fresh = list(leaves)
-    fresh[index] = replace(leaves[index])
+    leaf = leaves[index]
+    fresh[index] = _Leaf(leaf.kind, leaf.path, leaf.value, leaf.write_as)
     return fresh
 
 

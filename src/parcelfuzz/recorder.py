@@ -22,10 +22,11 @@ import binascii
 import hashlib
 import json
 import reprlib
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .parcel import Kind, Parcel, handle_at
+from .parcel import Kind, Parcel, handle_at, pad4
 from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_HANDLE
 from .services import (
     ActivityClient,
@@ -54,6 +55,7 @@ STATIC_PREFIX = "STATIC:"
 # Bytes a trace leaf of each kind holds at least: the value itself, or
 # the length prefix of a STRING or BYTES.
 _FIXED_PART = {"I32": 4, "I64": 8, "F64": 8, "BOOL": 4, "STRING": 4, "BYTES": 4, "HANDLE": 4}
+_I32 = struct.Struct("<i")
 
 # Descriptor reported for the service manager itself; targets recorded
 # against it always materialize back to handle 0.
@@ -186,12 +188,13 @@ class TraceNode:
         return node
 
     @classmethod
-    def from_json(cls, obj, payload_size: int | None = None, handle_starts: list[int] | None = None) -> "TraceNode":
+    def from_json(cls, obj, payload: bytes | None = None, handle_starts: list[int] | None = None) -> "TraceNode":
         """Parse a trace tree.
 
-        With payload_size, every leaf must fit inside a payload of that
-        many bytes, its kind's fixed-width part included, and the start
-        of every HANDLE leaf is appended to handle_starts in tree order.
+        With payload, every leaf must fit inside it, its kind's fixed-width
+        part included, a STRING or BYTES leaf must end where its length
+        prefix says the padded value ends, and the start of every HANDLE
+        leaf is appended to handle_starts in tree order.
         """
         try:
             kind = obj["kind"]
@@ -203,21 +206,27 @@ class TraceNode:
         except (TypeError, ValueError):
             raise CorpusError("malformed trace node: %s" % _excerpt(obj)) from None
         if kind == COMPOSITE:
-            children = [cls.from_json(c, payload_size, handle_starts) for c in obj.get("children", ())]
+            children = [cls.from_json(c, payload, handle_starts) for c in obj.get("children", ())]
             return cls(kind, label, start, end, children)
         fixed_part = _FIXED_PART.get(kind)
         if fixed_part is None:
             raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
         if obj.get("children"):
             raise CorpusError("trace leaf %r carries children" % kind)
-        if payload_size is not None:
-            if not 0 <= start <= end - fixed_part or end > payload_size:
+        if payload is not None:
+            if not 0 <= start <= end - fixed_part or end > len(payload):
                 raise CorpusError(
                     "trace leaf %s at [%d, %d) does not fit the %d-byte payload"
-                    % (kind, start, end, payload_size)
+                    % (kind, start, end, len(payload))
                 )
             if kind == "HANDLE":
                 handle_starts.append(start)
+            elif kind == "STRING" or kind == "BYTES":
+                declared = _I32.unpack_from(payload, start)[0]
+                if declared < 0 or end != start + 4 + pad4(declared):
+                    raise CorpusError(
+                        "trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared)
+                    )
         return cls(kind, label, start, end)
 
 
@@ -331,7 +340,7 @@ class SeedRecord:
                 target=int(obj["target"]),
                 payload=payload,
                 offsets=_ints(obj["offsets"]),
-                trace=TraceNode.from_json(obj["trace"], len(payload), handle_starts),
+                trace=TraceNode.from_json(obj["trace"], payload, handle_starts),
                 consumed_handles=_consumed_handles(obj["consumed_handles"]),
                 produced_handles=_int_pairs(obj["produced_handles"]),
                 reply_kind=str(obj["reply_kind"]),

@@ -15,6 +15,13 @@ Reply taxonomy, mirroring how a hardened server can react to hostile input:
 
 The boundary also keeps the IPC edge log: one edge per transact call, in
 arrival order, regardless of outcome.  Crash attribution walks this log.
+
+A router can host services from the moment it exists: a ``HostTable``,
+built once and shared read-only by every router made from it, places each
+hosted service class at a fixed handle, and a router builds a hosted
+service's instance only when the first transaction reaches it.  Lookup by
+name and descriptor queries answer from the table and build nothing, so
+creating a router builds no service at all.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .parcel import Kind, Parcel, ParcelError
 
@@ -237,12 +245,10 @@ class _Registration:
 
 
 class _ServiceManager(Service):
-    """Built-in name resolver living at handle 0."""
+    """Built-in name resolver living at handle 0; it answers from the
+    name map of the router that dispatches to it."""
 
     descriptor = "service_manager"
-
-    def __init__(self, router: "Router" = None):
-        self._router = router
 
     def handle_transaction(self, code, data, ctx):
         if code != GET_SERVICE:
@@ -251,26 +257,57 @@ class _ServiceManager(Service):
             name = data.read_value(Kind.STRING)
         except ParcelError as exc:
             raise Reject("malformed lookup request: %s" % exc) from None
-        handle = self._router._by_name.get(name)
+        handle = ctx._router._by_name.get(name)
         if handle is None:
             # A fuzzed name can be 64 KiB long; quote only its start.
             raise Reject("no such service: %r" % name[:64])
         return Parcel().write_handle(handle)
 
 
-class Router:
-    """Handle table, dispatch boundary, and IPC edge log."""
+class HostTable:
+    """Service classes hosted at fixed handles, shared read-only by every
+    router built from it.
 
-    def __init__(self):
+    The service manager sits at handle 0 and the given classes at handles
+    1..n in order; ``classes`` maps each handle to its (descriptor,
+    class) pair and ``names`` each hosted descriptor to its handle.  The
+    first handle a router allocates after them is n + 1.
+    """
+
+    __slots__ = ("classes", "names", "next_handle")
+
+    def __init__(self, services: tuple[type, ...] = ()):
+        classes = {SERVICE_MANAGER_HANDLE: (_ServiceManager.descriptor, _ServiceManager)}
+        names: dict[str, int] = {}
+        for handle, cls in enumerate(services, 1):
+            classes[handle] = (cls.DESCRIPTOR, cls)
+            names[cls.DESCRIPTOR] = handle
+        self.classes = MappingProxyType(classes)
+        self.names = MappingProxyType(names)
+        self.next_handle = len(services) + 1
+
+
+_MANAGER_ONLY = HostTable()
+
+
+class Router:
+    """Handle table, dispatch boundary, and IPC edge log.
+
+    ``hosted`` names the services the router hosts from creation (by
+    default only the service manager).  ``_registrations`` holds what was
+    built or registered since then: a hosted service's instance appears
+    there on the first transaction that reaches it, a registered one on
+    registration.  Every router starts with no instances at all, so two
+    routers never share service state.
+    """
+
+    def __init__(self, hosted: HostTable = _MANAGER_ONLY):
+        self._hosted = hosted.classes
+        self._by_name: dict[str, int] = hosted.names.copy()
         self._registrations: dict[int, _Registration] = {}
-        self._by_name: dict[str, int] = {}
-        self._next_handle = 1
+        self._next_handle = hosted.next_handle
         self._edge_seq = 0
         self.edges: list[IpcEdge] = []
-        manager = _ServiceManager(self)
-        self._registrations[SERVICE_MANAGER_HANDLE] = _Registration(
-            SERVICE_MANAGER_HANDLE, manager.descriptor, manager
-        )
 
     # -- registration and lookup ----------------------------------------------
 
@@ -299,25 +336,38 @@ class Router:
 
     def descriptor_of(self, handle: int) -> str:
         reg = self._registrations.get(handle)
-        if reg is None:
-            return "<unknown>"
-        return reg.descriptor or "<anonymous:%d>" % handle
+        if reg is not None:
+            return reg.descriptor or "<anonymous:%d>" % handle
+        hosted = self._hosted.get(handle)
+        return "<unknown>" if hosted is None else hosted[0]
+
+    def _host(self, handle: int) -> _Registration | None:
+        """Build the hosted service at handle, or None if none is hosted there."""
+        hosted = self._hosted.get(handle)
+        if hosted is None:
+            return None
+        descriptor, factory = hosted
+        reg = self._registrations[handle] = _Registration(handle, descriptor, factory())
+        return reg
 
     # -- dispatch ---------------------------------------------------------------
 
     def transact(self, txn: Transaction, trace_hook=None) -> Reply:
         """Dispatch a transaction; always returns a Reply.
 
-        The IPC edge is logged before target resolution, so even
-        transactions to dead handles leave evidence.
+        The IPC edge is logged before the service runs, and for a dead
+        handle too, so every transaction leaves evidence.  A hosted
+        service's instance is built here, on the first transaction that
+        reaches it.
         """
         self._edge_seq += 1
-        descriptor = self.descriptor_of(txn.target_handle)
-        self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code, self._edge_seq))
-
-        reg = self._registrations.get(txn.target_handle)
+        handle = txn.target_handle
+        reg = self._registrations.get(handle) or self._host(handle)
         if reg is None:
-            return Reply.rejected("no such handle %d" % txn.target_handle)
+            self.edges.append(IpcEdge(txn.sender_id, "<unknown>", txn.code, self._edge_seq))
+            return Reply.rejected("no such handle %d" % handle)
+        descriptor = reg.descriptor or "<anonymous:%d>" % handle
+        self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code, self._edge_seq))
 
         ctx = DispatchContext(self, descriptor)
         data = txn.data

@@ -1,6 +1,7 @@
 """Simulated system services with deliberately planted server-side bugs.
 
-Six services register with the router.  One of them (the queue) is a
+Every router ``fresh_router`` returns hosts six services, each built on
+the first transaction that reaches it.  One of them (the queue) is a
 hardened negative control that validates everything it reads.  The other
 five each carry one classic deserialization-trust flaw on the server side
 while their client wrappers refuse to build the triggering input, so the
@@ -45,8 +46,14 @@ from .router import (
     Service,
     SERVICE_MANAGER_HANDLE,
     GET_SERVICE,
+    HostTable,
     Transaction,
 )
+
+# Kind members bound to module names, as in parcel.py: looking a member
+# up on the Enum class costs about a third of a decoder's read.
+_K_I32, _K_I64, _K_F64, _K_BOOL = Kind.I32, Kind.I64, Kind.F64, Kind.BOOL
+_K_STRING, _K_BYTES = Kind.STRING, Kind.BYTES
 
 # Bundle entry value tags.
 TAG_I32 = 1
@@ -140,25 +147,25 @@ class QueueService(Service):
         if code == self.ADD:
             with ctx.frame("queue.add"):
                 try:
-                    item = data.read_value(Kind.STRING)
+                    item = data.read_value(_K_STRING)
                 except ParcelError as exc:
                     raise Reject("malformed add request: %s" % exc) from None
                 self._items.append(item)
-                return Parcel().write_value(Kind.BOOL, True)
+                return Parcel().write_value(_K_BOOL, True)
         if code == self.PEEK:
             with ctx.frame("queue.peek"):
                 head = self._items[0] if self._items else ""
-                return Parcel().write_value(Kind.STRING, head)
+                return Parcel().write_value(_K_STRING, head)
         if code == self.POLL:
             with ctx.frame("queue.poll"):
                 head = self._items.pop(0) if self._items else ""
-                return Parcel().write_value(Kind.STRING, head)
+                return Parcel().write_value(_K_STRING, head)
         if code == self.REMOVE:
             with ctx.frame("queue.remove"):
                 removed = bool(self._items)
                 if removed:
                     del self._items[0]
-                return Parcel().write_value(Kind.BOOL, removed)
+                return Parcel().write_value(_K_BOOL, removed)
         raise Reject("unknown queue code %d" % code)
 
 
@@ -175,7 +182,7 @@ class AudioSession(Service):
     def handle_transaction(self, code, data, ctx):
         if code == self.PING:
             with ctx.frame("audio.session.ping"):
-                return Parcel().write_value(Kind.BOOL, True)
+                return Parcel().write_value(_K_BOOL, True)
         raise Reject("unknown session code %d" % code)
 
 
@@ -209,28 +216,28 @@ class AudioService(Service):
         if code == self.PLAY:
             with ctx.frame("audio.play"):
                 try:
-                    track = data.read_value(Kind.STRING)
+                    track = data.read_value(_K_STRING)
                 except ParcelError as exc:
                     raise Reject("malformed play request: %s" % exc) from None
                 if not track:
                     # The server notices mid-flight and reports its own failure.
                     raise InternalFault("playback failed: empty track name")
                 self._now_playing = track
-                return Parcel().write_value(Kind.BOOL, True)
+                return Parcel().write_value(_K_BOOL, True)
         if code == self.REGISTER_CLIENT:
             with ctx.frame("audio.register_client"):
                 callback, _slot_declared = data.read_handle_lenient()
-                name = data.read_lenient(Kind.STRING)
+                name = data.read_lenient(_K_STRING)
                 if not callback or name is None:
                     ctx.fail(NULL_DEREF, "callback=%r name=%r" % (callback, name))
                 self._clients[name] = callback
-                return Parcel().write_value(Kind.BOOL, True)
+                return Parcel().write_value(_K_BOOL, True)
         if code == self.OPEN_SESSION:
             with ctx.frame("audio.open_session"):
                 handle = ctx.export_object(AudioSession())
                 index = self._session_count
                 self._session_count += 1
-                return Parcel().write_handle(handle).write_value(Kind.I32, index)
+                return Parcel().write_handle(handle).write_value(_K_I32, index)
         raise Reject("unknown audio code %d" % code)
 
 
@@ -262,7 +269,7 @@ class BluetoothService(Service):
     def handle_transaction(self, code, data, ctx):
         if code == self.REGISTER_APP_CONFIGURATION:
             with ctx.frame("bluetooth.register_app_configuration"):
-                count = data.read_value(Kind.I32)
+                count = data.read_value(_K_I32)
                 if count > self.SLOTS:
                     ctx.fail(
                         OUT_OF_BOUNDS,
@@ -270,9 +277,9 @@ class BluetoothService(Service):
                     )
                 table = []
                 for _ in range(max(count, 0)):
-                    table.append(data.read_value(Kind.STRING))
+                    table.append(data.read_value(_K_STRING))
                 self._table = table
-                return Parcel().write_value(Kind.BOOL, True)
+                return Parcel().write_value(_K_BOOL, True)
         raise Reject("unknown bluetooth code %d" % code)
 
 
@@ -316,10 +323,10 @@ def write_view_node(parcel: Parcel, node: ViewNode, depth: int = 1) -> None:
     if depth > VIEW_WRITER_DEPTH_LIMIT:
         raise ClientCheckError("view tree deeper than %d" % VIEW_WRITER_DEPTH_LIMIT)
     if node.is_leaf:
-        parcel.write_value(Kind.I32, MODE_NORMAL)
-        parcel.write_value(Kind.STRING, node.content)
+        parcel.write_value(_K_I32, MODE_NORMAL)
+        parcel.write_value(_K_STRING, node.content)
     else:
-        parcel.write_value(Kind.I32, 1)
+        parcel.write_value(_K_I32, 1)
         write_view_node(parcel, node.children[0], depth + 1)
         write_view_node(parcel, node.children[1], depth + 1)
 
@@ -347,20 +354,20 @@ class ViewService(Service):
         if code == self.INFLATE:
             with ctx.frame("view.inflate"):
                 try:
-                    _template = data.read_value(Kind.STRING)
+                    _template = data.read_value(_K_STRING)
                 except ParcelError as exc:
                     raise Reject("bad template name: %s" % exc) from None
                 nodes = self._decode_node(data, ctx, 1)
                 self._inflated += 1
-                return Parcel().write_value(Kind.I32, nodes)
+                return Parcel().write_value(_K_I32, nodes)
         raise Reject("unknown view code %d" % code)
 
     def _decode_node(self, data: Parcel, ctx: DispatchContext, depth: int) -> int:
         ctx.check_depth(depth)
         with data.composite("view.node"):
-            mode = data.read_value(Kind.I32)
+            mode = data.read_value(_K_I32)
             if mode == MODE_NORMAL:
-                data.read_value(Kind.STRING)
+                data.read_value(_K_STRING)
                 return 1
             count = 1
             count += self._decode_node(data, ctx, depth + 1)
@@ -398,9 +405,9 @@ class GraphicsService(Service):
         if code == self.CREATE_NATIVE_HANDLE:
             with ctx.frame("graphics.create_native_handle"):
                 try:
-                    name = data.read_value(Kind.STRING)
-                    num_fds = data.read_value(Kind.I32)
-                    num_ints = data.read_value(Kind.I32)
+                    name = data.read_value(_K_STRING)
+                    num_fds = data.read_value(_K_I32)
+                    num_ints = data.read_value(_K_I32)
                 except ParcelError as exc:
                     raise Reject("malformed allocation request: %s" % exc) from None
                 total_slots = num_fds + num_ints
@@ -412,7 +419,7 @@ class GraphicsService(Service):
                         "allocated %d bytes, slot data needs %d" % (alloc_size, required),
                     )
                 self._allocations.append((name, alloc_size))
-                return Parcel().write_value(Kind.I64, alloc_size)
+                return Parcel().write_value(_K_I64, alloc_size)
         raise Reject("unknown graphics code %d" % code)
 
 
@@ -446,24 +453,24 @@ class ActivityService(Service):
             with ctx.frame("activity.start_activity"):
                 with ctx.frame("activity.start_activity.decode_intent"):
                     with data.composite("Intent"):
-                        action = data.read_value(Kind.STRING)
-                        _data_uri = data.read_value(Kind.STRING)
+                        action = data.read_value(_K_STRING)
+                        _data_uri = data.read_value(_K_STRING)
                         _extras = self._read_bundle(data, ctx, 1)
                 self._launched.append(action)
-                return Parcel().write_value(Kind.BOOL, True)
+                return Parcel().write_value(_K_BOOL, True)
         raise Reject("unknown activity code %d" % code)
 
     def _read_bundle(self, data: Parcel, ctx: DispatchContext, depth: int):
         ctx.check_depth(depth)
         with data.composite("Bundle"):
-            count = data.read_value(Kind.I32)
+            count = data.read_value(_K_I32)
             entries = []
             for i in range(max(count, 0)):
                 with data.composite("Bundle.entry[%d]" % i):
                     with ctx.frame("activity.bundle.entry_loop"):
-                        key = data.read_value(Kind.STRING)
+                        key = data.read_value(_K_STRING)
                     with ctx.frame("activity.bundle.tag_switch"):
-                        tag = data.read_value(Kind.I32)
+                        tag = data.read_value(_K_I32)
                         if tag not in TAG_NAMES:
                             ctx.fail(MALFORMED_PARCEL, "unknown extras tag %d" % tag)
                     value = self._read_entry_value(data, ctx, tag, depth)
@@ -477,16 +484,16 @@ class ActivityService(Service):
             return self._read_bundle(data, ctx, depth + 1)
         if tag == TAG_BYTES:
             with ctx.frame("activity.bundle.bytes_length"):
-                return data.read_value(Kind.BYTES)
+                return data.read_value(_K_BYTES)
         with ctx.frame("activity.bundle.entry_loop"):
             if tag == TAG_I32:
-                return data.read_value(Kind.I32)
+                return data.read_value(_K_I32)
             if tag == TAG_I64:
-                return data.read_value(Kind.I64)
+                return data.read_value(_K_I64)
             if tag == TAG_F64:
-                return data.read_value(Kind.F64)
+                return data.read_value(_K_F64)
             if tag == TAG_STRING:
-                return data.read_value(Kind.STRING)
+                return data.read_value(_K_STRING)
             value, _slot_declared = data.read_handle()
             return value
 
@@ -495,22 +502,22 @@ def write_bundle(parcel: Parcel, entries, depth: int = 1) -> None:
     """Writer-side bundle encoder with full validation (tags, types, depth)."""
     if depth > BUNDLE_WRITER_DEPTH_LIMIT:
         raise ClientCheckError("bundle nested deeper than %d" % BUNDLE_WRITER_DEPTH_LIMIT)
-    parcel.write_value(Kind.I32, len(entries))
+    parcel.write_value(_K_I32, len(entries))
     for key, tag, value in entries:
         if not isinstance(key, str):
             raise ClientCheckError("bundle key must be str, got %r" % (key,))
-        parcel.write_value(Kind.STRING, key)
-        parcel.write_value(Kind.I32, tag)
+        parcel.write_value(_K_STRING, key)
+        parcel.write_value(_K_I32, tag)
         if tag == TAG_I32:
-            parcel.write_value(Kind.I32, value)
+            parcel.write_value(_K_I32, value)
         elif tag == TAG_I64:
-            parcel.write_value(Kind.I64, value)
+            parcel.write_value(_K_I64, value)
         elif tag == TAG_F64:
-            parcel.write_value(Kind.F64, value)
+            parcel.write_value(_K_F64, value)
         elif tag == TAG_STRING:
-            parcel.write_value(Kind.STRING, value)
+            parcel.write_value(_K_STRING, value)
         elif tag == TAG_BYTES:
-            parcel.write_value(Kind.BYTES, value)
+            parcel.write_value(_K_BYTES, value)
         elif tag == TAG_BUNDLE:
             write_bundle(parcel, value, depth + 1)
         elif tag == TAG_HANDLE:
@@ -535,7 +542,7 @@ class Client:
         return self.router.transact(Transaction(handle, code, data, 0, self.sender_id))
 
     def get_service(self, descriptor: str) -> int:
-        request = Parcel().write_value(Kind.STRING, descriptor)
+        request = Parcel().write_value(_K_STRING, descriptor)
         reply = self.transact(SERVICE_MANAGER_HANDLE, GET_SERVICE, request)
         payload = _expect_ok(reply)
         handle, _ = payload.read_handle()
@@ -573,17 +580,17 @@ class QueueClient(_Wrapper):
     def add(self, item: str) -> bool:
         if not isinstance(item, str):
             raise ClientCheckError("queue items are strings")
-        reply = self._call(QueueService.ADD, Parcel().write_value(Kind.STRING, item))
-        return reply.read_value(Kind.BOOL)
+        reply = self._call(QueueService.ADD, Parcel().write_value(_K_STRING, item))
+        return reply.read_value(_K_BOOL)
 
     def peek(self) -> str:
-        return self._call(QueueService.PEEK, Parcel()).read_value(Kind.STRING)
+        return self._call(QueueService.PEEK, Parcel()).read_value(_K_STRING)
 
     def poll(self) -> str:
-        return self._call(QueueService.POLL, Parcel()).read_value(Kind.STRING)
+        return self._call(QueueService.POLL, Parcel()).read_value(_K_STRING)
 
     def remove(self) -> bool:
-        return self._call(QueueService.REMOVE, Parcel()).read_value(Kind.BOOL)
+        return self._call(QueueService.REMOVE, Parcel()).read_value(_K_BOOL)
 
 
 class AudioClient(_Wrapper):
@@ -598,14 +605,14 @@ class AudioClient(_Wrapper):
     def play(self, track: str) -> bool:
         if not isinstance(track, str) or not track:
             raise ClientCheckError("track name must be a non-empty string")
-        reply = self._call(AudioService.PLAY, Parcel().write_value(Kind.STRING, track))
-        return reply.read_value(Kind.BOOL)
+        reply = self._call(AudioService.PLAY, Parcel().write_value(_K_STRING, track))
+        return reply.read_value(_K_BOOL)
 
     def open_session(self) -> tuple[int, int]:
         """Returns (session handle, session index)."""
         reply = self._call(AudioService.OPEN_SESSION, Parcel())
         handle, _ = reply.read_handle()
-        index = reply.read_value(Kind.I32)
+        index = reply.read_value(_K_I32)
         return handle, index
 
     def _register_client(self, callback_handle: int, name: str) -> bool:
@@ -614,8 +621,8 @@ class AudioClient(_Wrapper):
             raise ClientCheckError("callback handle must be a positive handle")
         if not isinstance(name, str) or not name:
             raise ClientCheckError("client name must be a non-empty string")
-        data = Parcel().write_handle(callback_handle).write_value(Kind.STRING, name)
-        return self._call(AudioService.REGISTER_CLIENT, data).read_value(Kind.BOOL)
+        data = Parcel().write_handle(callback_handle).write_value(_K_STRING, name)
+        return self._call(AudioService.REGISTER_CLIENT, data).read_value(_K_BOOL)
 
 
 class BluetoothClient(_Wrapper):
@@ -629,13 +636,13 @@ class BluetoothClient(_Wrapper):
             )
         if not 0 <= count <= BluetoothService.SLOTS:
             raise ClientCheckError("entry count %d outside [0, %d]" % (count, BluetoothService.SLOTS))
-        data = Parcel().write_value(Kind.I32, count)
+        data = Parcel().write_value(_K_I32, count)
         for entry in entries:
             if not isinstance(entry, str):
                 raise ClientCheckError("configuration entries are strings")
-            data.write_value(Kind.STRING, entry)
+            data.write_value(_K_STRING, entry)
         reply = self._call(BluetoothService.REGISTER_APP_CONFIGURATION, data)
-        return reply.read_value(Kind.BOOL)
+        return reply.read_value(_K_BOOL)
 
 
 class ViewClient(_Wrapper):
@@ -644,9 +651,9 @@ class ViewClient(_Wrapper):
     def inflate(self, template: str, root: ViewNode) -> int:
         if not isinstance(template, str):
             raise ClientCheckError("template name must be a string")
-        data = Parcel().write_value(Kind.STRING, template)
+        data = Parcel().write_value(_K_STRING, template)
         write_view_node(data, root)
-        return self._call(ViewService.INFLATE, data).read_value(Kind.I32)
+        return self._call(ViewService.INFLATE, data).read_value(_K_I32)
 
 
 class GraphicsClient(_Wrapper):
@@ -663,11 +670,11 @@ class GraphicsClient(_Wrapper):
             raise ClientCheckError("num_ints %r outside [0, %d]" % (num_ints, self.MAX_INTS))
         data = (
             Parcel()
-            .write_value(Kind.STRING, name)
-            .write_value(Kind.I32, num_fds)
-            .write_value(Kind.I32, num_ints)
+            .write_value(_K_STRING, name)
+            .write_value(_K_I32, num_fds)
+            .write_value(_K_I32, num_ints)
         )
-        return self._call(GraphicsService.CREATE_NATIVE_HANDLE, data).read_value(Kind.I64)
+        return self._call(GraphicsService.CREATE_NATIVE_HANDLE, data).read_value(_K_I64)
 
 
 class ActivityClient(_Wrapper):
@@ -678,10 +685,10 @@ class ActivityClient(_Wrapper):
             raise ClientCheckError("action must be a non-empty string")
         if not isinstance(data_uri, str):
             raise ClientCheckError("data uri must be a string")
-        data = Parcel().write_value(Kind.STRING, action).write_value(Kind.STRING, data_uri)
+        data = Parcel().write_value(_K_STRING, action).write_value(_K_STRING, data_uri)
         write_bundle(data, list(extras))
         reply = self._call(ActivityService.START_ACTIVITY, data)
-        return reply.read_value(Kind.BOOL)
+        return reply.read_value(_K_BOOL)
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +705,13 @@ SERVICE_CLASSES: tuple[type, ...] = (
 )
 
 
-def install_services(router: Router) -> dict[str, int]:
-    """Register one instance of every shipped service; returns name to handle."""
-    return {cls.DESCRIPTOR: router.register_service(cls.DESCRIPTOR, cls()) for cls in SERVICE_CLASSES}
+# Every shipped service at handles 1..6 in SERVICE_CLASSES order.
+HOSTED = HostTable(SERVICE_CLASSES)
 
 
 def fresh_router() -> Router:
-    router = Router()
-    install_services(router)
-    return router
+    """A router hosting every shipped service, none of them built yet."""
+    return Router(HOSTED)
 
 
 def all_methods() -> tuple[tuple[str, int, str], ...]:
@@ -736,68 +741,68 @@ def _trigger_audio_null() -> Parcel:
 
 
 def _trigger_bt_table_overrun() -> Parcel:
-    data = Parcel().write_value(Kind.I32, 20)
+    data = Parcel().write_value(_K_I32, 20)
     for i in range(20):
-        data.write_value(Kind.STRING, "cfg%d" % i)
+        data.write_value(_K_STRING, "cfg%d" % i)
     return data
 
 
 def _trigger_bt_count_overread() -> Parcel:
-    return Parcel().write_value(Kind.I32, 5).write_value(Kind.STRING, "only-one")
+    return Parcel().write_value(_K_I32, 5).write_value(_K_STRING, "only-one")
 
 
 def _trigger_view_recursion() -> Parcel:
-    data = Parcel().write_value(Kind.STRING, "probe")
+    data = Parcel().write_value(_K_STRING, "probe")
     for _ in range(600):
-        data.write_value(Kind.I32, 1)
+        data.write_value(_K_I32, 1)
     return data
 
 
 def _trigger_view_underflow() -> Parcel:
-    return Parcel().write_value(Kind.STRING, "probe").write_value(Kind.I32, 1)
+    return Parcel().write_value(_K_STRING, "probe").write_value(_K_I32, 1)
 
 
 def _trigger_gfx_alloc_wrap() -> Parcel:
     return (
         Parcel()
-        .write_value(Kind.STRING, "fb0")
-        .write_value(Kind.I32, 1)
-        .write_value(Kind.I32, I32_MAX)
+        .write_value(_K_STRING, "fb0")
+        .write_value(_K_I32, 1)
+        .write_value(_K_I32, I32_MAX)
     )
 
 
 def _trigger_activity_bad_args() -> Parcel:
     # A negative declared length where the action string should start.
-    return Parcel().write_value(Kind.I32, -1)
+    return Parcel().write_value(_K_I32, -1)
 
 
 def _intent_prefix() -> Parcel:
     return (
         Parcel()
-        .write_value(Kind.STRING, "app.intent.MAIN")
-        .write_value(Kind.STRING, "content://item/1")
+        .write_value(_K_STRING, "app.intent.MAIN")
+        .write_value(_K_STRING, "content://item/1")
     )
 
 
 def _trigger_activity_entry_overread() -> Parcel:
     data = _intent_prefix()
-    data.write_value(Kind.I32, 5)  # declares five entries
-    data.write_value(Kind.STRING, "mode").write_value(Kind.I32, TAG_I32).write_value(Kind.I32, 7)
+    data.write_value(_K_I32, 5)  # declares five entries
+    data.write_value(_K_STRING, "mode").write_value(_K_I32, TAG_I32).write_value(_K_I32, 7)
     return data
 
 
 def _trigger_activity_tag_confusion() -> Parcel:
     data = _intent_prefix()
-    data.write_value(Kind.I32, 1)
-    data.write_value(Kind.STRING, "mode").write_value(Kind.I32, 9).write_value(Kind.I32, 7)
+    data.write_value(_K_I32, 1)
+    data.write_value(_K_STRING, "mode").write_value(_K_I32, 9).write_value(_K_I32, 7)
     return data
 
 
 def _trigger_activity_bytes_length() -> Parcel:
     data = _intent_prefix()
-    data.write_value(Kind.I32, 1)
-    data.write_value(Kind.STRING, "blob").write_value(Kind.I32, TAG_BYTES)
-    data.write_value(Kind.I32, -8)  # negative declared byte-array length
+    data.write_value(_K_I32, 1)
+    data.write_value(_K_STRING, "blob").write_value(_K_I32, TAG_BYTES)
+    data.write_value(_K_I32, -8)  # negative declared byte-array length
     return data
 
 

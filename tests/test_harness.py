@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -203,8 +205,6 @@ def test_config_echo_includes_the_corpus_digest(semi_report, corpus):
     assert config["catalog_version"] == CATALOG_VERSION
     assert config["mode"] == "isolated"
     assert config["corpus_id"] == corpus_digest(corpus)
-    import hashlib
-
     assert corpus_digest(corpus) == hashlib.sha256(corpus_text(corpus).encode()).hexdigest()
 
 
@@ -276,6 +276,22 @@ def test_a_traced_rerun_on_another_fingerprint_is_a_harness_error(monkeypatch, c
 def test_identical_configs_serialize_identically(corpus, semi_report):
     again = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus))
     assert again.to_canonical_json() == semi_report.to_canonical_json()
+
+
+# sha256 of the canonical report of each config, pinned from a build
+# known to be right: any byte a change moves in a report shows up here.
+PINNED_REPORTS = [
+    ("semi-valid", 10000, "corpus", "698083aa82ed576bf0cd952fe19b51c6240fe9b7ae40565be28c2cdd990f9423"),
+    ("semi-valid", 10000, "shuffled_corpus", "c04004d732831d30a321266ca766a458c48a6c162d869260ef5706ad4fb0bb28"),
+    ("empty,random", 10000, "corpus", "d8d2d98bf65195867bb8054d5c4754d8a61af06c18cf0012de8c123972a3040f"),
+]
+
+
+@pytest.mark.parametrize("policy,budget,corpus_fixture,digest", PINNED_REPORTS)
+def test_canonical_reports_are_pinned(request, policy, budget, corpus_fixture, digest):
+    records = request.getfixturevalue(corpus_fixture)
+    report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
+    assert hashlib.sha256(report.to_canonical_json().encode("utf-8")).hexdigest() == digest
 
 
 def test_report_round_trips_through_disk(tmp_path, semi_report):
@@ -583,6 +599,19 @@ def test_cli_error_for_a_large_malformed_record_is_one_short_line(tmp_path, caps
     assert code == 1
     assert err.startswith("error: record 0 ") and err.count("\n") == 1
     assert "'byte_range'" in err and len(err) < 300
+
+
+def test_cli_rejects_a_length_prefix_that_disagrees_with_its_leaf(tmp_path, capsys):
+    # Record 0 looks up "svc.queue": a STRING leaf over [0, 16) whose
+    # prefix declares 9 bytes, padded to 12.
+    for declared in (13, 8, -1):
+        def edit(record):
+            assert record["payload_hex"][:8] == "09000000"
+            record["payload_hex"] = struct.pack("<i", declared).hex() + record["payload_hex"][8:]
+
+        code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == "error: record 0 trace: trace leaf STRING at [0, 16) declares %d bytes\n" % declared
 
 
 def test_cli_rejects_a_corpus_payload_that_is_not_hex(tmp_path, capsys):

@@ -9,7 +9,7 @@ from parcelfuzz.parcel import I32_MAX, Kind, handle_at
 from parcelfuzz.recorder import CorpusError, build_dependency_graph
 from parcelfuzz.replayer import HandleMap, ReplaySession, Unreplayable, plan, prepare_corpus
 from parcelfuzz.router import ReplyKind
-from parcelfuzz.services import fresh_router
+from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient, fresh_router
 
 
 def _seq_of(corpus, descriptor, code):
@@ -275,3 +275,20 @@ def test_handle_map_defaults_are_independent():
     a, b = HandleMap(), HandleMap()
     a.dynamic[7] = 8
     assert b.dynamic == {}
+
+
+def test_handle_numbering_hosted_then_probe_then_exports(corpus):
+    session = ReplaySession(prepare_corpus(corpus))
+    for handle, cls in enumerate(SERVICE_CLASSES, 1):
+        assert session.router.get_service(cls.DESCRIPTOR) == handle
+    assert session.probe_handle == 7
+    session_handle, _index = AudioClient(Client(session.router)).open_session()
+    assert session_handle == 8
+
+
+def test_service_state_never_crosses_sessions(corpus):
+    prepared = prepare_corpus(corpus)
+    first = QueueClient(Client(ReplaySession(prepared).router))
+    assert first.add("left behind")
+    assert first.peek() == "left behind"
+    assert QueueClient(Client(ReplaySession(prepared).router)).peek() == ""

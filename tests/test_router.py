@@ -19,6 +19,7 @@ from parcelfuzz.router import (
     STACK_OVERFLOW,
     DispatchContext,
     DuplicateServiceError,
+    HostTable,
     InternalFault,
     Reject,
     Reply,
@@ -103,6 +104,33 @@ def test_handles_are_monotonic_and_never_reused(router):
     _call(router, moody, Moody.CRASH)
     c = router.register_service("", Moody())
     assert c == b + 1
+
+
+class Counted(Moody):
+    """Moody under its own descriptor, counting how often it is built."""
+
+    DESCRIPTOR = "test.counted"
+    built = 0
+
+    def __init__(self):
+        super().__init__()
+        Counted.built += 1
+
+
+def test_hosted_service_is_built_by_its_first_transaction():
+    Counted.built = 0
+    r = Router(HostTable((Counted,)))
+    handle = r.get_service("test.counted")
+    assert handle == 1
+    assert r.descriptor_of(handle) == "test.counted"
+    assert Counted.built == 0
+    assert _call(r, handle, Moody.ANSWER).payload.read_value(Kind.I32) == 1
+    assert _call(r, handle, Moody.ANSWER).payload.read_value(Kind.I32) == 2
+    assert Counted.built == 1
+    assert [e.target_descriptor for e in r.edges] == ["test.counted"] * 2
+    # the next handle follows the hosted ones; a second router starts clean
+    assert r.register_service("", Moody()) == 2
+    assert _call(Router(HostTable((Counted,))), handle, Moody.ANSWER).payload.read_value(Kind.I32) == 1
 
 
 def test_duplicate_descriptor_is_refused(router):

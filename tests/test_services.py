@@ -10,7 +10,7 @@ import random
 import pytest
 
 from parcelfuzz.parcel import I32_MAX, Kind, Parcel
-from parcelfuzz.router import ReplyKind, Transaction
+from parcelfuzz.router import DuplicateServiceError, ReplyKind, Transaction
 from parcelfuzz.services import (
     SEEDED_BUGS,
     SERVICE_CLASSES,
@@ -32,7 +32,6 @@ from parcelfuzz.services import (
     ViewNode,
     all_methods,
     fresh_router,
-    install_services,
     write_bundle,
     write_view_node,
 )
@@ -312,14 +311,28 @@ def test_all_methods_lists_the_full_surface():
     assert len({(d, c) for d, c, _ in methods}) == 11
 
 
-def test_install_services_registers_every_descriptor():
-    from parcelfuzz.router import Router
+def test_fresh_router_hosts_every_descriptor():
+    router = fresh_router()
+    for handle, cls in enumerate(SERVICE_CLASSES, 1):
+        assert router.get_service(cls.DESCRIPTOR) == handle
+        # answered from the host table: no transaction has reached it
+        assert router.descriptor_of(handle) == cls.DESCRIPTOR
+    assert router.descriptor_of(len(SERVICE_CLASSES) + 1) == "<unknown>"
 
-    router = Router()
-    handles = install_services(router)
-    assert sorted(handles) == sorted(cls.DESCRIPTOR for cls in SERVICE_CLASSES)
-    for descriptor, handle in handles.items():
-        assert router.get_service(descriptor) == handle
+
+def test_registering_a_hosted_name_is_refused(router):
+    with pytest.raises(DuplicateServiceError):
+        router.register_service(QueueService.DESCRIPTOR, QueueService())
+
+
+def test_crash_resets_a_service_built_on_first_reach(router, client):
+    audio = AudioClient(client)
+    assert [audio.open_session()[1] for _ in range(2)] == [0, 1]
+    reply = _raw(router, AudioService.DESCRIPTOR, AudioService.REGISTER_CLIENT, Parcel())
+    assert reply.kind is ReplyKind.FATAL_CRASH
+    # the instance that counted two sessions is gone; the handle is not
+    assert audio.open_session()[1] == 0
+    assert router.get_service(AudioService.DESCRIPTOR) == 2
 
 
 def test_registry_codes_are_contiguous_from_one():
