@@ -12,7 +12,6 @@ from .harness import (
     FingerprintMismatch,
     FuzzConfig,
     HarnessError,
-    attribute,
     build_manifest,
     classify,
     fingerprint,
@@ -61,7 +60,6 @@ __all__ = [
     "FingerprintMismatch",
     "FuzzConfig",
     "HarnessError",
-    "attribute",
     "build_manifest",
     "classify",
     "fingerprint",

@@ -38,7 +38,6 @@ from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
 FINGERPRINT_FRAMES = 5
-ATTRIBUTION_WINDOW = 64
 SCHEMA_DEPTH_LIMIT = 32
 
 OUTCOMES = ("ok", "rejected", "handled_fault", "fatal_crash", "unreplayable")
@@ -272,23 +271,6 @@ def _absorb_edges(router: Router, by_sender: dict, by_descriptor: dict) -> None:
         by_descriptor[edge.target_descriptor] = by_descriptor.get(edge.target_descriptor, 0) + 1
 
 
-def _schema_json(node: TraceNode, depth: int = 0) -> dict:
-    """Trace tree as JSON, truncated below SCHEMA_DEPTH_LIMIT.
-
-    A runaway recursive decoder leaves a trace hundreds of levels deep;
-    the report keeps enough of it to read the failure, not all of it.
-    """
-    obj = {"kind": node.kind, "label": node.label, "byte_range": [node.start, node.end]}
-    if node.is_leaf:
-        return obj
-    if depth >= SCHEMA_DEPTH_LIMIT:
-        obj["children"] = []
-        obj["truncated"] = True
-        return obj
-    obj["children"] = [_schema_json(child, depth + 1) for child in node.children]
-    return obj
-
-
 def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str, sender_id: str) -> TraceNode:
     """Type trace of a crashing case, from one more run of it, traced,
     on a fresh session; replay is deterministic, so the run must crash
@@ -325,13 +307,13 @@ def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, prepared: PreparedC
             "rng_seed": config.rng_seed,
             "case": case.to_json(),
         },
-        schema=_schema_json(_traced_rerun(prepared, case, digest, config.sender_id)),
+        schema=_traced_rerun(prepared, case, digest, config.sender_id).to_json(max_depth=SCHEMA_DEPTH_LIMIT),
         first_seen_case_id=case.case_id,
     )
 
 
 # ---------------------------------------------------------------------------
-# Reproduction and attribution.
+# Reproduction.
 # ---------------------------------------------------------------------------
 
 
@@ -349,13 +331,30 @@ def find_crash(report: CampaignReport, fingerprint_hex: str) -> CrashReport:
 
 
 def reproduce(report: CampaignReport, fingerprint_hex: str, corpus) -> Reply:
-    """Re-run a saved crash from its provenance; the fingerprint must match."""
+    """Re-run a saved crash from its provenance; the fingerprint must match.
+
+    A case made from a seed must name a seed the corpus holds and that
+    seed's method: replay addresses the seed's target, so a case naming
+    another method would otherwise reproduce under the wrong name.
+    """
     saved = find_crash(report, fingerprint_hex)
     try:
         case = FuzzCase.from_json(saved.provenance["case"])
     except (KeyError, TypeError, ValueError) as exc:
         raise HarnessError("crash provenance is unusable: %s" % exc) from None
     session = ReplaySession(corpus)
+    if case.seed_seq is not None:
+        seed = session.prepared.records.get(case.seed_seq)
+        if seed is None:
+            raise HarnessError(
+                "crash provenance is unusable: case %d names seed %d, which the corpus does not hold"
+                % (case.case_id, case.seed_seq)
+            )
+        if (seed.descriptor, seed.code) != (case.descriptor, case.code):
+            raise HarnessError(
+                "crash provenance is unusable: case %d targets %s code %d, its seed %d is %s code %d"
+                % (case.case_id, case.descriptor, case.code, seed.seq, seed.descriptor, seed.code)
+            )
     txn = session.prepare(case)
     reply = session.router.transact(txn)
     if reply.kind is not ReplyKind.FATAL_CRASH:
@@ -366,26 +365,6 @@ def reproduce(report: CampaignReport, fingerprint_hex: str, corpus) -> Reply:
     if got != saved.fingerprint:
         raise FingerprintMismatch("reproduced %s, expected %s" % (got[:12], saved.fingerprint[:12]))
     return reply
-
-
-def attribute(crash, edges, anchor: int | None = None, window: int = ATTRIBUTION_WINDOW) -> list[str]:
-    """Candidate senders for a crash: who recently transacted with the victim.
-
-    Looks at the last `window` edges at or before `anchor` (default: the
-    end of the log), keeps those into the crash's descriptor, and returns
-    their senders most-recent-first without duplicates.
-    """
-    descriptor = crash.descriptor if hasattr(crash, "descriptor") else str(crash)
-    if anchor is None:
-        scoped = list(edges)
-    else:
-        scoped = [e for e in edges if e.timestamp <= anchor]
-    recent = scoped[-window:]
-    senders: list[str] = []
-    for edge in reversed(recent):
-        if edge.target_descriptor == descriptor and edge.sender_id not in senders:
-            senders.append(edge.sender_id)
-    return senders
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,15 @@ from __future__ import annotations
 import binascii
 import itertools
 import math
-import random
 import re
 import struct
+from _random import Random as _CRandom
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .parcel import I32_MAX, Kind, Parcel
-from .recorder import SeedRecord, TraceNode
+from .parcel import I32_MAX, Kind, Parcel, _check_offsets
+from .recorder import SeedRecord, TraceNode, _excerpt
 from .services import TAG_NAMES, all_methods
 
 CATALOG_VERSION = "catalog-v1"
@@ -95,17 +95,7 @@ INVALID_UTF8_BYTES = b"\xed\xa0\x80"
 FRAME_BREAKING_MUTATIONS = {"declared_length_plus_4", "declared_length_max"}
 
 
-@dataclass(frozen=True)
-class FuzzCase:
-    """One dispatchable input, with provenance when a seed was involved.
-
-    slot_overrides maps handle-slot byte positions to materialization
-    directives: "pin" keeps the mutated slot bytes as they are, and
-    "swap:<descriptor>" asks for a live handle of that service instead of
-    the recorded one.  Every other offsets slot is patched from the
-    replay handle map as usual.
-    """
-
+class _CaseFields(NamedTuple):
     case_id: int
     policy: Policy
     descriptor: str
@@ -118,12 +108,52 @@ class FuzzCase:
     frame_breaking: bool = False
     slot_overrides: tuple[tuple[int, str], ...] = ()
 
-    def __post_init__(self):
-        if self.policy is Policy.SEMI_VALID:
-            if self.seed_seq is None or self.field_path is None or self.mutation_id is None:
+
+class FuzzCase(_CaseFields):
+    """One dispatchable input, with provenance when a seed was involved.
+
+    slot_overrides maps handle-slot byte positions to materialization
+    directives: "pin" keeps the mutated slot bytes as they are, and
+    "swap:<descriptor>" asks for a live handle of that service instead of
+    the recorded one.  Every other offsets slot is patched from the
+    replay handle map as usual.
+
+    A case is an immutable tuple, built once per dispatched case; the
+    constructor checks only what ties the provenance fields to the
+    policy.  ``from_json`` checks everything else a saved case can get
+    wrong.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        case_id: int,
+        policy: Policy,
+        descriptor: str,
+        code: int,
+        payload: bytes,
+        offsets: tuple[int, ...],
+        seed_seq: int | None = None,
+        field_path: tuple[int, ...] | None = None,
+        mutation_id: str | None = None,
+        frame_breaking: bool = False,
+        slot_overrides: tuple[tuple[int, str], ...] = (),
+    ):
+        if policy is Policy.SEMI_VALID:
+            if seed_seq is None or field_path is None or mutation_id is None:
                 raise ValueError("SEMI_VALID cases reference a seed, a path, and a mutation")
-        elif self.seed_seq is not None or self.field_path is not None or self.mutation_id is not None:
-            raise ValueError("%s cases reference no seed" % self.policy.value)
+        elif seed_seq is not None or field_path is not None or mutation_id is not None:
+            raise ValueError("%s cases reference no seed" % policy.value)
+        return tuple.__new__(
+            cls,
+            (case_id, policy, descriptor, code, payload, offsets, seed_seq, field_path, mutation_id, frame_breaking, slot_overrides),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "FuzzCase":
+        # _replace builds through _make; route it through the checks.
+        return cls(*iterable)
 
     def parcel(self) -> Parcel:
         return Parcel(self.payload, self.offsets)
@@ -145,20 +175,76 @@ class FuzzCase:
 
     @classmethod
     def from_json(cls, obj) -> "FuzzCase":
-        path = obj.get("field_path")
+        """Parse a saved case.
+
+        Refuses, with a ValueError that names the field, what no
+        generated case holds: a field of the wrong JSON type, handle
+        offsets that are not 4-aligned, ascending and inside the payload,
+        and a slot override that is not a ``pin`` or ``swap:<descriptor>``
+        directive on one of those offsets.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("case is not an object: %s" % _excerpt(obj))
+        try:
+            payload = binascii.unhexlify(_json_field(obj, "payload_hex", str))
+        except binascii.Error as exc:
+            raise ValueError("case payload_hex is not hex: %s" % exc) from None
+        offsets = _json_ints(obj, "offsets")
+        try:
+            _check_offsets(offsets, len(payload))
+        except ValueError as exc:
+            raise ValueError("case offsets: %s" % exc) from None
+        overrides: dict[int, str] = {}
+        for pair in _json_field(obj, "slot_overrides", list, []):
+            if not (
+                type(pair) is list
+                and len(pair) == 2
+                and type(pair[0]) is int
+                and pair[0] in offsets
+                and pair[0] not in overrides
+                and type(pair[1]) is str
+                and (pair[1] == "pin" or (pair[1].startswith("swap:") and len(pair[1]) > 5))
+            ):
+                raise ValueError(
+                    "case slot override %s is not one pin or swap:<descriptor> on a handle offset" % _excerpt(pair)
+                )
+            overrides[pair[0]] = pair[1]
         return cls(
-            case_id=int(obj["case_id"]),
-            policy=Policy(obj["policy"]),
-            descriptor=str(obj["descriptor"]),
-            code=int(obj["code"]),
-            payload=binascii.unhexlify(obj["payload_hex"]),
-            offsets=tuple(int(p) for p in obj["offsets"]),
-            seed_seq=obj.get("seed_seq"),
-            field_path=tuple(path) if path is not None else None,
-            mutation_id=obj.get("mutation_id"),
-            frame_breaking=bool(obj.get("frame_breaking", False)),
-            slot_overrides=tuple((int(p), str(d)) for p, d in obj.get("slot_overrides", ())),
+            case_id=_json_field(obj, "case_id", int),
+            policy=Policy(_json_field(obj, "policy", str)),
+            descriptor=_json_field(obj, "descriptor", str),
+            code=_json_field(obj, "code", int),
+            payload=payload,
+            offsets=offsets,
+            seed_seq=_json_field(obj, "seed_seq", int, None),
+            field_path=_json_ints(obj, "field_path", None),
+            mutation_id=_json_field(obj, "mutation_id", str, None),
+            frame_breaking=_json_field(obj, "frame_breaking", bool, False),
+            slot_overrides=tuple(overrides.items()),
         )
+
+
+_REQUIRED = object()
+
+
+def _json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
+    """obj[name], which must have exactly type kind (so a bool is no int)
+    unless it is absent, or null where null is the default."""
+    value = obj.get(name, default)
+    if value is _REQUIRED:
+        raise ValueError("case has no %s" % name)
+    if type(value) is not kind and value is not default:
+        raise ValueError("case %s must be %s, got %s" % (name, kind.__name__, _excerpt(value)))
+    return value
+
+
+def _json_ints(obj: dict, name: str, default=_REQUIRED) -> tuple[int, ...] | None:
+    values = _json_field(obj, name, list, default)
+    if values is None:
+        return None
+    if any(type(v) is not int for v in values):
+        raise ValueError("case %s must hold integers, got %s" % (name, _excerpt(values)))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +563,10 @@ def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
 def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id: int = 0) -> FuzzCase:
     if not 0 <= length <= MAX_RANDOM_LENGTH:
         raise ConfigurationError("random payload length %d outside [0, %d]" % (length, MAX_RANDOM_LENGTH))
-    # An empty payload needs no seeded generator, and one RANDOM case
-    # in six is empty.
-    payload = random.Random(rng_seed).randbytes(length) if length else b""
+    # The same bytes as random.Random(rng_seed).randbytes(length), drawn
+    # from the C generator it wraps without its Python frames.  An empty
+    # payload needs no generator, and one RANDOM case in six is empty.
+    payload = _CRandom(rng_seed).getrandbits(8 * length).to_bytes(length, "little") if length else b""
     return FuzzCase(
         case_id=case_id,
         policy=Policy.RANDOM,

@@ -321,7 +321,7 @@ def _check_offsets(offsets: list[int], size: int) -> None:
         if pos % 4 != 0:
             raise ValueError("offset %d is not 4-byte aligned" % pos)
         if pos <= prev:
-            raise ValueError("offsets must be strictly increasing, got %r" % (offsets,))
+            raise ValueError("offset %d is negative or not above the offset before it" % pos)
         if pos > size - HANDLE_BYTES:
             raise ValueError("offset %d leaves no room for a handle in %d bytes" % (pos, size))
         prev = pos

@@ -177,14 +177,24 @@ class TraceNode:
             for child in self.children:
                 yield from child.iter_leaves()
 
-    def to_json(self) -> dict:
+    def to_json(self, max_depth: int | None = None) -> dict:
+        """The tree as JSON.  With max_depth, composites max_depth levels
+        below this node keep no children and are marked truncated: a
+        runaway recursive decoder leaves a trace hundreds of levels deep,
+        and a crash report keeps enough of it to read the failure."""
         node = {
             "kind": self.kind,
             "label": self.label,
             "byte_range": [self.start, self.end],
         }
-        if not self.is_leaf:
-            node["children"] = [c.to_json() for c in self.children]
+        if self.is_leaf:
+            return node
+        if max_depth == 0:
+            node["children"] = []
+            node["truncated"] = True
+        else:
+            deeper = None if max_depth is None else max_depth - 1
+            node["children"] = [c.to_json(deeper) for c in self.children]
         return node
 
     @classmethod

@@ -55,7 +55,7 @@ class Unreplayable(ReplayError):
         self.support_seq = support_seq
 
 
-@dataclass
+@dataclass(slots=True)
 class HandleMap:
     """Recorded handle ids to live ones, plus resolved static services."""
 

@@ -14,7 +14,8 @@ Reply taxonomy, mirroring how a hardened server can react to hostile input:
     FATAL_CRASH    uncontained fault; CrashInfo attached, service state reset
 
 The boundary also keeps the IPC edge log: one edge per transact call, in
-arrival order, regardless of outcome.  Crash attribution walks this log.
+arrival order, regardless of outcome.  A campaign report counts the
+edges by sender and by target descriptor.
 
 A router can host services from the moment it exists: a ``HostTable``,
 built once and shared read-only by every router made from it, places each
@@ -26,10 +27,10 @@ creating a router builds no service at all.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .parcel import Kind, Parcel, ParcelError
 
@@ -57,19 +58,27 @@ class ReplyKind(str, Enum):
     FATAL_CRASH = "FATAL_CRASH"
 
 
-@dataclass(frozen=True)
-class CrashInfo:
+class _CrashFields(NamedTuple):
     exception_kind: str
     stack_frames: tuple[str, ...]
     detail: str = ""
 
-    def __post_init__(self):
-        if not self.stack_frames:
+
+class CrashInfo(_CrashFields):
+    __slots__ = ()
+
+    def __new__(cls, exception_kind: str, stack_frames: tuple[str, ...], detail: str = ""):
+        if not stack_frames:
             raise ValueError("CrashInfo requires at least one stack frame")
+        return tuple.__new__(cls, (exception_kind, stack_frames, detail))
+
+    @classmethod
+    def _make(cls, iterable) -> "CrashInfo":
+        # _replace builds through _make; route it through the check.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Reply:
+class Reply(NamedTuple):
     kind: ReplyKind
     payload: Parcel | None = None
     message: str | None = None
@@ -109,8 +118,7 @@ class Transaction:
             raise ValueError("flags must be 0 in this model")
 
 
-@dataclass(frozen=True)
-class IpcEdge:
+class IpcEdge(NamedTuple):
     sender_id: str
     target_descriptor: str
     code: int
@@ -399,21 +407,3 @@ class Router:
         if reg.handle != SERVICE_MANAGER_HANDLE:
             reg.instance = reg.factory()
         return Reply.fatal(crash)
-
-    # -- edge log ----------------------------------------------------------------
-
-    def edges_jsonl(self) -> str:
-        """Edge log as JSON-lines: {seq, sender, descriptor, code} per line."""
-        lines = [
-            json.dumps(
-                {
-                    "seq": e.timestamp,
-                    "sender": e.sender_id,
-                    "descriptor": e.target_descriptor,
-                    "code": e.code,
-                },
-                sort_keys=True,
-            )
-            for e in self.edges
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -11,7 +11,6 @@ import pytest
 from parcelfuzz import harness
 from parcelfuzz.cli import main
 from parcelfuzz.harness import (
-    ATTRIBUTION_WINDOW,
     FINGERPRINT_FRAMES,
     OUTCOMES,
     SCHEMA_DEPTH_LIMIT,
@@ -21,7 +20,6 @@ from parcelfuzz.harness import (
     FuzzConfig,
     HarnessError,
     ManifestError,
-    attribute,
     build_manifest,
     classify,
     corpus_digest,
@@ -33,7 +31,7 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase
+from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase, Policy
 from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_text, record_session
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
@@ -82,37 +80,6 @@ def test_fingerprint_ignores_detail_and_deep_frames():
 def test_fingerprint_hashes_all_frames_when_fewer_than_five():
     short = ("f0", "f1", "f2")
     assert fingerprint(_crash(frames=short)) != fingerprint(_crash(frames=short + ("f3",)))
-
-
-# -- attribution -----------------------------------------------------------------
-
-
-def _edges(*triples):
-    return [IpcEdge(s, d, 1, t) for t, (s, d) in enumerate(triples, start=1)]
-
-
-def test_attribute_is_most_recent_first_without_duplicates():
-    edges = _edges(
-        ("alice", "svc.audio"),
-        ("bob", "svc.audio"),
-        ("carol", "svc.queue"),
-        ("alice", "svc.audio"),
-    )
-    assert attribute("svc.audio", edges) == ["alice", "bob"]
-
-
-def test_attribute_window_and_anchor():
-    edges = _edges(*[("old%d" % i, "svc.audio") for i in range(3)], ("recent", "svc.audio"))
-    assert attribute("svc.audio", edges, window=1) == ["recent"]
-    assert attribute("svc.audio", edges, anchor=2) == ["old1", "old0"]
-    assert attribute("svc.audio", edges, anchor=0) == []
-    assert ATTRIBUTION_WINDOW == 64
-
-
-def test_attribute_accepts_a_crash_report(semi_report):
-    report = semi_report
-    crash = report.crashes[0]
-    assert attribute(crash, []) == []
 
 
 # -- campaign accounting -------------------------------------------------------------
@@ -252,7 +219,7 @@ def test_every_crash_schema_is_the_trace_of_its_saved_case(semi_report, corpus):
         case = FuzzCase.from_json(crash.provenance["case"])
         reply = session.router.transact(session.prepare(case), trace_hook=builder)
         assert fingerprint(reply.crash) == crash.fingerprint
-        assert crash.schema == harness._schema_json(builder.finish())
+        assert crash.schema == builder.finish().to_json(max_depth=SCHEMA_DEPTH_LIMIT)
 
 
 def test_a_traced_rerun_on_another_fingerprint_is_a_harness_error(monkeypatch, corpus, semi_report):
@@ -268,6 +235,28 @@ def test_a_traced_rerun_on_another_fingerprint_is_a_harness_error(monkeypatch, c
     first = min(c.first_seen_case_id for c in semi_report.crashes)
     with pytest.raises(HarnessError, match=r"^case %d crashed as " % first):
         run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus))
+
+
+def test_per_case_values_are_immutable():
+    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
+    values = (
+        (case, "payload", b"\x00"),
+        (Reply.ok(), "kind", ReplyKind.REJECTED),
+        (_crash(), "stack_frames", ()),
+        (IpcEdge("fuzzer", "svc.queue", 1, 1), "sender_id", "other"),
+    )
+    for value, name, replacement in values:
+        with pytest.raises(AttributeError):
+            setattr(value, name, replacement)
+
+
+def test_replaced_values_are_checked_again():
+    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
+    assert case._replace(code=2).code == 2
+    with pytest.raises(ValueError):
+        case._replace(seed_seq=3)
+    with pytest.raises(ValueError):
+        _crash()._replace(stack_frames=())
 
 
 # -- determinism and persistence ------------------------------------------------------
@@ -642,6 +631,70 @@ def test_cli_replay_rejects_a_report_payload_that_is_not_hex(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: crash provenance is unusable") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def saved_campaign(tmp_path_factory):
+    """A recorded corpus and a saved semi-valid report, as files."""
+    root = tmp_path_factory.mktemp("saved")
+    corpus_path, report_path = root / "corpus.jsonl", root / "report.json"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    main(["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
+          "--out", str(report_path)])
+    return corpus_path, json.loads(report_path.read_text())
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("offsets", [1_000_000_000_000]),
+        ("offsets", [-4]),
+        ("offsets", [1]),
+        ("offsets", [0, 0]),
+        ("offsets", ["0"]),
+        ("offsets", _DROP),
+        ("seed_seq", "x"),
+        ("seed_seq", 1_000_000),
+        ("descriptor", "svc.queue"),
+        ("code", 99),
+        ("field_path", "ab"),
+        ("case_id", "7"),
+        ("policy", "BLIND"),
+        ("frame_breaking", "yes"),
+        ("payload_hex", 5),
+        ("slot_overrides", [[4, "pin"]]),
+        ("slot_overrides", [[0, "steal"]]),
+        ("slot_overrides", [[0, "swap:"]]),
+        ("slot_overrides", [[0, "pin"], [0, "pin"]]),
+        ("slot_overrides", [0]),
+    ],
+)
+def test_cli_replay_refuses_a_malformed_saved_case(tmp_path, capsys, saved_campaign, field, value):
+    """Each edit makes a case no campaign writes; the replay exits 1
+    with one error line naming the provenance as unusable, before it
+    dispatches anything."""
+    corpus_path, saved = saved_campaign
+    report = copy.deepcopy(saved)
+    # The audio crash's case carries a handle slot at 0 with a pin override.
+    crash = next(c for c in report["crashes"] if c["provenance"]["case"]["offsets"])
+    case = crash["provenance"]["case"]
+    assert case["descriptor"] == "svc.audio" and case["offsets"] == [0]
+    if value is _DROP:
+        del case[field]
+    else:
+        case[field] = value
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    argv = ["replay", "--report", str(report_path), "--fingerprint", crash["fingerprint"],
+            "--corpus", str(corpus_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: crash provenance is unusable: ") and err.count("\n") == 1, err
+    assert "Traceback" not in out + err
 
 
 def test_cli_rejects_a_corpus_line_nested_too_deeply(tmp_path, capsys):

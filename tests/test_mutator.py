@@ -347,6 +347,9 @@ def test_empty_random_payloads_match_a_seeded_generator():
     for seed in (1, 2, 99, 1_000_003, 7 * 1_000_003 + 5):
         case = make_random("svc.queue", 1, 0, seed)
         assert case.payload == random.Random(seed).randbytes(0) == b""
+        for length in RANDOM_LENGTH_CYCLE:
+            case = make_random("svc.queue", 1, length, seed)
+            assert case.payload == random.Random(seed).randbytes(length), (seed, length)
 
 
 def test_make_random_is_seed_deterministic():

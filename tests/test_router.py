@@ -5,7 +5,6 @@ each reply kind and containment rule is driven in isolation.
 """
 
 import contextlib
-import json
 
 import pytest
 
@@ -305,19 +304,6 @@ def test_every_transact_logs_exactly_one_edge(router):
     assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
     assert [e.sender_id for e in router.edges] == ["alice", "bob", "carol"]
     assert router.edges[0].code == Moody.ANSWER
-
-
-def test_edges_jsonl_round_trips(router):
-    moody = router.get_service("test.moody")
-    _call(router, moody, Moody.ANSWER, sender="alice")
-    lines = router.edges_jsonl().splitlines()
-    assert [json.loads(line)["sender"] for line in lines] == ["alice"]
-    assert json.loads(lines[0]) == {
-        "seq": 1,
-        "sender": "alice",
-        "descriptor": "test.moody",
-        "code": 1,
-    }
 
 
 def test_reply_constructors():
