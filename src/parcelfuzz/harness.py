@@ -32,7 +32,7 @@ from .mutator import (
     _normalize_policies,
     generate_campaign,
 )
-from .recorder import SeedRecord, TraceBuilder, TraceNode, corpus_text
+from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, corpus_text
 from .replayer import PreparedCorpus, ReplaySession, Unreplayable, prepare_corpus
 from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
@@ -108,18 +108,24 @@ class CrashReport:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "CrashReport":
+    def from_json(cls, obj, where: str = "crash") -> "CrashReport":
+        """Parse a saved crash, checking the type of every field that
+        find_crash, reproduce and the text report read; where names the
+        crash in a HarnessError."""
+        _check_types(obj, _CRASH_TYPES, where)
+        _check_items(obj, "stack_frames", str, where)
+        _check_types(obj["provenance"], (("policy", str),), where + " provenance")
         return cls(
             fingerprint=obj["fingerprint"],
             exception_kind=obj["exception_kind"],
             descriptor=obj["descriptor"],
-            code=int(obj["code"]),
+            code=obj["code"],
             stack_frames=tuple(obj["stack_frames"]),
             detail=obj.get("detail", ""),
             provenance=obj["provenance"],
             schema=obj.get("schema", {}),
-            first_seen_case_id=int(obj["first_seen_case_id"]),
-            hit_count=int(obj["hit_count"]),
+            first_seen_case_id=obj["first_seen_case_id"],
+            hit_count=obj["hit_count"],
         )
 
 
@@ -152,15 +158,81 @@ class CampaignReport:
 
     @classmethod
     def from_json(cls, obj) -> "CampaignReport":
+        """Parse a saved report.  A field that the text report, find_crash
+        or reproduce reads and that has the wrong type is a HarnessError
+        naming it; the checks cost one pass over crashes and methods."""
+        _check_types(obj, _REPORT_TYPES, "report")
+        config = _check_types(obj["config"], _CONFIG_TYPES, "report config")
+        _check_items(config, "policy", str, "report config")
+        corpus_id = config.get("corpus_id", _MISSING)
+        if corpus_id is not None and type(corpus_id) is not str:
+            raise _type_error(config, "corpus_id", "str or null", "report config")
+        _check_types(obj["edge_summary"], (("total", int),), "report edge_summary")
+        _check_items(obj, "counters", int, "report")
+        per_method = obj["per_method"]
+        for method, tally in per_method.items():
+            if type(tally) is not dict:
+                raise _type_error(per_method, method, "dict", "report per_method")
+            _check_items(per_method, method, int, "report per_method")
         return cls(
-            config=obj["config"],
+            config=config,
             counters=obj["counters"],
-            crashes=[CrashReport.from_json(c) for c in obj["crashes"]],
-            per_method=obj["per_method"],
+            crashes=[CrashReport.from_json(c, "crashes[%d]" % i) for i, c in enumerate(obj["crashes"])],
+            per_method=per_method,
             edge_summary=obj["edge_summary"],
-            executed=int(obj["executed"]),
-            unexecuted=int(obj["unexecuted"]),
+            executed=obj["executed"],
+            unexecuted=obj["unexecuted"],
         )
+
+
+# The type of each report field that the text report, find_crash and
+# reproduce read.  Types are exact: a bool is no int, and "5" no int.
+_REPORT_TYPES = (
+    ("config", dict),
+    ("counters", dict),
+    ("crashes", list),
+    ("per_method", dict),
+    ("edge_summary", dict),
+    ("executed", int),
+    ("unexecuted", int),
+)
+_CONFIG_TYPES = (("policy", list), ("budget", int), ("rng_seed", int), ("catalog_version", str), ("mode", str))
+_CRASH_TYPES = (
+    ("fingerprint", str),
+    ("exception_kind", str),
+    ("descriptor", str),
+    ("code", int),
+    ("stack_frames", list),
+    ("provenance", dict),
+    ("first_seen_case_id", int),
+    ("hit_count", int),
+)
+
+_MISSING = object()
+
+
+def _check_types(obj, types, where: str) -> dict:
+    """obj, which must be an object whose fields have the given types."""
+    if type(obj) is not dict:
+        raise HarnessError("%s is not an object: %s" % (where, _excerpt(obj)))
+    for name, kind in types:
+        if type(obj.get(name, _MISSING)) is not kind:
+            raise _type_error(obj, name, kind.__name__, where)
+    return obj
+
+
+def _check_items(obj: dict, name: str, kind: type, where: str) -> None:
+    """Every item of the list, or every value of the object, obj[name]
+    must have type kind."""
+    values = obj[name]
+    if not set(map(type, values.values() if type(values) is dict else values)) <= {kind}:
+        raise HarnessError("%s %s must hold only %s values, got %s" % (where, name, kind.__name__, _excerpt(values)))
+
+
+def _type_error(obj: dict, name: str, expected: str, where: str) -> HarnessError:
+    if name not in obj:
+        return HarnessError("%s has no %r" % (where, name))
+    return HarnessError("%s %s must be %s, got %s" % (where, name, expected, _excerpt(obj[name])))
 
 
 def save_report(report: CampaignReport, path) -> None:
@@ -171,7 +243,7 @@ def load_report(path) -> CampaignReport:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
         return CampaignReport.from_json(obj)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, HarnessError) as exc:
         raise HarnessError("unreadable campaign report %s: %s" % (path, exc)) from None
     except RecursionError:
         raise HarnessError("unreadable campaign report %s: nested too deeply" % path) from None

@@ -3,13 +3,17 @@
 The semi-valid policy is the interesting one.  A recorded seed is
 decomposed into its primitive leaves using the type trace captured at
 record time, exactly one leaf gets one mutation from a fixed versioned
-catalog, and the whole payload is re-serialized from the leaf list, so
-length prefixes, padding, and the handle-offsets table come out right
-without any by-hand byte surgery.  The two declared-length mutations are
-the exception: they exist to lie about framing, so they patch the length
-prefix in place after an identity rebuild and are flagged frame_breaking,
-as are the structural mutations (subtree duplication and removal, bundle
-tag rewrites), which change the leaf list itself.
+catalog, and the payload is what re-serializing the edited leaf list
+would write, so length prefixes, padding, and the handle-offsets table
+come out right.  Each seed is decomposed and re-serialized once, keeping
+every leaf's byte range; a case then encodes only the edited leaf and
+splices it in place of the original, moving the handle offsets after it
+by the change in length.  Every leaf encodes to a multiple of four bytes
+wherever it sits, so the splice writes the same bytes a full rebuild
+would.  The two declared-length mutations exist to lie about framing:
+they patch the edited leaf's length prefix after encoding it and are
+flagged frame_breaking, as are the structural mutations, which copy or
+drop a subtree's contiguous byte range or re-encode a bundle entry's tag.
 
 Payloads are ``bytes`` from the seed to the dispatched parcel: a case is
 built as bytes and materialized from them.  Hex appears only where a case
@@ -31,6 +35,7 @@ import math
 import re
 import struct
 from _random import Random as _CRandom
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -299,14 +304,42 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
 _KIND_NAMED = {kind.value: kind for kind in Kind}
 
 
+def _write_leaf(parcel: Parcel, kind: str, write_as: str, value) -> None:
+    if kind == "HANDLE":
+        parcel.write_handle(value)
+    else:
+        parcel.write_value(_KIND_NAMED[write_as], value)
+
+
 def _rebuild(leaves) -> Parcel:
     parcel = Parcel()
     for leaf in leaves:
-        if leaf.kind == "HANDLE":
-            parcel.write_handle(leaf.value)
-        else:
-            parcel.write_value(_KIND_NAMED[leaf.write_as], leaf.value)
+        _write_leaf(parcel, leaf.kind, leaf.write_as, leaf.value)
     return parcel
+
+
+def _encode_leaf(kind: str, write_as: str, value) -> bytes:
+    """What _rebuild writes for one leaf, on its own."""
+    parcel = Parcel()
+    _write_leaf(parcel, kind, write_as, value)
+    return parcel.buffer
+
+
+class _SeedEncoding(NamedTuple):
+    """A seed's identity rebuild, made once and shared by all its cases;
+    spans[i] is the [start, end) of leaves[i] in payload."""
+
+    leaves: list[_Leaf]
+    payload: bytes
+    spans: list[tuple[int, int]]
+    offsets: tuple[int, ...]
+
+
+def _encode_seed(record: SeedRecord) -> _SeedEncoding:
+    leaves = decompose(record)
+    parcel = _rebuild(leaves)
+    spans = [(start, end) for _kind, start, end in parcel.write_log]
+    return _SeedEncoding(leaves, parcel.buffer, spans, tuple(parcel.offsets))
 
 
 def enumerate_fields(record: SeedRecord) -> list[tuple[int, ...]]:
@@ -413,74 +446,68 @@ def mutate_field(record: SeedRecord, field_path, mutation_id: str, case_id: int 
     if mutation_id not in allowed:
         raise CatalogError("mutation %r does not apply to %s" % (mutation_id, node.kind))
 
-    leaves = decompose(record)
-    index = next(i for i, leaf in enumerate(leaves) if leaf.path == field_path)
-    return _mutate_leaf(record, leaves, index, mutation_id, case_id)
+    seed = _encode_seed(record)
+    index = next(i for i, leaf in enumerate(seed.leaves) if leaf.path == field_path)
+    return _mutate_leaf(record, seed, index, mutation_id, case_id)
 
 
-def _with_fresh_leaf(leaves: list[_Leaf], index: int) -> list[_Leaf]:
-    """A copy of leaves whose leaf at index can be edited without
-    touching the original list or any leaf in it."""
-    fresh = list(leaves)
-    leaf = leaves[index]
-    fresh[index] = _Leaf(leaf.kind, leaf.path, leaf.value, leaf.write_as)
-    return fresh
-
-
-def _mutate_leaf(record: SeedRecord, leaves: list[_Leaf], index: int, mutation_id: str, case_id: int = 0) -> FuzzCase:
-    """mutate_field on an already decomposed seed; leaves is only read."""
-    leaves = _with_fresh_leaf(leaves, index)
-    leaf = leaves[index]
-    field_path = leaf.path
-    overrides: list[tuple[int, str]] = []
+def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_id: str, case_id: int = 0) -> FuzzCase:
+    """mutate_field on an already encoded seed: only the edited leaf is
+    encoded, and spliced into the seed's bytes in place of the original."""
+    leaf = seed.leaves[index]
+    kind = leaf.kind
+    value, write_as = leaf.value, leaf.write_as
+    slot_directive = None
     patch = None
 
-    if leaf.kind in ("I32", "BOOL"):
-        leaf.value = _mutate_int(leaf.value, mutation_id, 32)
-    elif leaf.kind == "I64":
-        leaf.value = _mutate_int(leaf.value, mutation_id, 64)
-    elif leaf.kind == "F64":
-        leaf.value = _mutate_f64(leaf.value, mutation_id)
-    elif leaf.kind == "STRING":
-        leaf.value, leaf.write_as = _mutate_string(leaf.value, mutation_id)
+    if kind in ("I32", "BOOL"):
+        value = _mutate_int(value, mutation_id, 32)
+    elif kind == "I64":
+        value = _mutate_int(value, mutation_id, 64)
+    elif kind == "F64":
+        value = _mutate_f64(value, mutation_id)
+    elif kind == "STRING":
+        value, write_as = _mutate_string(value, mutation_id)
         if mutation_id == "declared_length_plus_4":
             patch = "plus_4"
-    elif leaf.kind == "BYTES":
+    elif kind == "BYTES":
         if mutation_id == "truncate_half":
-            leaf.value = leaf.value[: len(leaf.value) // 2]
+            value = value[: len(value) // 2]
         else:
             patch = "max"
     else:  # HANDLE
         if mutation_id == "zero_handle":
-            leaf.value = 0
-            overrides.append(("pin",))
+            value = 0
+            slot_directive = "pin"
         elif mutation_id == "huge_handle":
-            leaf.value = I32_MAX
-            overrides.append(("pin",))
+            value = I32_MAX
+            slot_directive = "pin"
         else:
-            swap_to = "svc.queue" if record.descriptor != "svc.queue" else "svc.audio"
-            overrides.append(("swap:%s" % swap_to,))
+            slot_directive = "swap:%s" % ("svc.queue" if record.descriptor != "svc.queue" else "svc.audio")
 
-    parcel = _rebuild(leaves)
-    new_start = parcel.write_log[index][1]
-    payload = parcel.buffer
+    start, end = seed.spans[index]
+    encoded = _encode_leaf(kind, write_as, value)
     if patch is not None:
-        declared = _I32.unpack_from(payload, new_start)[0]
-        lie = declared + 4 if patch == "plus_4" else I32_MAX
-        payload = payload[:new_start] + _I32.pack(lie) + payload[new_start + 4 :]
+        declared = _I32.unpack_from(encoded)[0]
+        encoded = _I32.pack(declared + 4 if patch == "plus_4" else I32_MAX) + encoded[4:]
+    offsets = seed.offsets
+    delta = len(encoded) - (end - start)
+    if delta:  # a STRING or BYTES leaf: no handle inside, the ones after it move
+        past = bisect_left(offsets, end)
+        offsets = offsets[:past] + tuple(pos + delta for pos in offsets[past:])
 
     return FuzzCase(
         case_id=case_id,
         policy=Policy.SEMI_VALID,
         descriptor=record.descriptor,
         code=record.code,
-        payload=payload,
-        offsets=tuple(parcel.offsets),
+        payload=seed.payload[:start] + encoded + seed.payload[end:],
+        offsets=offsets,
         seed_seq=record.seq,
-        field_path=field_path,
+        field_path=leaf.path,
         mutation_id=mutation_id,
         frame_breaking=mutation_id in FRAME_BREAKING_MUTATIONS,
-        slot_overrides=tuple((new_start, d[0]) for d in overrides),
+        slot_overrides=((start, slot_directive),) if slot_directive is not None else (),
     )
 
 
@@ -509,34 +536,43 @@ def mutate_structural(record: SeedRecord, path, mutation_id: str, case_id: int =
     if mutation_id not in structural_mutations_for(record, path):
         raise CatalogError("mutation %r does not apply at %r" % (mutation_id, path))
 
-    return _mutate_subtree(record, decompose(record), path, mutation_id, case_id)
+    return _mutate_subtree(record, _encode_seed(record), path, mutation_id, case_id)
 
 
-def _mutate_subtree(record: SeedRecord, leaves: list[_Leaf], path: tuple[int, ...], mutation_id: str, case_id: int = 0) -> FuzzCase:
-    """mutate_structural on an already decomposed seed; leaves is only read."""
-    in_subtree = [i for i, leaf in enumerate(leaves) if leaf.path[: len(path)] == path]
-    lo = in_subtree[0] if in_subtree else 0
-    hi = in_subtree[-1] + 1 if in_subtree else 0
+def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str, case_id: int = 0) -> FuzzCase:
+    """mutate_structural on an already encoded seed.  A subtree's leaves
+    are contiguous in depth-first order, so its bytes are one range of the
+    seed's: duplication repeats the range, removal drops it, and a tag swap
+    re-encodes the one tag leaf.  A subtree with no leaves leaves the seed
+    encoding as it is."""
+    payload, offsets = seed.payload, seed.offsets
+    depth = len(path)
+    in_subtree = [i for i, leaf in enumerate(seed.leaves) if leaf.path[:depth] == path]
 
-    if mutation_id == "duplicate_subtree":
-        leaves = leaves[:hi] + leaves[lo:hi] + leaves[hi:]
-    elif mutation_id == "remove_subtree":
-        leaves = leaves[:lo] + leaves[hi:]
+    if mutation_id in STRUCTURAL_MUTATIONS:
+        if in_subtree:
+            start, end = seed.spans[in_subtree[0]][0], seed.spans[in_subtree[-1]][1]
+            first, past = bisect_left(offsets, start), bisect_left(offsets, end)
+            width = end - start
+            if mutation_id == "duplicate_subtree":
+                payload = payload[:end] + payload[start:]
+                offsets = offsets[:past] + tuple(pos + width for pos in offsets[first:])
+            else:
+                payload = payload[:start] + payload[end:]
+                offsets = offsets[:first] + tuple(pos - width for pos in offsets[past:])
     else:
-        tag_value = int(mutation_id.rsplit("_", 1)[1])
         tag_path = path + (1,)
-        tag_index = next(i for i, leaf in enumerate(leaves) if leaf.path == tag_path)
-        leaves = _with_fresh_leaf(leaves, tag_index)
-        leaves[tag_index].value = tag_value
+        tag_index = next(i for i in in_subtree if seed.leaves[i].path == tag_path)
+        start, end = seed.spans[tag_index]
+        payload = payload[:start] + _encode_leaf("I32", "I32", int(mutation_id.rsplit("_", 1)[1])) + payload[end:]
 
-    parcel = _rebuild(leaves)
     return FuzzCase(
         case_id=case_id,
         policy=Policy.SEMI_VALID,
         descriptor=record.descriptor,
         code=record.code,
-        payload=parcel.buffer,
-        offsets=tuple(parcel.offsets),
+        payload=payload,
+        offsets=offsets,
         seed_seq=record.seq,
         field_path=path,
         mutation_id=mutation_id,
@@ -602,18 +638,19 @@ def _normalize_policies(policy) -> tuple[Policy, ...]:
 def semi_valid_cases(record: SeedRecord, case_ids: Iterator[int] | None = None):
     """Every semi-valid case for one seed: leaf sweeps, then structural.
 
-    The seed is decomposed once; each mutation copies what it edits.
-    Each case takes its case_id from case_ids as it is built (0 without).
+    The seed is decomposed and encoded once; each case splices into
+    that encoding.  Each case takes its case_id from case_ids as it is
+    built (0 without).
     """
     if case_ids is None:
         case_ids = itertools.repeat(0)
-    leaves = decompose(record)
-    for index, leaf in enumerate(leaves):
+    seed = _encode_seed(record)
+    for index, leaf in enumerate(seed.leaves):
         for mutation_id in CATALOG.get(leaf.kind, ()):
-            yield _mutate_leaf(record, leaves, index, mutation_id, next(case_ids))
+            yield _mutate_leaf(record, seed, index, mutation_id, next(case_ids))
     for path in enumerate_composites(record):
         for mutation_id in structural_mutations_for(record, path):
-            yield _mutate_subtree(record, leaves, path, mutation_id, next(case_ids))
+            yield _mutate_subtree(record, seed, path, mutation_id, next(case_ids))
 
 
 def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int]):

@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .parcel import Kind, Parcel, handle_at, pad4
+from .parcel import I32_MAX, Kind, Parcel, handle_at, pad4
 from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_HANDLE
 from .services import (
     ActivityClient,
@@ -203,8 +203,10 @@ class TraceNode:
 
         With payload, every leaf must fit inside it, its kind's fixed-width
         part included, a STRING or BYTES leaf must end where its length
-        prefix says the padded value ends, and the start of every HANDLE
-        leaf is appended to handle_starts in tree order.
+        prefix says the padded value ends, a HANDLE leaf must hold a handle
+        in [0, I32_MAX] (the range write_handle accepts, so every loaded
+        seed re-encodes), and the start of every HANDLE leaf is appended to
+        handle_starts in tree order.
         """
         try:
             kind = obj["kind"]
@@ -230,6 +232,12 @@ class TraceNode:
                     % (kind, start, end, len(payload))
                 )
             if kind == "HANDLE":
+                handle = _I32.unpack_from(payload, start)[0]
+                if handle < 0:
+                    raise CorpusError(
+                        "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]"
+                        % (start, end, handle, I32_MAX)
+                    )
                 handle_starts.append(start)
             elif kind == "STRING" or kind == "BYTES":
                 declared = _I32.unpack_from(payload, start)[0]

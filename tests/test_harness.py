@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 
 import pytest
@@ -695,6 +696,83 @@ def test_cli_replay_refuses_a_malformed_saved_case(tmp_path, capsys, saved_campa
     out, err = capsys.readouterr()
     assert err.startswith("error: crash provenance is unusable: ") and err.count("\n") == 1, err
     assert "Traceback" not in out + err
+
+
+def test_cli_rejects_a_corpus_handle_outside_the_writable_range(tmp_path, capsys):
+    """Record 10 registers an audio client: its one handle slot is at 0.
+    A negative handle there, with a static origin so the dependency graph
+    has nothing to say, is refused when the corpus loads."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    lines = corpus_path.read_text().splitlines()
+    record = json.loads(lines[11])
+    assert record["seq"] == 10 and record["offsets"] == [0]
+    record["consumed_handles"] = [[0, "STATIC:svc.queue"]]
+    record["payload_hex"] = struct.pack("<i", -5).hex() + record["payload_hex"][8:]
+    lines[11] = json.dumps(record, sort_keys=True)
+    corpus_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "1000",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: record 10 trace: trace leaf HANDLE at [0, 4) holds handle -5, outside [0, 2147483647]\n"
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "report.json").exists()
+
+
+def _set(*path, value):
+    """An edit that sets report[path[0]][path[1]]... to value."""
+    def edit(report):
+        target = report
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("replay", _set("crashes", 0, "fingerprint", value=5), "crashes[0] fingerprint must be str, got 5"),
+        ("report", _set("config", "budget", value="x"), "report config budget must be int, got 'x'"),
+        ("report", _set("crashes", 0, "provenance", value=[]), "crashes[0] provenance must be dict, got []"),
+        ("report", _set("crashes", 0, "code", value=True), "crashes[0] code must be int, got True"),
+        ("replay", _set("crashes", 0, "hit_count", value=False), "crashes[0] hit_count must be int, got False"),
+        ("report", _set("executed", value=True), "report executed must be int, got True"),
+        ("report", _set("config", "rng_seed", value="1"), "report config rng_seed must be int, got '1'"),
+        ("report", _set("config", "corpus_id", value=5), "report config corpus_id must be str or null, got 5"),
+        ("report", _set("crashes", 0, "stack_frames", value=["a", 1]), "crashes[0] stack_frames must hold only str values, got ['a', 1]"),
+        ("replay", _set("crashes", value=[[]]), "crashes[0] is not an object: []"),
+    ],
+)
+def test_cli_refuses_a_report_field_of_the_wrong_type(tmp_path, capsys, saved_campaign, command, edit, message):
+    """Each edit used to end in a traceback from find_crash, reproduce or
+    the text report; now the report is refused when it loads."""
+    corpus_path, saved = saved_campaign
+    report = copy.deepcopy(saved)
+    fingerprint_hex = report["crashes"][0]["fingerprint"]
+    edit(report)
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    if command == "replay":
+        argv = ["replay", "--report", str(report_path), "--fingerprint", fingerprint_hex[:12],
+                "--corpus", str(corpus_path)]
+    else:
+        argv = ["report", "--in", str(report_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: unreadable campaign report %s: %s\n" % (report_path, message)
+    assert "Traceback" not in out + err
+
+
+def test_a_per_method_count_of_the_wrong_type_is_refused(tmp_path, saved_campaign):
+    report = copy.deepcopy(saved_campaign[1])
+    method = sorted(report["per_method"])[0]
+    report["per_method"][method]["ok"] = "x"
+    with pytest.raises(HarnessError, match=re.escape("report per_method %s must hold only int values" % method)):
+        CampaignReport.from_json(report)
 
 
 def test_cli_rejects_a_corpus_line_nested_too_deeply(tmp_path, capsys):

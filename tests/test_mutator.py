@@ -5,6 +5,7 @@ walks over the recorded traces rather than calling back into the
 functions under test.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -40,7 +41,7 @@ from parcelfuzz.mutator import (
     semi_valid_cases,
     structural_mutations_for,
 )
-from parcelfuzz.parcel import I32_MAX, I32_MIN, Kind, Parcel
+from parcelfuzz.parcel import I32_MAX, I32_MIN, CapacityError, Kind, Parcel
 from parcelfuzz.recorder import COMPOSITE, SeedRecord, TraceNode
 from parcelfuzz.services import all_methods
 
@@ -378,15 +379,17 @@ def test_fuzz_case_json_round_trip(corpus):
     assert FuzzCase.from_json(case.to_json()) == case
 
 
-def test_case_json_is_pinned(corpus):
+def test_case_json_is_pinned(corpus, shuffled_corpus):
     """Case JSON, payload_hex included, is byte for byte what the
-    hex-carrying data model of earlier versions wrote."""
+    hex-carrying data model of earlier versions wrote, and what a full
+    re-serialization per semi-valid case wrote."""
     pins = (
-        ("semi-valid", 10000, 349, "02779d25783c316a34c80e8ff80d7b9e2996f7cfd76744306fbbe02f0a367277"),
-        ("empty,random", 300, 300, "e4ad1868cca6aa7b678cc124b8eede9a53016e2e05ca93eeb51e522d8ed154ec"),
+        ("semi-valid", 10000, corpus, 349, "02779d25783c316a34c80e8ff80d7b9e2996f7cfd76744306fbbe02f0a367277"),
+        ("semi-valid", 10000, shuffled_corpus, 1396, "f0babf7d4b59070d6cf66b21d2c202281f171fd69244a6667f8799bf60518236"),
+        ("empty,random", 300, corpus, 300, "e4ad1868cca6aa7b678cc124b8eede9a53016e2e05ca93eeb51e522d8ed154ec"),
     )
-    for policy, budget, count, expected in pins:
-        cases = list(generate_campaign(corpus, policy.split(","), budget, 1))
+    for policy, budget, records, count, expected in pins:
+        cases = list(generate_campaign(records, policy.split(","), budget, 1))
         digest = hashlib.sha256()
         for case in cases:
             digest.update(json.dumps(case.to_json(), sort_keys=True).encode("utf-8") + b"\n")
@@ -430,6 +433,119 @@ def test_semi_valid_cases_decompose_once_and_match_one_off_mutations(monkeypatch
                 expected = mutate_structural(record, case.field_path, case.mutation_id)
             assert case == expected
         calls.clear()
+
+
+def _synthetic_handles_and_empty_subtree():
+    """A seed with handles before and after sized leaves, a BOOL stored
+    as 5 (the rebuild writes 1), a handle-bearing pair and an empty
+    composite: what the splice has to shift, copy, drop or normalize."""
+    payload = Parcel()
+    payload.write_value(Kind.STRING, "ab")
+    payload.write_handle(3)
+    payload.write_value(Kind.I32, 5)
+    payload.write_value(Kind.BYTES, b"xyz")
+    payload.write_handle(7)
+    (_s, s0, s1), (_h, h0, h1), (_b, b0, b1), (_y, y0, y1), (_g, g0, g1) = payload.write_log
+    trace = TraceNode(
+        COMPOSITE,
+        "request",
+        0,
+        g1,
+        [
+            TraceNode("STRING", "", s0, s1),
+            TraceNode(COMPOSITE, "pair", h0, b1, [TraceNode("HANDLE", "", h0, h1), TraceNode("BOOL", "", b0, b1)]),
+            TraceNode(COMPOSITE, "empty", y0, y0),
+            TraceNode("BYTES", "", y0, y1),
+            TraceNode("HANDLE", "", g0, g1),
+        ],
+    )
+    return SeedRecord(
+        3, "synthetic", "svc.audio", 2, 1, payload.buffer, tuple(payload.offsets), trace, (), (), "OK"
+    )
+
+
+def _full_rebuild_case(record, case):
+    """(payload, offsets, slot_overrides) of case, made the long way: edit
+    a copy of the seed's leaf list, then re-serialize every leaf."""
+    leaves = [mutator._Leaf(leaf.kind, leaf.path, leaf.value, leaf.write_as) for leaf in decompose(record)]
+    path, mutation_id = case.field_path, case.mutation_id
+    patch, directive = None, None
+    if mutation_id == "duplicate_subtree" or mutation_id == "remove_subtree" or mutation_id.startswith("tag_swap_to_"):
+        inside = [i for i, leaf in enumerate(leaves) if leaf.path[: len(path)] == path]
+        lo, hi = (inside[0], inside[-1] + 1) if inside else (0, 0)
+        if mutation_id == "duplicate_subtree":
+            leaves = leaves[:hi] + leaves[lo:hi] + leaves[hi:]
+        elif mutation_id == "remove_subtree":
+            leaves = leaves[:lo] + leaves[hi:]
+        else:
+            tag = next(leaf for leaf in leaves if leaf.path == path + (1,))
+            tag.value = int(mutation_id.rsplit("_", 1)[1])
+        parcel = _rebuild(leaves)
+        return parcel.buffer, tuple(parcel.offsets), ()
+    index = next(i for i, leaf in enumerate(leaves) if leaf.path == path)
+    leaf = leaves[index]
+    if leaf.kind in ("I32", "BOOL", "I64"):
+        leaf.value = mutator._mutate_int(leaf.value, mutation_id, 64 if leaf.kind == "I64" else 32)
+    elif leaf.kind == "F64":
+        leaf.value = mutator._mutate_f64(leaf.value, mutation_id)
+    elif leaf.kind == "STRING":
+        leaf.value, leaf.write_as = mutator._mutate_string(leaf.value, mutation_id)
+        patch = 4 if mutation_id == "declared_length_plus_4" else None
+    elif leaf.kind == "BYTES":
+        if mutation_id == "truncate_half":
+            leaf.value = leaf.value[: len(leaf.value) // 2]
+        else:
+            patch = "max"
+    elif mutation_id == "cross_service_swap":
+        directive = "swap:" + ("svc.queue" if record.descriptor != "svc.queue" else "svc.audio")
+    else:
+        leaf.value, directive = (0 if mutation_id == "zero_handle" else I32_MAX), "pin"
+    parcel = _rebuild(leaves)
+    payload = parcel.buffer
+    start = parcel.write_log[index][1]
+    if patch is not None:
+        declared = struct.unpack_from("<i", payload, start)[0]
+        lie = I32_MAX if patch == "max" else declared + 4
+        payload = payload[:start] + struct.pack("<i", lie) + payload[start + 4 :]
+    overrides = ((start, directive),) if directive else ()
+    return payload, tuple(parcel.offsets), overrides
+
+
+def test_every_spliced_case_equals_a_full_rebuild(corpus, shuffled_corpus):
+    records = list(corpus) + list(shuffled_corpus) + [_synthetic_four_ints(), _synthetic_handles_and_empty_subtree()]
+    checked = set()
+    for record in records:
+        for case in semi_valid_cases(record):
+            expected = _full_rebuild_case(record, case)
+            assert (case.payload, case.offsets, case.slot_overrides) == expected, (record.seq, case.field_path, case.mutation_id)
+            checked.add(case.mutation_id)
+    assert checked >= set(INT_MUTATIONS + STRING_MUTATIONS + BYTES_MUTATIONS + HANDLE_MUTATIONS)
+    assert checked >= {"duplicate_subtree", "remove_subtree", "tag_swap_to_6"}
+
+
+def test_splice_moves_handles_with_the_bytes_around_them():
+    record = _synthetic_handles_and_empty_subtree()
+    assert record.offsets == (8, 24)
+    assert struct.unpack_from("<i", record.payload, 12)[0] == 5
+    longer = mutate_field(record, (0,), "long_64k")
+    assert longer.offsets == (65540, 65556)
+    assert struct.unpack_from("<i", longer.payload, 65544)[0] == 1  # the BOOL, normalized
+    doubled = mutate_structural(record, (1,), "duplicate_subtree")
+    assert doubled.offsets == (8, 16, 32)
+    dropped = mutate_structural(record, (1,), "remove_subtree")
+    assert dropped.offsets == (16,)
+    seed_bytes = _rebuild(decompose(record)).buffer
+    for mutation_id in ("duplicate_subtree", "remove_subtree"):
+        unchanged = mutate_structural(record, (2,), mutation_id)
+        assert (unchanged.payload, unchanged.offsets) == (seed_bytes, record.offsets)
+
+
+def test_a_handle_the_rebuild_refuses_fails_at_the_seeds_first_case():
+    record = _synthetic_handles_and_empty_subtree()
+    bad = record.payload[:8] + struct.pack("<i", -5) + record.payload[12:]
+    cases = semi_valid_cases(dataclasses.replace(record, payload=bad))
+    with pytest.raises(CapacityError, match="handle out of range: -5"):
+        next(cases)
 
 
 def test_empty_policy_covers_every_method_once(corpus):
