@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .harness import (
@@ -19,6 +18,7 @@ from .harness import (
     HarnessError,
     ManifestError,
     build_manifest,
+    canonical_json,
     find_crash,
     load_report,
     reproduce,
@@ -29,7 +29,7 @@ from .mutator import CatalogError, ConfigurationError
 from .recorder import (
     CorpusError,
     RecordingError,
-    corpus_id,
+    corpus_digest,
     load_corpus,
     record_session,
     save_corpus,
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_list(args) -> int:
     manifest = build_manifest()
     if args.json:
-        print(json.dumps(manifest, sort_keys=True, indent=2))
+        print(canonical_json(manifest))
         return 0
     for service in manifest["services"]:
         print(service["descriptor"])
@@ -112,16 +112,12 @@ def _cmd_record(args) -> int:
     names = args.scenario or ["all"]
     records = record_session(names)
     save_corpus(records, args.out)
-    print("wrote %d records to %s (%s)" % (len(records), args.out, corpus_id(args.out)[:12]))
+    print("wrote %d records to %s (%s)" % (len(records), args.out, corpus_digest(records)[:12]))
     return 0
 
 
 def _cmd_fuzz(args) -> int:
-    corpus = []
-    digest = None
-    if args.corpus:
-        corpus = load_corpus(args.corpus)
-        digest = corpus_id(args.corpus)
+    corpus = load_corpus(args.corpus) if args.corpus else []
     policies = [p.strip() for p in args.policy.split(",") if p.strip()]
     if not policies:
         raise ConfigurationError("no policy given")
@@ -130,7 +126,6 @@ def _cmd_fuzz(args) -> int:
         budget=args.budget,
         rng_seed=args.rng_seed,
         corpus=corpus,
-        corpus_id=digest,
     )
     report = run_fuzz(config)
     save_report(report, args.out)

@@ -32,7 +32,7 @@ from .mutator import (
     _normalize_policies,
     generate_campaign,
 )
-from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, corpus_text
+from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, corpus_digest
 from .replayer import PreparedCorpus, ReplaySession, Unreplayable, prepare_corpus
 from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
@@ -73,6 +73,77 @@ def fingerprint(crash: CrashInfo) -> str:
         digest.update(b"|")
         digest.update(frame.encode("utf-8"))
     return digest.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON.
+# ---------------------------------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def canonical_json(value) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it,
+    byte for byte, for every value json.loads returns; tuples are
+    written as lists.  A key that is not a str, or a value of any other
+    type, is a TypeError.
+
+    The stdlib writes an indented dump through a pure-Python generator
+    per nesting level, every chunk passing up through each level above
+    it; a crash schema nests reports about 69 levels deep.  Here each
+    chunk is appended once, to one list.
+    """
+    chunks: list[str] = []
+    _encode(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _encode(value, newline: str, append) -> None:
+    """Append value's chunks, its nested lines indented by newline.
+
+    A module-level function, not a closure over chunks: a closure that
+    calls itself is a reference cycle, which would keep every call's
+    chunk list alive until the cyclic collector runs.
+    """
+    kind = type(value)
+    if kind is str:
+        append(_encode_str(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            append(separator + _encode_str(key) + ": ")
+            _encode(value[key], inner, append)
+            separator = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            append(separator)
+            _encode(item, inner, append)
+            separator = "," + inner
+        append(newline + "]")
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif kind is float:
+        append(json.dumps(value))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +225,9 @@ class CampaignReport:
         }
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
+        """The report as saved: canonical_json of to_json, which is
+        json.dumps(sort_keys=True, indent=2), plus a final newline."""
+        return canonical_json(self.to_json()) + "\n"
 
     @classmethod
     def from_json(cls, obj) -> "CampaignReport":
@@ -260,13 +333,7 @@ class FuzzConfig:
     budget: int
     rng_seed: int = 1
     corpus: list[SeedRecord] = field(default_factory=list)
-    corpus_id: str | None = None
     sender_id: str = "fuzzer"
-
-
-def corpus_digest(records) -> str:
-    """Identity a corpus would have on disk; matches recorder.corpus_id."""
-    return hashlib.sha256(corpus_text(records).encode("utf-8")).hexdigest()
 
 
 def run_fuzz(config: FuzzConfig) -> CampaignReport:
@@ -318,7 +385,7 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
             "budget": config.budget,
             "rng_seed": config.rng_seed,
             "catalog_version": CATALOG_VERSION,
-            "corpus_id": config.corpus_id or (corpus_digest(config.corpus) if config.corpus else None),
+            "corpus_id": corpus_digest(config.corpus) if config.corpus else None,
             # Every case runs isolated; the key keeps reports comparable
             # byte for byte with those of versions that had a second mode.
             "mode": "isolated",

@@ -327,19 +327,43 @@ def _encode_leaf(kind: str, write_as: str, value) -> bytes:
 
 class _SeedEncoding(NamedTuple):
     """A seed's identity rebuild, made once and shared by all its cases;
-    spans[i] is the [start, end) of leaves[i] in payload."""
+    spans[i] is the [start, end) of leaves[i] in payload, and
+    subtrees[path] the [first, past) leaf indices of the composite at
+    path, every composite in pre-order."""
 
     leaves: list[_Leaf]
     payload: bytes
     spans: list[tuple[int, int]]
     offsets: tuple[int, ...]
+    subtrees: dict[tuple[int, ...], tuple[int, int]]
 
 
 def _encode_seed(record: SeedRecord) -> _SeedEncoding:
     leaves = decompose(record)
     parcel = _rebuild(leaves)
     spans = [(start, end) for _kind, start, end in parcel.write_log]
-    return _SeedEncoding(leaves, parcel.buffer, spans, tuple(parcel.offsets))
+    return _SeedEncoding(leaves, parcel.buffer, spans, tuple(parcel.offsets), _subtrees(record.trace))
+
+
+def _subtrees(trace: TraceNode) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The [first, past) leaf indices of every composite, by path, in
+    pre-order: one walk of the trace."""
+    subtrees: dict[tuple[int, ...], tuple[int, int]] = {}
+    _add_subtrees(trace, (), 0, subtrees)
+    return subtrees
+
+
+def _add_subtrees(node: TraceNode, path: tuple[int, ...], first: int, subtrees: dict) -> int:
+    """Add node's composites, its first leaf having index first; returns
+    the index past its last leaf."""
+    if node.is_leaf:
+        return first + 1
+    subtrees[path] = None  # holds path's pre-order place until its range is known
+    past = first
+    for i, child in enumerate(node.children):
+        past = _add_subtrees(child, path + (i,), past, subtrees)
+    subtrees[path] = (first, past)
+    return past
 
 
 def enumerate_fields(record: SeedRecord) -> list[tuple[int, ...]]:
@@ -359,17 +383,7 @@ def _node_at(trace: TraceNode, path: tuple[int, ...]) -> TraceNode:
 
 def enumerate_composites(record: SeedRecord) -> list[tuple[int, ...]]:
     """Pre-order paths of every composite node, the whole payload first."""
-    paths: list[tuple[int, ...]] = []
-
-    def walk(node: TraceNode, path: tuple[int, ...]) -> None:
-        if node.is_leaf:
-            return
-        paths.append(path)
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,))
-
-    walk(record.trace, ())
-    return paths
+    return list(_subtrees(record.trace))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +560,11 @@ def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ..
     re-encodes the one tag leaf.  A subtree with no leaves leaves the seed
     encoding as it is."""
     payload, offsets = seed.payload, seed.offsets
-    depth = len(path)
-    in_subtree = [i for i, leaf in enumerate(seed.leaves) if leaf.path[:depth] == path]
+    first_leaf, past_leaf = seed.subtrees[path]
 
     if mutation_id in STRUCTURAL_MUTATIONS:
-        if in_subtree:
-            start, end = seed.spans[in_subtree[0]][0], seed.spans[in_subtree[-1]][1]
+        if past_leaf > first_leaf:
+            start, end = seed.spans[first_leaf][0], seed.spans[past_leaf - 1][1]
             first, past = bisect_left(offsets, start), bisect_left(offsets, end)
             width = end - start
             if mutation_id == "duplicate_subtree":
@@ -562,7 +575,7 @@ def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ..
                 offsets = offsets[:first] + tuple(pos - width for pos in offsets[past:])
     else:
         tag_path = path + (1,)
-        tag_index = next(i for i in in_subtree if seed.leaves[i].path == tag_path)
+        tag_index = next(i for i in range(first_leaf, past_leaf) if seed.leaves[i].path == tag_path)
         start, end = seed.spans[tag_index]
         payload = payload[:start] + _encode_leaf("I32", "I32", int(mutation_id.rsplit("_", 1)[1])) + payload[end:]
 
@@ -648,7 +661,7 @@ def semi_valid_cases(record: SeedRecord, case_ids: Iterator[int] | None = None):
     for index, leaf in enumerate(seed.leaves):
         for mutation_id in CATALOG.get(leaf.kind, ()):
             yield _mutate_leaf(record, seed, index, mutation_id, next(case_ids))
-    for path in enumerate_composites(record):
+    for path in seed.subtrees:
         for mutation_id in structural_mutations_for(record, path):
             yield _mutate_subtree(record, seed, path, mutation_id, next(case_ids))
 

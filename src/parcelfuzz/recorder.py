@@ -665,6 +665,8 @@ def load_corpus(path) -> list[SeedRecord]:
     return records
 
 
-def corpus_id(path) -> str:
-    """Stable identity of a corpus file: sha256 of its bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def corpus_digest(records) -> str:
+    """Identity of a corpus: sha256 of the text save_corpus writes for
+    its records, so a file loads under the same identity however it is
+    spaced, and one saved file hashes to it byte for byte."""
+    return hashlib.sha256(corpus_text(records).encode("utf-8")).hexdigest()

@@ -1,13 +1,17 @@
 """Campaign orchestration: triage, fingerprints, reproduction, reporting, CLI."""
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parcelfuzz import harness
 from parcelfuzz.cli import main
@@ -22,8 +26,8 @@ from parcelfuzz.harness import (
     HarnessError,
     ManifestError,
     build_manifest,
+    canonical_json,
     classify,
-    corpus_digest,
     find_crash,
     fingerprint,
     load_report,
@@ -33,7 +37,7 @@ from parcelfuzz.harness import (
     save_report,
 )
 from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase, Policy
-from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_text, record_session
+from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_digest, corpus_text, load_corpus, record_session
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
 
@@ -176,6 +180,22 @@ def test_config_echo_includes_the_corpus_digest(semi_report, corpus):
     assert corpus_digest(corpus) == hashlib.sha256(corpus_text(corpus).encode()).hexdigest()
 
 
+def test_a_corpus_padded_with_blank_lines_keeps_its_identity(tmp_path, capsys):
+    """A corpus's identity is the digest of its records, not of its file:
+    blank lines a hand edit leaves change neither the records nor the id."""
+    canonical, padded = tmp_path / "corpus.jsonl", tmp_path / "padded.jsonl"
+    assert main(["record", "--scenario", "queue_session", "--out", str(canonical)]) == 0
+    recorded = capsys.readouterr().out
+    padded.write_text("\n\n" + canonical.read_text().replace("\n", "\n\n  \n") + "\n")
+    ids = []
+    for path in (canonical, padded):
+        report_path = tmp_path / ("%s.report.json" % path.stem)
+        main(["fuzz", "--policy", "semi-valid", "--corpus", str(path), "--budget", "5", "--out", str(report_path)])
+        ids.append(load_report(report_path).config["corpus_id"])
+    assert ids[0] == ids[1] == corpus_digest(load_corpus(canonical))
+    assert "(%s)" % ids[0][:12] in recorded
+
+
 def test_crash_schema_is_depth_capped(semi_report):
     crash = next(c for c in semi_report.crashes if c.exception_kind == "STACK_OVERFLOW")
 
@@ -293,6 +313,83 @@ def test_report_round_trips_through_disk(tmp_path, semi_report):
     assert all(isinstance(c, CrashReport) for c in loaded.crashes)
 
 
+# -- canonical JSON -----------------------------------------------------------------------
+
+# Text with the characters JSON escapes or writes as \u escapes:
+# quotes, backslashes, control characters, lone surrogates and
+# characters past the BMP, mixed with any other character.
+_json_text = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=12,
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**30, -(2**63)]) | st.floats() | _json_text,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_json_text, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@given(_json_values)
+@settings(max_examples=60, deadline=None)
+def test_canonical_json_is_the_stdlib_indented_dump(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_canonical_json_of_a_deeply_nested_value():
+    value = "leaf"
+    for depth in range(40):
+        value = {"k%d" % depth: [value, depth], "": {}}
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {"a", "b"}, [b"bytes"]])
+def test_canonical_json_refuses_what_json_cannot_load(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def test_the_deepest_loadable_report_renders_as_json(tmp_path, capsys, saved_campaign):
+    """The deepest crash schema a report can hold and still load also
+    writes through the CLI, with no traceback."""
+    _corpus_path, saved = saved_campaign
+    report_path = tmp_path / "report.json"
+    report = dict(saved, crashes=[dict(saved["crashes"][0], schema="@@")])
+    text = json.dumps(report)
+    opening = '{"kind": "COMPOSITE", "label": "x", "byte_range": [0, 4], "children": ['
+    leaf = '{"kind": "I32", "label": "v", "byte_range": [0, 4]}'
+
+    def loads_at(depth):
+        report_path.write_text(text.replace('"@@"', opening * depth + leaf + "]}" * depth))
+        code = main(["report", "--in", str(report_path)])
+        err = capsys.readouterr().err
+        assert code in (1, 2) and err.count("\n") <= 1, err
+        return code == 2
+
+    low, high = 1, 2000
+    assert loads_at(low) and not loads_at(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if loads_at(middle):
+            low = middle
+        else:
+            high = middle
+    assert low > 100
+    assert loads_at(low)
+    assert main(["report", "--in", str(report_path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    # The same value, compared compactly: the stdlib's indented dump takes
+    # time quadratic in the depth here.
+    assert json.dumps(json.loads(out)) == json.dumps(json.loads(report_path.read_text()), sort_keys=True)
+
+
 def test_load_report_failures_are_harness_errors(tmp_path):
     with pytest.raises(HarnessError):
         load_report(tmp_path / "missing.json")
@@ -401,7 +498,9 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     assert "svc.queue" in out and "svc.activity" in out
     assert main(["list", "--json"]) == 0
-    listed = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == json.dumps(build_manifest(), sort_keys=True, indent=2) + "\n"
+    listed = json.loads(out)
     assert {s["descriptor"] for s in listed["services"]} == {
         "svc.queue",
         "svc.audio",
@@ -805,6 +904,121 @@ def test_cli_rejects_a_report_nested_too_deeply(tmp_path, capsys):
     assert main(["report", "--in", str(report_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- the report boundary under mutation -------------------------------------------------
+
+
+def _json_paths(value, path=()):
+    """The path of every value inside value, value's own first."""
+    yield path
+    if type(value) is dict:
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+    elif type(value) is list:
+        for index, item in enumerate(value):
+            yield from _json_paths(item, path + (index,))
+
+
+def _json_type(value) -> str:
+    if type(value) in (int, float):
+        return "number"
+    return "array" if type(value) in (list, tuple) else type(value).__name__
+
+
+class _Boundary:
+    """A saved semi-valid report, the paths into it, and the CLI runs
+    that read a copy of it."""
+
+    def __init__(self, corpus_path, saved, workdir):
+        self.saved = saved
+        self.paths = list(_json_paths(saved))
+        self.objects = [p for p in self.paths if type(self._at(saved, p)) is dict and self._at(saved, p)]
+        self.path = workdir / "mutated.json"
+        fingerprint_hex = saved["crashes"][0]["fingerprint"][:12]
+        self.argvs = [
+            ["report", "--in", str(self.path)],
+            ["report", "--in", str(self.path), "--format", "json"],
+            ["replay", "--report", str(self.path), "--fingerprint", fingerprint_hex, "--corpus", str(corpus_path)],
+        ]
+
+    @staticmethod
+    def _at(value, path):
+        for step in path:
+            value = value[step]
+        return value
+
+    def edited(self, path, edit):
+        """A copy of the report with the value at path passed through edit."""
+        report = copy.deepcopy(self.saved)
+        if not path:
+            return edit(report)
+        parent = self._at(report, path[:-1])
+        parent[path[-1]] = edit(parent[path[-1]])
+        return report
+
+    def check(self, data: bytes) -> None:
+        """Each command on data as the report exits 0, 1 or 2, with at
+        most one line on stderr and no traceback."""
+        self.path.write_bytes(data)
+        for argv in self.argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            errors = err.getvalue()
+            assert code in (0, 1, 2), (argv[0], code)
+            assert errors.count("\n") <= 1 and "Traceback" not in out.getvalue() + errors, errors
+
+
+@pytest.fixture(scope="module")
+def boundary(saved_campaign, tmp_path_factory):
+    corpus_path, saved = saved_campaign
+    return _Boundary(corpus_path, saved, tmp_path_factory.mktemp("boundary"))
+
+
+# One value of each JSON type, nested at most one level.
+_json_swaps = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _json_text,
+    st.lists(st.integers() | _json_text, max_size=3),
+    st.dictionaries(_json_text, st.integers() | _json_text, max_size=3),
+)
+_FUZZ_SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_a_report_with_flipped_bytes_never_ends_in_a_traceback(boundary, data):
+    text = bytearray((canonical_json(boundary.saved) + "\n").encode("utf-8"))
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1), st.integers(0, 255)), min_size=1, max_size=4))
+    for position, byte in flips:
+        text[position] = byte
+    boundary.check(bytes(text))
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_a_report_with_a_deleted_key_never_ends_in_a_traceback(boundary, data):
+    path = data.draw(st.sampled_from(boundary.objects))
+    key = data.draw(st.sampled_from(sorted(boundary._at(boundary.saved, path))))
+
+    def delete(obj):
+        del obj[key]
+        return obj
+
+    boundary.check(json.dumps(boundary.edited(path, delete)).encode("utf-8"))
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_a_report_with_a_value_of_another_type_never_ends_in_a_traceback(boundary, data):
+    path = data.draw(st.sampled_from(boundary.paths))
+    old = _json_type(boundary._at(boundary.saved, path))
+    new = data.draw(_json_swaps.filter(lambda v: _json_type(v) != old))
+    boundary.check(json.dumps(boundary.edited(path, lambda _old: new)).encode("utf-8"))
 
 
 def test_manifest_error_is_distinct():

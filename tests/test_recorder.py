@@ -19,7 +19,7 @@ from parcelfuzz.recorder import (
     SeedRecord,
     TraceNode,
     build_dependency_graph,
-    corpus_id,
+    corpus_digest,
     corpus_text,
     coverage_gaps,
     load_corpus,
@@ -177,7 +177,7 @@ def test_corpus_round_trips_through_jsonl(tmp_path, corpus):
     save_corpus(corpus, path)
     loaded = load_corpus(path)
     assert loaded == list(corpus)
-    assert corpus_id(path) == corpus_id(path)
+    assert corpus_digest(loaded) == corpus_digest(corpus)
 
 
 def test_saved_corpus_text_is_pinned(tmp_path, corpus):
@@ -186,7 +186,7 @@ def test_saved_corpus_text_is_pinned(tmp_path, corpus):
     path = tmp_path / "corpus.jsonl"
     save_corpus(corpus, path)
     assert path.read_text(encoding="utf-8") == corpus_text(corpus)
-    assert corpus_id(path) == "5062513bed9b0b3a0490f7cea319c990ca7cf1fba422d1877e221fdc0f4691d6"
+    assert corpus_digest(load_corpus(path)) == "5062513bed9b0b3a0490f7cea319c990ca7cf1fba422d1877e221fdc0f4691d6"
 
 
 def test_recording_is_deterministic(tmp_path, corpus):
