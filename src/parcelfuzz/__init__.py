@@ -41,7 +41,7 @@ from .recorder import (
     record_session,
     save_corpus,
 )
-from .replayer import HandleMap, PreparedCorpus, ReplaySession, Unreplayable, plan, prepare_corpus
+from .replayer import PreparedCorpus, ReplaySession, Unreplayable, plan, prepare_corpus
 from .router import (
     CrashInfo,
     DispatchContext,
@@ -87,7 +87,6 @@ __all__ = [
     "load_corpus",
     "record_session",
     "save_corpus",
-    "HandleMap",
     "PreparedCorpus",
     "ReplaySession",
     "Unreplayable",

@@ -333,7 +333,6 @@ class FuzzConfig:
     budget: int
     rng_seed: int = 1
     corpus: list[SeedRecord] = field(default_factory=list)
-    sender_id: str = "fuzzer"
 
 
 def run_fuzz(config: FuzzConfig) -> CampaignReport:
@@ -363,7 +362,7 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
             tally = tallies[method] = dict.fromkeys(OUTCOMES, 0)
 
         try:
-            txn = session.prepare(case, config.sender_id)
+            txn = session.prepare(case)
         except Unreplayable:
             outcome = "unreplayable"
         else:
@@ -410,13 +409,13 @@ def _absorb_edges(router: Router, by_sender: dict, by_descriptor: dict) -> None:
         by_descriptor[edge.target_descriptor] = by_descriptor.get(edge.target_descriptor, 0) + 1
 
 
-def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str, sender_id: str) -> TraceNode:
+def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str) -> TraceNode:
     """Type trace of a crashing case, from one more run of it, traced,
     on a fresh session; replay is deterministic, so the run must crash
     with the same fingerprint again."""
     session = ReplaySession(prepared)
     builder = TraceBuilder()
-    reply = session.router.transact(session.prepare(case, sender_id), trace_hook=builder)
+    reply = session.router.transact(session.prepare(case), trace_hook=builder)
     got = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else reply.kind.value
     if got != digest:
         raise HarnessError(
@@ -446,7 +445,7 @@ def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, prepared: PreparedC
             "rng_seed": config.rng_seed,
             "case": case.to_json(),
         },
-        schema=_traced_rerun(prepared, case, digest, config.sender_id).to_json(max_depth=SCHEMA_DEPTH_LIMIT),
+        schema=_traced_rerun(prepared, case, digest).to_json(max_depth=SCHEMA_DEPTH_LIMIT),
         first_seen_case_id=case.case_id,
     )
 
@@ -481,7 +480,7 @@ def reproduce(report: CampaignReport, fingerprint_hex: str, corpus) -> Reply:
         case = FuzzCase.from_json(saved.provenance["case"])
     except (KeyError, TypeError, ValueError) as exc:
         raise HarnessError("crash provenance is unusable: %s" % exc) from None
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepare_corpus(corpus))
     if case.seed_seq is not None:
         seed = session.prepared.records.get(case.seed_seq)
         if seed is None:
@@ -522,9 +521,7 @@ def build_manifest() -> dict:
     fingerprints: set[str] = set()
     for bug in SEEDED_BUGS:
         router = fresh_router()
-        txn = Transaction(
-            router.get_service(bug.descriptor), bug.code, bug.build_trigger(), 0, "manifest"
-        )
+        txn = Transaction(router.get_service(bug.descriptor), bug.code, bug.build_trigger(), "manifest")
         reply = router.transact(txn)
         if reply.kind is not ReplyKind.FATAL_CRASH:
             raise ManifestError("seeded bug %s did not crash (%s)" % (bug.bug_id, reply.kind.value))

@@ -120,8 +120,8 @@ class FuzzCase(_CaseFields):
     slot_overrides maps handle-slot byte positions to materialization
     directives: "pin" keeps the mutated slot bytes as they are, and
     "swap:<descriptor>" asks for a live handle of that service instead of
-    the recorded one.  Every other offsets slot is patched from the
-    replay handle map as usual.
+    the recorded one.  Every other offsets slot is patched with its live
+    handle as usual.
 
     A case is an immutable tuple, built once per dispatched case; the
     constructor checks only what ties the provenance fields to the

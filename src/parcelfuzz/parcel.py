@@ -114,20 +114,9 @@ class Parcel:
 
     # -- construction / export ------------------------------------------------
 
-    @classmethod
-    def from_hex(cls, payload_hex: str, offsets: list[int] | None = None) -> "Parcel":
-        return cls(bytes.fromhex(payload_hex), offsets)
-
-    def to_hex(self) -> str:
-        return self._buf.hex()
-
     @property
     def buffer(self) -> bytes:
         return bytes(self._buf)
-
-    @property
-    def size(self) -> int:
-        return len(self._buf)
 
     def remaining(self) -> int:
         return len(self._buf) - self.cursor

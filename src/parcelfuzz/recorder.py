@@ -123,7 +123,7 @@ def _record_error(obj, cause: Exception) -> CorpusError:
             value = parse(obj[key])
         except CorpusError as exc:
             return CorpusError("%s %s: %s" % (where, key, exc))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return CorpusError("%s has a bad %r: %s" % (where, key, _excerpt(obj[key])))
         if key == "seq":
             where = "record %d" % value
@@ -198,14 +198,15 @@ class TraceNode:
         return node
 
     @classmethod
-    def from_json(cls, obj, payload: bytes | None = None, handle_starts: list[int] | None = None) -> "TraceNode":
-        """Parse a trace tree.
+    def from_json(cls, obj, payload: bytes, handle_starts: list[int]) -> "TraceNode":
+        """Parse the trace tree of a record with the given payload.
 
-        With payload, every leaf must fit inside it, its kind's fixed-width
-        part included, a STRING or BYTES leaf must end where its length
-        prefix says the padded value ends, a HANDLE leaf must hold a handle
-        in [0, I32_MAX] (the range write_handle accepts, so every loaded
-        seed re-encodes), and the start of every HANDLE leaf is appended to
+        Every leaf must fit inside the payload, its kind's fixed-width part
+        included, a STRING or BYTES leaf must end where its length prefix
+        says the padded value ends, a STRING leaf must hold UTF-8 (what a
+        reader decodes it as), a HANDLE leaf must hold a handle in
+        [0, I32_MAX] (the range write_handle accepts, so every loaded seed
+        re-encodes), and the start of every HANDLE leaf is appended to
         handle_starts in tree order.
         """
         try:
@@ -215,8 +216,10 @@ class TraceNode:
             start, end = int(start), int(end)
         except KeyError as exc:
             raise CorpusError("trace node has no %s" % exc) from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise CorpusError("malformed trace node: %s" % _excerpt(obj)) from None
+        if type(label) is not str:
+            raise CorpusError("trace node label is not a string: %s" % _excerpt(label))
         if kind == COMPOSITE:
             children = [cls.from_json(c, payload, handle_starts) for c in obj.get("children", ())]
             return cls(kind, label, start, end, children)
@@ -225,26 +228,28 @@ class TraceNode:
             raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
         if obj.get("children"):
             raise CorpusError("trace leaf %r carries children" % kind)
-        if payload is not None:
-            if not 0 <= start <= end - fixed_part or end > len(payload):
+        if not 0 <= start <= end - fixed_part or end > len(payload):
+            raise CorpusError(
+                "trace leaf %s at [%d, %d) does not fit the %d-byte payload" % (kind, start, end, len(payload))
+            )
+        if kind == "HANDLE":
+            handle = _I32.unpack_from(payload, start)[0]
+            if handle < 0:
                 raise CorpusError(
-                    "trace leaf %s at [%d, %d) does not fit the %d-byte payload"
-                    % (kind, start, end, len(payload))
+                    "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]" % (start, end, handle, I32_MAX)
                 )
-            if kind == "HANDLE":
-                handle = _I32.unpack_from(payload, start)[0]
-                if handle < 0:
+            handle_starts.append(start)
+        elif kind == "STRING" or kind == "BYTES":
+            declared = _I32.unpack_from(payload, start)[0]
+            if declared < 0 or end != start + 4 + pad4(declared):
+                raise CorpusError("trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared))
+            if kind == "STRING":
+                try:
+                    payload[start + 4 : start + 4 + declared].decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise CorpusError(
-                        "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]"
-                        % (start, end, handle, I32_MAX)
-                    )
-                handle_starts.append(start)
-            elif kind == "STRING" or kind == "BYTES":
-                declared = _I32.unpack_from(payload, start)[0]
-                if declared < 0 or end != start + 4 + pad4(declared):
-                    raise CorpusError(
-                        "trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared)
-                    )
+                        "trace leaf STRING at [%d, %d) is not UTF-8: %s" % (start, end, exc.reason)
+                    ) from None
         return cls(kind, label, start, end)
 
 
@@ -363,7 +368,7 @@ class SeedRecord:
                 produced_handles=_int_pairs(obj["produced_handles"]),
                 reply_kind=str(obj["reply_kind"]),
             )
-        except (KeyError, TypeError, ValueError, CorpusError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, CorpusError) as exc:
             raise _record_error(obj, exc) from None
         if tuple(handle_starts) != record.offsets:
             raise CorpusError(
@@ -390,7 +395,7 @@ class RecordingClient(Client):
 
     def transact(self, handle: int, code: int, data: Parcel) -> Reply:
         builder = TraceBuilder()
-        txn = Transaction(handle, code, data, 0, self.sender_id)
+        txn = Transaction(handle, code, data, self.sender_id)
         reply = self.router.transact(txn, trace_hook=builder)
         seq = len(self.records)
 
@@ -557,10 +562,6 @@ class DependencyEdge:
 class DependencyGraph:
     nodes: tuple[int, ...]
     edges: tuple[DependencyEdge, ...]
-    static_prereqs: dict[int, tuple[str, ...]]
-
-    def edges_into(self, seq: int) -> tuple[DependencyEdge, ...]:
-        return tuple(e for e in self.edges if e.consumer_seq == seq)
 
 
 def build_dependency_graph(records) -> DependencyGraph:
@@ -569,8 +570,7 @@ def build_dependency_graph(records) -> DependencyGraph:
     Dynamic consumption appears two ways: a handle slot in the payload
     whose origin is a producing seq, and a transaction target that is
     itself a dynamically produced handle.  Static handles never make
-    edges; they are listed as named prerequisites so replay re-resolves
-    them by descriptor.
+    edges: replay re-resolves them by descriptor.
     """
     ordered = sorted(records, key=lambda r: r.seq)
     if [r.seq for r in ordered] != list(range(len(ordered))):
@@ -579,7 +579,6 @@ def build_dependency_graph(records) -> DependencyGraph:
     dyn_produced: dict[int, int] = {}
     static_values: set[int] = {SERVICE_MANAGER_HANDLE}
     edges: list[DependencyEdge] = []
-    prereqs: dict[int, list[str]] = {}
 
     for record in ordered:
         for pos, origin in record.consumed_handles:
@@ -595,15 +594,10 @@ def build_dependency_graph(records) -> DependencyGraph:
                         "which did not produce it" % (record.seq, value, origin)
                     )
                 edges.append(DependencyEdge(origin, record.seq, value))
-            else:
-                prereqs.setdefault(record.seq, []).append(origin[len(STATIC_PREFIX):])
 
         if record.target in dyn_produced:
             edges.append(DependencyEdge(dyn_produced[record.target], record.seq, record.target))
-        elif record.target in static_values:
-            if record.target != SERVICE_MANAGER_HANDLE:
-                prereqs.setdefault(record.seq, []).append(record.descriptor)
-        else:
+        elif record.target not in static_values:
             raise CorpusError(
                 "record %d targets handle %d with no recorded origin" % (record.seq, record.target)
             )
@@ -614,11 +608,7 @@ def build_dependency_graph(records) -> DependencyGraph:
             else:
                 dyn_produced[value] = record.seq
 
-    return DependencyGraph(
-        nodes=tuple(r.seq for r in ordered),
-        edges=tuple(edges),
-        static_prereqs={seq: tuple(names) for seq, names in prereqs.items()},
-    )
+    return DependencyGraph(nodes=tuple(r.seq for r in ordered), edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ A fuzz case built from a seed may reference handles that only exist while
 the recorded session is alive: the session object a service handed out,
 for example.  Before dispatching such a case, the supporting transactions
 that produced those handles are replayed against the current router, in
-recorded order, and the fresh handles they return are collected into a
-HandleMap.  Materialization then rewrites every handle slot in the case
-payload from recorded ids to live ids, honoring mutation directives that
-pin a slot's bytes or swap in a different service's handle.
+recorded order, and the fresh handles they return are collected in the
+session's map of recorded to live handles.  Static handles are resolved by
+name from the router every time they are needed.  Materialization then
+rewrites every handle slot in the case payload from recorded ids to live
+ids, honoring mutation directives that pin a slot's bytes or swap in a
+different service's handle.
 
 Live handles are deliberately made to differ from recorded ones: each
 session burns one handle number up front, so a replay that accidentally
@@ -17,7 +19,7 @@ relied on recorded ids would fail loudly instead of passing by luck.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -32,7 +34,6 @@ from .recorder import (
 from .router import (
     Reply,
     ReplyKind,
-    Router,
     Service,
     Transaction,
     SERVICE_MANAGER_HANDLE,
@@ -41,6 +42,7 @@ from .router import (
 from .services import fresh_router
 
 SUPPORT_SENDER = "replayer"
+FUZZ_SENDER = "fuzzer"
 
 
 class ReplayError(Exception):
@@ -53,14 +55,6 @@ class Unreplayable(ReplayError):
     def __init__(self, reason: str, support_seq: int | None = None):
         super().__init__(reason)
         self.support_seq = support_seq
-
-
-@dataclass(slots=True)
-class HandleMap:
-    """Recorded handle ids to live ones, plus resolved static services."""
-
-    dynamic: dict[int, int] = field(default_factory=dict)
-    static: dict[str, int] = field(default_factory=dict)
 
 
 def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
@@ -94,7 +88,6 @@ class PreparedCorpus:
     """
 
     records: Mapping[int, SeedRecord]
-    graph: DependencyGraph
     static_names: Mapping[int, str]
     plans: Mapping[int, tuple[int, ...]]
 
@@ -117,55 +110,52 @@ def prepare_corpus(records) -> PreparedCorpus:
         found = {*plans[edge.consumer_seq], edge.producer_seq, *plans[edge.producer_seq]}
         plans[edge.consumer_seq] = tuple(sorted(found))
     return PreparedCorpus(
-        MappingProxyType({r.seq: r for r in ordered}), graph, MappingProxyType(static_names), MappingProxyType(plans)
+        MappingProxyType({r.seq: r for r in ordered}), MappingProxyType(static_names), MappingProxyType(plans)
     )
 
 
 class ReplaySession:
-    """One router and one handle map over a prepared corpus: the unit of
-    replay isolation.
+    """One fresh router over a prepared corpus: the unit of replay isolation.
 
-    The harness builds one session per fuzz case, each on a fresh router,
-    over a corpus it prepared once for the whole campaign.  A session
-    only reads that corpus.  Passing plain records instead prepares them
-    for this session alone.  Within a session each support is replayed at
-    most once (see ``ensure_supports``).
+    The harness builds one session per fuzz case over a corpus it prepared
+    once for the whole campaign.  A session only reads that corpus.
+    ``live`` maps each recorded dynamic handle a replayed support produced
+    to the live handle it produced this time.  Within a session each
+    support is replayed at most once (see ``ensure_supports``).
     """
 
-    def __init__(self, corpus, router: Router | None = None, burn_probe: bool = True):
-        self.prepared = corpus if isinstance(corpus, PreparedCorpus) else prepare_corpus(corpus)
-        self.router = router if router is not None else fresh_router()
-        self.map = HandleMap()
+    def __init__(self, prepared: PreparedCorpus):
+        self.prepared = prepared
+        self.router = fresh_router()
+        self.live: dict[int, int] = {}
         self._replayed: set[int] = set()
-        self.probe_handle: int | None = None
-        if burn_probe:
-            self.probe_handle = self.router.register_service("", Service())
+        self.probe_handle = self.router.register_service("", Service())
 
     # -- static resolution ------------------------------------------------------
 
     def resolve_static(self, descriptor: str) -> int:
+        """The live handle of a named service.  The router's name map never
+        changes during a session, so a service-manager lookup replayed in
+        it returns this same handle."""
         if descriptor == MANAGER_DESCRIPTOR:
             return SERVICE_MANAGER_HANDLE
-        if descriptor not in self.map.static:
-            try:
-                self.map.static[descriptor] = self.router.get_service(descriptor)
-            except UnknownServiceError:
-                raise Unreplayable("static prerequisite %r is not hosted" % descriptor) from None
-        return self.map.static[descriptor]
+        try:
+            return self.router.get_service(descriptor)
+        except UnknownServiceError:
+            raise Unreplayable("static prerequisite %r is not hosted" % descriptor) from None
 
     # -- replaying records ------------------------------------------------------
 
-    def missing_supports(self, seed_seq: int) -> list[int]:
+    def ensure_supports(self, seed_seq: int) -> list[int]:
+        """Replay whatever ancestors of seed_seq have not run yet."""
         try:
             support_plan = self.prepared.plans[seed_seq]
         except KeyError:
             raise CorpusError("seed %d is not in the dependency graph" % seed_seq) from None
-        return [s for s in support_plan if s not in self._replayed]
-
-    def ensure_supports(self, seed_seq: int) -> list[int]:
-        """Replay whatever ancestors of seed_seq have not run yet."""
         executed = []
-        for support_seq in self.missing_supports(seed_seq):
+        for support_seq in support_plan:
+            if support_seq in self._replayed:
+                continue
             record = self.prepared.records[support_seq]
             reply = self._execute_record(record)
             if reply.kind is not ReplyKind.OK:
@@ -188,25 +178,21 @@ class ReplaySession:
 
     def _execute_record(self, record: SeedRecord) -> Reply:
         payload = self._patch_record_slots(record)
-        target = self._record_target(record)
-        txn = Transaction(target, record.code, payload, 0, SUPPORT_SENDER)
+        txn = Transaction(self._record_target(record), record.code, payload, SUPPORT_SENDER)
         reply = self.router.transact(txn)
-        if reply.kind is ReplyKind.OK and reply.payload is not None:
+        # What a service-manager lookup returns is resolved by name instead.
+        if reply.kind is ReplyKind.OK and record.target != SERVICE_MANAGER_HANDLE:
             for recorded_value, pos in record.produced_handles:
-                live_value = handle_at(reply.payload.buffer, pos)
-                if record.target == SERVICE_MANAGER_HANDLE:
-                    name = self.prepared.static_names.get(recorded_value)
-                    if name is not None:
-                        self.map.static[name] = live_value
-                else:
-                    self.map.dynamic[recorded_value] = live_value
+                if pos not in reply.payload.offsets:
+                    raise Unreplayable("record %d replied with no handle at %d" % (record.seq, pos), record.seq)
+                self.live[recorded_value] = handle_at(reply.payload.buffer, pos)
         return reply
 
     def _record_target(self, record: SeedRecord) -> int:
         if record.target == SERVICE_MANAGER_HANDLE:
             return SERVICE_MANAGER_HANDLE
-        if record.target in self.map.dynamic:
-            return self.map.dynamic[record.target]
+        if record.target in self.live:
+            return self.live[record.target]
         return self.resolve_static(record.descriptor)
 
     def _patch_record_slots(self, record: SeedRecord) -> Parcel:
@@ -218,8 +204,8 @@ class ReplaySession:
     def _live_handle(self, recorded: int) -> int:
         if recorded == SERVICE_MANAGER_HANDLE:
             return SERVICE_MANAGER_HANDLE
-        if recorded in self.map.dynamic:
-            return self.map.dynamic[recorded]
+        if recorded in self.live:
+            return self.live[recorded]
         name = self.prepared.static_names.get(recorded)
         if name is not None:
             return self.resolve_static(name)
@@ -227,13 +213,13 @@ class ReplaySession:
 
     # -- fuzz case flow -----------------------------------------------------------
 
-    def prepare(self, case, sender_id: str = "fuzzer") -> Transaction:
+    def prepare(self, case) -> Transaction:
         """Replay the case's missing supports, then materialize it."""
         if case.seed_seq is not None:
             self.ensure_supports(case.seed_seq)
-        return self.materialize(case, sender_id)
+        return self.materialize(case)
 
-    def materialize(self, case, sender_id: str = "fuzzer") -> Transaction:
+    def materialize(self, case) -> Transaction:
         """Live-handle-patched Transaction for a case whose supports are ready."""
         buf = bytearray(case.payload)
         overrides = dict(case.slot_overrides)
@@ -247,11 +233,9 @@ class ReplaySession:
                 live = self._live_handle(handle_at(buf, pos))
             struct.pack_into("<i", buf, pos, live)
         payload = Parcel(buf, case.offsets)
-        return Transaction(self._case_target(case), case.code, payload, 0, sender_id)
+        return Transaction(self._case_target(case), case.code, payload, FUZZ_SENDER)
 
     def _case_target(self, case) -> int:
         if case.seed_seq is not None:
             return self._record_target(self.prepared.records[case.seed_seq])
-        if case.descriptor == MANAGER_DESCRIPTOR:
-            return SERVICE_MANAGER_HANDLE
         return self.resolve_static(case.descriptor)

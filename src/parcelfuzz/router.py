@@ -106,7 +106,6 @@ class Transaction:
     target_handle: int
     code: int
     data: Parcel
-    flags: int = 0
     sender_id: str = "anonymous"
 
     def __post_init__(self):
@@ -114,15 +113,12 @@ class Transaction:
             raise ValueError("target_handle must be >= 0")
         if self.code < 1:
             raise ValueError("code must be >= 1")
-        if self.flags != 0:
-            raise ValueError("flags must be 0 in this model")
 
 
 class IpcEdge(NamedTuple):
     sender_id: str
     target_descriptor: str
     code: int
-    timestamp: int
 
 
 class Reject(Exception):
@@ -180,7 +176,6 @@ class DispatchContext:
     def __init__(self, router: "Router", descriptor: str):
         self._router = router
         self.descriptor = descriptor
-        self.stack_limit = STACK_LIMIT
         self._frames: list[str] = []
         self._fault_frames: tuple[str, ...] | None = None
 
@@ -196,8 +191,8 @@ class DispatchContext:
 
     def check_depth(self, depth: int):
         """Fault with STACK_OVERFLOW once a decoder exceeds the stack budget."""
-        if depth > self.stack_limit:
-            self.fail(STACK_OVERFLOW, "recursion depth %d exceeds limit %d" % (depth, self.stack_limit))
+        if depth > STACK_LIMIT:
+            self.fail(STACK_OVERFLOW, "recursion depth %d exceeds limit %d" % (depth, STACK_LIMIT))
 
     def export_object(self, impl: Service) -> int:
         """Register an anonymous object and return its fresh handle."""
@@ -226,12 +221,9 @@ class _Frame:
 
     def __enter__(self):
         frames = self._ctx._frames
-        if len(frames) >= self._ctx.stack_limit:
+        if len(frames) >= STACK_LIMIT:
             self._ctx._capture_fault()
-            raise ServiceFault(
-                STACK_OVERFLOW,
-                "simulated stack limit %d reached" % self._ctx.stack_limit,
-            )
+            raise ServiceFault(STACK_OVERFLOW, "simulated stack limit %d reached" % STACK_LIMIT)
         frames.append(self._label)
         return self
 
@@ -314,7 +306,6 @@ class Router:
         self._by_name: dict[str, int] = hosted.names.copy()
         self._registrations: dict[int, _Registration] = {}
         self._next_handle = hosted.next_handle
-        self._edge_seq = 0
         self.edges: list[IpcEdge] = []
 
     # -- registration and lookup ----------------------------------------------
@@ -368,14 +359,13 @@ class Router:
         service's instance is built here, on the first transaction that
         reaches it.
         """
-        self._edge_seq += 1
         handle = txn.target_handle
         reg = self._registrations.get(handle) or self._host(handle)
         if reg is None:
-            self.edges.append(IpcEdge(txn.sender_id, "<unknown>", txn.code, self._edge_seq))
+            self.edges.append(IpcEdge(txn.sender_id, "<unknown>", txn.code))
             return Reply.rejected("no such handle %d" % handle)
         descriptor = reg.descriptor or "<anonymous:%d>" % handle
-        self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code, self._edge_seq))
+        self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code))
 
         ctx = DispatchContext(self, descriptor)
         data = txn.data

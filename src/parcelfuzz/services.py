@@ -539,7 +539,7 @@ class Client:
         self.sender_id = sender_id
 
     def transact(self, handle: int, code: int, data: Parcel) -> Reply:
-        return self.router.transact(Transaction(handle, code, data, 0, self.sender_id))
+        return self.router.transact(Transaction(handle, code, data, self.sender_id))
 
     def get_service(self, descriptor: str) -> int:
         request = Parcel().write_value(_K_STRING, descriptor)

@@ -23,7 +23,7 @@ from parcelfuzz.harness import (
 from parcelfuzz.mutator import mutate_field
 from parcelfuzz.parcel import Kind, Parcel, handle_at
 from parcelfuzz.recorder import RecordingClient, SCENARIOS
-from parcelfuzz.replayer import ReplaySession
+from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import InternalFault, Reject, ReplyKind, Service, Transaction
 from parcelfuzz.services import all_methods, fresh_router
 
@@ -88,7 +88,7 @@ def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
             assert all(pos % 4 == 0 and pos + 4 <= len(parcel.buffer) for pos in parcel.offsets)
             assert parcel.offsets == sorted(set(parcel.offsets))
 
-        reader = Parcel.from_hex(parcel.to_hex(), list(parcel.offsets))
+        reader = Parcel(parcel.buffer, list(parcel.offsets))
         for kind, value in sequence:
             if kind is Kind.HANDLE:
                 got, slot_valid = reader.read_handle()
@@ -126,14 +126,14 @@ def test_criterion_03_callback_scenario_replays_on_live_handles(corpus):
     recorded_handle = handle_at(register.payload, register.offsets[0])
 
     # unmutated terminal transaction is accepted on a fresh router
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepare_corpus(corpus))
     reply = session.replay_seed(register.seq)
     assert reply.kind is ReplyKind.OK
-    assert session.map.dynamic[recorded_handle] != recorded_handle
+    assert session.live[recorded_handle] != recorded_handle
 
     # a mutated fuzz case built from the same seed also materializes and runs
     case = mutate_field(register, (0,), "cross_service_swap", case_id=1)
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepare_corpus(corpus))
     txn = session.prepare(case)
     live = handle_at(txn.data.buffer, register.offsets[0])
     assert live != recorded_handle
@@ -175,7 +175,7 @@ def test_criterion_06_overflow_variants_collapse_to_one_fingerprint(corpus, camp
     fingerprints = set()
     for path in ((1,), (2,)):  # two different mutated fields
         case = mutate_field(gfx, path, "max", case_id=1)
-        session = ReplaySession(corpus)
+        session = ReplaySession(prepare_corpus(corpus))
         reply = session.router.transact(session.prepare(case))
         assert reply.kind is ReplyKind.FATAL_CRASH
         assert reply.crash.exception_kind == "MEMORY_CORRUPTION"
@@ -212,7 +212,7 @@ def test_criterion_07_four_reply_kinds_classify_without_confusion():
     expected = {1: "ok", 2: "rejected", 3: "handled_fault", 4: "fatal_crash"}
     confusion = {}
     for code, outcome in expected.items():
-        reply = router.transact(Transaction(handle, code, Parcel(), 0, "acceptance"))
+        reply = router.transact(Transaction(handle, code, Parcel(), "acceptance"))
         confusion[code] = classify(reply)
     assert confusion == expected
     assert len(set(confusion.values())) == 4
@@ -274,7 +274,7 @@ def test_criterion_10_wrapped_allocation_matches_the_modular_oracle(manifest):
         .write_value(Kind.I32, num_ints)
     )
     reply = router.transact(
-        Transaction(router.get_service("svc.graphics"), 1, payload, 0, "acceptance")
+        Transaction(router.get_service("svc.graphics"), 1, payload, "acceptance")
     )
     assert reply.kind is ReplyKind.FATAL_CRASH
     assert reply.crash.exception_kind == "MEMORY_CORRUPTION"

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import struct
 
@@ -137,7 +138,7 @@ def test_a_campaign_leaves_its_prepared_corpus_unchanged(monkeypatch, corpus):
     monkeypatch.setattr(harness, "prepare_corpus", capture)
 
     def snapshot(p):
-        return copy.deepcopy((dict(p.records), p.graph, dict(p.static_names), dict(p.plans)))
+        return copy.deepcopy((dict(p.records), dict(p.static_names), dict(p.plans)))
 
     report = run_fuzz(FuzzConfig(policy=["semi-valid", "empty", "random"], budget=500, corpus=corpus))
     assert report.executed == 500
@@ -264,7 +265,7 @@ def test_per_case_values_are_immutable():
         (case, "payload", b"\x00"),
         (Reply.ok(), "kind", ReplyKind.REJECTED),
         (_crash(), "stack_frames", ()),
-        (IpcEdge("fuzzer", "svc.queue", 1, 1), "sender_id", "other"),
+        (IpcEdge("fuzzer", "svc.queue", 1), "sender_id", "other"),
     )
     for value, name, replacement in values:
         with pytest.raises(AttributeError):
@@ -654,6 +655,11 @@ def test_cli_rejects_a_trace_leaf_past_the_payload(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+# A value an edit can put in a record to have it written as the JSON
+# number 1e400, which json.loads reads as float("inf").
+_HUGE = "<1e400>"
+
+
 def _fuzz_on_edited_corpus(tmp_path, capsys, edit) -> tuple[int, str]:
     """Exit code and stderr of a semi-valid fuzz run on the shipped corpus
     with its first record passed through edit."""
@@ -662,7 +668,8 @@ def _fuzz_on_edited_corpus(tmp_path, capsys, edit) -> tuple[int, str]:
     header, first, *rest = corpus_path.read_text().splitlines()
     record = json.loads(first)
     edit(record)
-    corpus_path.write_text("\n".join([header, json.dumps(record, sort_keys=True), *rest]) + "\n")
+    line = json.dumps(record, sort_keys=True).replace(json.dumps(_HUGE), "1e400")
+    corpus_path.write_text("\n".join([header, line, *rest]) + "\n")
     capsys.readouterr()
     argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10",
             "--out", str(tmp_path / "report.json")]
@@ -701,6 +708,42 @@ def test_cli_rejects_a_length_prefix_that_disagrees_with_its_leaf(tmp_path, caps
         code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
         assert code == 1
         assert err == "error: record 0 trace: trace leaf STRING at [0, 16) declares %d bytes\n" % declared
+
+
+def test_cli_rejects_a_string_leaf_that_is_not_utf8(tmp_path, capsys):
+    def edit(record):
+        assert record["payload_hex"][:10] == "0900000073"  # "svc.queue"
+        record["payload_hex"] = record["payload_hex"][:8] + "ff" + record["payload_hex"][10:]
+
+    code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+    assert code == 1
+    assert err == "error: record 0 trace: trace leaf STRING at [0, 16) is not UTF-8: invalid start byte\n"
+
+
+def _set_field(name, value):
+    def edit(record):
+        record[name] = value
+
+    return edit
+
+
+def _set_first_byte_range(record):
+    record["trace"]["children"][0]["byte_range"] = [0, _HUGE]
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (_set_field("seq", _HUGE), "error: seed record has a bad 'seq': inf\n"),
+        (_set_field("code", _HUGE), "error: record 0 has a bad 'code': inf\n"),
+        (_set_field("offsets", [0, _HUGE]), "error: record 0 has a bad 'offsets': [0, inf]\n"),
+        (_set_first_byte_range, "error: record 0 trace: malformed trace node: "),
+    ],
+)
+def test_cli_rejects_a_corpus_number_too_large_for_an_int(tmp_path, capsys, edit, error):
+    code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+    assert code == 1
+    assert err.startswith(error) and err.count("\n") == 1, err
 
 
 def test_cli_rejects_a_corpus_payload_that_is_not_hex(tmp_path, capsys):
@@ -927,20 +970,22 @@ def _json_type(value) -> str:
 
 
 class _Boundary:
-    """A saved semi-valid report, the paths into it, and the CLI runs
-    that read a copy of it."""
+    """A JSON value that an input file holds, the paths into it, and the
+    CLI runs that read the file.
 
-    def __init__(self, corpus_path, saved, workdir):
+    The file is prefix, then the value's text, then suffix; text is the
+    value's text as saved.
+    """
+
+    def __init__(self, saved, text: bytes, path, argvs, prefix=b"", suffix=b""):
         self.saved = saved
+        self.text = text
         self.paths = list(_json_paths(saved))
         self.objects = [p for p in self.paths if type(self._at(saved, p)) is dict and self._at(saved, p)]
-        self.path = workdir / "mutated.json"
-        fingerprint_hex = saved["crashes"][0]["fingerprint"][:12]
-        self.argvs = [
-            ["report", "--in", str(self.path)],
-            ["report", "--in", str(self.path), "--format", "json"],
-            ["replay", "--report", str(self.path), "--fingerprint", fingerprint_hex, "--corpus", str(corpus_path)],
-        ]
+        self.path = path
+        self.argvs = argvs
+        self.prefix = prefix
+        self.suffix = suffix
 
     @staticmethod
     def _at(value, path):
@@ -958,9 +1003,9 @@ class _Boundary:
         return report
 
     def check(self, data: bytes) -> None:
-        """Each command on data as the report exits 0, 1 or 2, with at
-        most one line on stderr and no traceback."""
-        self.path.write_bytes(data)
+        """Each command on the file with data as the value's text exits
+        0, 1 or 2, with at most one line on stderr and no traceback."""
+        self.path.write_bytes(self.prefix + data + self.suffix)
         for argv in self.argvs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -972,16 +1017,52 @@ class _Boundary:
 
 @pytest.fixture(scope="module")
 def boundary(saved_campaign, tmp_path_factory):
+    """A saved semi-valid report, read by report (text and json) and replay."""
     corpus_path, saved = saved_campaign
-    return _Boundary(corpus_path, saved, tmp_path_factory.mktemp("boundary"))
+    path = tmp_path_factory.mktemp("boundary") / "mutated.json"
+    fingerprint_hex = saved["crashes"][0]["fingerprint"][:12]
+    argvs = [
+        ["report", "--in", str(path)],
+        ["report", "--in", str(path), "--format", "json"],
+        ["replay", "--report", str(path), "--fingerprint", fingerprint_hex, "--corpus", str(corpus_path)],
+    ]
+    return _Boundary(saved, (canonical_json(saved) + "\n").encode("utf-8"), path, argvs)
 
 
-# One value of each JSON type, nested at most one level.
+@pytest.fixture(scope="module")
+def read_inputs(saved_campaign, tmp_path_factory):
+    """Each line of the shipped corpus, read by a semi-valid fuzz run, and
+    the saved case of a crash with a handle slot, read by replay."""
+    corpus_path, saved = saved_campaign
+    workdir = tmp_path_factory.mktemp("inputs")
+    header, *lines = corpus_path.read_bytes().splitlines()
+    path = workdir / "corpus.jsonl"
+    argvs = [["fuzz", "--policy", "semi-valid", "--corpus", str(path), "--budget", "50",
+              "--out", str(workdir / "report.json")]]
+    corpus_lines = [
+        _Boundary(json.loads(line), line, path, argvs,
+                  prefix=b"\n".join([header, *lines[:index], b""]), suffix=b"\n".join([b"", *lines[index + 1:], b""]))
+        for index, line in enumerate(lines)
+    ]
+    report = copy.deepcopy(saved)
+    crash = next(c for c in report["crashes"] if c["provenance"]["case"]["offsets"])
+    case = crash["provenance"]["case"]
+    crash["provenance"]["case"] = "<case>"
+    prefix, suffix = json.dumps(report).encode("utf-8").split(b'"<case>"')
+    path = workdir / "report.json"
+    argvs = [["replay", "--report", str(path), "--fingerprint", crash["fingerprint"], "--corpus", str(corpus_path)]]
+    saved_case = _Boundary(case, json.dumps(case).encode("utf-8"), path, argvs, prefix, suffix)
+    return {"corpus line": corpus_lines, "saved case": [saved_case]}
+
+
+# One value of each JSON type, nested at most one level.  The infinities
+# are what the JSON numbers 1e400 and -1e400 load as.
 _json_swaps = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
     _json_text,
     st.lists(st.integers() | _json_text, max_size=3),
     st.dictionaries(_json_text, st.integers() | _json_text, max_size=3),
@@ -989,19 +1070,15 @@ _json_swaps = st.one_of(
 _FUZZ_SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-@_FUZZ_SETTINGS
-@given(data=st.data())
-def test_a_report_with_flipped_bytes_never_ends_in_a_traceback(boundary, data):
-    text = bytearray((canonical_json(boundary.saved) + "\n").encode("utf-8"))
+def _flip_bytes(boundary, data):
+    text = bytearray(boundary.text)
     flips = data.draw(st.lists(st.tuples(st.integers(0, len(text) - 1), st.integers(0, 255)), min_size=1, max_size=4))
     for position, byte in flips:
         text[position] = byte
     boundary.check(bytes(text))
 
 
-@_FUZZ_SETTINGS
-@given(data=st.data())
-def test_a_report_with_a_deleted_key_never_ends_in_a_traceback(boundary, data):
+def _delete_a_key(boundary, data):
     path = data.draw(st.sampled_from(boundary.objects))
     key = data.draw(st.sampled_from(sorted(boundary._at(boundary.saved, path))))
 
@@ -1012,13 +1089,50 @@ def test_a_report_with_a_deleted_key_never_ends_in_a_traceback(boundary, data):
     boundary.check(json.dumps(boundary.edited(path, delete)).encode("utf-8"))
 
 
-@_FUZZ_SETTINGS
-@given(data=st.data())
-def test_a_report_with_a_value_of_another_type_never_ends_in_a_traceback(boundary, data):
+def _swap_a_type(boundary, data):
     path = data.draw(st.sampled_from(boundary.paths))
     old = _json_type(boundary._at(boundary.saved, path))
     new = data.draw(_json_swaps.filter(lambda v: _json_type(v) != old))
     boundary.check(json.dumps(boundary.edited(path, lambda _old: new)).encode("utf-8"))
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_a_report_with_flipped_bytes_never_ends_in_a_traceback(boundary, data):
+    _flip_bytes(boundary, data)
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_a_report_with_a_deleted_key_never_ends_in_a_traceback(boundary, data):
+    _delete_a_key(boundary, data)
+
+
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_a_report_with_a_value_of_another_type_never_ends_in_a_traceback(boundary, data):
+    _swap_a_type(boundary, data)
+
+
+@pytest.mark.parametrize("name", ["corpus line", "saved case"])
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_an_input_with_flipped_bytes_never_ends_in_a_traceback(read_inputs, name, data):
+    _flip_bytes(data.draw(st.sampled_from(read_inputs[name])), data)
+
+
+@pytest.mark.parametrize("name", ["corpus line", "saved case"])
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_an_input_with_a_deleted_key_never_ends_in_a_traceback(read_inputs, name, data):
+    _delete_a_key(data.draw(st.sampled_from(read_inputs[name])), data)
+
+
+@pytest.mark.parametrize("name", ["corpus line", "saved case"])
+@_FUZZ_SETTINGS
+@given(data=st.data())
+def test_an_input_with_a_value_of_another_type_never_ends_in_a_traceback(read_inputs, name, data):
+    _swap_a_type(data.draw(st.sampled_from(read_inputs[name])), data)
 
 
 def test_manifest_error_is_distinct():

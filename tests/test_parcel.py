@@ -32,43 +32,43 @@ from parcelfuzz.parcel import (
 
 
 def test_i32_encoding():
-    assert Parcel().write_value(Kind.I32, 42).to_hex() == "2a000000"
-    assert Parcel().write_value(Kind.I32, -1).to_hex() == "ffffffff"
-    assert Parcel().write_value(Kind.I32, I32_MIN).to_hex() == "00000080"
+    assert Parcel().write_value(Kind.I32, 42).buffer.hex() == "2a000000"
+    assert Parcel().write_value(Kind.I32, -1).buffer.hex() == "ffffffff"
+    assert Parcel().write_value(Kind.I32, I32_MIN).buffer.hex() == "00000080"
 
 
 def test_i64_encoding():
-    assert Parcel().write_value(Kind.I64, -2).to_hex() == "feffffffffffffff"
-    assert Parcel().write_value(Kind.I64, I64_MAX).to_hex() == "ffffffffffffff7f"
+    assert Parcel().write_value(Kind.I64, -2).buffer.hex() == "feffffffffffffff"
+    assert Parcel().write_value(Kind.I64, I64_MAX).buffer.hex() == "ffffffffffffff7f"
 
 
 def test_f64_encoding():
-    assert Parcel().write_value(Kind.F64, 1.5).to_hex() == "000000000000f83f"
+    assert Parcel().write_value(Kind.F64, 1.5).buffer.hex() == "000000000000f83f"
 
 
 def test_bool_rides_i32():
-    assert Parcel().write_value(Kind.BOOL, True).to_hex() == "01000000"
-    assert Parcel().write_value(Kind.BOOL, False).to_hex() == "00000000"
-    nonzero = Parcel.from_hex("02000000")
+    assert Parcel().write_value(Kind.BOOL, True).buffer.hex() == "01000000"
+    assert Parcel().write_value(Kind.BOOL, False).buffer.hex() == "00000000"
+    nonzero = Parcel(bytes.fromhex("02000000"))
     assert nonzero.read_value(Kind.BOOL) is True
 
 
 def test_string_encoding_with_padding():
-    assert Parcel().write_value(Kind.STRING, "abcde").to_hex() == "050000006162636465000000"
+    assert Parcel().write_value(Kind.STRING, "abcde").buffer.hex() == "050000006162636465000000"
     one = Parcel().write_value(Kind.STRING, "a")
-    assert one.to_hex() == "0100000061000000"
-    assert one.size == 8
+    assert one.buffer.hex() == "0100000061000000"
+    assert len(one) == 8
     assert one.write_log == [(Kind.STRING, 0, 8)]
 
 
 def test_empty_string_is_just_a_length():
     p = Parcel().write_value(Kind.STRING, "")
-    assert p.to_hex() == "00000000"
+    assert p.buffer.hex() == "00000000"
     assert p.read_value(Kind.STRING) == ""
 
 
 def test_bytes_encoding():
-    assert Parcel().write_value(Kind.BYTES, b"\x01\x02").to_hex() == "0200000001020000"
+    assert Parcel().write_value(Kind.BYTES, b"\x01\x02").buffer.hex() == "0200000001020000"
 
 
 def test_handle_write_updates_offsets():
@@ -81,27 +81,27 @@ def test_handle_write_updates_offsets():
 
 
 def test_truncated_i32_raises():
-    p = Parcel.from_hex("2a00")
+    p = Parcel(bytes.fromhex("2a00"))
     with pytest.raises(TruncationError):
         p.read_value(Kind.I32)
 
 
 def test_huge_declared_length_raises_and_restores_cursor():
-    p = Parcel.from_hex("ffffff7f")
+    p = Parcel(bytes.fromhex("ffffff7f"))
     with pytest.raises(MalformedLengthError):
         p.read_value(Kind.STRING)
     assert p.cursor == 0
 
 
 def test_negative_declared_length_raises():
-    p = Parcel.from_hex("fcffffff00000000")
+    p = Parcel(bytes.fromhex("fcffffff00000000"))
     with pytest.raises(MalformedLengthError):
         p.read_value(Kind.BYTES)
 
 
 def test_invalid_utf8_raises_encoding_error():
     p = Parcel().write_value(Kind.BYTES, b"\xed\xa0\x80")
-    reader = Parcel.from_hex(p.to_hex())
+    reader = Parcel(p.buffer)
     with pytest.raises(EncodingError):
         reader.read_value(Kind.STRING)
     assert reader.cursor == 0
@@ -193,23 +193,23 @@ def test_sized_reads_return_their_body_and_skip_the_padding():
     raw = p.read_value(Kind.BYTES)
     assert (text, raw, type(raw)) == ("hello", b"\x01\x02", bytes)
     assert log.leaves == [(Kind.STRING, 4, 16), (Kind.BYTES, 16, 24)]
-    assert p.cursor == p.size == 24
+    assert p.cursor == len(p) == 24
 
 
 def test_lenient_reads_absorb_all_three_error_classes():
-    assert Parcel.from_hex("2a00").read_lenient(Kind.I32) is None
-    assert Parcel.from_hex("ffffff7f").read_lenient(Kind.STRING) is None
+    assert Parcel(bytes.fromhex("2a00")).read_lenient(Kind.I32) is None
+    assert Parcel(bytes.fromhex("ffffff7f")).read_lenient(Kind.STRING) is None
     bad_text = Parcel().write_value(Kind.BYTES, b"\xff\xfe\xfd")
-    assert Parcel.from_hex(bad_text.to_hex()).read_lenient(Kind.STRING) is None
+    assert Parcel(bad_text.buffer).read_lenient(Kind.STRING) is None
     value, slot_valid = Parcel().read_handle_lenient()
     assert value is None and slot_valid is False
 
 
 def test_handle_slot_validity_reflects_offsets_table():
     legit = Parcel().write_handle(3)
-    assert Parcel.from_hex(legit.to_hex(), legit.offsets).read_handle() == (3, True)
+    assert Parcel(legit.buffer, legit.offsets).read_handle() == (3, True)
     # same bytes, no declared slot
-    assert Parcel.from_hex(legit.to_hex()).read_handle() == (3, False)
+    assert Parcel(legit.buffer).read_handle() == (3, False)
 
 
 # -- write-side errors -------------------------------------------------------
@@ -248,7 +248,7 @@ def test_offsets_validation():
 
 def test_from_hex_to_hex_round_trip():
     p = Parcel().write_value(Kind.STRING, "hi").write_handle(5)
-    again = Parcel.from_hex(p.to_hex(), p.offsets)
+    again = Parcel(bytes.fromhex(p.buffer.hex()), p.offsets)
     assert again.buffer == p.buffer
     assert again.offsets == p.offsets
 
@@ -272,7 +272,7 @@ class _Events:
 
 def test_read_hook_sees_leaves_and_scopes():
     p = Parcel().write_value(Kind.I32, 9).write_value(Kind.STRING, "x")
-    reader = Parcel.from_hex(p.to_hex())
+    reader = Parcel(p.buffer)
     events = _Events()
     reader.install_read_hook(events)
     with reader.composite("pair"):
@@ -289,7 +289,7 @@ def test_read_hook_sees_leaves_and_scopes():
 
 def test_composite_without_a_hook_is_one_shared_no_op():
     first = Parcel().composite("a")
-    assert Parcel.from_hex("2a000000").composite("b") is first
+    assert Parcel(bytes.fromhex("2a000000")).composite("b") is first
     with first:
         pass
     with first:
@@ -297,7 +297,7 @@ def test_composite_without_a_hook_is_one_shared_no_op():
 
 
 def test_composite_exits_on_decoder_error():
-    reader = Parcel.from_hex("2a00")
+    reader = Parcel(bytes.fromhex("2a00"))
     events = _Events()
     reader.install_read_hook(events)
     with pytest.raises(TruncationError):
@@ -337,11 +337,11 @@ def test_round_trip_any_sequence(seq):
         else:
             writer.write_value(kind, value)
 
-    assert writer.size % 4 == 0
+    assert len(writer) % 4 == 0
     assert writer.offsets == sorted(set(writer.offsets))
     assert all(pos % 4 == 0 for pos in writer.offsets)
 
-    reader = Parcel.from_hex(writer.to_hex(), writer.offsets)
+    reader = Parcel(writer.buffer, writer.offsets)
     for kind, value in seq:
         if kind is Kind.HANDLE:
             assert reader.read_handle() == (value, True)
@@ -370,7 +370,7 @@ def test_reads_never_return_garbage_on_arbitrary_bytes(data):
 
 def test_nan_survives_the_wire():
     p = Parcel().write_value(Kind.F64, math.nan)
-    assert math.isnan(Parcel.from_hex(p.to_hex()).read_value(Kind.F64))
+    assert math.isnan(Parcel(p.buffer).read_value(Kind.F64))
 
 
 def test_pad4():

@@ -134,14 +134,6 @@ def test_graph_edges_capture_dynamic_flow_only(corpus, graph):
         assert edge.producer_seq < edge.consumer_seq
 
 
-def test_graph_static_prereqs_name_descriptors(corpus, graph):
-    for record in corpus:
-        if record.descriptor == "service_manager":
-            assert record.seq not in graph.static_prereqs
-        elif record.target not in {e.handle_id for e in graph.edges_into(record.seq)}:
-            assert graph.static_prereqs[record.seq] == (record.descriptor,)
-
-
 def test_graph_nodes_are_all_seqs(corpus, graph):
     assert graph.nodes == tuple(range(len(corpus)))
 
@@ -268,18 +260,27 @@ def test_records_whose_trace_misdescribes_the_payload_are_rejected(corpus):
 
 
 def test_trace_node_json_validation():
+    payload = bytes(4)
     with pytest.raises(CorpusError):
-        TraceNode.from_json({"kind": "WAT", "byte_range": [0, 4]})
+        TraceNode.from_json({"kind": "WAT", "byte_range": [0, 4]}, payload, [])
     with pytest.raises(CorpusError):
         TraceNode.from_json(
             {
                 "kind": "I32",
                 "byte_range": [0, 4],
                 "children": [{"kind": "I32", "byte_range": [0, 4]}],
-            }
+            },
+            payload,
+            [],
         )
     with pytest.raises(CorpusError):
-        TraceNode.from_json({"nope": 1})
+        TraceNode.from_json({"nope": 1}, payload, [])
+    with pytest.raises(CorpusError, match="label is not a string"):
+        TraceNode.from_json({"kind": "I32", "label": None, "byte_range": [0, 4]}, payload, [])
+    with pytest.raises(CorpusError, match="malformed trace node"):
+        TraceNode.from_json({"kind": "I32", "byte_range": [0, float("inf")]}, payload, [])
+    with pytest.raises(CorpusError, match=r"^trace leaf STRING at \[0, 8\) is not UTF-8"):
+        TraceNode.from_json({"kind": "STRING", "byte_range": [0, 8]}, b"\x02\x00\x00\x00\xff\xfe\x00\x00", [])
 
 
 # -- failure handling ----------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from parcelfuzz.mutator import FuzzCase, Policy, mutate_field
 from parcelfuzz.parcel import I32_MAX, Kind, handle_at
 from parcelfuzz.recorder import CorpusError, build_dependency_graph
-from parcelfuzz.replayer import HandleMap, ReplaySession, Unreplayable, plan, prepare_corpus
+from parcelfuzz.replayer import ReplaySession, Unreplayable, plan, prepare_corpus
 from parcelfuzz.router import ReplyKind
-from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient, fresh_router
+from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient
 
 
 def _seq_of(corpus, descriptor, code):
@@ -17,6 +17,11 @@ def _seq_of(corpus, descriptor, code):
         if record.descriptor == descriptor and record.code == code:
             return record.seq
     raise LookupError((descriptor, code))
+
+
+@pytest.fixture(scope="module")
+def prepared(corpus):
+    return prepare_corpus(corpus)
 
 
 @pytest.fixture()
@@ -73,14 +78,14 @@ def test_only_the_audio_scenario_needs_supports(corpus, graph, audio_seqs):
 
 def test_prepared_plans_match_plan_for_every_seed(shuffled_corpus):
     prepared = prepare_corpus(shuffled_corpus)
+    graph = build_dependency_graph(shuffled_corpus)
     assert set(prepared.plans) == {r.seq for r in shuffled_corpus}
     for record in shuffled_corpus:
-        assert prepared.plans[record.seq] == tuple(plan(record.seq, prepared.graph))
+        assert prepared.plans[record.seq] == tuple(plan(record.seq, graph))
     assert sum(1 for p in prepared.plans.values() if p) == 8  # ping + register, four times
 
 
-def test_a_prepared_corpus_serves_many_sessions(corpus, audio_seqs):
-    prepared = prepare_corpus(corpus)
+def test_a_prepared_corpus_serves_many_sessions(prepared, audio_seqs):
     for _ in range(2):
         session = ReplaySession(prepared)
         assert session.prepared is prepared
@@ -92,9 +97,9 @@ def test_a_prepared_corpus_serves_many_sessions(corpus, audio_seqs):
 # -- replay soundness --------------------------------------------------------------
 
 
-def test_every_seed_replays_clean_on_a_fresh_router(corpus):
+def test_every_seed_replays_clean_on_a_fresh_router(corpus, prepared):
     for record in corpus:
-        session = ReplaySession(corpus)
+        session = ReplaySession(prepared)
         reply = session.replay_seed(record.seq)
         assert reply.kind is ReplyKind.OK, "seq %d (%s code %d) replied %s" % (
             record.seq,
@@ -104,8 +109,8 @@ def test_every_seed_replays_clean_on_a_fresh_router(corpus):
         )
 
 
-def test_one_session_replays_the_whole_corpus_in_order(corpus):
-    session = ReplaySession(corpus)
+def test_one_session_replays_the_whole_corpus_in_order(corpus, prepared):
+    session = ReplaySession(prepared)
     for record in corpus:
         assert session.replay_seed(record.seq).kind is ReplyKind.OK
 
@@ -113,33 +118,24 @@ def test_one_session_replays_the_whole_corpus_in_order(corpus):
 # -- the probe burn ------------------------------------------------------------------
 
 
-def test_live_session_handle_differs_from_the_recorded_one(corpus, audio_seqs):
-    session = ReplaySession(corpus)
+def test_live_session_handle_differs_from_the_recorded_one(prepared, audio_seqs):
+    session = ReplaySession(prepared)
     session.ensure_supports(audio_seqs["ping"])
-    (recorded,) = session.map.dynamic
-    live = session.map.dynamic[recorded]
+    (recorded,) = session.live
+    live = session.live[recorded]
     assert live != recorded
     assert live == recorded + 1  # exactly one handle burned up front
-
-
-def test_burning_can_be_disabled_for_diagnostics(corpus, audio_seqs):
-    session = ReplaySession(corpus, burn_probe=False)
-    session.ensure_supports(audio_seqs["ping"])
-    (recorded,) = session.map.dynamic
-    assert session.map.dynamic[recorded] == recorded
-    assert session.probe_handle is None
 
 
 # -- support bookkeeping ---------------------------------------------------------------
 
 
-def test_ensure_supports_runs_each_ancestor_once(corpus, audio_seqs):
-    session = ReplaySession(corpus)
+def test_ensure_supports_runs_each_ancestor_once(prepared, audio_seqs):
+    session = ReplaySession(prepared)
     first = session.ensure_supports(audio_seqs["ping"])
     assert first == [audio_seqs["open_session"]]
     assert session.ensure_supports(audio_seqs["ping"]) == []
     assert session.ensure_supports(audio_seqs["register"]) == []
-    assert session.missing_supports(audio_seqs["register"]) == []
 
 
 def test_support_failure_is_unreplayable_with_the_culprit_seq(corpus, audio_seqs):
@@ -147,22 +143,36 @@ def test_support_failure_is_unreplayable_with_the_culprit_seq(corpus, audio_seqs
         dataclasses.replace(r, code=99) if r.seq == audio_seqs["open_session"] else r
         for r in corpus
     ]
-    session = ReplaySession(broken)
+    session = ReplaySession(prepare_corpus(broken))
     with pytest.raises(Unreplayable) as info:
         session.ensure_supports(audio_seqs["ping"])
     assert info.value.support_seq == audio_seqs["open_session"]
     assert "REJECTED" in str(info.value)
 
 
-def test_replay_seed_rejects_unknown_seqs(corpus):
+def test_a_support_reply_without_its_recorded_handle_is_unreplayable(corpus, audio_seqs):
+    # open_session's reply holds the session handle at 0 and an int at 4.
+    for pos in (4, 8, -1):
+        broken = [
+            dataclasses.replace(r, produced_handles=((r.produced_handles[0][0], pos),))
+            if r.seq == audio_seqs["open_session"] else r
+            for r in corpus
+        ]
+        session = ReplaySession(prepare_corpus(broken))
+        with pytest.raises(Unreplayable, match="replied with no handle at %d" % pos) as info:
+            session.ensure_supports(audio_seqs["ping"])
+        assert info.value.support_seq == audio_seqs["open_session"]
+
+
+def test_replay_seed_rejects_unknown_seqs(prepared):
     with pytest.raises(CorpusError):
-        ReplaySession(corpus).replay_seed(999)
+        ReplaySession(prepared).replay_seed(999)
 
 
 # -- materialization -------------------------------------------------------------------
 
 
-def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs):
+def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = FuzzCase(
         1,
@@ -175,40 +185,40 @@ def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs):
         field_path=(0,),
         mutation_id="plus_one",
     )
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepared)
     txn = session.prepare(case)
     slot = handle_at(txn.data.buffer, 0)
     recorded = handle_at(register.payload, 0)
-    assert slot == session.map.dynamic[recorded]
+    assert slot == session.live[recorded]
     assert slot != recorded
     assert session.router.transact(txn).kind is ReplyKind.OK
 
 
-def test_pin_directive_keeps_the_mutated_slot_bytes(corpus, audio_seqs):
+def test_pin_directive_keeps_the_mutated_slot_bytes(corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = mutate_field(register, (0,), "huge_handle", case_id=1)
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert handle_at(txn.data.buffer, 0) == I32_MAX
 
 
-def test_zero_handle_pin_survives_too(corpus, audio_seqs):
+def test_zero_handle_pin_survives_too(corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = mutate_field(register, (0,), "zero_handle", case_id=1)
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert handle_at(txn.data.buffer, 0) == 0
 
 
-def test_swap_directive_resolves_the_other_services_live_handle(corpus, audio_seqs):
+def test_swap_directive_resolves_the_other_services_live_handle(corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = mutate_field(register, (0,), "cross_service_swap", case_id=1)
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert handle_at(txn.data.buffer, 0) == session.router.get_service("svc.queue")
 
 
-def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs):
+def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = FuzzCase(
         1,
@@ -222,18 +232,18 @@ def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs):
         mutation_id="plus_one",
     )
     with pytest.raises(Unreplayable):
-        ReplaySession(corpus).materialize(case)
+        ReplaySession(prepared).materialize(case)
 
 
-def test_unknown_static_descriptor_is_unreplayable(corpus):
+def test_unknown_static_descriptor_is_unreplayable(prepared):
     case = FuzzCase(1, Policy.EMPTY, "svc.ghost", 1, b"", ())
     with pytest.raises(Unreplayable):
-        ReplaySession(corpus).prepare(case)
+        ReplaySession(prepared).prepare(case)
 
 
-def test_empty_policy_case_targets_the_named_service(corpus):
+def test_empty_policy_case_targets_the_named_service(prepared):
     case = FuzzCase(1, Policy.EMPTY, "svc.queue", 2, b"", ())
-    session = ReplaySession(corpus)
+    session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert txn.target_handle == session.router.get_service("svc.queue")
     assert session.router.transact(txn).kind is ReplyKind.OK
@@ -242,8 +252,8 @@ def test_empty_policy_case_targets_the_named_service(corpus):
 # -- static resolution ------------------------------------------------------------------
 
 
-def test_static_descriptors_are_recovered_from_manager_records(corpus):
-    session = ReplaySession(corpus)
+def test_static_descriptors_are_recovered_from_manager_records(prepared):
+    session = ReplaySession(prepared)
     recorded_names = set(session.prepared.static_names.values())
     assert recorded_names == {
         "svc.queue",
@@ -255,30 +265,31 @@ def test_static_descriptors_are_recovered_from_manager_records(corpus):
     }
 
 
-def test_resolve_static_caches_and_manager_is_special(corpus):
-    session = ReplaySession(corpus)
-    first = session.resolve_static("svc.view")
-    assert session.resolve_static("svc.view") == first
+def test_resolve_static_answers_by_name_and_manager_is_special(prepared):
+    session = ReplaySession(prepared)
+    assert session.resolve_static("svc.view") == session.router.get_service("svc.view")
     assert session.resolve_static("service_manager") == 0
     with pytest.raises(Unreplayable):
         session.resolve_static("svc.ghost")
 
 
-def test_shared_router_can_be_injected(corpus):
-    router = fresh_router()
-    session = ReplaySession(corpus, router=router)
-    assert session.router is router
-    assert session.replay_seed(0).kind is ReplyKind.OK
+def test_every_replayed_manager_lookup_returns_what_resolve_static_gives(corpus, prepared):
+    # Why a session needs no cache of static handles: a lookup replayed
+    # anywhere in a session returns the handle resolving the name gives.
+    session = ReplaySession(prepared)
+    lookups = 0
+    for record in corpus:
+        reply = session.replay_seed(record.seq)
+        if record.descriptor == "service_manager":
+            name = record.parcel().read_value(Kind.STRING)
+            for _recorded, pos in record.produced_handles:
+                assert handle_at(reply.payload.buffer, pos) == session.resolve_static(name)
+                lookups += 1
+    assert lookups == 6
 
 
-def test_handle_map_defaults_are_independent():
-    a, b = HandleMap(), HandleMap()
-    a.dynamic[7] = 8
-    assert b.dynamic == {}
-
-
-def test_handle_numbering_hosted_then_probe_then_exports(corpus):
-    session = ReplaySession(prepare_corpus(corpus))
+def test_handle_numbering_hosted_then_probe_then_exports(prepared):
+    session = ReplaySession(prepared)
     for handle, cls in enumerate(SERVICE_CLASSES, 1):
         assert session.router.get_service(cls.DESCRIPTOR) == handle
     assert session.probe_handle == 7
@@ -286,8 +297,7 @@ def test_handle_numbering_hosted_then_probe_then_exports(corpus):
     assert session_handle == 8
 
 
-def test_service_state_never_crosses_sessions(corpus):
-    prepared = prepare_corpus(corpus)
+def test_service_state_never_crosses_sessions(prepared):
     first = QueueClient(Client(ReplaySession(prepared).router))
     assert first.add("left behind")
     assert first.peek() == "left behind"

@@ -83,7 +83,7 @@ def router():
 
 
 def _call(router, handle, code, data=None, sender="t"):
-    return router.transact(Transaction(handle, code, data or Parcel(), 0, sender))
+    return router.transact(Transaction(handle, code, data or Parcel(), sender))
 
 
 # -- registration and lookup ---------------------------------------------------
@@ -174,7 +174,7 @@ def test_get_service_quotes_only_the_start_of_a_long_unknown_name(router):
 
 
 def test_get_service_malformed_request_rejects(router):
-    reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, Parcel.from_hex("ffffff7f"))
+    reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, Parcel(bytes.fromhex("ffffff7f")))
     assert reply.kind is ReplyKind.REJECTED
     reply = _call(router, SERVICE_MANAGER_HANDLE, 9, Parcel())
     assert reply.kind is ReplyKind.REJECTED
@@ -300,9 +300,8 @@ def test_every_transact_logs_exactly_one_edge(router):
     _call(router, moody, Moody.ANSWER, sender="alice")
     _call(router, moody, Moody.CRASH, sender="bob")
     _call(router, 999, 1, sender="carol")
-    stamps = [e.timestamp for e in router.edges]
-    assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
     assert [e.sender_id for e in router.edges] == ["alice", "bob", "carol"]
+    assert [e.target_descriptor for e in router.edges] == ["test.moody", "test.moody", "<unknown>"]
     assert router.edges[0].code == Moody.ANSWER
 
 

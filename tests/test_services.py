@@ -49,7 +49,7 @@ def client(router):
 
 def _raw(router, descriptor, code, data, sender="raw"):
     handle = router.get_service(descriptor)
-    return router.transact(Transaction(handle, code, data, 0, sender))
+    return router.transact(Transaction(handle, code, data, sender))
 
 
 # -- wrapper happy paths -------------------------------------------------------
@@ -201,9 +201,9 @@ def test_unstructured_input_bounces_off_guarded_leading_reads(router):
     # services whose first argument is a validated string reject junk
     # bytes outright, which is what keeps blind fuzzing away from the
     # structure-gated defects
-    junk = Parcel.from_hex("deadbeef" * 4)
+    junk = Parcel(bytes.fromhex("deadbeef" * 4))
     for descriptor in ("svc.view", "svc.graphics"):
-        data = Parcel.from_hex(junk.to_hex())
+        data = Parcel(junk.buffer)
         assert _raw(router, descriptor, 1, data).kind is ReplyKind.REJECTED
 
 
