@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 
 from .mutator import (
     CATALOG_VERSION,
@@ -32,8 +33,8 @@ from .mutator import (
     _normalize_policies,
     generate_campaign,
 )
-from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, corpus_digest
-from .replayer import PreparedCorpus, ReplaySession, Unreplayable, prepare_corpus
+from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, _field, _items, corpus_digest
+from .replayer import PreparedCorpus, ReplaySession, Unreplayable, check_replies, prepare_corpus
 from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
@@ -180,23 +181,23 @@ class CrashReport:
 
     @classmethod
     def from_json(cls, obj, where: str = "crash") -> "CrashReport":
-        """Parse a saved crash, checking the type of every field that
-        find_crash, reproduce and the text report read; where names the
-        crash in a HarnessError."""
-        _check_types(obj, _CRASH_TYPES, where)
-        _check_items(obj, "stack_frames", str, where)
-        _check_types(obj["provenance"], (("policy", str),), where + " provenance")
+        """Parse a saved crash, checking the type of every field; where
+        names the crash in a HarnessError."""
+        if type(obj) is not dict:
+            raise HarnessError("%s is not an object: %s" % (where, _excerpt(obj)))
+        provenance = _field(obj, "provenance", (dict,), where, HarnessError)
+        _field(provenance, "policy", (str,), where + " provenance", HarnessError)
         return cls(
-            fingerprint=obj["fingerprint"],
-            exception_kind=obj["exception_kind"],
-            descriptor=obj["descriptor"],
-            code=obj["code"],
-            stack_frames=tuple(obj["stack_frames"]),
-            detail=obj.get("detail", ""),
-            provenance=obj["provenance"],
-            schema=obj.get("schema", {}),
-            first_seen_case_id=obj["first_seen_case_id"],
-            hit_count=obj["hit_count"],
+            fingerprint=_field(obj, "fingerprint", (str,), where, HarnessError),
+            exception_kind=_field(obj, "exception_kind", (str,), where, HarnessError),
+            descriptor=_field(obj, "descriptor", (str,), where, HarnessError),
+            code=_field(obj, "code", (int,), where, HarnessError),
+            stack_frames=tuple(_items(obj, "stack_frames", (str,), where, HarnessError)),
+            detail=_field(obj, "detail", (str,), where, HarnessError, ""),
+            provenance=provenance,
+            schema=_field(obj, "schema", (dict,), where, HarnessError, {}),
+            first_seen_case_id=_field(obj, "first_seen_case_id", (int,), where, HarnessError),
+            hit_count=_field(obj, "hit_count", (int,), where, HarnessError),
         )
 
 
@@ -234,78 +235,32 @@ class CampaignReport:
         """Parse a saved report.  A field that the text report, find_crash
         or reproduce reads and that has the wrong type is a HarnessError
         naming it; the checks cost one pass over crashes and methods."""
-        _check_types(obj, _REPORT_TYPES, "report")
-        config = _check_types(obj["config"], _CONFIG_TYPES, "report config")
-        _check_items(config, "policy", str, "report config")
-        corpus_id = config.get("corpus_id", _MISSING)
-        if corpus_id is not None and type(corpus_id) is not str:
-            raise _type_error(config, "corpus_id", "str or null", "report config")
-        _check_types(obj["edge_summary"], (("total", int),), "report edge_summary")
-        _check_items(obj, "counters", int, "report")
-        per_method = obj["per_method"]
-        for method, tally in per_method.items():
-            if type(tally) is not dict:
-                raise _type_error(per_method, method, "dict", "report per_method")
-            _check_items(per_method, method, int, "report per_method")
+        if type(obj) is not dict:
+            raise HarnessError("report is not an object: %s" % _excerpt(obj))
+        config = _field(obj, "config", (dict,), "report", HarnessError)
+        _items(config, "policy", (str,), "report config", HarnessError)
+        _field(config, "budget", (int,), "report config", HarnessError)
+        _field(config, "rng_seed", (int,), "report config", HarnessError)
+        _field(config, "catalog_version", (str,), "report config", HarnessError)
+        _field(config, "mode", (str,), "report config", HarnessError)
+        _field(config, "corpus_id", (str, NoneType), "report config", HarnessError)
+        per_method = _field(obj, "per_method", (dict,), "report", HarnessError)
+        for method in per_method:
+            _items(per_method, method, (int,), "report per_method", HarnessError, dict)
+        edge_summary = _field(obj, "edge_summary", (dict,), "report", HarnessError)
+        _field(edge_summary, "total", (int,), "report edge_summary", HarnessError)
         return cls(
             config=config,
-            counters=obj["counters"],
-            crashes=[CrashReport.from_json(c, "crashes[%d]" % i) for i, c in enumerate(obj["crashes"])],
+            counters=_items(obj, "counters", (int,), "report", HarnessError, dict),
+            crashes=[
+                CrashReport.from_json(c, "crashes[%d]" % i)
+                for i, c in enumerate(_field(obj, "crashes", (list,), "report", HarnessError))
+            ],
             per_method=per_method,
-            edge_summary=obj["edge_summary"],
-            executed=obj["executed"],
-            unexecuted=obj["unexecuted"],
+            edge_summary=edge_summary,
+            executed=_field(obj, "executed", (int,), "report", HarnessError),
+            unexecuted=_field(obj, "unexecuted", (int,), "report", HarnessError),
         )
-
-
-# The type of each report field that the text report, find_crash and
-# reproduce read.  Types are exact: a bool is no int, and "5" no int.
-_REPORT_TYPES = (
-    ("config", dict),
-    ("counters", dict),
-    ("crashes", list),
-    ("per_method", dict),
-    ("edge_summary", dict),
-    ("executed", int),
-    ("unexecuted", int),
-)
-_CONFIG_TYPES = (("policy", list), ("budget", int), ("rng_seed", int), ("catalog_version", str), ("mode", str))
-_CRASH_TYPES = (
-    ("fingerprint", str),
-    ("exception_kind", str),
-    ("descriptor", str),
-    ("code", int),
-    ("stack_frames", list),
-    ("provenance", dict),
-    ("first_seen_case_id", int),
-    ("hit_count", int),
-)
-
-_MISSING = object()
-
-
-def _check_types(obj, types, where: str) -> dict:
-    """obj, which must be an object whose fields have the given types."""
-    if type(obj) is not dict:
-        raise HarnessError("%s is not an object: %s" % (where, _excerpt(obj)))
-    for name, kind in types:
-        if type(obj.get(name, _MISSING)) is not kind:
-            raise _type_error(obj, name, kind.__name__, where)
-    return obj
-
-
-def _check_items(obj: dict, name: str, kind: type, where: str) -> None:
-    """Every item of the list, or every value of the object, obj[name]
-    must have type kind."""
-    values = obj[name]
-    if not set(map(type, values.values() if type(values) is dict else values)) <= {kind}:
-        raise HarnessError("%s %s must hold only %s values, got %s" % (where, name, kind.__name__, _excerpt(values)))
-
-
-def _type_error(obj: dict, name: str, expected: str, where: str) -> HarnessError:
-    if name not in obj:
-        return HarnessError("%s has no %r" % (where, name))
-    return HarnessError("%s %s must be %s, got %s" % (where, name, expected, _excerpt(obj[name])))
 
 
 def save_report(report: CampaignReport, path) -> None:
@@ -338,11 +293,13 @@ class FuzzConfig:
 def run_fuzz(config: FuzzConfig) -> CampaignReport:
     """Run one deterministic campaign and triage everything it dispatched.
 
-    The corpus is prepared once; every case then replays on a fresh
+    The corpus is prepared once and replayed once, whole, to check that
+    every record replies as recorded; every case then replays on a fresh
     router of its own, so nothing one case does reaches the next.
     """
     cases = generate_campaign(config.corpus, config.policy, config.budget, config.rng_seed)
     prepared = prepare_corpus(config.corpus)
+    check_replies(prepared)
 
     counters = dict.fromkeys(OUTCOMES, 0)
     tallies: dict[tuple[str, int], dict[str, int]] = {}

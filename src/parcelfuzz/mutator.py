@@ -38,10 +38,11 @@ from _random import Random as _CRandom
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from types import NoneType
 from typing import Iterator, NamedTuple
 
 from .parcel import I32_MAX, Kind, Parcel, _check_offsets
-from .recorder import SeedRecord, TraceNode, _excerpt
+from .recorder import SeedRecord, TraceNode, _excerpt, _field, _items
 from .services import TAG_NAMES, all_methods
 
 CATALOG_VERSION = "catalog-v1"
@@ -188,19 +189,19 @@ class FuzzCase(_CaseFields):
         and a slot override that is not a ``pin`` or ``swap:<descriptor>``
         directive on one of those offsets.
         """
-        if not isinstance(obj, dict):
+        if type(obj) is not dict:
             raise ValueError("case is not an object: %s" % _excerpt(obj))
         try:
-            payload = binascii.unhexlify(_json_field(obj, "payload_hex", str))
-        except binascii.Error as exc:
+            payload = binascii.unhexlify(_field(obj, "payload_hex", (str,), "case", ValueError))
+        except ValueError as exc:
             raise ValueError("case payload_hex is not hex: %s" % exc) from None
-        offsets = _json_ints(obj, "offsets")
+        offsets = tuple(_items(obj, "offsets", (int,), "case", ValueError))
         try:
             _check_offsets(offsets, len(payload))
         except ValueError as exc:
             raise ValueError("case offsets: %s" % exc) from None
         overrides: dict[int, str] = {}
-        for pair in _json_field(obj, "slot_overrides", list, []):
+        for pair in _field(obj, "slot_overrides", (list,), "case", ValueError, []):
             if not (
                 type(pair) is list
                 and len(pair) == 2
@@ -214,42 +215,22 @@ class FuzzCase(_CaseFields):
                     "case slot override %s is not one pin or swap:<descriptor> on a handle offset" % _excerpt(pair)
                 )
             overrides[pair[0]] = pair[1]
+        field_path = _field(obj, "field_path", (list, NoneType), "case", ValueError, None)
+        if field_path is not None:
+            field_path = tuple(_items(obj, "field_path", (int,), "case", ValueError))
         return cls(
-            case_id=_json_field(obj, "case_id", int),
-            policy=Policy(_json_field(obj, "policy", str)),
-            descriptor=_json_field(obj, "descriptor", str),
-            code=_json_field(obj, "code", int),
+            case_id=_field(obj, "case_id", (int,), "case", ValueError),
+            policy=Policy(_field(obj, "policy", (str,), "case", ValueError)),
+            descriptor=_field(obj, "descriptor", (str,), "case", ValueError),
+            code=_field(obj, "code", (int,), "case", ValueError),
             payload=payload,
             offsets=offsets,
-            seed_seq=_json_field(obj, "seed_seq", int, None),
-            field_path=_json_ints(obj, "field_path", None),
-            mutation_id=_json_field(obj, "mutation_id", str, None),
-            frame_breaking=_json_field(obj, "frame_breaking", bool, False),
+            seed_seq=_field(obj, "seed_seq", (int, NoneType), "case", ValueError, None),
+            field_path=field_path,
+            mutation_id=_field(obj, "mutation_id", (str, NoneType), "case", ValueError, None),
+            frame_breaking=_field(obj, "frame_breaking", (bool,), "case", ValueError, False),
             slot_overrides=tuple(overrides.items()),
         )
-
-
-_REQUIRED = object()
-
-
-def _json_field(obj: dict, name: str, kind: type, default=_REQUIRED):
-    """obj[name], which must have exactly type kind (so a bool is no int)
-    unless it is absent, or null where null is the default."""
-    value = obj.get(name, default)
-    if value is _REQUIRED:
-        raise ValueError("case has no %s" % name)
-    if type(value) is not kind and value is not default:
-        raise ValueError("case %s must be %s, got %s" % (name, kind.__name__, _excerpt(value)))
-    return value
-
-
-def _json_ints(obj: dict, name: str, default=_REQUIRED) -> tuple[int, ...] | None:
-    values = _json_field(obj, name, list, default)
-    if values is None:
-        return None
-    if any(type(v) is not int for v in values):
-        raise ValueError("case %s must hold integers, got %s" % (name, _excerpt(values)))
-    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

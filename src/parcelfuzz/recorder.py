@@ -25,6 +25,7 @@ import reprlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 
 from .parcel import I32_MAX, Kind, Parcel, handle_at, pad4
 from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_HANDLE
@@ -88,63 +89,39 @@ def _excerpt(value) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-def _ints(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in value)
+_ABSENT = object()
+# Type tuples for the corpus loader's checks, which run per trace node.
+_INT, _STR, _LIST, _DICT = (int,), (str,), (list,), (dict,)
 
 
-def _int_pairs(value) -> tuple[tuple[int, int], ...]:
-    return tuple((int(a), int(b)) for a, b in value)
+def _field(obj: dict, name: str, types: tuple, where: str, error=CorpusError, default=_ABSENT):
+    """obj[name], which must have exactly one of the given JSON types, as
+    json.loads gives them: a bool is no int, 3.0 is no int and null
+    (NoneType) is no str.  An absent field is an error unless a default
+    is given.  Errors are of class error and name where and the field."""
+    try:
+        value = obj[name]
+    except KeyError:
+        if default is _ABSENT:
+            raise error("%s has no %r" % (where, name)) from None
+        return default
+    if type(value) in types:
+        return value
+    names = " or ".join("null" if t is NoneType else t.__name__ for t in types)
+    raise error("%s %s must be %s, got %s" % (where, name, names, _excerpt(value)))
 
 
-def _consumed_handles(value) -> tuple[tuple[int, int | str], ...]:
-    consumed = []
-    for pos, origin in value:
-        if not isinstance(origin, int) and not (isinstance(origin, str) and origin.startswith(STATIC_PREFIX)):
-            raise CorpusError("bad handle origin %s" % _excerpt(origin))
-        consumed.append((int(pos), origin))
-    return tuple(consumed)
-
-
-def _record_error(obj, cause: Exception) -> CorpusError:
-    """What is wrong with a seed record SeedRecord.from_json refused.
-
-    Parses the record again one field at a time and names the first
-    field that is missing or fails; past all of them, the fault was in
-    the trace and cause says what it is.  from_json does not parse this
-    way itself, because load_corpus runs it on every record it loads.
-    """
-    if not isinstance(obj, dict):
-        return CorpusError("seed record is not an object: %s" % _excerpt(obj))
-    where = "seed record"
-    for key, parse in _RECORD_FIELDS:
-        if key not in obj:
-            return CorpusError("%s has no %r" % (where, key))
-        try:
-            value = parse(obj[key])
-        except CorpusError as exc:
-            return CorpusError("%s %s: %s" % (where, key, exc))
-        except (TypeError, ValueError, OverflowError):
-            return CorpusError("%s has a bad %r: %s" % (where, key, _excerpt(obj[key])))
-        if key == "seq":
-            where = "record %d" % value
-    if "trace" not in obj:
-        return CorpusError("%s has no 'trace'" % where)
-    return CorpusError("%s trace: %s" % (where, cause))
-
-
-# Every seed record field but the trace, with the function that parses it.
-# unhexlify takes only an even-length string of hex digits.
-_RECORD_FIELDS = (
-    ("seq", int),
-    ("descriptor", str),
-    ("code", int),
-    ("target", int),
-    ("payload_hex", binascii.unhexlify),
-    ("offsets", _ints),
-    ("consumed_handles", _consumed_handles),
-    ("produced_handles", _int_pairs),
-    ("reply_kind", str),
-)
+def _items(obj: dict, name: str, types: tuple, where: str, error=CorpusError, container=list):
+    """obj[name], a list (or an object, with container=dict) every item
+    (or value) of which has exactly one of the given JSON types."""
+    values = obj.get(name)
+    if type(values) is not container:
+        _field(obj, name, (container,), where, error)  # raises: absent, or not a container
+    for value in values.values() if container is dict else values:
+        if type(value) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise error("%s %s must hold only %s values, got %s" % (where, name, names, _excerpt(values)))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +178,8 @@ class TraceNode:
     def from_json(cls, obj, payload: bytes, handle_starts: list[int]) -> "TraceNode":
         """Parse the trace tree of a record with the given payload.
 
+        Every node must be an object with a str kind, an optional str
+        label and a byte_range of two ints, a composite's children a list.
         Every leaf must fit inside the payload, its kind's fixed-width part
         included, a STRING or BYTES leaf must end where its length prefix
         says the padded value ends, a STRING leaf must hold UTF-8 (what a
@@ -209,20 +188,17 @@ class TraceNode:
         re-encodes), and the start of every HANDLE leaf is appended to
         handle_starts in tree order.
         """
-        try:
-            kind = obj["kind"]
-            label = obj.get("label", "")
-            start, end = obj["byte_range"]
-            start, end = int(start), int(end)
-        except KeyError as exc:
-            raise CorpusError("trace node has no %s" % exc) from None
-        except (TypeError, ValueError, OverflowError):
-            raise CorpusError("malformed trace node: %s" % _excerpt(obj)) from None
-        if type(label) is not str:
-            raise CorpusError("trace node label is not a string: %s" % _excerpt(label))
+        if type(obj) is not dict:
+            raise CorpusError("trace node is not an object: %s" % _excerpt(obj))
+        kind = _field(obj, "kind", _STR, "trace node")
+        label = _field(obj, "label", _STR, "trace node", CorpusError, "")
+        byte_range = _items(obj, "byte_range", _INT, "trace node")
+        if len(byte_range) != 2:
+            raise CorpusError("trace node byte_range must be [start, end], got %s" % _excerpt(byte_range))
+        start, end = byte_range
         if kind == COMPOSITE:
-            children = [cls.from_json(c, payload, handle_starts) for c in obj.get("children", ())]
-            return cls(kind, label, start, end, children)
+            children = _field(obj, "children", _LIST, "trace node", CorpusError, [])
+            return cls(kind, label, start, end, [cls.from_json(c, payload, handle_starts) for c in children])
         fixed_part = _FIXED_PART.get(kind)
         if fixed_part is None:
             raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
@@ -349,33 +325,53 @@ class SeedRecord:
         }
 
     @classmethod
-    def from_json(cls, obj) -> "SeedRecord":
+    def from_json(cls, obj, where: str = "seed record") -> "SeedRecord":
         """Parse one corpus record.  An unusable record is a CorpusError
-        that names the record's seq, when it has one, and what is wrong."""
+        naming the first field that fails and the record: by its seq once
+        that is read, by where until then."""
+        if type(obj) is not dict:
+            raise CorpusError("%s is not an object: %s" % (where, _excerpt(obj)))
+        seq = _field(obj, "seq", _INT, where)
+        where = "record %d" % seq
+        scenario = _field(obj, "scenario", _STR, where, CorpusError, "")
+        descriptor = _field(obj, "descriptor", _STR, where)
+        code = _field(obj, "code", _INT, where)
+        target = _field(obj, "target", _INT, where)
+        try:
+            payload = binascii.unhexlify(_field(obj, "payload_hex", _STR, where))
+        except ValueError as exc:
+            raise CorpusError("%s payload_hex is not hex: %s" % (where, exc)) from None
+        offsets = tuple(_items(obj, "offsets", _INT, where))
+        trace_obj = _field(obj, "trace", _DICT, where)
         handle_starts: list[int] = []
         try:
-            payload = binascii.unhexlify(obj["payload_hex"])
-            record = cls(
-                seq=int(obj["seq"]),
-                scenario=str(obj.get("scenario", "")),
-                descriptor=str(obj["descriptor"]),
-                code=int(obj["code"]),
-                target=int(obj["target"]),
-                payload=payload,
-                offsets=_ints(obj["offsets"]),
-                trace=TraceNode.from_json(obj["trace"], payload, handle_starts),
-                consumed_handles=_consumed_handles(obj["consumed_handles"]),
-                produced_handles=_int_pairs(obj["produced_handles"]),
-                reply_kind=str(obj["reply_kind"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError, CorpusError) as exc:
-            raise _record_error(obj, exc) from None
-        if tuple(handle_starts) != record.offsets:
+            trace = TraceNode.from_json(trace_obj, payload, handle_starts)
+        except CorpusError as exc:
+            raise CorpusError("%s trace: %s" % (where, exc)) from None
+        if tuple(handle_starts) != offsets:
             raise CorpusError(
-                "record %d: HANDLE leaves start at %s, offsets are %s"
-                % (record.seq, _excerpt(handle_starts), _excerpt(record.offsets))
+                "%s: HANDLE leaves start at %s, offsets are %s" % (where, _excerpt(handle_starts), _excerpt(offsets))
             )
-        return record
+        consumed = _items(obj, "consumed_handles", _LIST, where)
+        for pair in consumed:
+            if not (
+                len(pair) == 2
+                and type(pair[0]) is int
+                and (type(pair[1]) is int or (type(pair[1]) is str and pair[1].startswith(STATIC_PREFIX)))
+            ):
+                raise CorpusError(
+                    "%s consumed_handles must hold [int, int or '%s<descriptor>'] pairs, got %s"
+                    % (where, STATIC_PREFIX, _excerpt(pair))
+                )
+        produced = _items(obj, "produced_handles", _LIST, where)
+        for pair in produced:
+            if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+                raise CorpusError("%s produced_handles must hold [int, int] pairs, got %s" % (where, _excerpt(pair)))
+        reply_kind = _field(obj, "reply_kind", _STR, where)
+        return cls(
+            seq, scenario, descriptor, code, target, payload, offsets, trace,
+            tuple(map(tuple, consumed)), tuple(map(tuple, produced)), reply_kind,
+        )
 
 
 class RecordingClient(Client):
@@ -511,8 +507,8 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(SCENARIOS) + ("all",)
 
 
-def record_session(names, router: Router | None = None) -> list[SeedRecord]:
-    """Run the named scenarios against one router and return their records.
+def record_session(names) -> list[SeedRecord]:
+    """Run the named scenarios against one fresh router and return their records.
 
     A client-side refusal (wrapper validation) aborts the whole session:
     the failed call leaves no partial record, by construction, and the
@@ -528,9 +524,7 @@ def record_session(names, router: Router | None = None) -> list[SeedRecord]:
             expanded.append(name)
         else:
             raise ValueError("unknown scenario %r (have: %s)" % (name, ", ".join(scenario_names())))
-    if router is None:
-        router = fresh_router()
-    client = RecordingClient(router)
+    client = RecordingClient(fresh_router())
     for name in expanded:
         client.scenario = name
         try:
@@ -632,26 +626,28 @@ def save_corpus(records, path) -> None:
 
 
 def load_corpus(path) -> list[SeedRecord]:
+    """The records of a corpus file.  A record that has no usable seq is
+    named by its 1-based line in the file, blank lines counted."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise CorpusError("corpus file is empty")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0][1])
     except json.JSONDecodeError:
         raise CorpusError("corpus header is not JSON") from None
     except RecursionError:
         raise CorpusError("corpus header nests too deeply") from None
-    if not isinstance(header, dict) or header.get("format_version") != CORPUS_FORMAT_VERSION:
+    if type(header) is not dict or _field(header, "format_version", _INT, "corpus header") != CORPUS_FORMAT_VERSION:
         raise CorpusError("unsupported corpus header: %s" % _excerpt(header))
     records = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         try:
-            records.append(SeedRecord.from_json(json.loads(line)))
+            records.append(SeedRecord.from_json(json.loads(line), "corpus line %d" % number))
         except json.JSONDecodeError:
-            raise CorpusError("corpus line is not JSON: %r" % line[:80]) from None
+            raise CorpusError("corpus line %d is not JSON: %r" % (number, line[:80])) from None
         except RecursionError:
-            raise CorpusError("corpus line nests too deeply: %r" % line[:80]) from None
+            raise CorpusError("corpus line %d nests too deeply: %r" % (number, line[:80])) from None
     return records
 
 

@@ -114,6 +114,21 @@ def prepare_corpus(records) -> PreparedCorpus:
     )
 
 
+def check_replies(prepared: PreparedCorpus) -> None:
+    """Replay every record once, unmutated, in seq order, on one fresh
+    session, and refuse the corpus unless each replies as recorded.
+
+    Loading checks each record against itself.  A STRING length prefix
+    that lies but still ends inside its leaf's padding passes every such
+    check; the service then reads another string, and its reply tells.
+    """
+    session = ReplaySession(prepared)
+    for record in prepared.records.values():
+        replied = session._execute_record(record).kind.value
+        if replied != record.reply_kind:
+            raise CorpusError("record %d recorded %s, replayed %s" % (record.seq, record.reply_kind, replied))
+
+
 class ReplaySession:
     """One fresh router over a prepared corpus: the unit of replay isolation.
 

@@ -199,20 +199,28 @@ def test_load_rejects_bad_header(tmp_path):
 def test_load_rejects_malformed_records(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
-        '{"corpus_manifest_ref": "corpus-manifest-v1", "format_version": 1}\n{"seq": "x"}\n'
+        '{"corpus_manifest_ref": "corpus-manifest-v1", "format_version": 1}\n\n{"seq": "x"}\n'
     )
-    with pytest.raises(CorpusError):
+    with pytest.raises(CorpusError, match=r"^corpus line 3 seq must be int, got 'x'$"):
         load_corpus(path)
 
 
 def test_malformed_record_errors_name_the_record_and_the_field(corpus):
     good = corpus[3].to_json()
     cases = (
-        ({"seq": "x"}, "seed record has a bad 'seq': 'x'"),
-        ({"seq": None}, "seed record has a bad 'seq': None"),
-        ({"payload_hex": "abc"}, "record 3 has a bad 'payload_hex': 'abc'"),
-        ({"offsets": [0, "x"]}, "record 3 has a bad 'offsets': [0, 'x']"),
-        ({"consumed_handles": [[0, "nowhere"]]}, "record 3 consumed_handles: bad handle origin 'nowhere'"),
+        ({"seq": "x"}, "seed record seq must be int, got 'x'"),
+        ({"seq": None}, "seed record seq must be int, got None"),
+        ({"seq": True}, "seed record seq must be int, got True"),
+        ({"code": 3.0}, "record 3 code must be int, got 3.0"),
+        ({"descriptor": None}, "record 3 descriptor must be str, got None"),
+        ({"reply_kind": 7}, "record 3 reply_kind must be str, got 7"),
+        ({"payload_hex": "abc"}, "record 3 payload_hex is not hex: Odd-length string"),
+        ({"offsets": [0, "x"]}, "record 3 offsets must hold only int values, got [0, 'x']"),
+        (
+            {"consumed_handles": [[0, "nowhere"]]},
+            "record 3 consumed_handles must hold [int, int or 'STATIC:<descriptor>'] pairs, got [0, 'nowhere']",
+        ),
+        ({"produced_handles": [[1, True]]}, "record 3 produced_handles must hold [int, int] pairs, got [1, True]"),
     )
     for change, message in cases:
         with pytest.raises(CorpusError) as info:
@@ -220,7 +228,7 @@ def test_malformed_record_errors_name_the_record_and_the_field(corpus):
         assert str(info.value) == message
     with pytest.raises(CorpusError) as info:
         SeedRecord.from_json({**good, "code": "x" * 100000})
-    assert str(info.value).startswith("record 3 has a bad 'code': 'xxx")
+    assert str(info.value).startswith("record 3 code must be int, got 'xxx")
     assert len(str(info.value)) <= 110
     for key in ("seq", "descriptor", "trace", "reply_kind"):
         obj = dict(good)
@@ -275,9 +283,9 @@ def test_trace_node_json_validation():
         )
     with pytest.raises(CorpusError):
         TraceNode.from_json({"nope": 1}, payload, [])
-    with pytest.raises(CorpusError, match="label is not a string"):
+    with pytest.raises(CorpusError, match=r"^trace node label must be str, got None$"):
         TraceNode.from_json({"kind": "I32", "label": None, "byte_range": [0, 4]}, payload, [])
-    with pytest.raises(CorpusError, match="malformed trace node"):
+    with pytest.raises(CorpusError, match=r"^trace node byte_range must hold only int values, got \[0, inf\]$"):
         TraceNode.from_json({"kind": "I32", "byte_range": [0, float("inf")]}, payload, [])
     with pytest.raises(CorpusError, match=r"^trace leaf STRING at \[0, 8\) is not UTF-8"):
         TraceNode.from_json({"kind": "STRING", "byte_range": [0, 8]}, b"\x02\x00\x00\x00\xff\xfe\x00\x00", [])
