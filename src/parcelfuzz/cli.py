@@ -19,7 +19,7 @@ from .harness import (
     ManifestError,
     build_manifest,
     canonical_json,
-    find_crash,
+    fingerprint,
     load_report,
     reproduce,
     run_fuzz,
@@ -140,10 +140,8 @@ def _cmd_fuzz(args) -> int:
 def _cmd_replay(args) -> int:
     report = load_report(args.report)
     corpus = load_corpus(args.corpus) if args.corpus else []
-    saved = find_crash(report, args.fingerprint)
-    reply = reproduce(report, saved.fingerprint, corpus)
-    crash = reply.crash
-    print("reproduced %s" % saved.fingerprint)
+    crash = reproduce(report, args.fingerprint, corpus).crash
+    print("reproduced %s" % fingerprint(crash))
     print("  %s in %s" % (crash.exception_kind, " < ".join(crash.stack_frames)))
     print("  detail: %s" % crash.detail)
     return 2

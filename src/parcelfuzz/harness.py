@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import NoneType
+from typing import NamedTuple, Sequence
 
 from .mutator import (
     CATALOG_VERSION,
@@ -152,8 +152,7 @@ def _encode(value, newline: str, append) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrashReport:
+class CrashReport(NamedTuple):
     fingerprint: str
     exception_kind: str
     descriptor: str
@@ -163,7 +162,7 @@ class CrashReport:
     provenance: dict
     schema: dict
     first_seen_case_id: int
-    hit_count: int = 1
+    hit_count: int
 
     def to_json(self) -> dict:
         return {
@@ -201,8 +200,7 @@ class CrashReport:
         )
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(NamedTuple):
     config: dict
     counters: dict
     crashes: list[CrashReport]
@@ -282,12 +280,11 @@ def load_report(path) -> CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FuzzConfig:
+class FuzzConfig(NamedTuple):
     policy: object
     budget: int
     rng_seed: int = 1
-    corpus: list[SeedRecord] = field(default_factory=list)
+    corpus: Sequence[SeedRecord] = ()
 
 
 def run_fuzz(config: FuzzConfig) -> CampaignReport:
@@ -303,7 +300,8 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
 
     counters = dict.fromkeys(OUTCOMES, 0)
     tallies: dict[tuple[str, int], dict[str, int]] = {}
-    crashes: dict[str, CrashReport] = {}
+    hits: dict[str, int] = {}
+    first_hits: dict[str, tuple[FuzzCase, CrashInfo, TraceNode]] = {}
     edge_total = 0
     edges_by_sender: dict[str, int] = {}
     edges_by_descriptor: dict[str, int] = {}
@@ -326,7 +324,10 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
             reply = session.router.transact(txn)
             outcome = classify(reply)
             if reply.kind is ReplyKind.FATAL_CRASH:
-                _record_crash(crashes, case, reply.crash, prepared, config)
+                digest = fingerprint(reply.crash)
+                hits[digest] = hits.get(digest, 0) + 1
+                if hits[digest] == 1:
+                    first_hits[digest] = (case, reply.crash, _traced_rerun(prepared, case, digest))
         counters[outcome] += 1
         tally[outcome] += 1
 
@@ -347,7 +348,7 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
             "mode": "isolated",
         },
         counters=counters,
-        crashes=sorted(crashes.values(), key=lambda c: c.fingerprint),
+        crashes=[_crash_report(digest, *first_hits[digest], hits[digest], config) for digest in sorted(first_hits)],
         per_method={"%s:%d" % method: tally for method, tally in tallies.items()},
         edge_summary={
             "total": edge_total,
@@ -381,13 +382,10 @@ def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str) -> Trac
     return builder.finish()
 
 
-def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, prepared: PreparedCorpus, config: FuzzConfig) -> None:
-    digest = fingerprint(crash)
-    existing = crashes.get(digest)
-    if existing is not None:
-        existing.hit_count += 1
-        return
-    crashes[digest] = CrashReport(
+def _crash_report(
+    digest: str, case: FuzzCase, crash: CrashInfo, schema: TraceNode, hit_count: int, config: FuzzConfig
+) -> CrashReport:
+    return CrashReport(
         fingerprint=digest,
         exception_kind=crash.exception_kind,
         descriptor=case.descriptor,
@@ -402,8 +400,9 @@ def _record_crash(crashes, case: FuzzCase, crash: CrashInfo, prepared: PreparedC
             "rng_seed": config.rng_seed,
             "case": case.to_json(),
         },
-        schema=_traced_rerun(prepared, case, digest).to_json(max_depth=SCHEMA_DEPTH_LIMIT),
+        schema=schema.to_json(max_depth=SCHEMA_DEPTH_LIMIT),
         first_seen_case_id=case.case_id,
+        hit_count=hit_count,
     )
 
 

@@ -34,9 +34,9 @@ import itertools
 import math
 import re
 import struct
+import sys
 from _random import Random as _CRandom
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from types import NoneType
 from typing import Iterator, NamedTuple
@@ -238,16 +238,11 @@ class FuzzCase(_CaseFields):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Leaf:
+class _Leaf(NamedTuple):
     kind: str
     path: tuple[int, ...]
     value: object
-    write_as: str = ""
-
-    def __post_init__(self):
-        if not self.write_as:
-            self.write_as = self.kind
+    write_as: str
 
 
 _I32 = struct.Struct("<i")
@@ -272,7 +267,7 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
 
     def walk(node: TraceNode, path: tuple[int, ...]) -> None:
         if node.is_leaf:
-            leaves.append(_Leaf(node.kind, path, _decode_leaf(buf, node)))
+            leaves.append(_Leaf(node.kind, path, _decode_leaf(buf, node), node.kind))
             return
         for i, child in enumerate(node.children):
             walk(child, path + (i,))
@@ -672,8 +667,8 @@ def generate_campaign(corpus, policy, budget: int, rng_seed: int):
     never runs dry, so it is the natural filler when combined with EMPTY.
     """
     policies = _normalize_policies(policy)
-    if budget < 1:
-        raise ConfigurationError("budget must be at least 1, got %d" % budget)
+    if not 1 <= budget <= sys.maxsize:
+        raise ConfigurationError("budget must be in [1, %d], got %d" % (sys.maxsize, budget))
     if Policy.SEMI_VALID in policies and not corpus:
         raise ConfigurationError("SEMI_VALID needs a non-empty seed corpus")
 

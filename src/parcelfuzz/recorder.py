@@ -23,9 +23,9 @@ import hashlib
 import json
 import reprlib
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import NoneType
+from typing import NamedTuple
 
 from .parcel import I32_MAX, Kind, Parcel, handle_at, pad4
 from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_HANDLE
@@ -129,15 +129,25 @@ def _items(obj: dict, name: str, types: tuple, where: str, error=CorpusError, co
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TraceNode:
-    """One node of a type trace: a primitive leaf or a labeled composite."""
+    """One node of a type trace: a primitive leaf or a labeled composite.
+    Not a tuple: ``TraceBuilder.finish`` sets composite ranges later."""
 
-    kind: str
-    label: str = ""
-    start: int = 0
-    end: int = 0
-    children: list["TraceNode"] = field(default_factory=list)
+    __slots__ = ("kind", "label", "start", "end", "children")
+
+    def __init__(self, kind: str, label: str = "", start: int = 0, end: int = 0, children: list | None = None):
+        self.kind = kind
+        self.label = label
+        self.start = start
+        self.end = end
+        self.children = [] if children is None else children
+
+    def __eq__(self, other):
+        if type(other) is not TraceNode:
+            return NotImplemented
+        return (self.kind, self.label, self.start, self.end, self.children) == (
+            other.kind, other.label, other.start, other.end, other.children
+        )
 
     @property
     def is_leaf(self) -> bool:
@@ -283,8 +293,7 @@ class TraceBuilder:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedRecord:
+class SeedRecord(NamedTuple):
     """One recorded transaction, carrying everything replay needs.
 
     consumed_handles pairs each handle-slot byte position in the payload
@@ -545,15 +554,12 @@ def coverage_gaps(records) -> list[tuple[str, int, str]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     producer_seq: int
     consumer_seq: int
-    handle_id: int
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     nodes: tuple[int, ...]
     edges: tuple[DependencyEdge, ...]
 
@@ -587,10 +593,10 @@ def build_dependency_graph(records) -> DependencyGraph:
                         "record %d consumes handle %d attributed to record %d, "
                         "which did not produce it" % (record.seq, value, origin)
                     )
-                edges.append(DependencyEdge(origin, record.seq, value))
+                edges.append(DependencyEdge(origin, record.seq))
 
         if record.target in dyn_produced:
-            edges.append(DependencyEdge(dyn_produced[record.target], record.seq, record.target))
+            edges.append(DependencyEdge(dyn_produced[record.target], record.seq))
         elif record.target not in static_values:
             raise CorpusError(
                 "record %d targets handle %d with no recorded origin" % (record.seq, record.target)

@@ -19,9 +19,8 @@ relied on recorded ids would fail loudly instead of passing by luck.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .parcel import Kind, Parcel, handle_at
 from .recorder import (
@@ -77,8 +76,7 @@ def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
     return sorted(ancestors)
 
 
-@dataclass(frozen=True)
-class PreparedCorpus:
+class PreparedCorpus(NamedTuple):
     """What replay derives from a corpus alone, built once and only read.
 
     records maps seq to record; static_names maps each handle value a

@@ -27,7 +27,6 @@ creating a router builds no service at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
@@ -101,18 +100,20 @@ class Reply(NamedTuple):
         return cls(ReplyKind.FATAL_CRASH, crash=crash)
 
 
-@dataclass
 class Transaction:
-    target_handle: int
-    code: int
-    data: Parcel
-    sender_id: str = "anonymous"
+    """One request: a method code and payload addressed to a handle."""
 
-    def __post_init__(self):
-        if self.target_handle < 0:
+    __slots__ = ("target_handle", "code", "data", "sender_id")
+
+    def __init__(self, target_handle: int, code: int, data: Parcel, sender_id: str = "anonymous"):
+        if target_handle < 0:
             raise ValueError("target_handle must be >= 0")
-        if self.code < 1:
+        if code < 1:
             raise ValueError("code must be >= 1")
+        self.target_handle = target_handle
+        self.code = code
+        self.data = data
+        self.sender_id = sender_id
 
 
 class IpcEdge(NamedTuple):

@@ -27,8 +27,7 @@ recording hook can reconstruct the type structure of what was read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .parcel import I32_MAX, Kind, Parcel, ParcelError
 from .router import (
@@ -96,23 +95,22 @@ class ReplyError(Exception):
         self.reply = reply
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(NamedTuple):
     code: int
     name: str
     signature: tuple[str, ...]
     hidden: bool = False
 
 
-@dataclass(frozen=True)
 class MethodRegistry:
-    descriptor: str
-    methods: tuple[MethodSpec, ...]
+    __slots__ = ("descriptor", "methods")
 
-    def __post_init__(self):
-        codes = [m.code for m in self.methods]
+    def __init__(self, descriptor: str, methods: tuple[MethodSpec, ...]):
+        codes = [m.code for m in methods]
         if codes != list(range(1, len(codes) + 1)):
             raise ValueError("method codes must be contiguous from 1, got %r" % codes)
+        self.descriptor = descriptor
+        self.methods = methods
 
     def spec(self, code: int) -> MethodSpec | None:
         if 1 <= code <= len(self.methods):
@@ -288,19 +286,19 @@ class BluetoothService(Service):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ViewNode:
     """Layout tree node: either a text leaf or a pair of children."""
 
-    content: str | None = None
-    children: tuple["ViewNode", ...] = ()
+    __slots__ = ("content", "children")
 
-    def __post_init__(self):
-        if self.content is None:
-            if len(self.children) != 2:
+    def __init__(self, content: str | None = None, children: tuple["ViewNode", ...] = ()):
+        if content is None:
+            if len(children) != 2:
                 raise ValueError("a non-leaf node holds exactly two children")
-        elif self.children:
+        elif children:
             raise ValueError("a leaf node holds no children")
+        self.content = content
+        self.children = children
 
     @property
     def is_leaf(self) -> bool:
@@ -723,8 +721,7 @@ def all_methods() -> tuple[tuple[str, int, str], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SeededBug:
+class SeededBug(NamedTuple):
     """One planted defect: where it lives, what trips it, what it raises."""
 
     bug_id: str

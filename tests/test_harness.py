@@ -2,13 +2,15 @@
 
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
 import math
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,10 +119,8 @@ def test_unstructured_policies_find_strictly_fewer(corpus, manifest_fps, semi_re
 
 
 def test_unreplayable_cases_are_counted_not_fatal(monkeypatch, corpus):
-    import dataclasses
-
     broken = [
-        dataclasses.replace(r, code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
+        r._replace(code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
         for r in corpus
     ]
     # The campaign's replay of the whole corpus refuses it up front...
@@ -153,7 +153,7 @@ def test_a_campaign_leaves_its_prepared_corpus_unchanged(monkeypatch, corpus):
 
 def test_a_failed_support_replay_leaves_later_cases_alone(monkeypatch, corpus, semi_report):
     broken = [
-        dataclasses.replace(r, code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
+        r._replace(code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
         for r in corpus
     ]
     # run_fuzz refuses this corpus (see above); the per-case path is
@@ -568,6 +568,7 @@ def test_cli_end_to_end(tmp_path, capsys, manifest_fps):
     assert code == 2
     out = capsys.readouterr().out
     assert report.crashes[0].fingerprint in out
+    assert out.startswith("reproduced %s\n" % report.crashes[0].fingerprint)
 
 
 def test_cli_clean_campaign_exits_zero(tmp_path, capsys):
@@ -614,11 +615,27 @@ def test_cli_error_paths(tmp_path, capsys):
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
+    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "99999999999999999999999",
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err, err
+
     assert main(["report", "--in", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
 
     assert main(["record", "--scenario", "no_such_scenario", "--out", str(tmp_path / "x.jsonl")]) == 1
     capsys.readouterr()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every replay is a fresh process that imports the package first;
+    dataclasses and the inspect module it loads cost about a quarter of
+    that import, and the package declares its records without them."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, %r); import parcelfuzz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe % src], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_cli_replay_mismatch_is_an_error(tmp_path, capsys, corpus):

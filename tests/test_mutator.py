@@ -5,11 +5,11 @@ walks over the recorded traces rather than calling back into the
 functions under test.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -467,7 +467,7 @@ def _synthetic_handles_and_empty_subtree():
 def _full_rebuild_case(record, case):
     """(payload, offsets, slot_overrides) of case, made the long way: edit
     a copy of the seed's leaf list, then re-serialize every leaf."""
-    leaves = [mutator._Leaf(leaf.kind, leaf.path, leaf.value, leaf.write_as) for leaf in decompose(record)]
+    leaves = decompose(record)
     path, mutation_id = case.field_path, case.mutation_id
     patch, directive = None, None
     if mutation_id == "duplicate_subtree" or mutation_id == "remove_subtree" or mutation_id.startswith("tag_swap_to_"):
@@ -478,28 +478,30 @@ def _full_rebuild_case(record, case):
         elif mutation_id == "remove_subtree":
             leaves = leaves[:lo] + leaves[hi:]
         else:
-            tag = next(leaf for leaf in leaves if leaf.path == path + (1,))
-            tag.value = int(mutation_id.rsplit("_", 1)[1])
+            tag = next(i for i, leaf in enumerate(leaves) if leaf.path == path + (1,))
+            leaves[tag] = leaves[tag]._replace(value=int(mutation_id.rsplit("_", 1)[1]))
         parcel = _rebuild(leaves)
         return parcel.buffer, tuple(parcel.offsets), ()
     index = next(i for i, leaf in enumerate(leaves) if leaf.path == path)
     leaf = leaves[index]
     if leaf.kind in ("I32", "BOOL", "I64"):
-        leaf.value = mutator._mutate_int(leaf.value, mutation_id, 64 if leaf.kind == "I64" else 32)
+        leaves[index] = leaf._replace(value=mutator._mutate_int(leaf.value, mutation_id, 64 if leaf.kind == "I64" else 32))
     elif leaf.kind == "F64":
-        leaf.value = mutator._mutate_f64(leaf.value, mutation_id)
+        leaves[index] = leaf._replace(value=mutator._mutate_f64(leaf.value, mutation_id))
     elif leaf.kind == "STRING":
-        leaf.value, leaf.write_as = mutator._mutate_string(leaf.value, mutation_id)
+        value, write_as = mutator._mutate_string(leaf.value, mutation_id)
+        leaves[index] = leaf._replace(value=value, write_as=write_as)
         patch = 4 if mutation_id == "declared_length_plus_4" else None
     elif leaf.kind == "BYTES":
         if mutation_id == "truncate_half":
-            leaf.value = leaf.value[: len(leaf.value) // 2]
+            leaves[index] = leaf._replace(value=leaf.value[: len(leaf.value) // 2])
         else:
             patch = "max"
     elif mutation_id == "cross_service_swap":
         directive = "swap:" + ("svc.queue" if record.descriptor != "svc.queue" else "svc.audio")
     else:
-        leaf.value, directive = (0 if mutation_id == "zero_handle" else I32_MAX), "pin"
+        leaves[index] = leaf._replace(value=0 if mutation_id == "zero_handle" else I32_MAX)
+        directive = "pin"
     parcel = _rebuild(leaves)
     payload = parcel.buffer
     start = parcel.write_log[index][1]
@@ -543,7 +545,7 @@ def test_splice_moves_handles_with_the_bytes_around_them():
 def test_a_handle_the_rebuild_refuses_fails_at_the_seeds_first_case():
     record = _synthetic_handles_and_empty_subtree()
     bad = record.payload[:8] + struct.pack("<i", -5) + record.payload[12:]
-    cases = semi_valid_cases(dataclasses.replace(record, payload=bad))
+    cases = semi_valid_cases(record._replace(payload=bad))
     with pytest.raises(CapacityError, match="handle out of range: -5"):
         next(cases)
 
@@ -585,6 +587,8 @@ def test_campaign_is_deterministic(corpus):
 def test_campaign_configuration_errors(corpus):
     with pytest.raises(ConfigurationError):
         generate_campaign(corpus, "semi-valid", 0, 1)
+    with pytest.raises(ConfigurationError, match=r"^budget must be in \[1, %d\], got %d$" % (sys.maxsize, sys.maxsize + 1)):
+        generate_campaign(corpus, "semi-valid", sys.maxsize + 1, 1)
     with pytest.raises(ConfigurationError):
         generate_campaign([], "semi-valid", 10, 1)
     with pytest.raises(ConfigurationError):

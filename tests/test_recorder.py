@@ -6,8 +6,6 @@ tests lean on its exact shape, which is stable by construction: scenario
 order is fixed and every wrapper call is deterministic.
 """
 
-import dataclasses
-
 import pytest
 
 from parcelfuzz.parcel import Kind, handle_at
@@ -139,7 +137,7 @@ def test_graph_nodes_are_all_seqs(corpus, graph):
 
 
 def test_graph_rejects_gapped_seqs(corpus):
-    tampered = [dataclasses.replace(corpus[-1], seq=40)]
+    tampered = [corpus[-1]._replace(seq=40)]
     with pytest.raises(CorpusError):
         build_dependency_graph(list(corpus[:-1]) + tampered)
 
@@ -147,7 +145,7 @@ def test_graph_rejects_gapped_seqs(corpus):
 def test_graph_rejects_false_attribution(corpus):
     register = _by_scenario(corpus, "audio_callback")[-1]
     (pos, _origin) = register.consumed_handles[0]
-    lying = dataclasses.replace(register, consumed_handles=((pos, 2),))
+    lying = register._replace(consumed_handles=((pos, 2),))
     records = [lying if r.seq == register.seq else r for r in corpus]
     with pytest.raises(CorpusError):
         build_dependency_graph(records)
@@ -155,7 +153,7 @@ def test_graph_rejects_false_attribution(corpus):
 
 def test_graph_rejects_unattributed_target(corpus):
     ping = _by_scenario(corpus, "audio_callback")[3]
-    lost = dataclasses.replace(ping, target=999)
+    lost = ping._replace(target=999)
     records = [lost if r.seq == ping.seq else r for r in corpus]
     with pytest.raises(CorpusError):
         build_dependency_graph(records)

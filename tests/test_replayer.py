@@ -1,7 +1,5 @@
 """Replay planning, handle materialization, and the probe-burn guarantee."""
 
-import dataclasses
-
 import pytest
 
 from parcelfuzz.mutator import FuzzCase, Policy, mutate_field
@@ -140,7 +138,7 @@ def test_ensure_supports_runs_each_ancestor_once(prepared, audio_seqs):
 
 def test_support_failure_is_unreplayable_with_the_culprit_seq(corpus, audio_seqs):
     broken = [
-        dataclasses.replace(r, code=99) if r.seq == audio_seqs["open_session"] else r
+        r._replace(code=99) if r.seq == audio_seqs["open_session"] else r
         for r in corpus
     ]
     session = ReplaySession(prepare_corpus(broken))
@@ -154,7 +152,7 @@ def test_a_support_reply_without_its_recorded_handle_is_unreplayable(corpus, aud
     # open_session's reply holds the session handle at 0 and an int at 4.
     for pos in (4, 8, -1):
         broken = [
-            dataclasses.replace(r, produced_handles=((r.produced_handles[0][0], pos),))
+            r._replace(produced_handles=((r.produced_handles[0][0], pos),))
             if r.seq == audio_seqs["open_session"] else r
             for r in corpus
         ]
