@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy",
         required=True,
         metavar="POLICY",
-        help="empty, random or semi-valid; comma-separate to concatenate",
+        help="empty, random or semi-valid; comma-separate to combine (random runs last)",
     )
     p_fuzz.add_argument("--corpus", metavar="PATH", help="seed corpus (required for semi-valid)")
     p_fuzz.add_argument("--budget", required=True, type=int, metavar="N")

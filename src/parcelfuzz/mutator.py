@@ -24,18 +24,21 @@ Campaign enumeration is a pure function of (corpus, policies, budget,
 rng_seed, catalog version): seeds ascending, leaves in depth-first order,
 mutations in catalog order, then each seed's structural mutations; EMPTY
 is one case per registry method; RANDOM round-robins the registry with a
-fixed length cycle and per-case sub-seeds.
+fixed length cycle and per-case sub-seeds.  A RANDOM payload is the
+SHAKE-128 digest of its sub-seed's shortest signed little-endian bytes,
+so it depends on the sub-seed alone, sign included, on every Python
+version.  The finite policies run before RANDOM, which fills the budget.
 """
 
 from __future__ import annotations
 
 import binascii
+import hashlib
 import itertools
 import math
 import re
 import struct
 import sys
-from _random import Random as _CRandom
 from bisect import bisect_left
 from enum import Enum
 from types import NoneType
@@ -45,7 +48,7 @@ from .parcel import I32_MAX, Kind, Parcel, _check_offsets
 from .recorder import SeedRecord, TraceNode, _excerpt, _field, _items
 from .services import TAG_NAMES, all_methods
 
-CATALOG_VERSION = "catalog-v1"
+CATALOG_VERSION = "catalog-v2"
 
 RANDOM_LENGTH_CYCLE = (0, 4, 16, 64, 256, 4096)
 MAX_RANDOM_LENGTH = 65536
@@ -588,10 +591,14 @@ def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
 def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id: int = 0) -> FuzzCase:
     if not 0 <= length <= MAX_RANDOM_LENGTH:
         raise ConfigurationError("random payload length %d outside [0, %d]" % (length, MAX_RANDOM_LENGTH))
-    # The same bytes as random.Random(rng_seed).randbytes(length), drawn
-    # from the C generator it wraps without its Python frames.  An empty
-    # payload needs no generator, and one RANDOM case in six is empty.
-    payload = _CRandom(rng_seed).getrandbits(8 * length).to_bytes(length, "little") if length else b""
+    # SHAKE-128 of the seed's shortest signed little-endian encoding: any
+    # int has exactly one, and hashing it costs far less than seeding a
+    # generator.  One RANDOM case in six is empty and needs no hash.
+    if length:
+        key = rng_seed.to_bytes(((rng_seed if rng_seed >= 0 else ~rng_seed).bit_length() + 8) // 8, "little", signed=True)
+        payload = hashlib.shake_128(key).digest(length)
+    else:
+        payload = b""
     return FuzzCase(
         case_id=case_id,
         policy=Policy.RANDOM,
@@ -660,11 +667,11 @@ def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int
 def generate_campaign(corpus, policy, budget: int, rng_seed: int):
     """Ordered, deterministic case stream, truncated at budget.
 
-    Multiple policies concatenate in the order given; case_id numbers the
-    combined stream from 1, each case getting its id as it is built, and
-    no case past the budget is built.  EMPTY and SEMI_VALID are finite
-    (the method registry, respectively the seed enumeration); RANDOM
-    never runs dry, so it is the natural filler when combined with EMPTY.
+    EMPTY and SEMI_VALID are finite (the method registry, respectively
+    the seed enumeration) and run first, in the order given; RANDOM never
+    runs dry, so it runs last and fills the rest of the budget.  case_id
+    numbers the combined stream from 1, each case getting its id as it
+    is built, and no case past the budget is built.
     """
     policies = _normalize_policies(policy)
     if not 1 <= budget <= sys.maxsize:
@@ -673,6 +680,7 @@ def generate_campaign(corpus, policy, budget: int, rng_seed: int):
         raise ConfigurationError("SEMI_VALID needs a non-empty seed corpus")
 
     case_ids = itertools.count(1)
-    streams = (_policy_stream(p, corpus, rng_seed, case_ids) for p in policies)
+    ordered = sorted(policies, key=lambda p: p is Policy.RANDOM)  # stable: finite ones keep their order
+    streams = (_policy_stream(p, corpus, rng_seed, case_ids) for p in ordered)
     return itertools.islice(itertools.chain.from_iterable(streams), budget)
 

@@ -9,6 +9,7 @@ import random
 import re
 import struct
 import time
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from parcelfuzz.harness import (
     reproduce,
     run_fuzz,
 )
-from parcelfuzz.mutator import mutate_field
+from parcelfuzz.mutator import Policy, generate_campaign, mutate_field
 from parcelfuzz.parcel import Kind, Parcel, handle_at
 from parcelfuzz.recorder import RecordingClient, SCENARIOS
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
@@ -239,10 +240,13 @@ def test_criterion_08_reports_are_deterministic_and_crashes_reproduce(corpus, ca
 # -- criterion 9 -------------------------------------------------------------------
 
 
-def test_criterion_09_mixed_campaign_is_contained_and_queue_is_clean(corpus):
-    report = run_fuzz(
-        FuzzConfig(policy=["empty", "random", "semi-valid"], budget=BUDGET, corpus=corpus)
-    )
+def test_criterion_09_mixed_campaign_is_contained_and_queue_is_clean(corpus, manifest_fps):
+    policies = ["empty", "random", "semi-valid"]
+    report = run_fuzz(FuzzConfig(policy=policies, budget=BUDGET, corpus=corpus))
+    # every requested policy gets cases, counted from the stream the campaign ran
+    ran = Counter(case.policy for case in generate_campaign(corpus, policies, BUDGET, 1))
+    assert set(ran) == {Policy.EMPTY, Policy.RANDOM, Policy.SEMI_VALID}
+    assert manifest_fps <= report.distinct_fingerprints()
     # reaching this line at all means no case took the process down
     assert report.executed == BUDGET
     assert sum(report.counters.values()) == BUDGET

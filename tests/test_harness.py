@@ -39,7 +39,7 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase, Policy
+from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase, Policy, make_random
 from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_digest, corpus_text, load_corpus, record_session
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
@@ -300,17 +300,39 @@ def test_identical_configs_serialize_identically(corpus, semi_report):
 # sha256 of the canonical report of each config, pinned from a build
 # known to be right: any byte a change moves in a report shows up here.
 PINNED_REPORTS = [
-    ("semi-valid", 10000, "corpus", "698083aa82ed576bf0cd952fe19b51c6240fe9b7ae40565be28c2cdd990f9423"),
-    ("semi-valid", 10000, "shuffled_corpus", "c04004d732831d30a321266ca766a458c48a6c162d869260ef5706ad4fb0bb28"),
-    ("empty,random", 10000, "corpus", "d8d2d98bf65195867bb8054d5c4754d8a61af06c18cf0012de8c123972a3040f"),
+    ("semi-valid", 10000, "corpus", "670557ca73187b3961a3a09dd39422871f401fde3774993e53e481147af09466"),
+    ("semi-valid", 10000, "shuffled_corpus", "2f30d2eadbbecf04cfb01f5389b0d409c4a5c98a4721a93e058d559988abadce"),
+    ("empty,random", 10000, "corpus", "00931f7dafd4b071599b91301157e0f1a7de42332cdb67885a6db3670719e57c"),
 ]
 
 
-@pytest.mark.parametrize("policy,budget,corpus_fixture,digest", PINNED_REPORTS)
+@pytest.mark.parametrize(
+    "policy,budget,corpus_fixture,digest", PINNED_REPORTS, ids=["%s-%d-%s" % pin[:3] for pin in PINNED_REPORTS]
+)
 def test_canonical_reports_are_pinned(request, policy, budget, corpus_fixture, digest):
     records = request.getfixturevalue(corpus_fixture)
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
     assert hashlib.sha256(report.to_canonical_json().encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the same semi-valid reports under catalog-v1, whose RANDOM
+# bytes came from a seeded Mersenne Twister.  Semi-valid cases draw no
+# random bytes, so the catalog version is all that moved.
+CATALOG_V1_SEMI_VALID_REPORTS = [
+    ("corpus", "698083aa82ed576bf0cd952fe19b51c6240fe9b7ae40565be28c2cdd990f9423"),
+    ("shuffled_corpus", "c04004d732831d30a321266ca766a458c48a6c162d869260ef5706ad4fb0bb28"),
+]
+
+
+@pytest.mark.parametrize(
+    "corpus_fixture,digest", CATALOG_V1_SEMI_VALID_REPORTS, ids=[pin[0] for pin in CATALOG_V1_SEMI_VALID_REPORTS]
+)
+def test_semi_valid_reports_differ_from_catalog_v1_in_the_version_alone(request, corpus_fixture, digest):
+    records = request.getfixturevalue(corpus_fixture)
+    report = run_fuzz(FuzzConfig(policy=["semi-valid"], budget=10000, rng_seed=1, corpus=records))
+    assert report.config["catalog_version"] == CATALOG_VERSION != "catalog-v1"
+    v1 = report._replace(config={**report.config, "catalog_version": "catalog-v1"})
+    assert hashlib.sha256(v1.to_canonical_json().encode("utf-8")).hexdigest() == digest
 
 
 def test_report_round_trips_through_disk(tmp_path, semi_report):
@@ -591,6 +613,26 @@ def test_cli_clean_campaign_exits_zero(tmp_path, capsys):
     assert code == 0
     assert load_report(report_path).counters["fatal_crash"] == 0
     assert main(["report", "--in", str(report_path)]) == 0
+    capsys.readouterr()
+
+
+def test_random_seeds_are_any_int_and_their_sign_matters(tmp_path, capsys):
+    for seed in (1, 99, 1_000_003, 10**30):
+        for length in (4, 64):
+            assert make_random("svc.queue", 1, length, -seed).payload != make_random("svc.queue", 1, length, seed).payload
+
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert main(["record", "--scenario", "all", "--out", str(corpus_path)]) == 0
+    for seed in ("-1", "99999999999999999999999"):
+        texts = []
+        for run in ("first", "second"):
+            out = tmp_path / ("report-%s-%s.json" % (seed, run))
+            argv = ["fuzz", "--policy", "empty,random", "--corpus", str(corpus_path), "--budget", "200"]
+            code = main(argv + ["--rng-seed", seed, "--out", str(out)])
+            assert code in (0, 2), seed
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1], seed
+        assert load_report(tmp_path / ("report-%s-first.json" % seed)).config["rng_seed"] == int(seed)
     capsys.readouterr()
 
 

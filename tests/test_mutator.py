@@ -83,7 +83,7 @@ def _synthetic_four_ints():
 
 
 def test_catalog_is_pinned():
-    assert CATALOG_VERSION == "catalog-v1"
+    assert CATALOG_VERSION == "catalog-v2"
     assert INT_MUTATIONS == ("plus_one", "minus_one", "zero", "max", "min", "negate", "flip_high_bit")
     assert F64_MUTATIONS == ("zero", "nan", "pos_inf", "neg_inf", "max", "min_positive")
     assert STRING_MUTATIONS == (
@@ -344,13 +344,22 @@ def test_structural_mutation_validation(corpus):
 # -- unstructured policies ---------------------------------------------------------
 
 
+def _shortest_signed_le(n: int) -> bytes:
+    """n in the fewest two's-complement little-endian bytes, found by
+    widening until it fits rather than from its bit length."""
+    width = 1
+    while not -(1 << (8 * width - 1)) <= n < 1 << (8 * width - 1):
+        width += 1
+    return n.to_bytes(width, "little", signed=True)
+
+
 def test_empty_random_payloads_match_a_seeded_generator():
-    for seed in (1, 2, 99, 1_000_003, 7 * 1_000_003 + 5):
-        case = make_random("svc.queue", 1, 0, seed)
-        assert case.payload == random.Random(seed).randbytes(0) == b""
+    seeds = (0, 1, 2, 99, 127, 128, 255, 256, -1, -128, -129, 1_000_003, 7 * 1_000_003 + 5, -(10**30), 1 << 20000)
+    for index, seed in enumerate(seeds):
+        assert make_random("svc.queue", 1, 0, seed).payload == b""
         for length in RANDOM_LENGTH_CYCLE:
             case = make_random("svc.queue", 1, length, seed)
-            assert case.payload == random.Random(seed).randbytes(length), (seed, length)
+            assert case.payload == hashlib.shake_128(_shortest_signed_le(seed)).digest(length), (index, length)
 
 
 def test_make_random_is_seed_deterministic():
@@ -386,7 +395,7 @@ def test_case_json_is_pinned(corpus, shuffled_corpus):
     pins = (
         ("semi-valid", 10000, corpus, 349, "02779d25783c316a34c80e8ff80d7b9e2996f7cfd76744306fbbe02f0a367277"),
         ("semi-valid", 10000, shuffled_corpus, 1396, "f0babf7d4b59070d6cf66b21d2c202281f171fd69244a6667f8799bf60518236"),
-        ("empty,random", 300, corpus, 300, "e4ad1868cca6aa7b678cc124b8eede9a53016e2e05ca93eeb51e522d8ed154ec"),
+        ("empty,random", 300, corpus, 300, "759566e766722a51ef2fdb5def3ad36941b54171abac260d3aa91551b0f828f8"),
     )
     for policy, budget, records, count, expected in pins:
         cases = list(generate_campaign(records, policy.split(","), budget, 1))
@@ -394,6 +403,20 @@ def test_case_json_is_pinned(corpus, shuffled_corpus):
         for case in cases:
             digest.update(json.dumps(case.to_json(), sort_keys=True).encode("utf-8") + b"\n")
         assert (len(cases), digest.hexdigest()) == (count, expected), policy
+
+
+def test_random_cases_differ_from_catalog_v1_in_their_payload_bytes_alone(corpus):
+    """With each RANDOM payload put back to the Mersenne Twister bytes of
+    catalog-v1 (random.Random(sub_seed).randbytes), the empty,random
+    stream is byte for byte the one catalog-v1 pinned."""
+    digest = hashlib.sha256()
+    for case in generate_campaign(corpus, ["empty", "random"], 300, 1):
+        obj = case.to_json()
+        if case.policy is Policy.RANDOM:
+            sub_seed = 1 * 1_000_003 + case.case_id - 12  # the 11 EMPTY cases come first
+            obj["payload_hex"] = random.Random(sub_seed).randbytes(len(case.payload)).hex()
+        digest.update(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == "e4ad1868cca6aa7b678cc124b8eede9a53016e2e05ca93eeb51e522d8ed154ec"
 
 
 # -- campaign enumeration ---------------------------------------------------------------
@@ -575,6 +598,16 @@ def test_policies_concatenate_in_order(monkeypatch, corpus):
     assert [c.policy for c in cases[11:]] == [Policy.RANDOM] * 4
     assert [c.case_id for c in cases] == list(range(1, 16))
     assert len(built) == 4  # no 16th case is built past the budget
+
+
+def test_finite_policies_run_before_random_in_the_order_given(corpus):
+    cases = list(generate_campaign(corpus, ["random", "semi-valid", "empty"], 400, 1))
+    assert [c.policy for c in cases] == [Policy.SEMI_VALID] * 349 + [Policy.EMPTY] * 11 + [Policy.RANDOM] * 40
+    assert [c.case_id for c in cases] == list(range(1, 401))
+    alone = list(generate_campaign(corpus, "semi-valid", 400, 1))
+    assert [c.to_json() for c in cases[:349]] == [c.to_json() for c in alone]
+    # RANDOM's sub-seeds count its own cases, so they do not depend on what ran first.
+    assert [c.payload for c in cases[360:]] == [c.payload for c in generate_campaign(corpus, "random", 40, 1)]
 
 
 def test_campaign_is_deterministic(corpus):
