@@ -180,7 +180,10 @@ def _render_text(report) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     handler = {
         "list": _cmd_list,
         "record": _cmd_record,

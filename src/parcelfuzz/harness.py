@@ -294,7 +294,8 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     every record replies as recorded; every case then replays on a fresh
     router of its own, so nothing one case does reaches the next.
     """
-    cases = generate_campaign(config.corpus, config.policy, config.budget, config.rng_seed)
+    policies = _normalize_policies(config.policy)
+    cases = generate_campaign(config.corpus, policies, config.budget, config.rng_seed)
     prepared = prepare_corpus(config.corpus)
     check_replies(prepared)
 
@@ -334,11 +335,9 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         _absorb_edges(session.router, edges_by_sender, edges_by_descriptor)
         edge_total += len(session.router.edges)
 
-    policy_echo = [p.value for p in _normalize_policies(config.policy)]
-
     report = CampaignReport(
         config={
-            "policy": policy_echo,
+            "policy": [p.value for p in policies],
             "budget": config.budget,
             "rng_seed": config.rng_seed,
             "catalog_version": CATALOG_VERSION,
@@ -507,12 +506,12 @@ def build_manifest() -> dict:
                 "descriptor": cls.DESCRIPTOR,
                 "methods": [
                     {
-                        "code": spec.code,
+                        "code": code,
                         "name": spec.name,
                         "signature": list(spec.signature),
                         "hidden": spec.hidden,
                     }
-                    for spec in cls.REGISTRY.methods
+                    for code, spec in enumerate(cls.REGISTRY.methods, 1)
                 ],
                 "seeded_bugs": bugs_by_descriptor.get(cls.DESCRIPTOR, []),
             }

@@ -619,13 +619,14 @@ def _normalize_policies(policy) -> tuple[Policy, ...]:
         policy = [policy]
     out = []
     for p in policy:
-        if isinstance(p, Policy):
-            out.append(p)
-        else:
+        if not isinstance(p, Policy):
             try:
-                out.append(Policy(str(p).strip().upper().replace("-", "_")))
+                p = Policy(str(p).strip().upper().replace("-", "_"))
             except ValueError:
                 raise ConfigurationError("unknown policy %r" % (p,)) from None
+        if p in out:
+            raise ConfigurationError("policy %s is given more than once" % p.value)
+        out.append(p)
     if not out:
         raise ConfigurationError("at least one policy is required")
     return tuple(out)

@@ -28,7 +28,7 @@ from types import NoneType
 from typing import NamedTuple
 
 from .parcel import I32_MAX, Kind, Parcel, handle_at, pad4
-from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_HANDLE
+from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_DESCRIPTOR, SERVICE_MANAGER_HANDLE
 from .services import (
     ActivityClient,
     AudioClient,
@@ -57,10 +57,6 @@ STATIC_PREFIX = "STATIC:"
 # the length prefix of a STRING or BYTES.
 _FIXED_PART = {"I32": 4, "I64": 8, "F64": 8, "BOOL": 4, "STRING": 4, "BYTES": 4, "HANDLE": 4}
 _I32 = struct.Struct("<i")
-
-# Descriptor reported for the service manager itself; targets recorded
-# against it always materialize back to handle 0.
-MANAGER_DESCRIPTOR = "service_manager"
 
 
 class CorpusError(Exception):
@@ -242,9 +238,10 @@ class TraceNode:
 class TraceBuilder:
     """Parcel read hook that reconstructs what a decoder consumed.
 
-    Composite byte ranges are filled in at finish time as the union of
-    the children; an empty composite collapses to a zero-width range at
-    the position the decoder had reached when it opened the scope.
+    Composite byte ranges are filled in at finish time.  Parcel reads
+    are contiguous, so a composite starts where the read before it ended
+    and ends where its last child ends; an empty one is a zero-width
+    range there.
     """
 
     def __init__(self):
@@ -275,8 +272,7 @@ class TraceBuilder:
                 frames[-1][1] = node.end
                 continue
             if index == 0:
-                node.start = node.children[0].start if node.children else cursor
-                frame[1] = cursor = node.start
+                node.start = cursor
             if index < len(node.children):
                 frame[2] = index + 1
                 frames.append([node.children[index], cursor, 0])
@@ -444,7 +440,7 @@ class RecordingClient(Client):
         if value in self._static_origin:
             return STATIC_PREFIX + self._static_origin[value]
         if value == SERVICE_MANAGER_HANDLE:
-            return STATIC_PREFIX + MANAGER_DESCRIPTOR
+            return STATIC_PREFIX + SERVICE_MANAGER_DESCRIPTOR
         raise RecordingError("payload carries handle %d with unknown origin" % value)
 
 

@@ -26,7 +26,6 @@ from .parcel import Kind, Parcel, handle_at
 from .recorder import (
     CorpusError,
     DependencyGraph,
-    MANAGER_DESCRIPTOR,
     SeedRecord,
     build_dependency_graph,
 )
@@ -35,6 +34,7 @@ from .router import (
     ReplyKind,
     Service,
     Transaction,
+    SERVICE_MANAGER_DESCRIPTOR,
     SERVICE_MANAGER_HANDLE,
     UnknownServiceError,
 )
@@ -150,7 +150,7 @@ class ReplaySession:
         """The live handle of a named service.  The router's name map never
         changes during a session, so a service-manager lookup replayed in
         it returns this same handle."""
-        if descriptor == MANAGER_DESCRIPTOR:
+        if descriptor == SERVICE_MANAGER_DESCRIPTOR:
             return SERVICE_MANAGER_HANDLE
         try:
             return self.router.get_service(descriptor)

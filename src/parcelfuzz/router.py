@@ -33,8 +33,9 @@ from typing import NamedTuple
 
 from .parcel import Kind, Parcel, ParcelError
 
-# Reserved handle and method code for service lookup.
+# Reserved handle, name and method code for service lookup.
 SERVICE_MANAGER_HANDLE = 0
+SERVICE_MANAGER_DESCRIPTOR = "service_manager"
 GET_SERVICE = 1
 
 # Simulated stack budget shared by all dispatches.  Recursive decoders that
@@ -249,7 +250,7 @@ class _ServiceManager(Service):
     """Built-in name resolver living at handle 0; it answers from the
     name map of the router that dispatches to it."""
 
-    descriptor = "service_manager"
+    descriptor = SERVICE_MANAGER_DESCRIPTOR
 
     def handle_transaction(self, code, data, ctx):
         if code != GET_SERVICE:

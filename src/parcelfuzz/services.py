@@ -18,11 +18,13 @@ flaws are reachable only by talking to the router directly:
     svc.activity   deserializes a structured intent (two strings plus a
                    tagged bundle) with no guards at all
 
-Each service pushes labeled frames on the dispatch context; the frame
-stack at fault time is what the harness fingerprints, so frame placement
-here decides which failures collapse into one report and which stay
-distinct.  Decoders additionally open ``parcel.composite`` scopes so a
-recording hook can reconstruct the type structure of what was read.
+Each service declares its methods once, in a ``MethodRegistry``; the one
+``RegistryService`` dispatcher pushes each method's frame and decoders
+push inner ones.  The frame stack at fault time is what the harness
+fingerprints, so frame placement here decides which failures collapse
+into one report and which stay distinct.  Decoders additionally open
+``parcel.composite`` scopes so a recording hook can reconstruct the type
+structure of what was read.
 """
 
 from __future__ import annotations
@@ -96,26 +98,42 @@ class ReplyError(Exception):
 
 
 class MethodSpec(NamedTuple):
-    code: int
     name: str
     signature: tuple[str, ...]
     hidden: bool = False
 
 
 class MethodRegistry:
-    __slots__ = ("descriptor", "methods")
+    """A service's methods in code order: code n is ``methods[n - 1]``, and
+    ``dispatch[n]`` its (frame label ``<short>.<name>``, method name)."""
+
+    __slots__ = ("short", "methods", "dispatch")
 
     def __init__(self, descriptor: str, methods: tuple[MethodSpec, ...]):
-        codes = [m.code for m in methods]
-        if codes != list(range(1, len(codes) + 1)):
-            raise ValueError("method codes must be contiguous from 1, got %r" % codes)
-        self.descriptor = descriptor
+        self.short = short = descriptor.removeprefix("svc.")
         self.methods = methods
+        self.dispatch = {n: ("%s.%s" % (short, m.name), m.name) for n, m in enumerate(methods, 1)}
 
-    def spec(self, code: int) -> MethodSpec | None:
-        if 1 <= code <= len(self.methods):
-            return self.methods[code - 1]
-        return None
+
+class RegistryService(Service):
+    """Runs code n as the method its ``REGISTRY`` names nth, with ``(data,
+    ctx)``, inside that method's frame; refuses other codes outside any."""
+
+    REGISTRY: MethodRegistry
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        missing = [s.name for s in cls.REGISTRY.methods if not callable(getattr(cls, s.name, None))]
+        if missing:
+            raise TypeError("%s has no method for %s" % (cls.__name__, ", ".join(missing)))
+
+    def handle_transaction(self, code, data, ctx):
+        entry = self.REGISTRY.dispatch.get(code)
+        if entry is None:
+            raise Reject("unknown %s code %d" % (self.REGISTRY.short, code))
+        label, name = entry
+        with ctx.frame(label):
+            return getattr(self, name)(data, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +141,7 @@ class MethodRegistry:
 # ---------------------------------------------------------------------------
 
 
-class QueueService(Service):
+class QueueService(RegistryService):
     """String FIFO that validates every read and never crashes."""
 
     DESCRIPTOR = "svc.queue"
@@ -131,40 +149,37 @@ class QueueService(Service):
     REGISTRY = MethodRegistry(
         DESCRIPTOR,
         (
-            MethodSpec(1, "add", ("STRING",)),
-            MethodSpec(2, "peek", ()),
-            MethodSpec(3, "poll", ()),
-            MethodSpec(4, "remove", ()),
+            MethodSpec("add", ("STRING",)),
+            MethodSpec("peek", ()),
+            MethodSpec("poll", ()),
+            MethodSpec("remove", ()),
         ),
     )
 
     def __init__(self):
         self._items: list[str] = []
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.ADD:
-            with ctx.frame("queue.add"):
-                try:
-                    item = data.read_value(_K_STRING)
-                except ParcelError as exc:
-                    raise Reject("malformed add request: %s" % exc) from None
-                self._items.append(item)
-                return Parcel().write_value(_K_BOOL, True)
-        if code == self.PEEK:
-            with ctx.frame("queue.peek"):
-                head = self._items[0] if self._items else ""
-                return Parcel().write_value(_K_STRING, head)
-        if code == self.POLL:
-            with ctx.frame("queue.poll"):
-                head = self._items.pop(0) if self._items else ""
-                return Parcel().write_value(_K_STRING, head)
-        if code == self.REMOVE:
-            with ctx.frame("queue.remove"):
-                removed = bool(self._items)
-                if removed:
-                    del self._items[0]
-                return Parcel().write_value(_K_BOOL, removed)
-        raise Reject("unknown queue code %d" % code)
+    def add(self, data, ctx):
+        try:
+            item = data.read_value(_K_STRING)
+        except ParcelError as exc:
+            raise Reject("malformed add request: %s" % exc) from None
+        self._items.append(item)
+        return Parcel().write_value(_K_BOOL, True)
+
+    def peek(self, data, ctx):
+        head = self._items[0] if self._items else ""
+        return Parcel().write_value(_K_STRING, head)
+
+    def poll(self, data, ctx):
+        head = self._items.pop(0) if self._items else ""
+        return Parcel().write_value(_K_STRING, head)
+
+    def remove(self, data, ctx):
+        removed = bool(self._items)
+        if removed:
+            del self._items[0]
+        return Parcel().write_value(_K_BOOL, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +187,17 @@ class QueueService(Service):
 # ---------------------------------------------------------------------------
 
 
-class AudioSession(Service):
+class AudioSession(RegistryService):
     """Anonymous per-client object handed out by AudioService.open_session."""
 
     PING = 1
+    REGISTRY = MethodRegistry("svc.audio.session", (MethodSpec("ping", ()),))
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.PING:
-            with ctx.frame("audio.session.ping"):
-                return Parcel().write_value(_K_BOOL, True)
-        raise Reject("unknown session code %d" % code)
+    def ping(self, data, ctx):
+        return Parcel().write_value(_K_BOOL, True)
 
 
-class AudioService(Service):
+class AudioService(RegistryService):
     """Playback front end.
 
     ``register_client`` is deliberately absent from the public wrapper
@@ -199,9 +212,9 @@ class AudioService(Service):
     REGISTRY = MethodRegistry(
         DESCRIPTOR,
         (
-            MethodSpec(1, "play", ("STRING",)),
-            MethodSpec(2, "register_client", ("HANDLE", "STRING"), hidden=True),
-            MethodSpec(3, "open_session", ()),
+            MethodSpec("play", ("STRING",)),
+            MethodSpec("register_client", ("HANDLE", "STRING"), hidden=True),
+            MethodSpec("open_session", ()),
         ),
     )
 
@@ -210,33 +223,30 @@ class AudioService(Service):
         self._clients: dict[str, int] = {}
         self._session_count = 0
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.PLAY:
-            with ctx.frame("audio.play"):
-                try:
-                    track = data.read_value(_K_STRING)
-                except ParcelError as exc:
-                    raise Reject("malformed play request: %s" % exc) from None
-                if not track:
-                    # The server notices mid-flight and reports its own failure.
-                    raise InternalFault("playback failed: empty track name")
-                self._now_playing = track
-                return Parcel().write_value(_K_BOOL, True)
-        if code == self.REGISTER_CLIENT:
-            with ctx.frame("audio.register_client"):
-                callback, _slot_declared = data.read_handle_lenient()
-                name = data.read_lenient(_K_STRING)
-                if not callback or name is None:
-                    ctx.fail(NULL_DEREF, "callback=%r name=%r" % (callback, name))
-                self._clients[name] = callback
-                return Parcel().write_value(_K_BOOL, True)
-        if code == self.OPEN_SESSION:
-            with ctx.frame("audio.open_session"):
-                handle = ctx.export_object(AudioSession())
-                index = self._session_count
-                self._session_count += 1
-                return Parcel().write_handle(handle).write_value(_K_I32, index)
-        raise Reject("unknown audio code %d" % code)
+    def play(self, data, ctx):
+        try:
+            track = data.read_value(_K_STRING)
+        except ParcelError as exc:
+            raise Reject("malformed play request: %s" % exc) from None
+        if not track:
+            # The server notices mid-flight and reports its own failure.
+            raise InternalFault("playback failed: empty track name")
+        self._now_playing = track
+        return Parcel().write_value(_K_BOOL, True)
+
+    def register_client(self, data, ctx):
+        callback, _slot_declared = data.read_handle_lenient()
+        name = data.read_lenient(_K_STRING)
+        if not callback or name is None:
+            ctx.fail(NULL_DEREF, "callback=%r name=%r" % (callback, name))
+        self._clients[name] = callback
+        return Parcel().write_value(_K_BOOL, True)
+
+    def open_session(self, data, ctx):
+        handle = ctx.export_object(AudioSession())
+        index = self._session_count
+        self._session_count += 1
+        return Parcel().write_handle(handle).write_value(_K_I32, index)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +254,7 @@ class AudioService(Service):
 # ---------------------------------------------------------------------------
 
 
-class BluetoothService(Service):
+class BluetoothService(RegistryService):
     """Registers app configuration entries into a fixed 16-slot table.
 
     All range checking lives in the wrapper.  The server reserves ``count``
@@ -258,27 +268,21 @@ class BluetoothService(Service):
     SLOTS = 16
     REGISTRY = MethodRegistry(
         DESCRIPTOR,
-        (MethodSpec(1, "register_app_configuration", ("I32", "STRING...")),),
+        (MethodSpec("register_app_configuration", ("I32", "STRING...")),),
     )
 
     def __init__(self):
         self._table: list[str] = []
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.REGISTER_APP_CONFIGURATION:
-            with ctx.frame("bluetooth.register_app_configuration"):
-                count = data.read_value(_K_I32)
-                if count > self.SLOTS:
-                    ctx.fail(
-                        OUT_OF_BOUNDS,
-                        "reserving %d entries in a %d-slot table" % (count, self.SLOTS),
-                    )
-                table = []
-                for _ in range(max(count, 0)):
-                    table.append(data.read_value(_K_STRING))
-                self._table = table
-                return Parcel().write_value(_K_BOOL, True)
-        raise Reject("unknown bluetooth code %d" % code)
+    def register_app_configuration(self, data, ctx):
+        count = data.read_value(_K_I32)
+        if count > self.SLOTS:
+            ctx.fail(OUT_OF_BOUNDS, "reserving %d entries in a %d-slot table" % (count, self.SLOTS))
+        table = []
+        for _ in range(max(count, 0)):
+            table.append(data.read_value(_K_STRING))
+        self._table = table
+        return Parcel().write_value(_K_BOOL, True)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +333,7 @@ def write_view_node(parcel: Parcel, node: ViewNode, depth: int = 1) -> None:
         write_view_node(parcel, node.children[1], depth + 1)
 
 
-class ViewService(Service):
+class ViewService(RegistryService):
     """Inflates a layout tree received over IPC.
 
     The decoder mirrors the classic recursive-constructor pattern: any
@@ -342,23 +346,20 @@ class ViewService(Service):
     INFLATE = 1
     REGISTRY = MethodRegistry(
         DESCRIPTOR,
-        (MethodSpec(1, "inflate", ("STRING", "VIEW_TREE")),),
+        (MethodSpec("inflate", ("STRING", "VIEW_TREE")),),
     )
 
     def __init__(self):
         self._inflated = 0
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.INFLATE:
-            with ctx.frame("view.inflate"):
-                try:
-                    _template = data.read_value(_K_STRING)
-                except ParcelError as exc:
-                    raise Reject("bad template name: %s" % exc) from None
-                nodes = self._decode_node(data, ctx, 1)
-                self._inflated += 1
-                return Parcel().write_value(_K_I32, nodes)
-        raise Reject("unknown view code %d" % code)
+    def inflate(self, data, ctx):
+        try:
+            _template = data.read_value(_K_STRING)
+        except ParcelError as exc:
+            raise Reject("bad template name: %s" % exc) from None
+        nodes = self._decode_node(data, ctx, 1)
+        self._inflated += 1
+        return Parcel().write_value(_K_I32, nodes)
 
     def _decode_node(self, data: Parcel, ctx: DispatchContext, depth: int) -> int:
         ctx.check_depth(depth)
@@ -378,7 +379,7 @@ class ViewService(Service):
 # ---------------------------------------------------------------------------
 
 
-class GraphicsService(Service):
+class GraphicsService(RegistryService):
     """Allocates a native-handle-shaped record sized from caller counts.
 
     The allocation size is computed in 32-bit wrapping arithmetic while the
@@ -393,32 +394,26 @@ class GraphicsService(Service):
     SLOT_BYTES = 4
     REGISTRY = MethodRegistry(
         DESCRIPTOR,
-        (MethodSpec(1, "create_native_handle", ("STRING", "I32", "I32")),),
+        (MethodSpec("create_native_handle", ("STRING", "I32", "I32")),),
     )
 
     def __init__(self):
         self._allocations: list[tuple[str, int]] = []
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.CREATE_NATIVE_HANDLE:
-            with ctx.frame("graphics.create_native_handle"):
-                try:
-                    name = data.read_value(_K_STRING)
-                    num_fds = data.read_value(_K_I32)
-                    num_ints = data.read_value(_K_I32)
-                except ParcelError as exc:
-                    raise Reject("malformed allocation request: %s" % exc) from None
-                total_slots = num_fds + num_ints
-                alloc_size = (self.HEADER_BYTES + self.SLOT_BYTES * total_slots) & 0xFFFFFFFF
-                required = self.HEADER_BYTES + self.SLOT_BYTES * total_slots
-                if required > alloc_size:
-                    ctx.fail(
-                        MEMORY_CORRUPTION,
-                        "allocated %d bytes, slot data needs %d" % (alloc_size, required),
-                    )
-                self._allocations.append((name, alloc_size))
-                return Parcel().write_value(_K_I64, alloc_size)
-        raise Reject("unknown graphics code %d" % code)
+    def create_native_handle(self, data, ctx):
+        try:
+            name = data.read_value(_K_STRING)
+            num_fds = data.read_value(_K_I32)
+            num_ints = data.read_value(_K_I32)
+        except ParcelError as exc:
+            raise Reject("malformed allocation request: %s" % exc) from None
+        total_slots = num_fds + num_ints
+        alloc_size = (self.HEADER_BYTES + self.SLOT_BYTES * total_slots) & 0xFFFFFFFF
+        required = self.HEADER_BYTES + self.SLOT_BYTES * total_slots
+        if required > alloc_size:
+            ctx.fail(MEMORY_CORRUPTION, "allocated %d bytes, slot data needs %d" % (alloc_size, required))
+        self._allocations.append((name, alloc_size))
+        return Parcel().write_value(_K_I64, alloc_size)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +421,7 @@ class GraphicsService(Service):
 # ---------------------------------------------------------------------------
 
 
-class ActivityService(Service):
+class ActivityService(RegistryService):
     """Launch entry point that parses an intent before any sanity check.
 
     The intent is two strings plus a tagged bundle.  Every read is trusted;
@@ -440,23 +435,20 @@ class ActivityService(Service):
     START_ACTIVITY = 1
     REGISTRY = MethodRegistry(
         DESCRIPTOR,
-        (MethodSpec(1, "start_activity", ("STRING", "STRING", "BUNDLE")),),
+        (MethodSpec("start_activity", ("STRING", "STRING", "BUNDLE")),),
     )
 
     def __init__(self):
         self._launched: list[str] = []
 
-    def handle_transaction(self, code, data, ctx):
-        if code == self.START_ACTIVITY:
-            with ctx.frame("activity.start_activity"):
-                with ctx.frame("activity.start_activity.decode_intent"):
-                    with data.composite("Intent"):
-                        action = data.read_value(_K_STRING)
-                        _data_uri = data.read_value(_K_STRING)
-                        _extras = self._read_bundle(data, ctx, 1)
-                self._launched.append(action)
-                return Parcel().write_value(_K_BOOL, True)
-        raise Reject("unknown activity code %d" % code)
+    def start_activity(self, data, ctx):
+        with ctx.frame("activity.start_activity.decode_intent"):
+            with data.composite("Intent"):
+                action = data.read_value(_K_STRING)
+                _data_uri = data.read_value(_K_STRING)
+                _extras = self._read_bundle(data, ctx, 1)
+        self._launched.append(action)
+        return Parcel().write_value(_K_BOOL, True)
 
     def _read_bundle(self, data: Parcel, ctx: DispatchContext, depth: int):
         ctx.check_depth(depth)
@@ -714,11 +706,9 @@ def fresh_router() -> Router:
 
 def all_methods() -> tuple[tuple[str, int, str], ...]:
     """Every (descriptor, code, method name) in fixed enumeration order."""
-    out = []
-    for cls in SERVICE_CLASSES:
-        for spec in cls.REGISTRY.methods:
-            out.append((cls.DESCRIPTOR, spec.code, spec.name))
-    return tuple(out)
+    return tuple(
+        (cls.DESCRIPTOR, n, m.name) for cls in SERVICE_CLASSES for n, m in enumerate(cls.REGISTRY.methods, 1)
+    )
 
 
 class SeededBug(NamedTuple):

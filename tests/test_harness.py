@@ -39,7 +39,7 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION, FuzzCase, Policy, make_random
+from parcelfuzz.mutator import CATALOG_VERSION, ConfigurationError, FuzzCase, Policy, make_random
 from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_digest, corpus_text, load_corpus, record_session
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
@@ -532,6 +532,8 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     assert out == json.dumps(build_manifest(), sort_keys=True, indent=2) + "\n"
     listed = json.loads(out)
+    for service in listed["services"]:
+        assert [m["code"] for m in service["methods"]] == list(range(1, len(service["methods"]) + 1))
     assert {s["descriptor"] for s in listed["services"]} == {
         "svc.queue",
         "svc.audio",
@@ -668,6 +670,28 @@ def test_cli_error_paths(tmp_path, capsys):
 
     assert main(["record", "--scenario", "no_such_scenario", "--out", str(tmp_path / "x.jsonl")]) == 1
     capsys.readouterr()
+
+
+def test_cli_usage_errors_exit_one(tmp_path, capsys):
+    out = str(tmp_path / "r.json")
+    for argv in (
+        ["fuzz", "--policy", "empty", "--budget", "x", "--out", out],
+        ["bogus"],
+        ["fuzz", "--policy", "empty", "--out", out],
+    ):
+        assert main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: parcelfuzz")
+
+
+def test_a_repeated_policy_is_refused_before_the_campaign_runs(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match="^policy EMPTY is given more than once$"):
+        run_fuzz(FuzzConfig(policy=["empty", "empty"], budget=100))
+    out = tmp_path / "r.json"
+    assert main(["fuzz", "--policy", "empty,Empty", "--budget", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: policy EMPTY is given more than once\n"
+    assert not out.exists()
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

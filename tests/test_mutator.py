@@ -630,6 +630,15 @@ def test_campaign_configuration_errors(corpus):
         generate_campaign(corpus, [], 10, 1)
 
 
+@pytest.mark.parametrize(
+    "policy, repeated",
+    [(["empty", "empty"], "EMPTY"), (["semi-valid", "SEMI_VALID"], "SEMI_VALID"), ([Policy.RANDOM, "empty", "random"], "RANDOM")],
+)
+def test_a_repeated_policy_is_refused(corpus, policy, repeated):
+    with pytest.raises(ConfigurationError, match=r"^policy %s is given more than once$" % repeated):
+        generate_campaign(corpus, policy, 100, 1)
+
+
 def test_policy_spellings_normalize(corpus):
     for spelling in ("semi-valid", "SEMI_VALID", Policy.SEMI_VALID, "Semi-Valid"):
         case = next(iter(generate_campaign(corpus, spelling, 1, 1)))

@@ -15,6 +15,7 @@ from parcelfuzz.recorder import (
     RecordingAborted,
     RecordingClient,
     SeedRecord,
+    TraceBuilder,
     TraceNode,
     build_dependency_graph,
     corpus_digest,
@@ -85,6 +86,23 @@ def test_trace_roots_are_request_composites(corpus):
         assert not record.trace.is_leaf
         assert record.trace.label == "request"
         assert record.trace.byte_range == (0, len(record.parcel()))
+
+
+def test_a_composite_whose_first_child_is_a_composite_starts_at_its_first_read():
+    builder = TraceBuilder()
+    builder.on_leaf(Kind.I32, 0, 4)
+    builder.on_leaf(Kind.I32, 4, 8)
+    builder.enter_composite("outer")
+    builder.enter_composite("inner")
+    builder.on_leaf(Kind.I32, 8, 12)
+    builder.exit_composite()
+    builder.on_leaf(Kind.I32, 12, 16)
+    builder.exit_composite()
+    root = builder.finish()
+    outer = root.children[2]
+    assert (outer.label, outer.byte_range) == ("outer", (8, 16))
+    assert outer.children[0].byte_range == (8, 12)
+    assert root.byte_range == (0, 16)
 
 
 # -- handle bookkeeping --------------------------------------------------------------

@@ -6,11 +6,12 @@ so any accidental change to frame placement shows up here first.
 """
 
 import random
+import re
 
 import pytest
 
 from parcelfuzz.parcel import I32_MAX, Kind, Parcel
-from parcelfuzz.router import DuplicateServiceError, ReplyKind, Transaction
+from parcelfuzz.router import DispatchContext, DuplicateServiceError, Reject, ReplyKind, Transaction
 from parcelfuzz.services import (
     SEEDED_BUGS,
     SERVICE_CLASSES,
@@ -21,12 +22,16 @@ from parcelfuzz.services import (
     ActivityClient,
     AudioClient,
     AudioService,
+    AudioSession,
     BluetoothClient,
     Client,
     ClientCheckError,
     GraphicsClient,
+    MethodRegistry,
+    MethodSpec,
     QueueClient,
     QueueService,
+    RegistryService,
     ReplyError,
     ViewClient,
     ViewNode,
@@ -337,5 +342,41 @@ def test_crash_resets_a_service_built_on_first_reach(router, client):
 
 def test_registry_codes_are_contiguous_from_one():
     for cls in SERVICE_CLASSES:
-        codes = [spec.code for spec in cls.REGISTRY.methods]
-        assert codes == list(range(1, len(codes) + 1))
+        codes = [code for descriptor, code, _ in all_methods() if descriptor == cls.DESCRIPTOR]
+        assert codes == list(range(1, len(cls.REGISTRY.methods) + 1))
+
+
+def test_code_constants_name_their_registry_methods():
+    for cls in (*SERVICE_CLASSES, AudioSession):
+        for code, spec in enumerate(cls.REGISTRY.methods, 1):
+            assert getattr(cls, spec.name.upper()) == code
+
+
+def test_unknown_codes_are_refused_outside_any_frame(router, client):
+    session, _ = AudioClient(client).open_session()
+    targets = [(router.get_service(cls.DESCRIPTOR), cls) for cls in SERVICE_CLASSES] + [(session, AudioSession)]
+    for handle, cls in targets:
+        short, past = cls.REGISTRY.short, len(cls.REGISTRY.methods) + 1
+        rejected = (ReplyKind.REJECTED, "unknown %s code %d" % (short, past))
+        reply = router.transact(Transaction(handle, past, Parcel(), "raw"))  # builds a hosted service
+        instance = router._registrations[handle].instance
+        assert (reply.kind, reply.message) == rejected
+        reply = router.transact(Transaction(handle, past, Parcel(), "raw"))
+        assert (reply.kind, reply.message) == rejected
+        # the router refuses code 0 before dispatch, so send it to the instance
+        ctx = DispatchContext(router, short)
+        with pytest.raises(Reject, match="^%s$" % re.escape("unknown %s code 0" % short)):
+            instance.handle_transaction(0, Parcel(), ctx)
+        assert ctx.fault_frames("none") == ("none",)
+        assert router._registrations[handle].instance is instance
+    assert AudioSession.REGISTRY.short == "audio.session"
+
+
+def test_a_registry_method_the_class_lacks_fails_its_definition():
+    with pytest.raises(TypeError, match=r"^Partial has no method for pong$"):
+
+        class Partial(RegistryService):
+            REGISTRY = MethodRegistry("svc.partial", (MethodSpec("ping", ()), MethodSpec("pong", ())))
+
+            def ping(self, data, ctx):
+                return Parcel()
