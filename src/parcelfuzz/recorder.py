@@ -125,25 +125,15 @@ def _items(obj: dict, name: str, types: tuple, where: str, error=CorpusError, co
 # ---------------------------------------------------------------------------
 
 
-class TraceNode:
-    """One node of a type trace: a primitive leaf or a labeled composite.
-    Not a tuple: ``TraceBuilder.finish`` sets composite ranges later."""
+class TraceNode(NamedTuple):
+    """One node of a type trace: a primitive leaf or a labeled composite,
+    covering [start, end) of the payload, whose children are in read order."""
 
-    __slots__ = ("kind", "label", "start", "end", "children")
-
-    def __init__(self, kind: str, label: str = "", start: int = 0, end: int = 0, children: list | None = None):
-        self.kind = kind
-        self.label = label
-        self.start = start
-        self.end = end
-        self.children = [] if children is None else children
-
-    def __eq__(self, other):
-        if type(other) is not TraceNode:
-            return NotImplemented
-        return (self.kind, self.label, self.start, self.end, self.children) == (
-            other.kind, other.label, other.start, other.end, other.children
-        )
+    kind: str
+    label: str = ""
+    start: int = 0
+    end: int = 0
+    children: tuple = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -204,7 +194,7 @@ class TraceNode:
         start, end = byte_range
         if kind == COMPOSITE:
             children = _field(obj, "children", _LIST, "trace node", CorpusError, [])
-            return cls(kind, label, start, end, [cls.from_json(c, payload, handle_starts) for c in children])
+            return cls(kind, label, start, end, tuple([cls.from_json(c, payload, handle_starts) for c in children]))
         fixed_part = _FIXED_PART.get(kind)
         if fixed_part is None:
             raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
@@ -238,50 +228,32 @@ class TraceNode:
 class TraceBuilder:
     """Parcel read hook that reconstructs what a decoder consumed.
 
-    Composite byte ranges are filled in at finish time.  Parcel reads
-    are contiguous, so a composite starts where the read before it ended
-    and ends where its last child ends; an empty one is a zero-width
-    range there.
+    Each node is built whole, with its final range, as the reads arrive.
+    Parcel reads are contiguous, so a composite starts where the read
+    before its enter ended and ends where the read before its exit ended.
+    The stack holds a (label, start, children) entry per open composite.
     """
 
     def __init__(self):
-        self.root = TraceNode(COMPOSITE, "request")
-        self._stack = [self.root]
+        self._end = 0
+        self._stack = [("request", 0, [])]
 
     def on_leaf(self, kind: Kind, start: int, end: int) -> None:
-        self._stack[-1].children.append(TraceNode(kind.value, "", start, end))
+        self._stack[-1][2].append(TraceNode(kind.value, "", start, end))
+        self._end = end
 
     def enter_composite(self, label: str) -> None:
-        node = TraceNode(COMPOSITE, label)
-        self._stack[-1].children.append(node)
-        self._stack.append(node)
+        self._stack.append((label, self._end, []))
 
     def exit_composite(self) -> None:
         if len(self._stack) > 1:
-            self._stack.pop()
+            # Pop first: a build that hits the recursion limit loses only this node.
+            label, start, children = self._stack.pop()
+            self._stack[-1][2].append(TraceNode(COMPOSITE, label, start, self._end, tuple(children)))
 
     def finish(self) -> TraceNode:
-        # Iterative on purpose: a trace of a runaway recursive decoder can
-        # nest hundreds of composites, past the interpreter's stack budget.
-        frames = [[self.root, 0, 0]]  # node, cursor, next child index
-        while frames:
-            frame = frames[-1]
-            node, cursor, index = frame
-            if node.is_leaf:
-                frames.pop()
-                frames[-1][1] = node.end
-                continue
-            if index == 0:
-                node.start = cursor
-            if index < len(node.children):
-                frame[2] = index + 1
-                frames.append([node.children[index], cursor, 0])
-            else:
-                node.end = cursor
-                frames.pop()
-                if frames:
-                    frames[-1][1] = cursor
-        return self.root
+        label, start, children = self._stack[0]
+        return TraceNode(COMPOSITE, label, start, self._end, tuple(children))
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +264,10 @@ class TraceBuilder:
 class SeedRecord(NamedTuple):
     """One recorded transaction, carrying everything replay needs.
 
-    consumed_handles pairs each handle-slot byte position in the payload
-    with its origin: the producing record's seq for dynamic handles, or a
-    "STATIC:<descriptor>" marker for service-manager results.  The target
+    consumed_handles pairs each handle-slot byte position in the payload,
+    in offsets order, with its origin: the producing record's seq for
+    dynamic handles, or a "STATIC:<descriptor>" marker for
+    service-manager results.  The target
     handle is kept alongside the resolved descriptor so replays can
     re-address transactions whose target was itself a dynamic handle.
     """
@@ -368,6 +341,12 @@ class SeedRecord(NamedTuple):
                     "%s consumed_handles must hold [int, int or '%s<descriptor>'] pairs, got %s"
                     % (where, STATIC_PREFIX, _excerpt(pair))
                 )
+        positions = [pair[0] for pair in consumed]
+        if tuple(positions) != offsets:
+            raise CorpusError(
+                "%s: consumed_handles cover positions %s, offsets are %s"
+                % (where, _excerpt(positions), _excerpt(offsets))
+            )
         produced = _items(obj, "produced_handles", _LIST, where)
         for pair in produced:
             if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
@@ -566,7 +545,8 @@ def build_dependency_graph(records) -> DependencyGraph:
     Dynamic consumption appears two ways: a handle slot in the payload
     whose origin is a producing seq, and a transaction target that is
     itself a dynamically produced handle.  Static handles never make
-    edges: replay re-resolves them by descriptor.
+    edges: replay re-resolves them by descriptor.  A static origin must
+    sit on handle 0 or on a value a service-manager lookup produced.
     """
     ordered = sorted(records, key=lambda r: r.seq)
     if [r.seq for r in ordered] != list(range(len(ordered))):
@@ -578,10 +558,6 @@ def build_dependency_graph(records) -> DependencyGraph:
 
     for record in ordered:
         for pos, origin in record.consumed_handles:
-            if pos not in record.offsets:
-                raise CorpusError(
-                    "record %d consumes position %d outside its offsets" % (record.seq, pos)
-                )
             value = handle_at(record.payload, pos)
             if isinstance(origin, int):
                 if dyn_produced.get(value) != origin:
@@ -590,6 +566,11 @@ def build_dependency_graph(records) -> DependencyGraph:
                         "which did not produce it" % (record.seq, value, origin)
                     )
                 edges.append(DependencyEdge(origin, record.seq))
+            elif value not in static_values:
+                raise CorpusError(
+                    "record %d consumes handle %d as %s, but no service-manager lookup produced it"
+                    % (record.seq, value, _excerpt(origin))
+                )
 
         if record.target in dyn_produced:
             edges.append(DependencyEdge(dyn_produced[record.target], record.seq))

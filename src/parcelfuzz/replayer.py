@@ -142,14 +142,14 @@ class ReplaySession:
         self.router = fresh_router()
         self.live: dict[int, int] = {}
         self._replayed: set[int] = set()
-        self.probe_handle = self.router.register_service("", Service())
+        self.probe_handle = self.router.export(Service())
 
     # -- static resolution ------------------------------------------------------
 
     def resolve_static(self, descriptor: str) -> int:
-        """The live handle of a named service.  The router's name map never
-        changes during a session, so a service-manager lookup replayed in
-        it returns this same handle."""
+        """The live handle of a named service.  A router's names are its
+        host table's and never change, so a service-manager lookup
+        replayed in the session returns this same handle."""
         if descriptor == SERVICE_MANAGER_DESCRIPTOR:
             return SERVICE_MANAGER_HANDLE
         try:

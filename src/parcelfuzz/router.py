@@ -1,10 +1,10 @@
 """In-process message router with a fault-isolation boundary.
 
 The router plays the role a kernel driver plus service manager would play
-in a real binder stack, scaled down to one process: services register and
-receive integer handles, clients address transactions to handles, and
-every dispatch is wrapped in a boundary that converts uncontained faults
-into FATAL_CRASH replies instead of letting them unwind the caller.
+in a real binder stack, scaled down to one process: services sit at
+integer handles, clients address transactions to handles, and every
+dispatch is wrapped in a boundary that converts uncontained faults into
+FATAL_CRASH replies instead of letting them unwind the caller.
 
 Reply taxonomy, mirroring how a hardened server can react to hostile input:
 
@@ -22,7 +22,8 @@ built once and shared read-only by every router made from it, places each
 hosted service class at a fixed handle, and a router builds a hosted
 service's instance only when the first transaction reaches it.  Lookup by
 name and descriptor queries answer from the table and build nothing, so
-creating a router builds no service at all.
+creating a router builds no service at all.  The table is the only place
+names come from: an object a service exports at run time is anonymous.
 """
 
 from __future__ import annotations
@@ -148,20 +149,15 @@ class UnknownServiceError(RouterError):
     pass
 
 
-class DuplicateServiceError(RouterError):
-    pass
-
-
 class Service:
-    """Base class for anything registrable with the router.
+    """Base class for anything a router can dispatch to.
 
-    Subclasses set ``descriptor`` (empty string means anonymous) and
-    implement :meth:`handle_transaction`.  Instances must be rebuildable by
-    calling their class with no arguments; the router does exactly that to
-    reset a service after it crashes.
+    Subclasses implement :meth:`handle_transaction`; a class hosted in a
+    ``HostTable`` also sets ``DESCRIPTOR``, the name it is looked up by.
+    Instances must be rebuildable by calling their class with no
+    arguments; the router does exactly that to reset a service after it
+    crashes.
     """
-
-    descriptor: str = ""
 
     def handle_transaction(self, code: int, data: Parcel, ctx: "DispatchContext") -> Parcel | None:
         raise Reject("service implements no methods")
@@ -198,7 +194,7 @@ class DispatchContext:
 
     def export_object(self, impl: Service) -> int:
         """Register an anonymous object and return its fresh handle."""
-        return self._router.register_service("", impl)
+        return self._router.export(impl)
 
     def _capture_fault(self):
         if self._fault_frames is None and self._frames:
@@ -248,9 +244,9 @@ class _Registration:
 
 class _ServiceManager(Service):
     """Built-in name resolver living at handle 0; it answers from the
-    name map of the router that dispatches to it."""
+    host table of the router that dispatches to it."""
 
-    descriptor = SERVICE_MANAGER_DESCRIPTOR
+    DESCRIPTOR = SERVICE_MANAGER_DESCRIPTOR
 
     def handle_transaction(self, code, data, ctx):
         if code != GET_SERVICE:
@@ -272,16 +268,19 @@ class HostTable:
 
     The service manager sits at handle 0 and the given classes at handles
     1..n in order; ``classes`` maps each handle to its (descriptor,
-    class) pair and ``names`` each hosted descriptor to its handle.  The
-    first handle a router allocates after them is n + 1.
+    class) pair and ``names`` each hosted descriptor to its handle, so
+    two classes with one DESCRIPTOR are a ValueError.  The first handle a
+    router allocates after them is n + 1.
     """
 
     __slots__ = ("classes", "names", "next_handle")
 
     def __init__(self, services: tuple[type, ...] = ()):
-        classes = {SERVICE_MANAGER_HANDLE: (_ServiceManager.descriptor, _ServiceManager)}
+        classes = {SERVICE_MANAGER_HANDLE: (_ServiceManager.DESCRIPTOR, _ServiceManager)}
         names: dict[str, int] = {}
         for handle, cls in enumerate(services, 1):
+            if cls.DESCRIPTOR in names:
+                raise ValueError("two hosted services are named %r" % cls.DESCRIPTOR)
             classes[handle] = (cls.DESCRIPTOR, cls)
             names[cls.DESCRIPTOR] = handle
         self.classes = MappingProxyType(classes)
@@ -296,37 +295,32 @@ class Router:
     """Handle table, dispatch boundary, and IPC edge log.
 
     ``hosted`` names the services the router hosts from creation (by
-    default only the service manager).  ``_registrations`` holds what was
-    built or registered since then: a hosted service's instance appears
-    there on the first transaction that reaches it, a registered one on
-    registration.  Every router starts with no instances at all, so two
-    routers never share service state.
+    default only the service manager); lookups by name answer from it
+    alone.  ``_registrations`` holds what was built or exported since
+    then: a hosted service's instance appears there on the first
+    transaction that reaches it, an exported object on export.  Every
+    router starts with no instances at all, so two routers never share
+    service state.
     """
 
     def __init__(self, hosted: HostTable = _MANAGER_ONLY):
         self._hosted = hosted.classes
-        self._by_name: dict[str, int] = hosted.names.copy()
+        self._by_name = hosted.names
         self._registrations: dict[int, _Registration] = {}
         self._next_handle = hosted.next_handle
         self.edges: list[IpcEdge] = []
 
     # -- registration and lookup ----------------------------------------------
 
-    def register_service(self, descriptor: str, impl: Service) -> int:
-        """Register impl under descriptor; empty descriptor means anonymous.
+    def export(self, impl: Service) -> int:
+        """Register impl as an anonymous object and return its handle.
 
         Handles are allocated monotonically and never reused, even after a
         crash-reset replaces the instance behind one.
         """
-        if descriptor and descriptor in self._by_name:
-            raise DuplicateServiceError("descriptor already registered: %r" % descriptor)
         handle = self._next_handle
         self._next_handle += 1
-        impl.descriptor = descriptor or impl.descriptor or ""
-        reg = _Registration(handle, descriptor, impl)
-        self._registrations[handle] = reg
-        if descriptor:
-            self._by_name[descriptor] = handle
+        self._registrations[handle] = _Registration(handle, "", impl)
         return handle
 
     def get_service(self, descriptor: str) -> int:

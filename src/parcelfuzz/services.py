@@ -463,15 +463,17 @@ class ActivityService(RegistryService):
                         tag = data.read_value(_K_I32)
                         if tag not in TAG_NAMES:
                             ctx.fail(MALFORMED_PARCEL, "unknown extras tag %d" % tag)
-                    value = self._read_entry_value(data, ctx, tag, depth)
+                    if tag == TAG_BUNDLE:
+                        # Recurse here: outside any per-read frame, so nested failures fingerprint
+                        # as top-level ones, and one interpreter frame per level, so check_depth
+                        # fires before the interpreter's recursion limit.
+                        value = self._read_bundle(data, ctx, depth + 1)
+                    else:
+                        value = self._read_entry_value(data, ctx, tag)
                 entries.append((key, tag, value))
             return entries
 
-    def _read_entry_value(self, data: Parcel, ctx: DispatchContext, tag: int, depth: int):
-        if tag == TAG_BUNDLE:
-            # Recurse outside any per-read frame so nested failures collapse
-            # into the same fingerprints as top-level ones.
-            return self._read_bundle(data, ctx, depth + 1)
+    def _read_entry_value(self, data: Parcel, ctx: DispatchContext, tag: int):
         if tag == TAG_BYTES:
             with ctx.frame("activity.bundle.bytes_length"):
                 return data.read_value(_K_BYTES)

@@ -194,8 +194,6 @@ def test_criterion_06_overflow_variants_collapse_to_one_fingerprint(corpus, camp
 
 
 class _Scripted(Service):
-    DESCRIPTOR = "test.scripted"
-
     def handle_transaction(self, code, data, ctx):
         if code == 1:
             return Parcel()
@@ -209,7 +207,7 @@ class _Scripted(Service):
 
 def test_criterion_07_four_reply_kinds_classify_without_confusion():
     router = fresh_router()
-    handle = router.register_service("test.scripted", _Scripted())
+    handle = router.export(_Scripted())
     expected = {1: "ok", 2: "rejected", 3: "handled_fault", 4: "fatal_crash"}
     confusion = {}
     for code, outcome in expected.items():

@@ -979,6 +979,46 @@ def test_cli_rejects_a_corpus_handle_outside_the_writable_range(tmp_path, capsys
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "consumed, message",
+    [
+        (
+            [[0, "STATIC:svc.queue"]],
+            "record 10 consumes handle 7 as 'STATIC:svc.queue', but no service-manager lookup produced it",
+        ),
+        ([[0, "STATIC:"]], "record 10 consumes handle 7 as 'STATIC:', but no service-manager lookup produced it"),
+        ([], "record 10: consumed_handles cover positions [], offsets are (0,)"),
+        ([[0, 8], [0, 8]], "record 10: consumed_handles cover positions [0, 0], offsets are (0,)"),
+    ],
+    ids=["static-name", "static-prefix-only", "no-pairs", "repeated-pair"],
+)
+def test_cli_rejects_a_corpus_whose_handle_bookkeeping_lies(tmp_path, capsys, semi_report, consumed, message):
+    """Record 10's one handle slot, at 0, holds handle 7, which record 8
+    produced.  Bookkeeping that calls it static, or that does not pair
+    each offset with one origin, is refused by fuzz and replay alike."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    lines = corpus_path.read_text().splitlines()
+    record = json.loads(lines[11])
+    assert record["seq"] == 10 and record["consumed_handles"] == [[0, 8]]
+    record["consumed_handles"] = consumed
+    lines[11] = json.dumps(record, sort_keys=True)
+    corpus_path.write_text("\n".join(lines) + "\n")
+    report_path = tmp_path / "saved.json"
+    save_report(semi_report, report_path)
+    capsys.readouterr()
+    for argv in (
+        ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
+         "--out", str(tmp_path / "report.json")],
+        ["replay", "--report", str(report_path), "--fingerprint", semi_report.crashes[0].fingerprint,
+         "--corpus", str(corpus_path)],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: %s\n" % message)
+    assert not (tmp_path / "report.json").exists()
+
+
 def _set(*path, value):
     """An edit that sets report[path[0]][path[1]]... to value."""
     def edit(report):

@@ -7,8 +7,10 @@ order is fixed and every wrapper call is deterministic.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parcelfuzz.parcel import Kind, handle_at
+from parcelfuzz.parcel import Kind, Parcel, handle_at
 from parcelfuzz.recorder import (
     SCENARIOS,
     CorpusError,
@@ -26,6 +28,7 @@ from parcelfuzz.recorder import (
     save_corpus,
     scenario_names,
 )
+from parcelfuzz.router import ReplyKind, Router, Service, Transaction
 from parcelfuzz.services import fresh_router
 
 
@@ -103,6 +106,85 @@ def test_a_composite_whose_first_child_is_a_composite_starts_at_its_first_read()
     assert (outer.label, outer.byte_range) == ("outer", (8, 16))
     assert outer.children[0].byte_range == (8, 12)
     assert root.byte_range == (0, 16)
+
+
+# A read tree: a leaf is its width in bytes, a composite the tuple of its
+# children, which may be empty or begin with a composite.
+_read_trees = st.lists(
+    st.recursive(st.sampled_from([4, 8]), lambda kids: st.lists(kids, max_size=4).map(tuple), max_leaves=40),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_read_trees)
+def test_the_builder_matches_an_oracle_over_the_whole_event_sequence(tree):
+    """Replay the hook events of a read tree; each composite must start at
+    the end of the last leaf read before its enter and end at the end of
+    the last leaf read before its exit (0 if there is none), with its
+    children in read order."""
+    events = []  # ("leaf", start, end), ("enter", label) or ("exit",)
+
+    def end_before(index):
+        return max((e[2] for e in events[:index] if e[0] == "leaf"), default=0)
+
+    def emit(item):
+        """Append item's events; return a leaf's node, or a composite's
+        enter index, exit index and children."""
+        if isinstance(item, int):
+            start = end_before(len(events))
+            events.append(("leaf", start, start + item))
+            return TraceNode("I32" if item == 4 else "I64", "", start, start + item)
+        enter = len(events)
+        events.append(("enter", "c%d" % enter))
+        children = [emit(child) for child in item]
+        events.append(("exit",))
+        return enter, len(events) - 1, children
+
+    def expected(shape):
+        if isinstance(shape, TraceNode):
+            return shape
+        enter, exit_, children = shape
+        label = events[enter][1]
+        return TraceNode("COMPOSITE", label, end_before(enter), end_before(exit_), tuple(map(expected, children)))
+
+    shapes = [emit(item) for item in tree]
+    builder = TraceBuilder()
+    for event in events:
+        if event[0] == "leaf":
+            builder.on_leaf(Kind.I32 if event[2] - event[1] == 4 else Kind.I64, event[1], event[2])
+        elif event[0] == "enter":
+            builder.enter_composite(event[1])
+        else:
+            builder.exit_composite()
+    root = TraceNode("COMPOSITE", "request", 0, end_before(len(events)), tuple(map(expected, shapes)))
+    assert builder.finish() == root
+
+
+def test_a_decoder_stopped_by_the_recursion_limit_keeps_its_trace():
+    """Every exit still arrives when the interpreter's recursion limit
+    unwinds a traced decoder, so the nested composites all stay in the
+    trace, each holding the read made inside it."""
+
+    class Runaway(Service):
+        def handle_transaction(self, code, data, ctx):
+            def descend():
+                with data.composite("level"):
+                    data.read_value(Kind.I32)
+                    descend()
+
+            descend()
+
+    router = Router()
+    builder = TraceBuilder()
+    reply = router.transact(Transaction(router.export(Runaway()), 1, Parcel(bytes(40000))), trace_hook=builder)
+    assert reply.kind is ReplyKind.FATAL_CRASH and reply.crash.detail == "host recursion limit"
+    (node,) = builder.finish().children
+    depth = 1
+    while len(node.children) == 2:
+        node, depth = node.children[1], depth + 1
+    assert depth > 100
+    assert node.children in ((), (TraceNode("I32", "", 4 * depth - 4, 4 * depth),))
 
 
 # -- handle bookkeeping --------------------------------------------------------------

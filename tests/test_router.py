@@ -17,7 +17,6 @@ from parcelfuzz.router import (
     STACK_LIMIT,
     STACK_OVERFLOW,
     DispatchContext,
-    DuplicateServiceError,
     HostTable,
     InternalFault,
     Reject,
@@ -34,7 +33,7 @@ from parcelfuzz.router import (
 class Moody(Service):
     """Scripted replies: one method code per outcome class."""
 
-    descriptor = "test.moody"
+    DESCRIPTOR = "test.moody"
 
     ANSWER = 1
     REFUSE = 2
@@ -77,9 +76,7 @@ class Moody(Service):
 
 @pytest.fixture
 def router():
-    r = Router()
-    r.register_service("test.moody", Moody())
-    return r
+    return Router(HostTable((Moody,)))
 
 
 def _call(router, handle, code, data=None, sender="t"):
@@ -95,13 +92,13 @@ def test_manager_lives_at_handle_zero():
 
 
 def test_handles_are_monotonic_and_never_reused(router):
-    a = router.register_service("", Moody())
-    b = router.register_service("", Moody())
+    a = router.export(Moody())
+    b = router.export(Moody())
     assert b == a + 1
     # a crash resets the instance behind a handle without recycling it
     moody = router.get_service("test.moody")
     _call(router, moody, Moody.CRASH)
-    c = router.register_service("", Moody())
+    c = router.export(Moody())
     assert c == b + 1
 
 
@@ -128,13 +125,13 @@ def test_hosted_service_is_built_by_its_first_transaction():
     assert Counted.built == 1
     assert [e.target_descriptor for e in r.edges] == ["test.counted"] * 2
     # the next handle follows the hosted ones; a second router starts clean
-    assert r.register_service("", Moody()) == 2
+    assert r.export(Moody()) == 2
     assert _call(Router(HostTable((Counted,))), handle, Moody.ANSWER).payload.read_value(Kind.I32) == 1
 
 
-def test_duplicate_descriptor_is_refused(router):
-    with pytest.raises(DuplicateServiceError):
-        router.register_service("test.moody", Moody())
+def test_a_host_table_refuses_two_services_with_one_name():
+    with pytest.raises(ValueError, match="two hosted services are named 'test.moody'"):
+        HostTable((Moody, Moody))
 
 
 def test_unknown_descriptor_raises(router):
@@ -143,7 +140,7 @@ def test_unknown_descriptor_raises(router):
 
 
 def test_descriptor_of_fallbacks(router):
-    anon = router.register_service("", Moody())
+    anon = router.export(Moody())
     assert router.descriptor_of(anon) == "<anonymous:%d>" % anon
     assert router.descriptor_of(10_000) == "<unknown>"
 
@@ -286,7 +283,7 @@ def test_recursion_error_maps_to_stack_overflow():
             dig()
 
     r = Router()
-    h = r.register_service("test.spiral", Spiral())
+    h = r.export(Spiral())
     reply = _call(r, h, 1)
     assert reply.kind is ReplyKind.FATAL_CRASH
     assert reply.crash.exception_kind == STACK_OVERFLOW

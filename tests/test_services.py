@@ -11,7 +11,7 @@ import re
 import pytest
 
 from parcelfuzz.parcel import I32_MAX, Kind, Parcel
-from parcelfuzz.router import DispatchContext, DuplicateServiceError, Reject, ReplyKind, Transaction
+from parcelfuzz.router import DispatchContext, Reject, ReplyKind, Transaction
 from parcelfuzz.services import (
     SEEDED_BUGS,
     SERVICE_CLASSES,
@@ -30,7 +30,6 @@ from parcelfuzz.services import (
     MethodRegistry,
     MethodSpec,
     QueueClient,
-    QueueService,
     RegistryService,
     ReplyError,
     ViewClient,
@@ -117,6 +116,25 @@ def test_activity_launch_with_nested_extras(client):
         ("meta", TAG_BUNDLE, [("origin", TAG_STRING, "launcher")]),
     ]
     assert activity.start_activity("app.intent.MAIN", "content://item/1", extras) is True
+
+
+def test_bundle_depth_is_bounded_by_the_decoder_not_the_interpreter():
+    """511 bundles nested in the intent's reach depth 512, which the
+    stack budget allows; one more level is refused by check_depth, not by
+    the interpreter's recursion limit."""
+
+    def launch(nested):
+        data = Parcel().write_value(Kind.STRING, "app.intent.MAIN").write_value(Kind.STRING, "")
+        for _ in range(nested):
+            data.write_value(Kind.I32, 1).write_value(Kind.STRING, "k").write_value(Kind.I32, TAG_BUNDLE)
+        data.write_value(Kind.I32, 0)
+        return _raw(fresh_router(), "svc.activity", 1, data)
+
+    assert launch(511).kind is ReplyKind.OK
+    deeper = launch(512)
+    assert deeper.kind is ReplyKind.FATAL_CRASH
+    assert deeper.crash.exception_kind == "STACK_OVERFLOW"
+    assert deeper.crash.detail == "recursion depth 513 exceeds limit 512"
 
 
 def test_wrapper_surfaces_non_ok_replies(client):
@@ -323,11 +341,6 @@ def test_fresh_router_hosts_every_descriptor():
         # answered from the host table: no transaction has reached it
         assert router.descriptor_of(handle) == cls.DESCRIPTOR
     assert router.descriptor_of(len(SERVICE_CLASSES) + 1) == "<unknown>"
-
-
-def test_registering_a_hosted_name_is_refused(router):
-    with pytest.raises(DuplicateServiceError):
-        router.register_service(QueueService.DESCRIPTOR, QueueService())
 
 
 def test_crash_resets_a_service_built_on_first_reach(router, client):
