@@ -73,7 +73,15 @@ class ConfigurationError(Exception):
 
 # Catalog order is load-bearing: campaign case numbering follows it.
 INT_MUTATIONS = ("plus_one", "minus_one", "zero", "max", "min", "negate", "flip_high_bit")
-F64_MUTATIONS = ("zero", "nan", "pos_inf", "neg_inf", "max", "min_positive")
+F64_VALUES = {
+    "zero": 0.0,
+    "nan": math.nan,
+    "pos_inf": math.inf,
+    "neg_inf": -math.inf,
+    "max": 1.7976931348623157e308,
+    "min_positive": 5e-324,
+}
+F64_MUTATIONS = tuple(F64_VALUES)
 STRING_MUTATIONS = (
     "empty",
     "long_64k",
@@ -163,9 +171,6 @@ class FuzzCase(_CaseFields):
     def _make(cls, iterable) -> "FuzzCase":
         # _replace builds through _make; route it through the checks.
         return cls(*iterable)
-
-    def parcel(self) -> Parcel:
-        return Parcel(self.payload, self.offsets)
 
     def to_json(self) -> dict:
         return {
@@ -307,14 +312,14 @@ def _encode_leaf(kind: str, write_as: str, value) -> bytes:
 class _SeedEncoding(NamedTuple):
     """A seed's identity rebuild, made once and shared by all its cases;
     spans[i] is the [start, end) of leaves[i] in payload, and
-    subtrees[path] the [first, past) leaf indices of the composite at
-    path, every composite in pre-order."""
+    subtrees[path] the composite node at path with its [first, past) leaf
+    indices, every composite in pre-order."""
 
     leaves: list[_Leaf]
     payload: bytes
     spans: list[tuple[int, int]]
     offsets: tuple[int, ...]
-    subtrees: dict[tuple[int, ...], tuple[int, int]]
+    subtrees: dict[tuple[int, ...], tuple[TraceNode, int, int]]
 
 
 def _encode_seed(record: SeedRecord) -> _SeedEncoding:
@@ -324,45 +329,25 @@ def _encode_seed(record: SeedRecord) -> _SeedEncoding:
     return _SeedEncoding(leaves, parcel.buffer, spans, tuple(parcel.offsets), _subtrees(record.trace))
 
 
-def _subtrees(trace: TraceNode) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The [first, past) leaf indices of every composite, by path, in
-    pre-order: one walk of the trace."""
-    subtrees: dict[tuple[int, ...], tuple[int, int]] = {}
+def _subtrees(trace: TraceNode) -> dict[tuple[int, ...], tuple[TraceNode, int, int]]:
+    """Every composite node with its [first, past) leaf indices, by path,
+    in pre-order: one walk of the trace."""
+    subtrees: dict[tuple[int, ...], tuple[TraceNode, int, int]] = {}
     _add_subtrees(trace, (), 0, subtrees)
     return subtrees
 
 
 def _add_subtrees(node: TraceNode, path: tuple[int, ...], first: int, subtrees: dict) -> int:
-    """Add node's composites, its first leaf having index first; returns
-    the index past its last leaf."""
+    """Add node's composites, each beside its leaf range, node's first
+    leaf having index first; returns the index past its last leaf."""
     if node.is_leaf:
         return first + 1
     subtrees[path] = None  # holds path's pre-order place until its range is known
     past = first
     for i, child in enumerate(node.children):
         past = _add_subtrees(child, path + (i,), past, subtrees)
-    subtrees[path] = (first, past)
+    subtrees[path] = (node, first, past)
     return past
-
-
-def enumerate_fields(record: SeedRecord) -> list[tuple[int, ...]]:
-    """Depth-first, left-to-right paths of every primitive leaf."""
-    return [leaf.path for leaf in decompose(record)]
-
-
-def _node_at(trace: TraceNode, path: tuple[int, ...]) -> TraceNode:
-    node = trace
-    for index in path:
-        try:
-            node = node.children[index]
-        except (IndexError, TypeError):
-            raise CatalogError("path %r does not exist in trace" % (path,)) from None
-    return node
-
-
-def enumerate_composites(record: SeedRecord) -> list[tuple[int, ...]]:
-    """Pre-order paths of every composite node, the whole payload first."""
-    return list(_subtrees(record.trace))
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +381,6 @@ def _mutate_int(value: int, mutation: str, bits: int) -> int:
     raise CatalogError("unknown integer mutation %r" % mutation)
 
 
-def _mutate_f64(value: float, mutation: str) -> float:
-    table = {
-        "zero": 0.0,
-        "nan": math.nan,
-        "pos_inf": math.inf,
-        "neg_inf": -math.inf,
-        "max": 1.7976931348623157e308,
-        "min_positive": 5e-324,
-    }
-    try:
-        return table[mutation]
-    except KeyError:
-        raise CatalogError("unknown F64 mutation %r" % mutation) from None
-
-
 def _mutate_string(value: str, mutation: str) -> tuple[object, str]:
     """Returns (new value, write_as kind name)."""
     if mutation == "empty":
@@ -429,24 +399,10 @@ def _mutate_string(value: str, mutation: str) -> tuple[object, str]:
     raise CatalogError("unknown STRING mutation %r" % mutation)
 
 
-def mutate_field(record: SeedRecord, field_path, mutation_id: str, case_id: int = 0) -> FuzzCase:
-    """One catalog mutation applied to one leaf, everything else re-encoded as was."""
-    field_path = tuple(field_path)
-    node = _node_at(record.trace, field_path)
-    if not node.is_leaf:
-        raise CatalogError("path %r is a composite; use mutate_structural" % (field_path,))
-    allowed = CATALOG.get(node.kind, ())
-    if mutation_id not in allowed:
-        raise CatalogError("mutation %r does not apply to %s" % (mutation_id, node.kind))
-
-    seed = _encode_seed(record)
-    index = next(i for i, leaf in enumerate(seed.leaves) if leaf.path == field_path)
-    return _mutate_leaf(record, seed, index, mutation_id, case_id)
-
-
 def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_id: str, case_id: int = 0) -> FuzzCase:
-    """mutate_field on an already encoded seed: only the edited leaf is
-    encoded, and spliced into the seed's bytes in place of the original."""
+    """One catalog mutation applied to leaves[index] of an encoded seed:
+    only the edited leaf is encoded, and spliced into the seed's bytes in
+    place of the original."""
     leaf = seed.leaves[index]
     kind = leaf.kind
     value, write_as = leaf.value, leaf.write_as
@@ -458,7 +414,7 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
     elif kind == "I64":
         value = _mutate_int(value, mutation_id, 64)
     elif kind == "F64":
-        value = _mutate_f64(value, mutation_id)
+        value = F64_VALUES[mutation_id]
     elif kind == "STRING":
         value, write_as = _mutate_string(value, mutation_id)
         if mutation_id == "declared_length_plus_4":
@@ -509,11 +465,8 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
 # ---------------------------------------------------------------------------
 
 
-def structural_mutations_for(record: SeedRecord, path) -> list[str]:
-    """Catalog entries applicable to the composite at path, in order."""
-    node = _node_at(record.trace, tuple(path))
-    if node.is_leaf:
-        return []
+def _structural_mutations(record: SeedRecord, node: TraceNode) -> list[str]:
+    """Catalog entries applicable to a composite node of record, in order."""
     out = list(STRUCTURAL_MUTATIONS)
     if _ENTRY_LABEL.match(node.label) and len(node.children) >= 2:
         tag_leaf = node.children[1]
@@ -523,23 +476,14 @@ def structural_mutations_for(record: SeedRecord, path) -> list[str]:
     return out
 
 
-def mutate_structural(record: SeedRecord, path, mutation_id: str, case_id: int = 0) -> FuzzCase:
-    """Subtree duplication/removal, or a bundle-entry tag rewrite."""
-    path = tuple(path)
-    if mutation_id not in structural_mutations_for(record, path):
-        raise CatalogError("mutation %r does not apply at %r" % (mutation_id, path))
-
-    return _mutate_subtree(record, _encode_seed(record), path, mutation_id, case_id)
-
-
 def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str, case_id: int = 0) -> FuzzCase:
-    """mutate_structural on an already encoded seed.  A subtree's leaves
-    are contiguous in depth-first order, so its bytes are one range of the
-    seed's: duplication repeats the range, removal drops it, and a tag swap
-    re-encodes the one tag leaf.  A subtree with no leaves leaves the seed
-    encoding as it is."""
+    """Subtree duplication or removal, or a bundle-entry tag rewrite, on
+    an encoded seed.  A subtree's leaves are contiguous in depth-first
+    order, so its bytes are one range of the seed's: duplication repeats
+    the range, removal drops it, and a tag swap re-encodes the one tag
+    leaf.  A subtree with no leaves leaves the seed encoding as it is."""
     payload, offsets = seed.payload, seed.offsets
-    first_leaf, past_leaf = seed.subtrees[path]
+    _node, first_leaf, past_leaf = seed.subtrees[path]
 
     if mutation_id in STRUCTURAL_MUTATIONS:
         if past_leaf > first_leaf:
@@ -645,8 +589,8 @@ def semi_valid_cases(record: SeedRecord, case_ids: Iterator[int] | None = None):
     for index, leaf in enumerate(seed.leaves):
         for mutation_id in CATALOG.get(leaf.kind, ()):
             yield _mutate_leaf(record, seed, index, mutation_id, next(case_ids))
-    for path in seed.subtrees:
-        for mutation_id in structural_mutations_for(record, path):
+    for path, (node, _first, _past) in seed.subtrees.items():
+        for mutation_id in _structural_mutations(record, node):
             yield _mutate_subtree(record, seed, path, mutation_id, next(case_ids))
 
 

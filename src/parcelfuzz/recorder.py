@@ -43,7 +43,6 @@ from .services import (
     TAG_STRING,
     ViewClient,
     ViewNode,
-    all_methods,
     fresh_router,
 )
 
@@ -142,13 +141,6 @@ class TraceNode(NamedTuple):
     @property
     def byte_range(self) -> tuple[int, int]:
         return (self.start, self.end)
-
-    def iter_leaves(self):
-        if self.is_leaf:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.iter_leaves()
 
     def to_json(self, max_depth: int | None = None) -> dict:
         """The tree as JSON.  With max_depth, composites max_depth levels
@@ -518,12 +510,6 @@ def record_session(names) -> list[SeedRecord]:
     return client.records
 
 
-def coverage_gaps(records) -> list[tuple[str, int, str]]:
-    """Registry methods no record exercises; empty on the shipped corpus."""
-    seen = {(r.descriptor, r.code) for r in records}
-    return [m for m in all_methods() if (m[0], m[1]) not in seen]
-
-
 # ---------------------------------------------------------------------------
 # Dependency graph.
 # ---------------------------------------------------------------------------
@@ -611,7 +597,10 @@ def save_corpus(records, path) -> None:
 def load_corpus(path) -> list[SeedRecord]:
     """The records of a corpus file.  A record that has no usable seq is
     named by its 1-based line in the file, blank lines counted."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError("corpus %s is not UTF-8: %s" % (path, exc)) from None
     lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise CorpusError("corpus file is empty")

@@ -190,7 +190,7 @@ class ReplaySession:
         return self._execute_record(record)
 
     def _execute_record(self, record: SeedRecord) -> Reply:
-        payload = self._patch_record_slots(record)
+        payload = self._patched(record.payload, record.offsets, ())
         txn = Transaction(self._record_target(record), record.code, payload, SUPPORT_SENDER)
         reply = self.router.transact(txn)
         # What a service-manager lookup returns is resolved by name instead.
@@ -208,11 +208,22 @@ class ReplaySession:
             return self.live[record.target]
         return self.resolve_static(record.descriptor)
 
-    def _patch_record_slots(self, record: SeedRecord) -> Parcel:
-        buf = bytearray(record.payload)
-        for pos in record.offsets:
-            struct.pack_into("<i", buf, pos, self._live_handle(handle_at(buf, pos)))
-        return Parcel(buf, record.offsets)
+    def _patched(self, payload: bytes, offsets: tuple[int, ...], slot_overrides) -> Parcel:
+        """payload with the live handle in every slot at offsets, except
+        where slot_overrides pins a slot's bytes or swaps in the handle of
+        another service."""
+        buf = bytearray(payload)
+        overrides = dict(slot_overrides)
+        for pos in offsets:
+            directive = overrides.get(pos)
+            if directive == "pin":
+                continue
+            if directive is not None and directive.startswith("swap:"):
+                live = self.resolve_static(directive[len("swap:"):])
+            else:
+                live = self._live_handle(handle_at(buf, pos))
+            struct.pack_into("<i", buf, pos, live)
+        return Parcel(buf, offsets)
 
     def _live_handle(self, recorded: int) -> int:
         if recorded == SERVICE_MANAGER_HANDLE:
@@ -234,18 +245,7 @@ class ReplaySession:
 
     def materialize(self, case) -> Transaction:
         """Live-handle-patched Transaction for a case whose supports are ready."""
-        buf = bytearray(case.payload)
-        overrides = dict(case.slot_overrides)
-        for pos in case.offsets:
-            directive = overrides.get(pos)
-            if directive == "pin":
-                continue
-            if directive is not None and directive.startswith("swap:"):
-                live = self.resolve_static(directive[len("swap:"):])
-            else:
-                live = self._live_handle(handle_at(buf, pos))
-            struct.pack_into("<i", buf, pos, live)
-        payload = Parcel(buf, case.offsets)
+        payload = self._patched(case.payload, case.offsets, case.slot_overrides)
         return Transaction(self._case_target(case), case.code, payload, FUZZ_SENDER)
 
     def _case_target(self, case) -> int:

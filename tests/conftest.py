@@ -3,6 +3,7 @@ import random
 import pytest
 
 from parcelfuzz.harness import build_manifest, manifest_fingerprints
+from parcelfuzz.mutator import semi_valid_cases
 from parcelfuzz.recorder import SCENARIOS, build_dependency_graph, record_session
 
 
@@ -34,3 +35,28 @@ def manifest():
 @pytest.fixture(scope="session")
 def manifest_fps(manifest):
     return manifest_fingerprints(manifest)
+
+
+@pytest.fixture(scope="session")
+def semi_valid_case():
+    """case(record, field_path, mutation_id, case_id=0): the case that
+    semi_valid_cases(record) builds for that field and mutation."""
+
+    def case(record, field_path, mutation_id, case_id=0):
+        wanted = (field_path, mutation_id)
+        found = next(c for c in semi_valid_cases(record) if (c.field_path, c.mutation_id) == wanted)
+        return found._replace(case_id=case_id)
+
+    return case
+
+
+@pytest.fixture(scope="session")
+def trace_leaves():
+    """leaves(node): the leaves of a trace tree, depth-first."""
+
+    def leaves(node):
+        if node.is_leaf:
+            return [node]
+        return [leaf for child in node.children for leaf in leaves(child)]
+
+    return leaves

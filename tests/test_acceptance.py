@@ -21,7 +21,7 @@ from parcelfuzz.harness import (
     reproduce,
     run_fuzz,
 )
-from parcelfuzz.mutator import Policy, generate_campaign, mutate_field
+from parcelfuzz.mutator import Policy, generate_campaign
 from parcelfuzz.parcel import Kind, Parcel, handle_at
 from parcelfuzz.recorder import RecordingClient, SCENARIOS
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
@@ -107,14 +107,14 @@ def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
 # -- criterion 2 -------------------------------------------------------------------
 
 
-def test_criterion_02_recorded_traces_equal_writer_logs_exactly():
+def test_criterion_02_recorded_traces_equal_writer_logs_exactly(trace_leaves):
     client = RecordingClient(fresh_router())
     for scenario in SCENARIOS.values():
         scenario(client)
     assert len(client.records) == len(client.writer_logs) > 0
     for record, writer_log in zip(client.records, client.writer_logs):
         traced = [
-            (Kind(leaf.kind), leaf.start, leaf.end) for leaf in record.trace.iter_leaves()
+            (Kind(leaf.kind), leaf.start, leaf.end) for leaf in trace_leaves(record.trace)
         ]
         assert traced == writer_log, "record %d diverged" % record.seq
 
@@ -122,7 +122,7 @@ def test_criterion_02_recorded_traces_equal_writer_logs_exactly():
 # -- criterion 3 -------------------------------------------------------------------
 
 
-def test_criterion_03_callback_scenario_replays_on_live_handles(corpus):
+def test_criterion_03_callback_scenario_replays_on_live_handles(semi_valid_case, corpus):
     register = next(r for r in corpus if (r.descriptor, r.code) == ("svc.audio", 2))
     recorded_handle = handle_at(register.payload, register.offsets[0])
 
@@ -133,7 +133,7 @@ def test_criterion_03_callback_scenario_replays_on_live_handles(corpus):
     assert session.live[recorded_handle] != recorded_handle
 
     # a mutated fuzz case built from the same seed also materializes and runs
-    case = mutate_field(register, (0,), "cross_service_swap", case_id=1)
+    case = semi_valid_case(register, (0,), "cross_service_swap", case_id=1)
     session = ReplaySession(prepare_corpus(corpus))
     txn = session.prepare(case)
     live = handle_at(txn.data.buffer, register.offsets[0])
@@ -171,11 +171,11 @@ def test_criterion_05_single_method_yields_three_plus_fingerprints(campaigns):
 # -- criterion 6 -------------------------------------------------------------------
 
 
-def test_criterion_06_overflow_variants_collapse_to_one_fingerprint(corpus, campaigns):
+def test_criterion_06_overflow_variants_collapse_to_one_fingerprint(semi_valid_case, corpus, campaigns):
     gfx = next(r for r in corpus if r.descriptor == "svc.graphics")
     fingerprints = set()
     for path in ((1,), (2,)):  # two different mutated fields
-        case = mutate_field(gfx, path, "max", case_id=1)
+        case = semi_valid_case(gfx, path, "max", case_id=1)
         session = ReplaySession(prepare_corpus(corpus))
         reply = session.router.transact(session.prepare(case))
         assert reply.kind is ReplyKind.FATAL_CRASH

@@ -1073,6 +1073,21 @@ def test_a_per_method_count_of_the_wrong_type_is_refused(tmp_path, saved_campaig
         CampaignReport.from_json(report)
 
 
+def test_cli_names_a_corpus_that_is_not_utf8(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_bytes(b"\xff\xfe" + "{}\n".encode("utf-16-le"))
+    report_path = tmp_path / "report.json"
+    assert main(["fuzz", "--policy", "empty", "--budget", "1", "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10", "--out", str(tmp_path / "r.json")],
+        ["replay", "--report", str(report_path), "--fingerprint", "zz", "--corpus", str(corpus_path)],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: corpus %s is not UTF-8: " % corpus_path) and err.count("\n") == 1, err
+
+
 def test_cli_rejects_a_corpus_line_nested_too_deeply(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     main(["record", "--scenario", "all", "--out", str(corpus_path)])

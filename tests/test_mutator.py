@@ -21,25 +21,21 @@ from parcelfuzz.mutator import (
     CATALOG,
     CATALOG_VERSION,
     F64_MUTATIONS,
+    F64_VALUES,
     FRAME_BREAKING_MUTATIONS,
     HANDLE_MUTATIONS,
     INT_MUTATIONS,
     RANDOM_LENGTH_CYCLE,
     STRING_MUTATIONS,
-    CatalogError,
     ConfigurationError,
     FuzzCase,
     Policy,
     _rebuild,
+    _subtrees,
     decompose,
-    enumerate_composites,
-    enumerate_fields,
     generate_campaign,
     make_random,
-    mutate_field,
-    mutate_structural,
     semi_valid_cases,
-    structural_mutations_for,
 )
 from parcelfuzz.parcel import I32_MAX, I32_MIN, CapacityError, Kind, Parcel
 from parcelfuzz.recorder import COMPOSITE, SeedRecord, TraceNode
@@ -122,12 +118,12 @@ def test_enumerate_fields_matches_an_independent_walk(corpus):
                 walk(child, path + (i,))
 
         walk(record.trace, ())
-        assert enumerate_fields(record) == expected
+        assert [leaf.path for leaf in decompose(record)] == expected
 
 
 def test_enumerate_composites_is_preorder_with_root_first(corpus):
     activity = _record_for(corpus, "svc.activity")
-    paths = enumerate_composites(activity)
+    paths = list(_subtrees(activity.trace))
     assert paths[0] == ()
     assert paths == sorted(paths, key=lambda p: (len(p) and 1, p))
     # root, intent wrapper, outer bundle, four entries, nested bundle, its entry
@@ -137,9 +133,9 @@ def test_enumerate_composites_is_preorder_with_root_first(corpus):
 # -- field mutations ---------------------------------------------------------------
 
 
-def test_int_max_mutation_rewrites_exactly_one_leaf(corpus):
+def test_int_max_mutation_rewrites_exactly_one_leaf(semi_valid_case, corpus):
     gfx = _record_for(corpus, "svc.graphics")
-    case = mutate_field(gfx, (1,), "max")
+    case = semi_valid_case(gfx, (1,), "max")
     original = gfx.payload
     mutated = case.payload
     leaf = gfx.trace.children[1]
@@ -151,11 +147,11 @@ def test_int_max_mutation_rewrites_exactly_one_leaf(corpus):
     assert not case.frame_breaking
 
 
-def test_int_wrapping_mutations():
+def test_int_wrapping_mutations(semi_valid_case):
     record = _synthetic_four_ints()
-    top = mutate_field(record, (0,), "flip_high_bit")
+    top = semi_valid_case(record, (0,), "flip_high_bit")
     assert struct.unpack_from("<i", top.payload, 0)[0] == _wrap(10 ^ (1 << 31))
-    negated = mutate_field(record, (1,), "negate")
+    negated = semi_valid_case(record, (1,), "negate")
     assert struct.unpack_from("<i", negated.payload, 4)[0] == -20
 
 
@@ -164,38 +160,38 @@ def _wrap(value):
     return value - (1 << 32) if value >= (1 << 31) else value
 
 
-def test_string_empty_shrinks_and_shifts(corpus):
+def test_string_empty_shrinks_and_shifts(semi_valid_case, corpus):
     add = _record_for(corpus, "svc.queue", 1)
-    case = mutate_field(add, (0,), "empty")
+    case = semi_valid_case(add, (0,), "empty")
     assert case.payload == bytes.fromhex("00000000")
 
 
-def test_string_long_64k(corpus):
+def test_string_long_64k(semi_valid_case, corpus):
     add = _record_for(corpus, "svc.queue", 1)
-    case = mutate_field(add, (0,), "long_64k")
+    case = semi_valid_case(add, (0,), "long_64k")
     buf = case.payload
     assert struct.unpack_from("<i", buf, 0)[0] == 65536
     assert len(buf) == 4 + 65536
 
 
-def test_string_embedded_nul(corpus):
+def test_string_embedded_nul(semi_valid_case, corpus):
     add = _record_for(corpus, "svc.queue", 1)
-    case = mutate_field(add, (0,), "embedded_nul")
+    case = semi_valid_case(add, (0,), "embedded_nul")
     buf = case.payload
     declared = struct.unpack_from("<i", buf, 0)[0]
     assert b"\x00" in buf[4 : 4 + declared]
     assert declared == 6  # "alpha" with one NUL inserted
 
 
-def test_string_invalid_utf8_keeps_string_framing(corpus):
+def test_string_invalid_utf8_keeps_string_framing(semi_valid_case, corpus):
     add = _record_for(corpus, "svc.queue", 1)
-    case = mutate_field(add, (0,), "invalid_utf8")
+    case = semi_valid_case(add, (0,), "invalid_utf8")
     assert case.payload == bytes.fromhex("03000000eda08000")
 
 
-def test_string_declared_length_plus_4_only_touches_the_prefix(corpus):
+def test_string_declared_length_plus_4_only_touches_the_prefix(semi_valid_case, corpus):
     add = _record_for(corpus, "svc.queue", 1)
-    case = mutate_field(add, (0,), "declared_length_plus_4")
+    case = semi_valid_case(add, (0,), "declared_length_plus_4")
     original = add.payload
     mutated = case.payload
     assert struct.unpack_from("<i", mutated, 0)[0] == struct.unpack_from("<i", original, 0)[0] + 4
@@ -203,15 +199,13 @@ def test_string_declared_length_plus_4_only_touches_the_prefix(corpus):
     assert case.frame_breaking
 
 
-def test_bytes_mutations(corpus):
+def test_bytes_mutations(semi_valid_case, corpus):
     activity = _record_for(corpus, "svc.activity")
     # the "blob" entry value is the only BYTES leaf in the corpus
-    blob_path = next(
-        p for p in enumerate_fields(activity) if _kind_at(activity, p) == "BYTES"
-    )
-    truncated = mutate_field(activity, blob_path, "truncate_half")
+    blob_path = next(leaf.path for leaf in decompose(activity) if leaf.kind == "BYTES")
+    truncated = semi_valid_case(activity, blob_path, "truncate_half")
     t_buf = truncated.payload
-    lied = mutate_field(activity, blob_path, "declared_length_max")
+    lied = semi_valid_case(activity, blob_path, "declared_length_max")
     l_buf = lied.payload
     original = activity.payload
     node = activity.trace
@@ -230,40 +224,28 @@ def _kind_at(record, path):
     return node.kind
 
 
-def test_handle_mutations_pin_or_swap(corpus):
+def test_handle_mutations_pin_or_swap(semi_valid_case, corpus):
     register = _record_for(corpus, "svc.audio", 2)
-    zeroed = mutate_field(register, (0,), "zero_handle")
+    zeroed = semi_valid_case(register, (0,), "zero_handle")
     assert struct.unpack_from("<i", zeroed.payload, 0)[0] == 0
     assert zeroed.slot_overrides == ((0, "pin"),)
-    huge = mutate_field(register, (0,), "huge_handle")
+    huge = semi_valid_case(register, (0,), "huge_handle")
     assert struct.unpack_from("<i", huge.payload, 0)[0] == I32_MAX
     assert huge.slot_overrides == ((0, "pin"),)
-    swapped = mutate_field(register, (0,), "cross_service_swap")
+    swapped = semi_valid_case(register, (0,), "cross_service_swap")
     assert swapped.slot_overrides == ((0, "swap:svc.queue"),)
     assert swapped.offsets == (0,)
 
 
-def test_f64_mutations_apply():
+def test_f64_mutations_apply(semi_valid_case):
     payload = Parcel().write_value(Kind.F64, 2.5)
     trace = TraceNode(COMPOSITE, "request", 0, 8, [TraceNode("F64", "", 0, 8)])
     record = SeedRecord(0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK")
-    tiny = mutate_field(record, (0,), "min_positive")
+    tiny = semi_valid_case(record, (0,), "min_positive")
     assert struct.unpack_from("<d", tiny.payload, 0)[0] == 5e-324
-    gone = mutate_field(record, (0,), "nan")
+    gone = semi_valid_case(record, (0,), "nan")
     value = struct.unpack_from("<d", gone.payload, 0)[0]
     assert value != value
-
-
-def test_mutation_kind_mismatches_are_catalog_errors(corpus):
-    gfx = _record_for(corpus, "svc.graphics")
-    with pytest.raises(CatalogError):
-        mutate_field(gfx, (1,), "empty")
-    with pytest.raises(CatalogError):
-        mutate_field(gfx, (1,), "no_such_mutation")
-    with pytest.raises(CatalogError):
-        mutate_field(gfx, (), "zero")
-    with pytest.raises(CatalogError):
-        mutate_field(gfx, (9, 9), "zero")
 
 
 # -- structural mutations -------------------------------------------------------------
@@ -271,13 +253,13 @@ def test_mutation_kind_mismatches_are_catalog_errors(corpus):
 
 def test_structural_menu_for_plain_composites(corpus):
     view = _record_for(corpus, "svc.view")
-    assert structural_mutations_for(view, ()) == ["duplicate_subtree", "remove_subtree"]
+    assert [c.mutation_id for c in semi_valid_cases(view) if c.field_path == ()] == ["duplicate_subtree", "remove_subtree"]
 
 
 def test_structural_menu_for_bundle_entries(corpus):
     activity = _record_for(corpus, "svc.activity")
     entry_path = _entry_paths(activity)[0]
-    menu = structural_mutations_for(activity, entry_path)
+    menu = [c.mutation_id for c in semi_valid_cases(activity) if c.field_path == entry_path]
     assert menu[:2] == ["duplicate_subtree", "remove_subtree"]
     swaps = menu[2:]
     assert len(swaps) == 6
@@ -287,24 +269,13 @@ def test_structural_menu_for_bundle_entries(corpus):
 
 
 def _entry_paths(record):
-    return [
-        p
-        for p in enumerate_composites(record)
-        if _label_at(record, p).startswith("Bundle.entry[")
-    ]
+    return [path for path, (node, _first, _past) in _subtrees(record.trace).items() if node.label.startswith("Bundle.entry[")]
 
 
-def _label_at(record, path):
-    node = record.trace
-    for index in path:
-        node = node.children[index]
-    return node.label
-
-
-def test_duplicate_subtree_splices_the_leaf_slice(corpus):
+def test_duplicate_subtree_splices_the_leaf_slice(semi_valid_case, corpus):
     view = _record_for(corpus, "svc.view")
     # duplicate the first child of the root pair node (a leaf view)
-    case = mutate_structural(view, (1, 1), "duplicate_subtree")
+    case = semi_valid_case(view, (1, 1), "duplicate_subtree")
     original_leaves = decompose(view)
     mutated = case.payload
     subtree = [leaf for leaf in original_leaves if leaf.path[:2] == (1, 1)]
@@ -313,16 +284,16 @@ def test_duplicate_subtree_splices_the_leaf_slice(corpus):
     assert len(mutated) > len(view.payload)
 
 
-def test_remove_subtree_drops_the_leaf_slice(corpus):
+def test_remove_subtree_drops_the_leaf_slice(semi_valid_case, corpus):
     view = _record_for(corpus, "svc.view")
-    case = mutate_structural(view, (1, 1), "remove_subtree")
+    case = semi_valid_case(view, (1, 1), "remove_subtree")
     assert len(case.payload) < len(view.payload)
 
 
-def test_tag_swap_rewrites_only_the_tag(corpus):
+def test_tag_swap_rewrites_only_the_tag(semi_valid_case, corpus):
     activity = _record_for(corpus, "svc.activity")
     entry_path = _entry_paths(activity)[0]
-    case = mutate_structural(activity, entry_path, "tag_swap_to_6")
+    case = semi_valid_case(activity, entry_path, "tag_swap_to_6")
     original = activity.payload
     mutated = case.payload
     assert len(mutated) == len(original)
@@ -331,14 +302,6 @@ def test_tag_swap_rewrites_only_the_tag(corpus):
     for index in entry_path + (1,):
         tag_node = tag_node.children[index]
     assert diff and all(tag_node.start <= i < tag_node.end for i in diff)
-
-
-def test_structural_mutation_validation(corpus):
-    view = _record_for(corpus, "svc.view")
-    with pytest.raises(CatalogError):
-        mutate_structural(view, (0,), "duplicate_subtree")  # a leaf, not a composite
-    with pytest.raises(CatalogError):
-        mutate_structural(view, (), "tag_swap_to_3")
 
 
 # -- unstructured policies ---------------------------------------------------------
@@ -382,9 +345,9 @@ def test_fuzz_case_reference_validation():
         FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", (), seed_seq=3)
 
 
-def test_fuzz_case_json_round_trip(corpus):
+def test_fuzz_case_json_round_trip(semi_valid_case, corpus):
     register = _record_for(corpus, "svc.audio", 2)
-    case = mutate_field(register, (0,), "cross_service_swap", case_id=17)
+    case = semi_valid_case(register, (0,), "cross_service_swap", case_id=17)
     assert FuzzCase.from_json(case.to_json()) == case
 
 
@@ -444,17 +407,13 @@ def test_semi_valid_order_is_seeds_then_leaves_then_structural(corpus):
 
 
 def test_semi_valid_cases_decompose_once_and_match_one_off_mutations(monkeypatch, corpus):
+    """One decompose per seed; what each case holds is checked against a
+    full rebuild in test_every_spliced_case_equals_a_full_rebuild."""
     calls = []
     monkeypatch.setattr(mutator, "decompose", lambda record: calls.append(record.seq) or decompose(record))
     for record in corpus:
-        cases = list(semi_valid_cases(record))
+        list(semi_valid_cases(record))
         assert calls == [record.seq]
-        for case in cases:
-            if case.mutation_id in CATALOG.get(_kind_at(record, case.field_path), ()):
-                expected = mutate_field(record, case.field_path, case.mutation_id)
-            else:
-                expected = mutate_structural(record, case.field_path, case.mutation_id)
-            assert case == expected
         calls.clear()
 
 
@@ -510,7 +469,7 @@ def _full_rebuild_case(record, case):
     if leaf.kind in ("I32", "BOOL", "I64"):
         leaves[index] = leaf._replace(value=mutator._mutate_int(leaf.value, mutation_id, 64 if leaf.kind == "I64" else 32))
     elif leaf.kind == "F64":
-        leaves[index] = leaf._replace(value=mutator._mutate_f64(leaf.value, mutation_id))
+        leaves[index] = leaf._replace(value=F64_VALUES[mutation_id])
     elif leaf.kind == "STRING":
         value, write_as = mutator._mutate_string(leaf.value, mutation_id)
         leaves[index] = leaf._replace(value=value, write_as=write_as)
@@ -548,20 +507,20 @@ def test_every_spliced_case_equals_a_full_rebuild(corpus, shuffled_corpus):
     assert checked >= {"duplicate_subtree", "remove_subtree", "tag_swap_to_6"}
 
 
-def test_splice_moves_handles_with_the_bytes_around_them():
+def test_splice_moves_handles_with_the_bytes_around_them(semi_valid_case):
     record = _synthetic_handles_and_empty_subtree()
     assert record.offsets == (8, 24)
     assert struct.unpack_from("<i", record.payload, 12)[0] == 5
-    longer = mutate_field(record, (0,), "long_64k")
+    longer = semi_valid_case(record, (0,), "long_64k")
     assert longer.offsets == (65540, 65556)
     assert struct.unpack_from("<i", longer.payload, 65544)[0] == 1  # the BOOL, normalized
-    doubled = mutate_structural(record, (1,), "duplicate_subtree")
+    doubled = semi_valid_case(record, (1,), "duplicate_subtree")
     assert doubled.offsets == (8, 16, 32)
-    dropped = mutate_structural(record, (1,), "remove_subtree")
+    dropped = semi_valid_case(record, (1,), "remove_subtree")
     assert dropped.offsets == (16,)
     seed_bytes = _rebuild(decompose(record)).buffer
     for mutation_id in ("duplicate_subtree", "remove_subtree"):
-        unchanged = mutate_structural(record, (2,), mutation_id)
+        unchanged = semi_valid_case(record, (2,), mutation_id)
         assert (unchanged.payload, unchanged.offsets) == (seed_bytes, record.offsets)
 
 
@@ -650,7 +609,7 @@ def test_policy_spellings_normalize(corpus):
 
 @given(st.lists(st.integers(I32_MIN, I32_MAX), min_size=1, max_size=8), st.data())
 @settings(max_examples=100)
-def test_every_int_mutation_yields_a_decodable_payload(values, data):
+def test_every_int_mutation_yields_a_decodable_payload(semi_valid_case, values, data):
     payload = Parcel()
     for value in values:
         payload.write_value(Kind.I32, value)
@@ -666,7 +625,7 @@ def test_every_int_mutation_yields_a_decodable_payload(values, data):
     )
     index = data.draw(st.integers(0, len(values) - 1))
     mutation = data.draw(st.sampled_from(INT_MUTATIONS))
-    case = mutate_field(record, (index,), mutation)
+    case = semi_valid_case(record, (index,), mutation)
     reader = Parcel(case.payload)
     out = [reader.read_value(Kind.I32) for _ in values]
     assert reader.remaining() == 0

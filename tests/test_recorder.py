@@ -22,14 +22,13 @@ from parcelfuzz.recorder import (
     build_dependency_graph,
     corpus_digest,
     corpus_text,
-    coverage_gaps,
     load_corpus,
     record_session,
     save_corpus,
     scenario_names,
 )
 from parcelfuzz.router import ReplyKind, Router, Service, Transaction
-from parcelfuzz.services import fresh_router
+from parcelfuzz.services import all_methods, fresh_router
 
 
 # -- corpus shape ---------------------------------------------------------------
@@ -43,7 +42,7 @@ def test_corpus_shape(corpus):
 
 
 def test_every_registry_method_is_exercised(corpus):
-    assert coverage_gaps(corpus) == []
+    assert {(d, c) for d, c, _name in all_methods()} <= {(r.descriptor, r.code) for r in corpus}
 
 
 def test_scenario_names_offer_all():
@@ -59,7 +58,7 @@ def test_unknown_scenario_is_refused():
 # -- trace fidelity ----------------------------------------------------------------
 
 
-def test_reader_traces_match_writer_logs_exactly():
+def test_reader_traces_match_writer_logs_exactly(trace_leaves):
     """What each service's reads traced is byte-for-byte what the client wrote."""
     client = RecordingClient(fresh_router())
     for name, scenario in SCENARIOS.items():
@@ -67,13 +66,13 @@ def test_reader_traces_match_writer_logs_exactly():
         scenario(client)
     assert len(client.records) == len(client.writer_logs) == 19
     for record, writer_log in zip(client.records, client.writer_logs):
-        traced = [(Kind(leaf.kind), leaf.start, leaf.end) for leaf in record.trace.iter_leaves()]
+        traced = [(Kind(leaf.kind), leaf.start, leaf.end) for leaf in trace_leaves(record.trace)]
         assert traced == writer_log, "trace diverged on record %d" % record.seq
 
 
-def test_traces_tile_their_payloads(corpus):
+def test_traces_tile_their_payloads(trace_leaves, corpus):
     for record in corpus:
-        leaves = list(record.trace.iter_leaves())
+        leaves = trace_leaves(record.trace)
         cursor = 0
         for leaf in leaves:
             assert leaf.start == cursor

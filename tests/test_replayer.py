@@ -2,7 +2,7 @@
 
 import pytest
 
-from parcelfuzz.mutator import FuzzCase, Policy, mutate_field
+from parcelfuzz.mutator import FuzzCase, Policy
 from parcelfuzz.parcel import I32_MAX, Kind, handle_at
 from parcelfuzz.recorder import CorpusError, build_dependency_graph
 from parcelfuzz.replayer import ReplaySession, Unreplayable, plan, prepare_corpus
@@ -192,25 +192,25 @@ def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs, prepared):
     assert session.router.transact(txn).kind is ReplyKind.OK
 
 
-def test_pin_directive_keeps_the_mutated_slot_bytes(corpus, audio_seqs, prepared):
+def test_pin_directive_keeps_the_mutated_slot_bytes(semi_valid_case, corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
-    case = mutate_field(register, (0,), "huge_handle", case_id=1)
+    case = semi_valid_case(register, (0,), "huge_handle", case_id=1)
     session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert handle_at(txn.data.buffer, 0) == I32_MAX
 
 
-def test_zero_handle_pin_survives_too(corpus, audio_seqs, prepared):
+def test_zero_handle_pin_survives_too(semi_valid_case, corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
-    case = mutate_field(register, (0,), "zero_handle", case_id=1)
+    case = semi_valid_case(register, (0,), "zero_handle", case_id=1)
     session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert handle_at(txn.data.buffer, 0) == 0
 
 
-def test_swap_directive_resolves_the_other_services_live_handle(corpus, audio_seqs, prepared):
+def test_swap_directive_resolves_the_other_services_live_handle(semi_valid_case, corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
-    case = mutate_field(register, (0,), "cross_service_swap", case_id=1)
+    case = semi_valid_case(register, (0,), "cross_service_swap", case_id=1)
     session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert handle_at(txn.data.buffer, 0) == session.router.get_service("svc.queue")
