@@ -112,7 +112,21 @@ INVALID_UTF8_BYTES = b"\xed\xa0\x80"
 FRAME_BREAKING_MUTATIONS = {"declared_length_plus_4", "declared_length_max"}
 
 
-class _CaseFields(NamedTuple):
+class FuzzCase(NamedTuple):
+    """One dispatchable input, with provenance when a seed was involved.
+
+    slot_overrides maps handle-slot byte positions to materialization
+    directives: "pin" keeps the mutated slot bytes as they are, and
+    "swap:<descriptor>" asks for a live handle of that service instead of
+    the recorded one.  Every other offsets slot is patched with its live
+    handle as usual.
+
+    A case is a plain immutable tuple, built once per dispatched case.
+    The generators build only consistent cases; ``from_json``, the one
+    place a case comes from outside, checks what a saved case can get
+    wrong.
+    """
+
     case_id: int
     policy: Policy
     descriptor: str
@@ -124,53 +138,6 @@ class _CaseFields(NamedTuple):
     mutation_id: str | None = None
     frame_breaking: bool = False
     slot_overrides: tuple[tuple[int, str], ...] = ()
-
-
-class FuzzCase(_CaseFields):
-    """One dispatchable input, with provenance when a seed was involved.
-
-    slot_overrides maps handle-slot byte positions to materialization
-    directives: "pin" keeps the mutated slot bytes as they are, and
-    "swap:<descriptor>" asks for a live handle of that service instead of
-    the recorded one.  Every other offsets slot is patched with its live
-    handle as usual.
-
-    A case is an immutable tuple, built once per dispatched case; the
-    constructor checks only what ties the provenance fields to the
-    policy.  ``from_json`` checks everything else a saved case can get
-    wrong.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        case_id: int,
-        policy: Policy,
-        descriptor: str,
-        code: int,
-        payload: bytes,
-        offsets: tuple[int, ...],
-        seed_seq: int | None = None,
-        field_path: tuple[int, ...] | None = None,
-        mutation_id: str | None = None,
-        frame_breaking: bool = False,
-        slot_overrides: tuple[tuple[int, str], ...] = (),
-    ):
-        if policy is Policy.SEMI_VALID:
-            if seed_seq is None or field_path is None or mutation_id is None:
-                raise ValueError("SEMI_VALID cases reference a seed, a path, and a mutation")
-        elif seed_seq is not None or field_path is not None or mutation_id is not None:
-            raise ValueError("%s cases reference no seed" % policy.value)
-        return tuple.__new__(
-            cls,
-            (case_id, policy, descriptor, code, payload, offsets, seed_seq, field_path, mutation_id, frame_breaking, slot_overrides),
-        )
-
-    @classmethod
-    def _make(cls, iterable) -> "FuzzCase":
-        # _replace builds through _make; route it through the checks.
-        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {
@@ -194,8 +161,10 @@ class FuzzCase(_CaseFields):
         Refuses, with a ValueError that names the field, what no
         generated case holds: a field of the wrong JSON type, handle
         offsets that are not 4-aligned, ascending and inside the payload,
-        and a slot override that is not a ``pin`` or ``swap:<descriptor>``
-        directive on one of those offsets.
+        a slot override that is not a ``pin`` or ``swap:<descriptor>``
+        directive on one of those offsets, and provenance that does not
+        fit the policy: a SEMI_VALID case names a seed, a path and a
+        mutation, and a case of another policy names none of them.
         """
         if type(obj) is not dict:
             raise ValueError("case is not an object: %s" % _excerpt(obj))
@@ -226,7 +195,7 @@ class FuzzCase(_CaseFields):
         field_path = _field(obj, "field_path", (list, NoneType), "case", ValueError, None)
         if field_path is not None:
             field_path = tuple(_items(obj, "field_path", (int,), "case", ValueError))
-        return cls(
+        case = cls(
             case_id=_field(obj, "case_id", (int,), "case", ValueError),
             policy=Policy(_field(obj, "policy", (str,), "case", ValueError)),
             descriptor=_field(obj, "descriptor", (str,), "case", ValueError),
@@ -239,6 +208,13 @@ class FuzzCase(_CaseFields):
             frame_breaking=_field(obj, "frame_breaking", (bool,), "case", ValueError, False),
             slot_overrides=tuple(overrides.items()),
         )
+        provenance = (case.seed_seq, case.field_path, case.mutation_id)
+        if case.policy is Policy.SEMI_VALID:
+            if None in provenance:
+                raise ValueError("SEMI_VALID cases reference a seed, a path, and a mutation")
+        elif provenance != (None, None, None):
+            raise ValueError("%s cases reference no seed" % case.policy.value)
+        return case
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import NoneType
 from typing import NamedTuple
 
-from .parcel import I32_MAX, Kind, Parcel, handle_at, pad4
+from .parcel import I32_MAX, Kind, Parcel, _check_offsets, handle_at, pad4
 from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_DESCRIPTOR, SERVICE_MANAGER_HANDLE
 from .services import (
     ActivityClient,
@@ -312,6 +312,10 @@ class SeedRecord(NamedTuple):
         except ValueError as exc:
             raise CorpusError("%s payload_hex is not hex: %s" % (where, exc)) from None
         offsets = tuple(_items(obj, "offsets", _INT, where))
+        try:
+            _check_offsets(offsets, len(payload))
+        except ValueError as exc:
+            raise CorpusError("%s offsets: %s" % (where, exc)) from None
         trace_obj = _field(obj, "trace", _DICT, where)
         handle_starts: list[int] = []
         try:

@@ -79,10 +79,12 @@ def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
 class PreparedCorpus(NamedTuple):
     """What replay derives from a corpus alone, built once and only read.
 
-    records maps seq to record; static_names maps each handle value a
-    service-manager lookup produced to the descriptor it was looked up
-    under, recovered from the recorded requests; plans maps each seq to
-    its support plan (see ``plan``).
+    records maps seq to record; static_names maps handle 0 to the
+    service manager and each handle value a service-manager lookup
+    produced to the descriptor it was looked up under, recovered from the
+    recorded requests, so every static handle a record targets or carries
+    resolves by the same name; plans maps each seq to its support plan
+    (see ``plan``).
     """
 
     records: Mapping[int, SeedRecord]
@@ -101,6 +103,7 @@ def prepare_corpus(records) -> PreparedCorpus:
             if name is not None:
                 for value, _pos in record.produced_handles:
                     static_names[value] = name
+    static_names[SERVICE_MANAGER_HANDLE] = SERVICE_MANAGER_DESCRIPTOR
     # Edges come in ascending consumer order and point forward, so each
     # producer's plan is final before any edge out of it is reached.
     plans = dict.fromkeys(graph.nodes, ())
@@ -191,7 +194,7 @@ class ReplaySession:
 
     def _execute_record(self, record: SeedRecord) -> Reply:
         payload = self._patched(record.payload, record.offsets, ())
-        txn = Transaction(self._record_target(record), record.code, payload, SUPPORT_SENDER)
+        txn = Transaction(self._live_handle(record.target), record.code, payload, SUPPORT_SENDER)
         reply = self.router.transact(txn)
         # What a service-manager lookup returns is resolved by name instead.
         if reply.kind is ReplyKind.OK and record.target != SERVICE_MANAGER_HANDLE:
@@ -200,13 +203,6 @@ class ReplaySession:
                     raise Unreplayable("record %d replied with no handle at %d" % (record.seq, pos), record.seq)
                 self.live[recorded_value] = handle_at(reply.payload.buffer, pos)
         return reply
-
-    def _record_target(self, record: SeedRecord) -> int:
-        if record.target == SERVICE_MANAGER_HANDLE:
-            return SERVICE_MANAGER_HANDLE
-        if record.target in self.live:
-            return self.live[record.target]
-        return self.resolve_static(record.descriptor)
 
     def _patched(self, payload: bytes, offsets: tuple[int, ...], slot_overrides) -> Parcel:
         """payload with the live handle in every slot at offsets, except
@@ -226,8 +222,8 @@ class ReplaySession:
         return Parcel(buf, offsets)
 
     def _live_handle(self, recorded: int) -> int:
-        if recorded == SERVICE_MANAGER_HANDLE:
-            return SERVICE_MANAGER_HANDLE
+        """The live handle for a recorded target or slot value: the one a
+        replayed support produced, else the named service's."""
         if recorded in self.live:
             return self.live[recorded]
         name = self.prepared.static_names.get(recorded)
@@ -250,5 +246,5 @@ class ReplaySession:
 
     def _case_target(self, case) -> int:
         if case.seed_seq is not None:
-            return self._record_target(self.prepared.records[case.seed_seq])
+            return self._live_handle(self.prepared.records[case.seed_seq].target)
         return self.resolve_static(case.descriptor)

@@ -13,6 +13,11 @@ Reply taxonomy, mirroring how a hardened server can react to hostile input:
     HANDLED_FAULT  server started work, hit an internal error it caught
     FATAL_CRASH    uncontained fault; CrashInfo attached, service state reset
 
+The router is the only judge of a request: a ``Transaction`` is a plain
+record that takes any handle and code, and the router rejects a handle
+nothing sits at and a code no method has.  A crash is reported with the
+frames of the innermost frame its fault left (see ``DispatchContext``).
+
 The boundary also keeps the IPC edge log: one edge per transact call, in
 arrival order, regardless of outcome.  A campaign report counts the
 edges by sender and by target descriptor.
@@ -59,24 +64,10 @@ class ReplyKind(str, Enum):
     FATAL_CRASH = "FATAL_CRASH"
 
 
-class _CrashFields(NamedTuple):
+class CrashInfo(NamedTuple):
     exception_kind: str
     stack_frames: tuple[str, ...]
     detail: str = ""
-
-
-class CrashInfo(_CrashFields):
-    __slots__ = ()
-
-    def __new__(cls, exception_kind: str, stack_frames: tuple[str, ...], detail: str = ""):
-        if not stack_frames:
-            raise ValueError("CrashInfo requires at least one stack frame")
-        return tuple.__new__(cls, (exception_kind, stack_frames, detail))
-
-    @classmethod
-    def _make(cls, iterable) -> "CrashInfo":
-        # _replace builds through _make; route it through the check.
-        return cls(*iterable)
 
 
 class Reply(NamedTuple):
@@ -102,20 +93,14 @@ class Reply(NamedTuple):
         return cls(ReplyKind.FATAL_CRASH, crash=crash)
 
 
-class Transaction:
-    """One request: a method code and payload addressed to a handle."""
+class Transaction(NamedTuple):
+    """One request: a method code and payload addressed to a handle.  Any
+    handle and code can be sent; the router rejects what it cannot serve."""
 
-    __slots__ = ("target_handle", "code", "data", "sender_id")
-
-    def __init__(self, target_handle: int, code: int, data: Parcel, sender_id: str = "anonymous"):
-        if target_handle < 0:
-            raise ValueError("target_handle must be >= 0")
-        if code < 1:
-            raise ValueError("code must be >= 1")
-        self.target_handle = target_handle
-        self.code = code
-        self.data = data
-        self.sender_id = sender_id
+    target_handle: int
+    code: int
+    data: Parcel
+    sender_id: str = "anonymous"
 
 
 class IpcEdge(NamedTuple):
@@ -169,16 +154,35 @@ class DispatchContext:
     Carries the simulated call-stack frames used for crash fingerprints, a
     depth guard against runaway recursive decoders, and the ability to
     publish new objects (the reply-side source of dynamic handles).
+
+    ``with ctx.frame(label):`` runs its body inside a frame: ``frame``
+    pushes the label and returns the context, whose exit pops it.  An
+    exception leaving a frame is stamped with the stack as it stood in the
+    innermost frame it left, so a fault raised after the service caught
+    another one is reported where it was raised.
     """
 
     def __init__(self, router: "Router", descriptor: str):
         self._router = router
         self.descriptor = descriptor
         self._frames: list[str] = []
-        self._fault_frames: tuple[str, ...] | None = None
 
-    def frame(self, label: str):
-        return _Frame(self, label)
+    def frame(self, label: str) -> "DispatchContext":
+        frames = self._frames
+        if len(frames) >= STACK_LIMIT:
+            # Raised before the push: the frame it leaves stamps the full stack.
+            raise ServiceFault(STACK_OVERFLOW, "simulated stack limit %d reached" % STACK_LIMIT)
+        frames.append(label)
+        return self
+
+    def __enter__(self) -> "DispatchContext":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is not None and not hasattr(exc, "stack_frames"):
+            exc.stack_frames = self.snapshot()
+        self._frames.pop()
+        return False
 
     def snapshot(self) -> tuple[str, ...]:
         """Current frames, innermost first."""
@@ -196,50 +200,14 @@ class DispatchContext:
         """Register an anonymous object and return its fresh handle."""
         return self._router.export(impl)
 
-    def _capture_fault(self):
-        if self._fault_frames is None and self._frames:
-            self._fault_frames = self.snapshot()
-
-    def fault_frames(self, fallback: str) -> tuple[str, ...]:
-        if self._fault_frames is not None:
-            return self._fault_frames
-        if self._frames:
-            return self.snapshot()
-        return (fallback,)
-
-
-class _Frame:
-    """Context manager that snapshots the stack if an exception passes through."""
-
-    __slots__ = ("_ctx", "_label")
-
-    def __init__(self, ctx: DispatchContext, label: str):
-        self._ctx = ctx
-        self._label = label
-
-    def __enter__(self):
-        frames = self._ctx._frames
-        if len(frames) >= STACK_LIMIT:
-            self._ctx._capture_fault()
-            raise ServiceFault(STACK_OVERFLOW, "simulated stack limit %d reached" % STACK_LIMIT)
-        frames.append(self._label)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None:
-            self._ctx._capture_fault()
-        self._ctx._frames.pop()
-        return False
-
 
 class _Registration:
-    __slots__ = ("handle", "descriptor", "instance", "factory")
+    __slots__ = ("handle", "descriptor", "instance")
 
     def __init__(self, handle: int, descriptor: str, instance: Service):
         self.handle = handle
         self.descriptor = descriptor
         self.instance = instance
-        self.factory = type(instance)
 
 
 class _ServiceManager(Service):
@@ -376,20 +344,21 @@ class Router:
         except InternalFault as exc:
             return Reply.handled_fault(str(exc))
         except ServiceFault as exc:
-            return self._contain(reg, ctx, exc.kind, exc.detail)
+            return self._contain(reg, exc, exc.kind, exc.detail)
         except ParcelError as exc:
-            return self._contain(reg, ctx, MALFORMED_PARCEL, str(exc))
-        except RecursionError:
-            return self._contain(reg, ctx, STACK_OVERFLOW, "host recursion limit")
+            return self._contain(reg, exc, MALFORMED_PARCEL, str(exc))
+        except RecursionError as exc:
+            return self._contain(reg, exc, STACK_OVERFLOW, "host recursion limit")
         except Exception as exc:  # a bug in a service is still contained
-            return self._contain(reg, ctx, "UNCAUGHT_%s" % type(exc).__name__, str(exc))
+            return self._contain(reg, exc, "UNCAUGHT_%s" % type(exc).__name__, str(exc))
         finally:
             if trace_hook is not None:
                 data.clear_read_hook()
 
-    def _contain(self, reg: _Registration, ctx: DispatchContext, kind: str, detail: str) -> Reply:
-        frames = ctx.fault_frames("%s.dispatch" % (reg.descriptor or "anonymous"))
-        crash = CrashInfo(exception_kind=kind, stack_frames=frames, detail=detail)
+    def _contain(self, reg: _Registration, exc: Exception, kind: str, detail: str) -> Reply:
+        """A fault raised outside any frame is reported in a
+        ``<descriptor>.dispatch`` frame of its own."""
+        frames = getattr(exc, "stack_frames", None) or ("%s.dispatch" % (reg.descriptor or "anonymous"),)
         if reg.handle != SERVICE_MANAGER_HANDLE:
-            reg.instance = reg.factory()
-        return Reply.fatal(crash)
+            reg.instance = type(reg.instance)()
+        return Reply.fatal(CrashInfo(kind, frames, detail))

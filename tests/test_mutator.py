@@ -106,7 +106,7 @@ def test_identity_rebuild_reproduces_every_seed_exactly(corpus):
         assert tuple(rebuilt.offsets) == record.offsets
 
 
-def test_enumerate_fields_matches_an_independent_walk(corpus):
+def test_decompose_paths_match_an_independent_walk(corpus):
     for record in corpus:
         expected = []
 
@@ -121,7 +121,7 @@ def test_enumerate_fields_matches_an_independent_walk(corpus):
         assert [leaf.path for leaf in decompose(record)] == expected
 
 
-def test_enumerate_composites_is_preorder_with_root_first(corpus):
+def test_subtrees_are_preorder_with_root_first(corpus):
     activity = _record_for(corpus, "svc.activity")
     paths = list(_subtrees(activity.trace))
     assert paths[0] == ()
@@ -339,10 +339,17 @@ def test_make_random_is_seed_deterministic():
 
 
 def test_fuzz_case_reference_validation():
-    with pytest.raises(ValueError):
-        FuzzCase(1, Policy.SEMI_VALID, "svc.queue", 1, b"", ())
-    with pytest.raises(ValueError):
-        FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", (), seed_seq=3)
+    """A saved case's provenance must fit its policy; the check lives in
+    from_json, the only place a case comes from outside."""
+    semi = FuzzCase(1, Policy.SEMI_VALID, "svc.queue", 1, b"", (), 3, (0,), "zero").to_json()
+    assert FuzzCase.from_json(semi).seed_seq == 3
+    for field in ("seed_seq", "field_path", "mutation_id"):
+        with pytest.raises(ValueError, match="^SEMI_VALID cases reference a seed, a path, and a mutation$"):
+            FuzzCase.from_json({**semi, field: None})
+    empty = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ()).to_json()
+    for field, value in (("seed_seq", 3), ("field_path", [0]), ("mutation_id", "zero")):
+        with pytest.raises(ValueError, match="^EMPTY cases reference no seed$"):
+            FuzzCase.from_json({**empty, field: value})
 
 
 def test_fuzz_case_json_round_trip(semi_valid_case, corpus):
@@ -406,7 +413,7 @@ def test_semi_valid_order_is_seeds_then_leaves_then_structural(corpus):
     )
 
 
-def test_semi_valid_cases_decompose_once_and_match_one_off_mutations(monkeypatch, corpus):
+def test_semi_valid_cases_decompose_each_seed_once(monkeypatch, corpus):
     """One decompose per seed; what each case holds is checked against a
     full rebuild in test_every_spliced_case_equals_a_full_rebuild."""
     calls = []

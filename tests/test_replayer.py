@@ -251,15 +251,14 @@ def test_empty_policy_case_targets_the_named_service(prepared):
 
 
 def test_static_descriptors_are_recovered_from_manager_records(prepared):
-    session = ReplaySession(prepared)
-    recorded_names = set(session.prepared.static_names.values())
-    assert recorded_names == {
-        "svc.queue",
-        "svc.audio",
-        "svc.bluetooth",
-        "svc.view",
-        "svc.graphics",
-        "svc.activity",
+    assert dict(prepared.static_names) == {
+        0: "service_manager",
+        1: "svc.queue",
+        2: "svc.audio",
+        3: "svc.bluetooth",
+        4: "svc.view",
+        5: "svc.graphics",
+        6: "svc.activity",
     }
 
 

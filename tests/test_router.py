@@ -202,6 +202,26 @@ def test_crash_info_frames_are_innermost_first(router):
     assert "index 99" in reply.crash.detail
 
 
+class Recovering(Service):
+    """Catches a fault from an optional part, then faults in a required one."""
+
+    def handle_transaction(self, code, data, ctx):
+        with ctx.frame("recovering.method"):
+            try:
+                with ctx.frame("recovering.optional_part"):
+                    ctx.fail(NULL_DEREF, "optional part missing")
+            except ServiceFault:
+                pass
+            with ctx.frame("recovering.required_part"):
+                ctx.fail(OUT_OF_BOUNDS, "index 7")
+
+
+def test_a_fault_after_a_caught_one_reports_its_own_frames():
+    r = Router()
+    reply = _call(r, r.export(Recovering()), 1)
+    assert reply.crash == (OUT_OF_BOUNDS, ("recovering.required_part", "recovering.method"), "index 7")
+
+
 def test_uncaught_exception_is_contained_with_backstop_kind(router):
     moody = router.get_service("test.moody")
     reply = _call(router, moody, Moody.BUG)
@@ -211,11 +231,12 @@ def test_uncaught_exception_is_contained_with_backstop_kind(router):
 
 
 def test_unknown_handle_rejects_but_still_logs_an_edge(router):
-    before = len(router.edges)
-    reply = _call(router, 4242, 1)
-    assert reply.kind is ReplyKind.REJECTED
-    assert len(router.edges) == before + 1
-    assert router.edges[-1].target_descriptor == "<unknown>"
+    for handle in (4242, -1):
+        before = len(router.edges)
+        reply = _call(router, handle, 1)
+        assert (reply.kind, reply.message) == (ReplyKind.REJECTED, "no such handle %d" % handle)
+        assert len(router.edges) == before + 1
+        assert router.edges[-1].target_descriptor == "<unknown>"
 
 
 # -- containment and reset ---------------------------------------------------------
