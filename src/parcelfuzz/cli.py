@@ -5,12 +5,20 @@ seed corpus, `fuzz` a campaign against it, `replay` a crash out of a
 saved report, and `report` to render one.  Exit status is 0 for a clean
 run, 2 when crashes were found (or reproduced), 1 for usage and I/O
 errors.
+
+Each subcommand is declared once, in COMMANDS: its help line, handler
+and arguments.  A command line that starts with a subcommand builds
+only that subparser: a replay is one short call, and building the four
+it does not use was a large share of it.  Any other command line (none,
+--help, an unknown word) builds all five.  Help, usage and error texts
+are the same either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .harness import (
     FingerprintMismatch,
@@ -48,47 +56,6 @@ _ERRORS = (
     OSError,
     ValueError,
 )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="parcelfuzz")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="show services, methods and seeded defects")
-    p_list.add_argument("--json", action="store_true", help="emit the manifest as JSON")
-
-    p_record = sub.add_parser("record", help="record seed scenarios into a corpus file")
-    p_record.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario to record (repeatable; default: all). One of: %s" % ", ".join(scenario_names()),
-    )
-    p_record.add_argument("--out", required=True, metavar="PATH", help="corpus file to write")
-
-    p_fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
-    p_fuzz.add_argument(
-        "--policy",
-        required=True,
-        metavar="POLICY",
-        help="empty, random or semi-valid; comma-separate to combine (random runs last)",
-    )
-    p_fuzz.add_argument("--corpus", metavar="PATH", help="seed corpus (required for semi-valid)")
-    p_fuzz.add_argument("--budget", required=True, type=int, metavar="N")
-    p_fuzz.add_argument("--rng-seed", type=int, default=1, metavar="S")
-    p_fuzz.add_argument("--out", required=True, metavar="PATH", help="report file to write")
-
-    p_replay = sub.add_parser("replay", help="reproduce one crash from a report")
-    p_replay.add_argument("--report", required=True, metavar="PATH")
-    p_replay.add_argument("--fingerprint", required=True, metavar="HEX")
-    p_replay.add_argument("--corpus", metavar="PATH", help="corpus the campaign was run against")
-
-    p_report = sub.add_parser("report", help="render a saved campaign report")
-    p_report.add_argument("--in", dest="path", required=True, metavar="PATH")
-    p_report.add_argument("--format", choices=("text", "json"), default="text")
-
-    return parser
 
 
 def _cmd_list(args) -> int:
@@ -179,20 +146,99 @@ def _render_text(report) -> None:
     print("ipc edges: %d" % report.edge_summary["total"])
 
 
+class Command(NamedTuple):
+    """One subcommand: its help line, the function that runs it, and its
+    arguments as (flag, add_argument keywords) pairs."""
+
+    help: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: tuple[tuple[str, dict], ...]
+
+
+# Every subcommand, in the order usage lists them.  build_parser builds
+# its subparsers from this table and main runs their handlers.
+COMMANDS = {
+    "list": Command(
+        "show services, methods and seeded defects",
+        _cmd_list,
+        (("--json", dict(action="store_true", help="emit the manifest as JSON")),),
+    ),
+    "record": Command(
+        "record seed scenarios into a corpus file",
+        _cmd_record,
+        (
+            ("--scenario", dict(
+                action="append",
+                default=None,
+                metavar="NAME",
+                help="scenario to record (repeatable; default: all). One of: %s" % ", ".join(scenario_names()),
+            )),
+            ("--out", dict(required=True, metavar="PATH", help="corpus file to write")),
+        ),
+    ),
+    "fuzz": Command(
+        "run a fuzzing campaign",
+        _cmd_fuzz,
+        (
+            ("--policy", dict(
+                required=True,
+                metavar="POLICY",
+                help="empty, random or semi-valid; comma-separate to combine (random runs last)",
+            )),
+            ("--corpus", dict(metavar="PATH", help="seed corpus (required for semi-valid)")),
+            ("--budget", dict(required=True, type=int, metavar="N")),
+            ("--rng-seed", dict(type=int, default=1, metavar="S")),
+            ("--out", dict(required=True, metavar="PATH", help="report file to write")),
+        ),
+    ),
+    "replay": Command(
+        "reproduce one crash from a report",
+        _cmd_replay,
+        (
+            ("--report", dict(required=True, metavar="PATH")),
+            ("--fingerprint", dict(required=True, metavar="HEX")),
+            ("--corpus", dict(metavar="PATH", help="corpus the campaign was run against")),
+        ),
+    ),
+    "report": Command(
+        "render a saved campaign report",
+        _cmd_report,
+        (
+            ("--in", dict(dest="path", required=True, metavar="PATH")),
+            ("--format", dict(choices=("text", "json"), default="text")),
+        ),
+    ),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv starts with a subcommand, only that
+    subparser is built, and the usage line still names all of them, as the
+    full parser's does; otherwise (no command, --help, an unknown word)
+    every subparser is built, so the help and the error list them all."""
+    names = (argv[0],) if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    parser = argparse.ArgumentParser(prog="parcelfuzz")
+    # Without a metavar, argparse names the choices it holds.  Not set when
+    # all are built: with it, a missing command would be named by it too.
+    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        command = COMMANDS[name]
+        subparser = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.arguments:
+            subparser.add_argument(flag, **keywords)
+    return parser
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
-    handler = {
-        "list": _cmd_list,
-        "record": _cmd_record,
-        "fuzz": _cmd_fuzz,
-        "replay": _cmd_replay,
-        "report": _cmd_report,
-    }[args.command]
     try:
-        return handler(args)
+        return COMMANDS[args.command].handler(args)
     except FingerprintMismatch as exc:
         print("fingerprint mismatch: %s" % exc, file=sys.stderr)
         return 1

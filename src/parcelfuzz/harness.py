@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from types import NoneType
 from typing import NamedTuple, Sequence
 
@@ -262,12 +261,14 @@ class CampaignReport(NamedTuple):
 
 
 def save_report(report: CampaignReport, path) -> None:
-    Path(path).write_text(report.to_canonical_json(), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(report.to_canonical_json())
 
 
 def load_report(path) -> CampaignReport:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as source:
+            obj = json.loads(source.read())
         return CampaignReport.from_json(obj)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, HarnessError) as exc:
         raise HarnessError("unreadable campaign report %s: %s" % (path, exc)) from None

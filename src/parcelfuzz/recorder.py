@@ -23,7 +23,6 @@ import hashlib
 import json
 import reprlib
 import struct
-from pathlib import Path
 from types import NoneType
 from typing import NamedTuple
 
@@ -85,7 +84,8 @@ def _excerpt(value) -> str:
 
 
 _ABSENT = object()
-# Type tuples for the corpus loader's checks, which run per trace node.
+# Type tuples for _field and _items.  The corpus loader tests each field
+# inline and calls them only to name a field that fails.
 _INT, _STR, _LIST, _DICT = (int,), (str,), (list,), (dict,)
 
 
@@ -178,14 +178,27 @@ class TraceNode(NamedTuple):
         """
         if type(obj) is not dict:
             raise CorpusError("trace node is not an object: %s" % _excerpt(obj))
-        kind = _field(obj, "kind", _STR, "trace node")
-        label = _field(obj, "label", _STR, "trace node", CorpusError, "")
-        byte_range = _items(obj, "byte_range", _INT, "trace node")
-        if len(byte_range) != 2:
+        kind = obj.get("kind")
+        label = obj.get("label", "")
+        byte_range = obj.get("byte_range")
+        if not (
+            type(kind) is str
+            and type(label) is str
+            and type(byte_range) is list
+            and len(byte_range) == 2
+            and type(byte_range[0]) is int
+            and type(byte_range[1]) is int
+        ):
+            # Name the first field that fails, in the order above.
+            _field(obj, "kind", _STR, "trace node")
+            _field(obj, "label", _STR, "trace node", CorpusError, "")
+            _items(obj, "byte_range", _INT, "trace node")
             raise CorpusError("trace node byte_range must be [start, end], got %s" % _excerpt(byte_range))
         start, end = byte_range
         if kind == COMPOSITE:
-            children = _field(obj, "children", _LIST, "trace node", CorpusError, [])
+            children = obj.get("children", [])
+            if type(children) is not list:
+                _field(obj, "children", _LIST, "trace node")  # raises
             return cls(kind, label, start, end, tuple([cls.from_json(c, payload, handle_starts) for c in children]))
         fixed_part = _FIXED_PART.get(kind)
         if fixed_part is None:
@@ -301,22 +314,42 @@ class SeedRecord(NamedTuple):
         that is read, by where until then."""
         if type(obj) is not dict:
             raise CorpusError("%s is not an object: %s" % (where, _excerpt(obj)))
-        seq = _field(obj, "seq", _INT, where)
+        get = obj.get
+        seq = get("seq")
+        if type(seq) is not int:
+            _field(obj, "seq", _INT, where)  # raises
         where = "record %d" % seq
-        scenario = _field(obj, "scenario", _STR, where, CorpusError, "")
-        descriptor = _field(obj, "descriptor", _STR, where)
-        code = _field(obj, "code", _INT, where)
-        target = _field(obj, "target", _INT, where)
+        scenario, descriptor, code, target, payload_hex = (
+            get("scenario", ""), get("descriptor"), get("code"), get("target"), get("payload_hex")
+        )
+        if not (
+            type(scenario) is str
+            and type(descriptor) is str
+            and type(code) is int
+            and type(target) is int
+            and type(payload_hex) is str
+        ):
+            # Name the first field that fails, in the order above.
+            _field(obj, "scenario", _STR, where, CorpusError, "")
+            _field(obj, "descriptor", _STR, where)
+            _field(obj, "code", _INT, where)
+            _field(obj, "target", _INT, where)
+            _field(obj, "payload_hex", _STR, where)
         try:
-            payload = binascii.unhexlify(_field(obj, "payload_hex", _STR, where))
+            payload = binascii.unhexlify(payload_hex)
         except ValueError as exc:
             raise CorpusError("%s payload_hex is not hex: %s" % (where, exc)) from None
-        offsets = tuple(_items(obj, "offsets", _INT, where))
+        offsets = get("offsets")
+        if type(offsets) is not list or not all(type(offset) is int for offset in offsets):
+            _items(obj, "offsets", _INT, where)  # raises
+        offsets = tuple(offsets)
         try:
             _check_offsets(offsets, len(payload))
         except ValueError as exc:
             raise CorpusError("%s offsets: %s" % (where, exc)) from None
-        trace_obj = _field(obj, "trace", _DICT, where)
+        trace_obj = get("trace")
+        if type(trace_obj) is not dict:
+            _field(obj, "trace", _DICT, where)  # raises
         handle_starts: list[int] = []
         try:
             trace = TraceNode.from_json(trace_obj, payload, handle_starts)
@@ -326,13 +359,17 @@ class SeedRecord(NamedTuple):
             raise CorpusError(
                 "%s: HANDLE leaves start at %s, offsets are %s" % (where, _excerpt(handle_starts), _excerpt(offsets))
             )
-        consumed = _items(obj, "consumed_handles", _LIST, where)
+        consumed = get("consumed_handles")
+        if type(consumed) is not list:
+            _items(obj, "consumed_handles", _LIST, where)  # raises
         for pair in consumed:
             if not (
-                len(pair) == 2
+                type(pair) is list
+                and len(pair) == 2
                 and type(pair[0]) is int
                 and (type(pair[1]) is int or (type(pair[1]) is str and pair[1].startswith(STATIC_PREFIX)))
             ):
+                _items(obj, "consumed_handles", _LIST, where)  # raises if any item is no list
                 raise CorpusError(
                     "%s consumed_handles must hold [int, int or '%s<descriptor>'] pairs, got %s"
                     % (where, STATIC_PREFIX, _excerpt(pair))
@@ -343,11 +380,16 @@ class SeedRecord(NamedTuple):
                 "%s: consumed_handles cover positions %s, offsets are %s"
                 % (where, _excerpt(positions), _excerpt(offsets))
             )
-        produced = _items(obj, "produced_handles", _LIST, where)
+        produced = get("produced_handles")
+        if type(produced) is not list:
+            _items(obj, "produced_handles", _LIST, where)  # raises
         for pair in produced:
-            if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+                _items(obj, "produced_handles", _LIST, where)  # raises if any item is no list
                 raise CorpusError("%s produced_handles must hold [int, int] pairs, got %s" % (where, _excerpt(pair)))
-        reply_kind = _field(obj, "reply_kind", _STR, where)
+        reply_kind = get("reply_kind")
+        if type(reply_kind) is not str:
+            _field(obj, "reply_kind", _STR, where)  # raises
         return cls(
             seq, scenario, descriptor, code, target, payload, offsets, trace,
             tuple(map(tuple, consumed)), tuple(map(tuple, produced)), reply_kind,
@@ -595,14 +637,16 @@ def corpus_text(records) -> str:
 
 
 def save_corpus(records, path) -> None:
-    Path(path).write_text(corpus_text(records), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(corpus_text(records))
 
 
 def load_corpus(path) -> list[SeedRecord]:
     """The records of a corpus file.  A record that has no usable seq is
     named by its 1-based line in the file, blank lines counted."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as source:
+            text = source.read()
     except UnicodeDecodeError as exc:
         raise CorpusError("corpus %s is not UTF-8: %s" % (path, exc)) from None
     lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]

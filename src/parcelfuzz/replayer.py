@@ -24,9 +24,11 @@ from typing import Mapping, NamedTuple
 
 from .parcel import Kind, Parcel, handle_at
 from .recorder import (
+    STATIC_PREFIX,
     CorpusError,
     DependencyGraph,
     SeedRecord,
+    _excerpt,
     build_dependency_graph,
 )
 from .router import (
@@ -93,7 +95,12 @@ class PreparedCorpus(NamedTuple):
 
 
 def prepare_corpus(records) -> PreparedCorpus:
-    """Validate a corpus and derive everything replay needs from it."""
+    """Validate a corpus and derive everything replay needs from it.
+
+    Beyond the dependency graph's checks, every record that targets a
+    static handle must name the service that handle was looked up under,
+    and every STATIC:<name> slot origin must name the lookup of its value.
+    """
     ordered = sorted(records, key=lambda r: r.seq)
     graph = build_dependency_graph(ordered)
     static_names: dict[int, str] = {}
@@ -104,6 +111,25 @@ def prepare_corpus(records) -> PreparedCorpus:
                 for value, _pos in record.produced_handles:
                     static_names[value] = name
     static_names[SERVICE_MANAGER_HANDLE] = SERVICE_MANAGER_DESCRIPTOR
+    # Replay resolves a static handle by its lookup name, so a record that
+    # names it otherwise would run against one service and be tallied
+    # under another.
+    for record in ordered:
+        name = static_names.get(record.target)
+        if name is not None and record.descriptor != name:
+            raise CorpusError(
+                "record %d is for %s, but its target, handle %d, was looked up as %s"
+                % (record.seq, _excerpt(record.descriptor), record.target, _excerpt(name))
+            )
+        for pos, origin in record.consumed_handles:
+            if type(origin) is str:
+                value = handle_at(record.payload, pos)
+                name = static_names.get(value)
+                if name is None or origin != STATIC_PREFIX + name:
+                    raise CorpusError(
+                        "record %d consumes handle %d as %s, but it was looked up as %s"
+                        % (record.seq, value, _excerpt(origin), _excerpt(name))
+                    )
     # Edges come in ascending consumer order and point forward, so each
     # producer's plan is final before any edge out of it is reached.
     plans = dict.fromkeys(graph.nodes, ())

@@ -740,6 +740,136 @@ def test_cli_usage_errors_exit_one(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("usage: parcelfuzz")
 
 
+_USAGE = "usage: parcelfuzz [-h] {list,record,fuzz,replay,report} ...\n"
+_HELP = _USAGE + """
+positional arguments:
+  {list,record,fuzz,replay,report}
+    list                show services, methods and seeded defects
+    record              record seed scenarios into a corpus file
+    fuzz                run a fuzzing campaign
+    replay              reproduce one crash from a report
+    report              render a saved campaign report
+
+options:
+  -h, --help            show this help message and exit
+"""
+_RECORD_USAGE = "usage: parcelfuzz record [-h] [--scenario NAME] --out PATH\n"
+_FUZZ_USAGE = """usage: parcelfuzz fuzz [-h] --policy POLICY [--corpus PATH] --budget N
+                       [--rng-seed S] --out PATH
+"""
+_REPLAY_USAGE = "usage: parcelfuzz replay [-h] --report PATH --fingerprint HEX [--corpus PATH]\n"
+_REPORT_USAGE = "usage: parcelfuzz report [-h] --in PATH [--format {text,json}]\n"
+
+
+# argv, exit code, stdout, stderr.
+_CLI_OUTPUTS = [
+    ([], 1, "", _USAGE + "parcelfuzz: error: the following arguments are required: command\n"),
+    (
+        ["bogus"],
+        1,
+        "",
+        _USAGE + "parcelfuzz: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'list', 'record', 'fuzz', 'replay', 'report')\n",
+    ),
+    (["--help"], 0, _HELP, ""),
+    (["--help", "replay"], 0, _HELP, ""),
+    (
+        ["list", "--help"],
+        0,
+        """usage: parcelfuzz list [-h] [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit the manifest as JSON
+""",
+        "",
+    ),
+    (
+        ["record", "--help"],
+        0,
+        _RECORD_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --scenario NAME  scenario to record (repeatable; default: all). One of:
+                   queue_session, audio_callback, bluetooth_profile,
+                   view_inflate, graphics_alloc, activity_launch, all
+  --out PATH       corpus file to write
+""",
+        "",
+    ),
+    (
+        ["fuzz", "--help"],
+        0,
+        _FUZZ_USAGE + """
+options:
+  -h, --help       show this help message and exit
+  --policy POLICY  empty, random or semi-valid; comma-separate to combine
+                   (random runs last)
+  --corpus PATH    seed corpus (required for semi-valid)
+  --budget N
+  --rng-seed S
+  --out PATH       report file to write
+""",
+        "",
+    ),
+    (
+        ["replay", "--help"],
+        0,
+        _REPLAY_USAGE + """
+options:
+  -h, --help         show this help message and exit
+  --report PATH
+  --fingerprint HEX
+  --corpus PATH      corpus the campaign was run against
+""",
+        "",
+    ),
+    (
+        ["report", "--help"],
+        0,
+        _REPORT_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --in PATH
+  --format {text,json}
+""",
+        "",
+    ),
+    (["list", "--bogus"], 1, "", _USAGE + "parcelfuzz: error: unrecognized arguments: --bogus\n"),
+    (["list", "extra"], 1, "", _USAGE + "parcelfuzz: error: unrecognized arguments: extra\n"),
+    (["record"], 1, "", _RECORD_USAGE + "parcelfuzz record: error: the following arguments are required: --out\n"),
+    (
+        ["replay"],
+        1,
+        "",
+        _REPLAY_USAGE + "parcelfuzz replay: error: the following arguments are required: --report, --fingerprint\n",
+    ),
+    (
+        ["fuzz", "--policy", "empty", "--budget", "x", "--out", "r.json"],
+        1,
+        "",
+        _FUZZ_USAGE + "parcelfuzz fuzz: error: argument --budget: invalid int value: 'x'\n",
+    ),
+    (
+        ["report", "--format", "yaml", "--in", "r.json"],
+        1,
+        "",
+        _REPORT_USAGE + "parcelfuzz report: error: argument --format: invalid choice: 'yaml' "
+        "(choose from 'text', 'json')\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _CLI_OUTPUTS, ids=[" ".join(row[0]) or "no-args" for row in _CLI_OUTPUTS])
+def test_cli_help_usage_and_errors_are_pinned(monkeypatch, capsys, argv, code, out, err):
+    """Every help, usage and argument error, byte for byte.  A top-level
+    usage line names all five subcommands, however many subparsers the
+    command line needed built."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_a_repeated_policy_is_refused_before_the_campaign_runs(tmp_path, capsys):
     with pytest.raises(ConfigurationError, match="^policy EMPTY is given more than once$"):
         run_fuzz(FuzzConfig(policy=["empty", "empty"], budget=100))
@@ -752,10 +882,13 @@ def test_a_repeated_policy_is_refused_before_the_campaign_runs(tmp_path, capsys)
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Every replay is a fresh process that imports the package first;
     dataclasses and the inspect module it loads cost about a quarter of
-    that import, and the package declares its records without them."""
+    that import, and the package declares its records without them.
+    pathlib, with the urllib.parse and ipaddress it imports, is left out
+    too: the package reads and writes its files with open()."""
     src = str(Path(harness.__file__).resolve().parents[1])
-    probe = "import sys; sys.path.insert(0, %r); import parcelfuzz.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe % src], capture_output=True, text=True, timeout=60)
+    unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress"}
+    probe = "import sys; sys.path.insert(0, %r); import parcelfuzz.cli; print(sorted(%r & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe % (src, unwanted)], capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
@@ -809,13 +942,14 @@ _HUGE = "<1e400>"
 def _fuzz_on_edited_corpus(tmp_path, capsys, edit, line=1) -> tuple[int, str]:
     """Exit code and stderr of a semi-valid fuzz run on the shipped corpus
     with one line passed through edit: by default its first record, and
-    line 0 is the header."""
+    line 0 is the header.  line may also be a range of lines."""
     corpus_path = tmp_path / "corpus.jsonl"
     main(["record", "--scenario", "all", "--out", str(corpus_path)])
     lines = corpus_path.read_text().splitlines()
-    obj = json.loads(lines[line])
-    edit(obj)
-    lines[line] = json.dumps(obj, sort_keys=True).replace(json.dumps(_HUGE), "1e400")
+    for number in [line] if type(line) is int else line:
+        obj = json.loads(lines[number])
+        edit(obj)
+        lines[number] = json.dumps(obj, sort_keys=True).replace(json.dumps(_HUGE), "1e400")
     corpus_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10",
@@ -907,12 +1041,26 @@ def test_cli_rejects_a_corpus_number_too_large_for_an_int(tmp_path, capsys, edit
 
 def test_cli_rejects_a_corpus_record_that_replays_otherwise(tmp_path, capsys):
     # Record 0 looks up "svc.queue" with a prefix of 9 inside a 12-byte
-    # padded body; a prefix of 12 still ends the leaf, so only replaying
-    # the record shows that the lookup now names another service.
+    # padded body; a prefix of 12 still ends the leaf, so the lookup now
+    # names "svc.queue\0\0\0".  Records 1-5, which target its handle,
+    # still name svc.queue, and loading refuses that.  With them renamed
+    # too, only replaying record 0 shows that no such service is hosted.
+    lookup = "svc.queue\0\0\0"
+
     def edit(record):
         record["payload_hex"] = struct.pack("<i", 12).hex() + record["payload_hex"][8:]
 
     code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit)
+    assert code == 1
+    assert err == "error: record 1 is for 'svc.queue', but its target, handle 1, was looked up as %r\n" % lookup
+
+    def edit_all(record):
+        if record["seq"] == 0:
+            edit(record)
+        else:
+            record["descriptor"] = lookup
+
+    code, err = _fuzz_on_edited_corpus(tmp_path, capsys, edit_all, line=range(1, 7))
     assert code == 1
     assert err == "error: record 0 recorded OK, replayed REJECTED\n"
     # Record 1 adds to the queue.  Code 0 names no method: the router
@@ -1106,6 +1254,60 @@ def test_cli_rejects_a_corpus_whose_handle_bookkeeping_lies(tmp_path, capsys, se
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: %s\n" % message)
+    assert not (tmp_path / "report.json").exists()
+
+
+def _set_payload_handle(value):
+    def edit(record):
+        record["payload_hex"] = struct.pack("<i", value).hex() + record["payload_hex"][8:]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "line, edits, message",
+    [
+        (
+            2,
+            [_set_field("descriptor", "svc.audio")],
+            "record 1 is for 'svc.audio', but its target, handle 1, was looked up as 'svc.queue'",
+        ),
+        (
+            1,
+            [_set_field("descriptor", "svc.queue")],
+            "record 0 is for 'svc.queue', but its target, handle 0, was looked up as 'service_manager'",
+        ),
+        (
+            11,
+            [_set_payload_handle(1), _set_field("consumed_handles", [[0, "STATIC:svc.audio"]])],
+            "record 10 consumes handle 1 as 'STATIC:svc.audio', but it was looked up as 'svc.queue'",
+        ),
+    ],
+    ids=["target-descriptor", "service-manager-descriptor", "static-origin"],
+)
+def test_cli_rejects_a_record_that_names_a_static_handle_otherwise(tmp_path, capsys, semi_report, line, edits, message):
+    """Replay resolves a static handle by the name it was looked up under.
+    A record that names its static target otherwise, or a STATIC:<name>
+    slot origin that names another lookup, would run against one service
+    and be tallied under another; fuzz and replay refuse it alike."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    main(["record", "--scenario", "all", "--out", str(corpus_path)])
+    lines = corpus_path.read_text().splitlines()
+    record = json.loads(lines[line])
+    for edit in edits:
+        edit(record)
+    lines[line] = json.dumps(record, sort_keys=True)
+    corpus_path.write_text("\n".join(lines) + "\n")
+    report_path = tmp_path / "saved.json"
+    save_report(semi_report, report_path)
+    capsys.readouterr()
+    for argv in (
+        ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
+         "--out", str(tmp_path / "report.json")],
+        ["replay", "--report", str(report_path), "--fingerprint", semi_report.crashes[0].fingerprint,
+         "--corpus", str(corpus_path)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: %s\n" % message)
     assert not (tmp_path / "report.json").exists()
 
 

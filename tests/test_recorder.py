@@ -339,6 +339,61 @@ def test_malformed_record_errors_name_the_record_and_the_field(corpus):
     assert len(str(info.value)) <= 110
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "where, changes, message",
+    [
+        ("leaf", {"kind": _DELETE}, "record 1 trace: trace node has no 'kind'"),
+        ("leaf", {"kind": 7}, "record 1 trace: trace node kind must be str, got 7"),
+        ("leaf", {"label": None}, "record 1 trace: trace node label must be str, got None"),
+        ("leaf", {"byte_range": [0, 12, 12]}, "record 1 trace: trace node byte_range must be [start, end], got [0, 12, 12]"),
+        ("leaf", {"byte_range": [0, True]}, "record 1 trace: trace node byte_range must hold only int values, got [0, True]"),
+        ("root", {"byte_range": _DELETE}, "record 1 trace: trace node has no 'byte_range'"),
+        ("root", {"children": {}}, "record 1 trace: trace node children must be list, got {}"),
+        ("root", {"children": None}, "record 1 trace: trace node children must be list, got None"),
+        ("record", {"scenario": 7}, "record 1 scenario must be str, got 7"),
+        ("record", {"descriptor": _DELETE}, "record 1 has no 'descriptor'"),
+        ("record", {"code": True}, "record 1 code must be int, got True"),
+        ("record", {"target": "1"}, "record 1 target must be int, got '1'"),
+        ("record", {"payload_hex": None}, "record 1 payload_hex must be str, got None"),
+        ("record", {"offsets": None}, "record 1 offsets must be list, got None"),
+        ("record", {"trace": []}, "record 1 trace must be dict, got []"),
+        ("record", {"consumed_handles": _DELETE}, "record 1 has no 'consumed_handles'"),
+        ("record", {"produced_handles": [[1, 0], 2]}, "record 1 produced_handles must hold only list values, got [[1, 0], 2]"),
+        ("record", {"reply_kind": _DELETE}, "record 1 has no 'reply_kind'"),
+        # Two broken fields: the first in the order the loader reads them is named.
+        ("leaf", {"kind": 7, "byte_range": [0, 12, 12]}, "record 1 trace: trace node kind must be str, got 7"),
+        ("leaf", {"label": None, "byte_range": [0, True]}, "record 1 trace: trace node label must be str, got None"),
+        ("leaf", {"byte_range": [0, 12, True]}, "record 1 trace: trace node byte_range must hold only int values, got [0, 12, True]"),
+        ("record", {"scenario": 7, "descriptor": _DELETE}, "record 1 scenario must be str, got 7"),
+        ("record", {"code": True, "payload_hex": None}, "record 1 code must be int, got True"),
+        ("record", {"seq": None, "code": True}, "seed record seq must be int, got None"),
+        ("record", {"payload_hex": "zz", "offsets": None}, "record 1 payload_hex is not hex: Non-hexadecimal digit found"),
+        ("record", {"offsets": [2], "trace": []}, "record 1 offsets: offset 2 is not 4-byte aligned"),
+        ("record", {"consumed_handles": [[0, "x"], "y"]}, "record 1 consumed_handles must hold only list values, got [[0, 'x'], 'y']"),
+        (
+            "record",
+            {"consumed_handles": [[0, "x"]], "reply_kind": None},
+            "record 1 consumed_handles must hold [int, int or 'STATIC:<descriptor>'] pairs, got [0, 'x']",
+        ),
+    ],
+)
+def test_each_broken_corpus_field_has_its_exact_error(corpus, where, changes, message):
+    """Record 1 (a STRING under the root) with one or two fields broken."""
+    record = corpus[1].to_json()
+    node = {"record": record, "root": record["trace"], "leaf": record["trace"]["children"][0]}[where]
+    for name, value in changes.items():
+        if value is _DELETE:
+            del node[name]
+        else:
+            node[name] = value
+    with pytest.raises(CorpusError) as info:
+        SeedRecord.from_json(record)
+    assert str(info.value) == message
+
+
 def test_seed_record_json_round_trip(corpus, shuffled_corpus):
     for record in list(corpus) + list(shuffled_corpus):
         assert SeedRecord.from_json(record.to_json()) == record
