@@ -33,7 +33,7 @@ from .harness import (
     run_fuzz,
     save_report,
 )
-from .mutator import CatalogError, ConfigurationError
+from .mutator import ConfigurationError
 from .recorder import (
     CorpusError,
     RecordingError,
@@ -49,7 +49,6 @@ _ERRORS = (
     HarnessError,
     ManifestError,
     ConfigurationError,
-    CatalogError,
     CorpusError,
     RecordingError,
     ReplayError,

@@ -412,7 +412,10 @@ def _crash_report(
 
 
 def find_crash(report: CampaignReport, fingerprint_hex: str) -> CrashReport:
-    """Exact match first, then a unique prefix; anything else is an error."""
+    """Exact match first, then a unique prefix; anything else is an error.
+    An empty prefix, which every fingerprint starts with, is refused."""
+    if not fingerprint_hex:
+        raise HarnessError("fingerprint is empty")
     exact = [c for c in report.crashes if c.fingerprint == fingerprint_hex]
     if exact:
         return exact[0]

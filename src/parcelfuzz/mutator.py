@@ -5,10 +5,12 @@ decomposed into its primitive leaves using the type trace captured at
 record time, exactly one leaf gets one mutation from a fixed versioned
 catalog, and the payload is what re-serializing the edited leaf list
 would write, so length prefixes, padding, and the handle-offsets table
-come out right.  Each seed is decomposed and re-serialized once, keeping
-every leaf's byte range; a case then encodes only the edited leaf and
-splices it in place of the original, moving the handle offsets after it
-by the change in length.  Every leaf encodes to a multiple of four bytes
+come out right.  Each integer and string mutation is declared once, as
+a table entry that makes the new value from the old, and the tables'
+keys are the catalog's lists.  Each seed is decomposed and re-serialized
+once, keeping every leaf's byte range; a case then encodes only the
+edited leaf and splices it in place of the original, moving the handle
+offsets after it by the change in length.  Every leaf encodes to a multiple of four bytes
 wherever it sits, so the splice writes the same bytes a full rebuild
 would.  The two declared-length mutations exist to lie about framing:
 they patch the edited leaf's length prefix after encoding it and are
@@ -63,16 +65,24 @@ class Policy(str, Enum):
     SEMI_VALID = "SEMI_VALID"
 
 
-class CatalogError(Exception):
-    """A mutation was requested for a leaf kind it does not apply to."""
-
-
 class ConfigurationError(Exception):
     """The campaign request itself is unusable (bad budget, missing corpus)."""
 
 
 # Catalog order is load-bearing: campaign case numbering follows it.
-INT_MUTATIONS = ("plus_one", "minus_one", "zero", "max", "min", "negate", "flip_high_bit")
+# Each mutation is declared once, by what it makes of the leaf's value.
+# An integer mutation is given the value and the high bit of its width,
+# and what it returns is wrapped to that width.
+INT_VALUES = {
+    "plus_one": lambda value, high_bit: value + 1,
+    "minus_one": lambda value, high_bit: value - 1,
+    "zero": lambda value, high_bit: 0,
+    "max": lambda value, high_bit: high_bit - 1,
+    "min": lambda value, high_bit: -high_bit,
+    "negate": lambda value, high_bit: -value,
+    "flip_high_bit": lambda value, high_bit: value ^ high_bit,
+}
+INT_MUTATIONS = tuple(INT_VALUES)
 F64_VALUES = {
     "zero": 0.0,
     "nan": math.nan,
@@ -82,14 +92,21 @@ F64_VALUES = {
     "min_positive": 5e-324,
 }
 F64_MUTATIONS = tuple(F64_VALUES)
-STRING_MUTATIONS = (
-    "empty",
-    "long_64k",
-    "embedded_nul",
-    "invalid_utf8",
-    "format_specials",
-    "declared_length_plus_4",
-)
+# Content of the invalid_utf8 mutation: an encoded surrogate, which no
+# UTF-8 decoder accepts.  A bytes value is written as a BYTES leaf, whose
+# framing is a string's.
+INVALID_UTF8_BYTES = b"\xed\xa0\x80"
+# declared_length_plus_4 keeps the value; its lie is patched into the
+# length prefix after encoding (see FRAME_BREAKING_MUTATIONS).
+STRING_VALUES = {
+    "empty": lambda value: "",
+    "long_64k": lambda value: "A" * LONG_STRING_LENGTH,
+    "embedded_nul": lambda value: value[: len(value) // 2] + "\x00" + value[len(value) // 2 :],
+    "invalid_utf8": lambda value: INVALID_UTF8_BYTES,
+    "format_specials": lambda value: "%s%n%x",
+    "declared_length_plus_4": lambda value: value,
+}
+STRING_MUTATIONS = tuple(STRING_VALUES)
 BYTES_MUTATIONS = ("truncate_half", "declared_length_max")
 HANDLE_MUTATIONS = ("zero_handle", "huge_handle", "cross_service_swap")
 STRUCTURAL_MUTATIONS = ("duplicate_subtree", "remove_subtree")
@@ -104,10 +121,6 @@ CATALOG: dict[str, tuple[str, ...]] = {
     "BYTES": BYTES_MUTATIONS,
     "HANDLE": HANDLE_MUTATIONS,
 }
-
-# Content of the invalid_utf8 mutation: an encoded surrogate, which no
-# UTF-8 decoder accepts, written with byte-identical framing to a string.
-INVALID_UTF8_BYTES = b"\xed\xa0\x80"
 
 FRAME_BREAKING_MUTATIONS = {"declared_length_plus_4", "declared_length_max"}
 
@@ -226,7 +239,6 @@ class _Leaf(NamedTuple):
     kind: str
     path: tuple[int, ...]
     value: object
-    write_as: str
 
 
 _I32 = struct.Struct("<i")
@@ -251,7 +263,7 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
 
     def walk(node: TraceNode, path: tuple[int, ...]) -> None:
         if node.is_leaf:
-            leaves.append(_Leaf(node.kind, path, _decode_leaf(buf, node), node.kind))
+            leaves.append(_Leaf(node.kind, path, _decode_leaf(buf, node)))
             return
         for i, child in enumerate(node.children):
             walk(child, path + (i,))
@@ -264,24 +276,24 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
 _KIND_NAMED = {kind.value: kind for kind in Kind}
 
 
-def _write_leaf(parcel: Parcel, kind: str, write_as: str, value) -> None:
+def _write_leaf(parcel: Parcel, kind: str, value) -> None:
     if kind == "HANDLE":
         parcel.write_handle(value)
     else:
-        parcel.write_value(_KIND_NAMED[write_as], value)
+        parcel.write_value(_KIND_NAMED[kind], value)
 
 
 def _rebuild(leaves) -> Parcel:
     parcel = Parcel()
     for leaf in leaves:
-        _write_leaf(parcel, leaf.kind, leaf.write_as, leaf.value)
+        _write_leaf(parcel, leaf.kind, leaf.value)
     return parcel
 
 
-def _encode_leaf(kind: str, write_as: str, value) -> bytes:
+def _encode_leaf(kind: str, value) -> bytes:
     """What _rebuild writes for one leaf, on its own."""
     parcel = Parcel()
-    _write_leaf(parcel, kind, write_as, value)
+    _write_leaf(parcel, kind, value)
     return parcel.buffer
 
 
@@ -331,69 +343,25 @@ def _add_subtrees(node: TraceNode, path: tuple[int, ...], first: int, subtrees: 
 # ---------------------------------------------------------------------------
 
 
-def _wrap_int(value: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    unsigned = value & mask
-    if unsigned >= 1 << (bits - 1):
-        return unsigned - (1 << bits)
-    return unsigned
-
-
-def _mutate_int(value: int, mutation: str, bits: int) -> int:
-    if mutation == "plus_one":
-        return _wrap_int(value + 1, bits)
-    if mutation == "minus_one":
-        return _wrap_int(value - 1, bits)
-    if mutation == "zero":
-        return 0
-    if mutation == "max":
-        return (1 << (bits - 1)) - 1
-    if mutation == "min":
-        return -(1 << (bits - 1))
-    if mutation == "negate":
-        return _wrap_int(-value, bits)
-    if mutation == "flip_high_bit":
-        return _wrap_int(value ^ (1 << (bits - 1)), bits)
-    raise CatalogError("unknown integer mutation %r" % mutation)
-
-
-def _mutate_string(value: str, mutation: str) -> tuple[object, str]:
-    """Returns (new value, write_as kind name)."""
-    if mutation == "empty":
-        return "", "STRING"
-    if mutation == "long_64k":
-        return "A" * LONG_STRING_LENGTH, "STRING"
-    if mutation == "embedded_nul":
-        mid = len(value) // 2
-        return value[:mid] + "\x00" + value[mid:], "STRING"
-    if mutation == "invalid_utf8":
-        return INVALID_UTF8_BYTES, "BYTES"
-    if mutation == "format_specials":
-        return "%s%n%x", "STRING"
-    if mutation == "declared_length_plus_4":
-        return value, "STRING"
-    raise CatalogError("unknown STRING mutation %r" % mutation)
-
-
 def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_id: str, case_id: int = 0) -> FuzzCase:
     """One catalog mutation applied to leaves[index] of an encoded seed:
     only the edited leaf is encoded, and spliced into the seed's bytes in
     place of the original."""
     leaf = seed.leaves[index]
-    kind = leaf.kind
-    value, write_as = leaf.value, leaf.write_as
+    kind, value = leaf.kind, leaf.value
     slot_directive = None
     patch = None
 
-    if kind in ("I32", "BOOL"):
-        value = _mutate_int(value, mutation_id, 32)
-    elif kind == "I64":
-        value = _mutate_int(value, mutation_id, 64)
+    if kind in ("I32", "BOOL", "I64"):
+        high_bit = 1 << (63 if kind == "I64" else 31)
+        value = ((INT_VALUES[mutation_id](value, high_bit) + high_bit) & (2 * high_bit - 1)) - high_bit
     elif kind == "F64":
         value = F64_VALUES[mutation_id]
     elif kind == "STRING":
-        value, write_as = _mutate_string(value, mutation_id)
-        if mutation_id == "declared_length_plus_4":
+        value = STRING_VALUES[mutation_id](value)
+        if type(value) is bytes:
+            kind = "BYTES"
+        elif mutation_id == "declared_length_plus_4":
             patch = "plus_4"
     elif kind == "BYTES":
         if mutation_id == "truncate_half":
@@ -411,7 +379,7 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
             slot_directive = "swap:%s" % ("svc.queue" if record.descriptor != "svc.queue" else "svc.audio")
 
     start, end = seed.spans[index]
-    encoded = _encode_leaf(kind, write_as, value)
+    encoded = _encode_leaf(kind, value)
     if patch is not None:
         declared = _I32.unpack_from(encoded)[0]
         encoded = _I32.pack(declared + 4 if patch == "plus_4" else I32_MAX) + encoded[4:]
@@ -476,7 +444,7 @@ def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ..
         tag_path = path + (1,)
         tag_index = next(i for i in range(first_leaf, past_leaf) if seed.leaves[i].path == tag_path)
         start, end = seed.spans[tag_index]
-        payload = payload[:start] + _encode_leaf("I32", "I32", int(mutation_id.rsplit("_", 1)[1])) + payload[end:]
+        payload = payload[:start] + _encode_leaf("I32", int(mutation_id.rsplit("_", 1)[1])) + payload[end:]
 
     return FuzzCase(
         case_id=case_id,

@@ -9,8 +9,13 @@ Handle bookkeeping is what makes replay possible later.  Handles obtained
 from the service manager are static (re-resolvable by name any time);
 handles received in any other reply are dynamic and exist only inside the
 session that produced them, so records consuming them carry the producing
-record's seq.  ``build_dependency_graph`` turns that bookkeeping into an
-acyclic producer-before-consumer graph.
+record's seq.  ``build_dependency_graph`` checks that bookkeeping and
+turns it into an acyclic producer-before-consumer graph, naming each
+static handle after the first service-manager lookup that produced it,
+in one walk of the records in seq order.
+
+A loaded record's type trace must describe its payload: its leaves, in
+tree order, tile the payload from its first byte to its last.
 
 The corpus persists as JSON-lines: a header line, then one record per
 line with sorted keys, so identical sessions serialize byte-identically.
@@ -163,7 +168,7 @@ class TraceNode(NamedTuple):
         return node
 
     @classmethod
-    def from_json(cls, obj, payload: bytes, handle_starts: list[int]) -> "TraceNode":
+    def from_json(cls, obj, payload: bytes, leaves: list["TraceNode"]) -> "TraceNode":
         """Parse the trace tree of a record with the given payload.
 
         Every node must be an object with a str kind, an optional str
@@ -173,8 +178,7 @@ class TraceNode(NamedTuple):
         says the padded value ends, a STRING leaf must hold UTF-8 (what a
         reader decodes it as), a HANDLE leaf must hold a handle in
         [0, I32_MAX] (the range write_handle accepts, so every loaded seed
-        re-encodes), and the start of every HANDLE leaf is appended to
-        handle_starts in tree order.
+        re-encodes), and every leaf is appended to leaves in tree order.
         """
         if type(obj) is not dict:
             raise CorpusError("trace node is not an object: %s" % _excerpt(obj))
@@ -199,7 +203,7 @@ class TraceNode(NamedTuple):
             children = obj.get("children", [])
             if type(children) is not list:
                 _field(obj, "children", _LIST, "trace node")  # raises
-            return cls(kind, label, start, end, tuple([cls.from_json(c, payload, handle_starts) for c in children]))
+            return cls(kind, label, start, end, tuple([cls.from_json(c, payload, leaves) for c in children]))
         fixed_part = _FIXED_PART.get(kind)
         if fixed_part is None:
             raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
@@ -215,7 +219,6 @@ class TraceNode(NamedTuple):
                 raise CorpusError(
                     "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]" % (start, end, handle, I32_MAX)
                 )
-            handle_starts.append(start)
         elif kind == "STRING" or kind == "BYTES":
             declared = _I32.unpack_from(payload, start)[0]
             if declared < 0 or end != start + 4 + pad4(declared):
@@ -227,7 +230,9 @@ class TraceNode(NamedTuple):
                     raise CorpusError(
                         "trace leaf STRING at [%d, %d) is not UTF-8: %s" % (start, end, exc.reason)
                     ) from None
-        return cls(kind, label, start, end)
+        leaf = cls(kind, label, start, end)
+        leaves.append(leaf)
+        return leaf
 
 
 class TraceBuilder:
@@ -350,15 +355,28 @@ class SeedRecord(NamedTuple):
         trace_obj = get("trace")
         if type(trace_obj) is not dict:
             _field(obj, "trace", _DICT, where)  # raises
-        handle_starts: list[int] = []
+        leaves: list[TraceNode] = []
         try:
-            trace = TraceNode.from_json(trace_obj, payload, handle_starts)
+            trace = TraceNode.from_json(trace_obj, payload, leaves)
         except CorpusError as exc:
             raise CorpusError("%s trace: %s" % (where, exc)) from None
+        handle_starts = [leaf.start for leaf in leaves if leaf.kind == "HANDLE"]
         if tuple(handle_starts) != offsets:
             raise CorpusError(
                 "%s: HANDLE leaves start at %s, offsets are %s" % (where, _excerpt(handle_starts), _excerpt(offsets))
             )
+        # The leaves, in tree order, must tile the payload: a leaf listed
+        # twice or left out would change what the mutator sweeps.
+        end = 0
+        for leaf in leaves:
+            if leaf.start != end:
+                raise CorpusError(
+                    "%s trace: leaves do not tile the %d-byte payload: leaf %s at [%d, %d) does not start at %d"
+                    % (where, len(payload), leaf.kind, leaf.start, leaf.end, end)
+                )
+            end = leaf.end
+        if end != len(payload):
+            raise CorpusError("%s trace: leaves do not tile the %d-byte payload: they end at %d" % (where, len(payload), end))
         consumed = get("consumed_handles")
         if type(consumed) is not list:
             _items(obj, "consumed_handles", _LIST, where)  # raises
@@ -567,25 +585,37 @@ class DependencyEdge(NamedTuple):
 
 
 class DependencyGraph(NamedTuple):
+    """nodes are the seqs, ascending; edges the dynamic flow, in ascending
+    consumer order; static_names maps each static handle value to the
+    service it names."""
+
     nodes: tuple[int, ...]
     edges: tuple[DependencyEdge, ...]
+    static_names: dict[int, str]
 
 
 def build_dependency_graph(records) -> DependencyGraph:
-    """Derive the producer-before-consumer graph from recorded bookkeeping.
+    """Derive the producer-before-consumer graph from recorded bookkeeping,
+    in one walk of the records in seq order.
 
     Dynamic consumption appears two ways: a handle slot in the payload
     whose origin is a producing seq, and a transaction target that is
     itself a dynamically produced handle.  Static handles never make
-    edges: replay re-resolves them by descriptor.  A static origin must
-    sit on handle 0 or on a value a service-manager lookup produced.
+    edges: replay re-resolves them by name.  Handle 0 names the service
+    manager, and each OK service-manager lookup names the values it
+    produced after the string it read; the first lookup to name a value
+    keeps it.  A STATIC:<name> origin must name its value's lookup, and a
+    record that targets a static handle must be for the service that
+    handle names: replay resolves it by that name, so a record that names
+    it otherwise would run against one service and be tallied under
+    another.
     """
     ordered = sorted(records, key=lambda r: r.seq)
     if [r.seq for r in ordered] != list(range(len(ordered))):
         raise CorpusError("record seqs are not contiguous from 0")
 
     dyn_produced: dict[int, int] = {}
-    static_values: set[int] = {SERVICE_MANAGER_HANDLE}
+    static_names: dict[int, str] = {SERVICE_MANAGER_HANDLE: SERVICE_MANAGER_DESCRIPTOR}
     edges: list[DependencyEdge] = []
 
     for record in ordered:
@@ -598,26 +628,42 @@ def build_dependency_graph(records) -> DependencyGraph:
                         "which did not produce it" % (record.seq, value, origin)
                     )
                 edges.append(DependencyEdge(origin, record.seq))
-            elif value not in static_values:
+                continue
+            name = static_names.get(value)
+            if name is None:
                 raise CorpusError(
                     "record %d consumes handle %d as %s, but no service-manager lookup produced it"
                     % (record.seq, value, _excerpt(origin))
                 )
+            if origin != STATIC_PREFIX + name:
+                raise CorpusError(
+                    "record %d consumes handle %d as %s, but it was looked up as %s"
+                    % (record.seq, value, _excerpt(origin), _excerpt(name))
+                )
 
+        name = static_names.get(record.target)
+        if name is not None and record.descriptor != name:
+            raise CorpusError(
+                "record %d is for %s, but its target, handle %d, was looked up as %s"
+                % (record.seq, _excerpt(record.descriptor), record.target, _excerpt(name))
+            )
         if record.target in dyn_produced:
             edges.append(DependencyEdge(dyn_produced[record.target], record.seq))
-        elif record.target not in static_values:
+        elif name is None:
             raise CorpusError(
                 "record %d targets handle %d with no recorded origin" % (record.seq, record.target)
             )
 
-        for value, _pos in record.produced_handles:
-            if record.target == SERVICE_MANAGER_HANDLE:
-                static_values.add(value)
-            else:
+        if record.target != SERVICE_MANAGER_HANDLE:
+            for value, _pos in record.produced_handles:
                 dyn_produced[value] = record.seq
+        elif record.reply_kind == ReplyKind.OK.value:
+            name = record.parcel().read_lenient(Kind.STRING)
+            if name is not None:
+                for value, _pos in record.produced_handles:
+                    static_names.setdefault(value, name)
 
-    return DependencyGraph(nodes=tuple(r.seq for r in ordered), edges=tuple(edges))
+    return DependencyGraph(tuple(r.seq for r in ordered), tuple(edges), static_names)
 
 
 # ---------------------------------------------------------------------------

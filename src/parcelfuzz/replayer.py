@@ -5,8 +5,9 @@ the recorded session is alive: the session object a service handed out,
 for example.  Before dispatching such a case, the supporting transactions
 that produced those handles are replayed against the current router, in
 recorded order, and the fresh handles they return are collected in the
-session's map of recorded to live handles.  Static handles are resolved by
-name from the router every time they are needed.  Materialization then
+session's map of recorded to live handles.  Static handles are resolved
+from the router every time they are needed, by the name the dependency
+graph gave them when the corpus was prepared.  Materialization then
 rewrites every handle slot in the case payload from recorded ids to live
 ids, honoring mutation directives that pin a slot's bytes or swap in a
 different service's handle.
@@ -22,15 +23,8 @@ import struct
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .parcel import Kind, Parcel, handle_at
-from .recorder import (
-    STATIC_PREFIX,
-    CorpusError,
-    DependencyGraph,
-    SeedRecord,
-    _excerpt,
-    build_dependency_graph,
-)
+from .parcel import Parcel, handle_at
+from .recorder import CorpusError, DependencyGraph, SeedRecord, build_dependency_graph
 from .router import (
     Reply,
     ReplyKind,
@@ -81,12 +75,11 @@ def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
 class PreparedCorpus(NamedTuple):
     """What replay derives from a corpus alone, built once and only read.
 
-    records maps seq to record; static_names maps handle 0 to the
-    service manager and each handle value a service-manager lookup
-    produced to the descriptor it was looked up under, recovered from the
-    recorded requests, so every static handle a record targets or carries
-    resolves by the same name; plans maps each seq to its support plan
-    (see ``plan``).
+    records maps seq to record, in seq order; static_names maps each
+    static handle value to the service it was looked up as (see
+    ``build_dependency_graph``), so every static handle a record targets
+    or carries resolves by the same name; plans maps each seq to its
+    support plan (see ``plan``).
     """
 
     records: Mapping[int, SeedRecord]
@@ -95,41 +88,12 @@ class PreparedCorpus(NamedTuple):
 
 
 def prepare_corpus(records) -> PreparedCorpus:
-    """Validate a corpus and derive everything replay needs from it.
-
-    Beyond the dependency graph's checks, every record that targets a
-    static handle must name the service that handle was looked up under,
-    and every STATIC:<name> slot origin must name the lookup of its value.
-    """
-    ordered = sorted(records, key=lambda r: r.seq)
-    graph = build_dependency_graph(ordered)
-    static_names: dict[int, str] = {}
-    for record in ordered:
-        if record.target == SERVICE_MANAGER_HANDLE and record.reply_kind == ReplyKind.OK.value:
-            name = record.parcel().read_lenient(Kind.STRING)
-            if name is not None:
-                for value, _pos in record.produced_handles:
-                    static_names[value] = name
-    static_names[SERVICE_MANAGER_HANDLE] = SERVICE_MANAGER_DESCRIPTOR
-    # Replay resolves a static handle by its lookup name, so a record that
-    # names it otherwise would run against one service and be tallied
-    # under another.
-    for record in ordered:
-        name = static_names.get(record.target)
-        if name is not None and record.descriptor != name:
-            raise CorpusError(
-                "record %d is for %s, but its target, handle %d, was looked up as %s"
-                % (record.seq, _excerpt(record.descriptor), record.target, _excerpt(name))
-            )
-        for pos, origin in record.consumed_handles:
-            if type(origin) is str:
-                value = handle_at(record.payload, pos)
-                name = static_names.get(value)
-                if name is None or origin != STATIC_PREFIX + name:
-                    raise CorpusError(
-                        "record %d consumes handle %d as %s, but it was looked up as %s"
-                        % (record.seq, value, _excerpt(origin), _excerpt(name))
-                    )
+    """Validate a sequence of records, in any order, in the dependency
+    graph's one walk, and derive everything replay needs from them."""
+    graph = build_dependency_graph(records)
+    # The graph's nodes are the seqs, ascending and each held once.
+    by_seq = dict.fromkeys(graph.nodes)
+    by_seq.update((r.seq, r) for r in records)
     # Edges come in ascending consumer order and point forward, so each
     # producer's plan is final before any edge out of it is reached.
     plans = dict.fromkeys(graph.nodes, ())
@@ -137,7 +101,7 @@ def prepare_corpus(records) -> PreparedCorpus:
         found = {*plans[edge.consumer_seq], edge.producer_seq, *plans[edge.producer_seq]}
         plans[edge.consumer_seq] = tuple(sorted(found))
     return PreparedCorpus(
-        MappingProxyType({r.seq: r for r in ordered}), MappingProxyType(static_names), MappingProxyType(plans)
+        MappingProxyType(by_seq), MappingProxyType(graph.static_names), MappingProxyType(plans)
     )
 
 

@@ -56,7 +56,8 @@ from .router import (
 _K_I32, _K_I64, _K_F64, _K_BOOL = Kind.I32, Kind.I64, Kind.F64, Kind.BOOL
 _K_STRING, _K_BYTES = Kind.STRING, Kind.BYTES
 
-# Bundle entry value tags.
+# Bundle entry value tags, and the kind each plain value tag holds.  A
+# BUNDLE value nests, and a HANDLE value is read and written as a handle.
 TAG_I32 = 1
 TAG_I64 = 2
 TAG_F64 = 3
@@ -65,15 +66,8 @@ TAG_BYTES = 5
 TAG_BUNDLE = 6
 TAG_HANDLE = 7
 
-TAG_NAMES = {
-    TAG_I32: "I32",
-    TAG_I64: "I64",
-    TAG_F64: "F64",
-    TAG_STRING: "STRING",
-    TAG_BYTES: "BYTES",
-    TAG_BUNDLE: "BUNDLE",
-    TAG_HANDLE: "HANDLE",
-}
+TAG_KINDS = {TAG_I32: _K_I32, TAG_I64: _K_I64, TAG_F64: _K_F64, TAG_STRING: _K_STRING, TAG_BYTES: _K_BYTES}
+TAG_NAMES = frozenset((*TAG_KINDS, TAG_BUNDLE, TAG_HANDLE))
 
 # Writer-side nesting limits.  The deserializers deliberately do not
 # enforce these; only well-behaved clients do.
@@ -469,25 +463,11 @@ class ActivityService(RegistryService):
                         # fires before the interpreter's recursion limit.
                         value = self._read_bundle(data, ctx, depth + 1)
                     else:
-                        value = self._read_entry_value(data, ctx, tag)
+                        frame = "activity.bundle.bytes_length" if tag == TAG_BYTES else "activity.bundle.entry_loop"
+                        with ctx.frame(frame):
+                            value = data.read_handle()[0] if tag == TAG_HANDLE else data.read_value(TAG_KINDS[tag])
                 entries.append((key, tag, value))
             return entries
-
-    def _read_entry_value(self, data: Parcel, ctx: DispatchContext, tag: int):
-        if tag == TAG_BYTES:
-            with ctx.frame("activity.bundle.bytes_length"):
-                return data.read_value(_K_BYTES)
-        with ctx.frame("activity.bundle.entry_loop"):
-            if tag == TAG_I32:
-                return data.read_value(_K_I32)
-            if tag == TAG_I64:
-                return data.read_value(_K_I64)
-            if tag == TAG_F64:
-                return data.read_value(_K_F64)
-            if tag == TAG_STRING:
-                return data.read_value(_K_STRING)
-            value, _slot_declared = data.read_handle()
-            return value
 
 
 def write_bundle(parcel: Parcel, entries, depth: int = 1) -> None:
@@ -500,20 +480,12 @@ def write_bundle(parcel: Parcel, entries, depth: int = 1) -> None:
             raise ClientCheckError("bundle key must be str, got %r" % (key,))
         parcel.write_value(_K_STRING, key)
         parcel.write_value(_K_I32, tag)
-        if tag == TAG_I32:
-            parcel.write_value(_K_I32, value)
-        elif tag == TAG_I64:
-            parcel.write_value(_K_I64, value)
-        elif tag == TAG_F64:
-            parcel.write_value(_K_F64, value)
-        elif tag == TAG_STRING:
-            parcel.write_value(_K_STRING, value)
-        elif tag == TAG_BYTES:
-            parcel.write_value(_K_BYTES, value)
-        elif tag == TAG_BUNDLE:
+        if tag == TAG_BUNDLE:
             write_bundle(parcel, value, depth + 1)
         elif tag == TAG_HANDLE:
             parcel.write_handle(value)
+        elif tag in TAG_KINDS:
+            parcel.write_value(TAG_KINDS[tag], value)
         else:
             raise ClientCheckError("unknown bundle tag %r" % (tag,))
 

@@ -1187,25 +1187,24 @@ def test_cli_rejects_a_corpus_handle_outside_the_writable_range(tmp_path, capsys
     assert not (tmp_path / "report.json").exists()
 
 
-def test_cli_rejects_a_corpus_record_with_a_misaligned_offset(tmp_path, capsys, semi_report):
-    """Record 10 holds handle 7 at 0 and a STRING at [4, 16).  Moved to a
-    handle at 2 and a STRING at [8, 20), with its HANDLE leaf and offset
-    both at 2, it is refused when the corpus loads, by fuzz and replay alike."""
+def _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, edits):
+    """stderr of fuzz and of replay on the shipped corpus with the record
+    of each seq in edits passed through each of its edits.  Both must
+    exit 1 and print nothing to stdout, and fuzz must write no report."""
     corpus_path = tmp_path / "corpus.jsonl"
     main(["record", "--scenario", "all", "--out", str(corpus_path)])
     lines = corpus_path.read_text().splitlines()
-    record = json.loads(lines[11])
-    assert record["seq"] == 10 and record["payload_hex"] == "07000000" "07000000" + b"monitor\0".hex()
-    record["payload_hex"] = "0000" "07000000" "0000" + record["payload_hex"][8:]
-    handle_leaf, string_leaf = record["trace"]["children"]
-    handle_leaf["byte_range"], string_leaf["byte_range"] = [2, 6], [8, 20]
-    record["trace"]["byte_range"] = [0, 20]
-    record["offsets"], record["consumed_handles"] = [2], [[2, 8]]
-    lines[11] = json.dumps(record, sort_keys=True)
+    for seq, record_edits in edits.items():
+        record = json.loads(lines[seq + 1])
+        assert record["seq"] == seq
+        for edit in record_edits:
+            edit(record)
+        lines[seq + 1] = json.dumps(record, sort_keys=True)
     corpus_path.write_text("\n".join(lines) + "\n")
     report_path = tmp_path / "saved.json"
     save_report(semi_report, report_path)
     capsys.readouterr()
+    errors = []
     for argv in (
         ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
          "--out", str(tmp_path / "report.json")],
@@ -1213,8 +1212,28 @@ def test_cli_rejects_a_corpus_record_with_a_misaligned_offset(tmp_path, capsys, 
          "--corpus", str(corpus_path)],
     ):
         assert main(argv) == 1
-        assert capsys.readouterr() == ("", "error: record 10 offsets: offset 2 is not 4-byte aligned\n")
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
     assert not (tmp_path / "report.json").exists()
+    return errors
+
+
+def _misalign_record_10(record):
+    assert record["payload_hex"] == "07000000" "07000000" + b"monitor\0".hex()
+    record["payload_hex"] = "0000" "07000000" "0000" + record["payload_hex"][8:]
+    handle_leaf, string_leaf = record["trace"]["children"]
+    handle_leaf["byte_range"], string_leaf["byte_range"] = [2, 6], [8, 20]
+    record["trace"]["byte_range"] = [0, 20]
+    record["offsets"], record["consumed_handles"] = [2], [[2, 8]]
+
+
+def test_cli_rejects_a_corpus_record_with_a_misaligned_offset(tmp_path, capsys, semi_report):
+    """Record 10 holds handle 7 at 0 and a STRING at [4, 16).  Moved to a
+    handle at 2 and a STRING at [8, 20), with its HANDLE leaf and offset
+    both at 2, it is refused when the corpus loads, by fuzz and replay alike."""
+    errors = _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, {10: [_misalign_record_10]})
+    assert errors == ["error: record 10 offsets: offset 2 is not 4-byte aligned\n"] * 2
 
 
 @pytest.mark.parametrize(
@@ -1234,27 +1253,12 @@ def test_cli_rejects_a_corpus_whose_handle_bookkeeping_lies(tmp_path, capsys, se
     """Record 10's one handle slot, at 0, holds handle 7, which record 8
     produced.  Bookkeeping that calls it static, or that does not pair
     each offset with one origin, is refused by fuzz and replay alike."""
-    corpus_path = tmp_path / "corpus.jsonl"
-    main(["record", "--scenario", "all", "--out", str(corpus_path)])
-    lines = corpus_path.read_text().splitlines()
-    record = json.loads(lines[11])
-    assert record["seq"] == 10 and record["consumed_handles"] == [[0, 8]]
-    record["consumed_handles"] = consumed
-    lines[11] = json.dumps(record, sort_keys=True)
-    corpus_path.write_text("\n".join(lines) + "\n")
-    report_path = tmp_path / "saved.json"
-    save_report(semi_report, report_path)
-    capsys.readouterr()
-    for argv in (
-        ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
-         "--out", str(tmp_path / "report.json")],
-        ["replay", "--report", str(report_path), "--fingerprint", semi_report.crashes[0].fingerprint,
-         "--corpus", str(corpus_path)],
-    ):
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: %s\n" % message)
-    assert not (tmp_path / "report.json").exists()
+
+    def edit(record):
+        assert record["consumed_handles"] == [[0, 8]]
+        record["consumed_handles"] = consumed
+
+    assert _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, {10: [edit]}) == ["error: %s\n" % message] * 2
 
 
 def _set_payload_handle(value):
@@ -1263,52 +1267,94 @@ def _set_payload_handle(value):
     return edit
 
 
+def _check_field(name, value):
+    def edit(record):
+        assert record[name] == value
+    return edit
+
+
+# The audio records that target svc.audio by its handle, 2.
+_AUDIO_TARGETS = {seq: [_check_field("target", 2), _set_field("target", 1)] for seq in (7, 8, 10)}
+
+
 @pytest.mark.parametrize(
-    "line, edits, message",
+    "edits, message",
     [
         (
-            2,
-            [_set_field("descriptor", "svc.audio")],
+            {1: [_set_field("descriptor", "svc.audio")]},
             "record 1 is for 'svc.audio', but its target, handle 1, was looked up as 'svc.queue'",
         ),
         (
-            1,
-            [_set_field("descriptor", "svc.queue")],
+            {0: [_set_field("descriptor", "svc.queue")]},
             "record 0 is for 'svc.queue', but its target, handle 0, was looked up as 'service_manager'",
         ),
         (
-            11,
-            [_set_payload_handle(1), _set_field("consumed_handles", [[0, "STATIC:svc.audio"]])],
+            {10: [_set_payload_handle(1), _set_field("consumed_handles", [[0, "STATIC:svc.audio"]])]},
             "record 10 consumes handle 1 as 'STATIC:svc.audio', but it was looked up as 'svc.queue'",
         ),
+        (
+            {1: [_set_field("descriptor", "svc.audio")], 10: [_set_field("consumed_handles", [[0, "STATIC:svc.queue"]])]},
+            "record 1 is for 'svc.audio', but its target, handle 1, was looked up as 'svc.queue'",
+        ),
+        (
+            {6: [_check_field("produced_handles", [[2, 0]]), _set_field("produced_handles", [[1, 0]])], **_AUDIO_TARGETS},
+            "record 7 is for 'svc.audio', but its target, handle 1, was looked up as 'svc.queue'",
+        ),
     ],
-    ids=["target-descriptor", "service-manager-descriptor", "static-origin"],
+    ids=["target-descriptor", "service-manager-descriptor", "static-origin", "first-fault-in-seq-order", "second-lookup"],
 )
-def test_cli_rejects_a_record_that_names_a_static_handle_otherwise(tmp_path, capsys, semi_report, line, edits, message):
+def test_cli_rejects_a_record_that_names_a_static_handle_otherwise(tmp_path, capsys, semi_report, edits, message):
     """Replay resolves a static handle by the name it was looked up under.
     A record that names its static target otherwise, or a STATIC:<name>
     slot origin that names another lookup, would run against one service
-    and be tallied under another; fuzz and replay refuse it alike."""
-    corpus_path = tmp_path / "corpus.jsonl"
-    main(["record", "--scenario", "all", "--out", str(corpus_path)])
-    lines = corpus_path.read_text().splitlines()
-    record = json.loads(lines[line])
-    for edit in edits:
-        edit(record)
-    lines[line] = json.dumps(record, sort_keys=True)
-    corpus_path.write_text("\n".join(lines) + "\n")
-    report_path = tmp_path / "saved.json"
-    save_report(semi_report, report_path)
+    and be tallied under another; fuzz and replay refuse it alike.
+
+    One walk in seq order makes every corpus check, so of two faults the
+    one in the earlier record is named.  The first lookup of a handle
+    names it: a later lookup of svc.audio as handle 1 would otherwise
+    send the queue's records, which ran earlier, to the audio service."""
+    assert _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, edits) == ["error: %s\n" % message] * 2
+
+
+def _repeat_first_leaf(record):
+    children = record["trace"]["children"]
+    assert [c["kind"] for c in children] == ["STRING"]
+    children.append(dict(children[0]))
+
+
+def _drop_last_leaf(record):
+    children = record["trace"]["children"]
+    assert record["descriptor"] == "svc.graphics" and [c["kind"] for c in children] == ["STRING", "I32", "I32"]
+    del children[-1]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        (
+            {0: [_repeat_first_leaf]},
+            "record 0 trace: leaves do not tile the 16-byte payload: leaf STRING at [0, 16) does not start at 16",
+        ),
+        ({16: [_drop_last_leaf]}, "record 16 trace: leaves do not tile the 24-byte payload: they end at 20"),
+    ],
+    ids=["leaf-twice", "leaf-dropped"],
+)
+def test_cli_rejects_a_trace_that_does_not_tile_its_payload(tmp_path, capsys, semi_report, edits, message):
+    """A leaf listed twice would be swept twice, and a leaf left out never
+    (the graphics allocation defect hides behind the last I32), so a
+    trace whose leaves do not cover the payload end to end is refused."""
+    assert _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, edits) == ["error: %s\n" % message] * 2
+
+
+def test_cli_refuses_an_empty_fingerprint(tmp_path, capsys):
+    """An empty prefix matches every crash; on a report of one crash it
+    would reproduce that crash as if it had been named."""
+    report_path = tmp_path / "report.json"
+    assert main(["fuzz", "--policy", "empty", "--budget", "6", "--out", str(report_path)]) == 2
+    assert len(load_report(report_path).crashes) == 1
     capsys.readouterr()
-    for argv in (
-        ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "400",
-         "--out", str(tmp_path / "report.json")],
-        ["replay", "--report", str(report_path), "--fingerprint", semi_report.crashes[0].fingerprint,
-         "--corpus", str(corpus_path)],
-    ):
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", "error: %s\n" % message)
-    assert not (tmp_path / "report.json").exists()
+    assert main(["replay", "--report", str(report_path), "--fingerprint", ""]) == 1
+    assert capsys.readouterr() == ("", "error: fingerprint is empty\n")
 
 
 def _set(*path, value):

@@ -474,12 +474,14 @@ def _full_rebuild_case(record, case):
     index = next(i for i, leaf in enumerate(leaves) if leaf.path == path)
     leaf = leaves[index]
     if leaf.kind in ("I32", "BOOL", "I64"):
-        leaves[index] = leaf._replace(value=mutator._mutate_int(leaf.value, mutation_id, 64 if leaf.kind == "I64" else 32))
+        bits = 64 if leaf.kind == "I64" else 32
+        value = mutator.INT_VALUES[mutation_id](leaf.value, 1 << (bits - 1)) & ((1 << bits) - 1)
+        leaves[index] = leaf._replace(value=value - (1 << bits) if value >> (bits - 1) else value)
     elif leaf.kind == "F64":
         leaves[index] = leaf._replace(value=F64_VALUES[mutation_id])
     elif leaf.kind == "STRING":
-        value, write_as = mutator._mutate_string(leaf.value, mutation_id)
-        leaves[index] = leaf._replace(value=value, write_as=write_as)
+        value = mutator.STRING_VALUES[mutation_id](leaf.value)
+        leaves[index] = leaf._replace(kind="BYTES" if isinstance(value, bytes) else "STRING", value=value)
         patch = 4 if mutation_id == "declared_length_plus_4" else None
     elif leaf.kind == "BYTES":
         if mutation_id == "truncate_half":

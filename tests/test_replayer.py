@@ -2,9 +2,10 @@
 
 import pytest
 
+from parcelfuzz.harness import FuzzConfig, run_fuzz
 from parcelfuzz.mutator import FuzzCase, Policy
 from parcelfuzz.parcel import I32_MAX, Kind, handle_at
-from parcelfuzz.recorder import CorpusError, build_dependency_graph
+from parcelfuzz.recorder import CorpusError, build_dependency_graph, corpus_digest
 from parcelfuzz.replayer import ReplaySession, Unreplayable, plan, prepare_corpus
 from parcelfuzz.router import ReplyKind
 from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient
@@ -81,6 +82,24 @@ def test_prepared_plans_match_plan_for_every_seed(shuffled_corpus):
     for record in shuffled_corpus:
         assert prepared.plans[record.seq] == tuple(plan(record.seq, graph))
     assert sum(1 for p in prepared.plans.values() if p) == 8  # ping + register, four times
+
+
+def test_records_in_any_order_prepare_and_fuzz_alike(shuffled_corpus):
+    """check_replies and the harness walk prepared.records in its order,
+    which must be seq order whatever order the caller's list is in.  The
+    reports differ only in corpus_id, which hashes the list as given."""
+    backwards = list(reversed(shuffled_corpus))
+    prepared, reference = prepare_corpus(backwards), prepare_corpus(shuffled_corpus)
+    assert list(prepared.records) == list(range(len(shuffled_corpus)))
+    assert dict(prepared.static_names) == dict(reference.static_names)
+    assert dict(prepared.plans) == dict(reference.plans)
+    reports = [
+        run_fuzz(FuzzConfig(policy="semi-valid", budget=2000, corpus=records))
+        .to_canonical_json()
+        .replace(corpus_digest(records), "<corpus_id>")
+        for records in (backwards, shuffled_corpus)
+    ]
+    assert reports[0] == reports[1]
 
 
 def test_a_prepared_corpus_serves_many_sessions(prepared, audio_seqs):

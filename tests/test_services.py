@@ -10,15 +10,20 @@ import random
 import pytest
 
 from parcelfuzz.parcel import I32_MAX, Kind, Parcel
-from parcelfuzz.router import DispatchContext, ReplyKind, Transaction
+from parcelfuzz.router import DispatchContext, ReplyKind, Router, Transaction
 from parcelfuzz.services import (
     SEEDED_BUGS,
     SERVICE_CLASSES,
     TAG_BUNDLE,
+    TAG_BYTES,
+    TAG_F64,
     TAG_HANDLE,
     TAG_I32,
+    TAG_I64,
+    TAG_NAMES,
     TAG_STRING,
     ActivityClient,
+    ActivityService,
     AudioClient,
     AudioService,
     AudioSession,
@@ -115,6 +120,25 @@ def test_activity_launch_with_nested_extras(client):
         ("meta", TAG_BUNDLE, [("origin", TAG_STRING, "launcher")]),
     ]
     assert activity.start_activity("app.intent.MAIN", "content://item/1", extras) is True
+
+
+def test_a_bundle_entry_of_every_tag_reads_back_as_written():
+    """write_bundle and the activity service's reader share one tag table."""
+    entries = [
+        ("i", TAG_I32, -7),
+        ("l", TAG_I64, 1 << 40),
+        ("d", TAG_F64, 2.5),
+        ("s", TAG_STRING, "text"),
+        ("b", TAG_BYTES, b"\x01\x02\x03"),
+        ("n", TAG_BUNDLE, [("inner", TAG_I32, 1)]),
+        ("h", TAG_HANDLE, 3),
+    ]
+    assert {tag for _key, tag, _value in entries} == TAG_NAMES
+    written = Parcel()
+    write_bundle(written, entries)
+    reader = Parcel(written.buffer, written.offsets)
+    assert ActivityService()._read_bundle(reader, DispatchContext(Router(), "svc.activity"), 1) == entries
+    assert reader.remaining() == 0
 
 
 def test_bundle_depth_is_bounded_by_the_decoder_not_the_interpreter():
