@@ -12,6 +12,13 @@ of the input that caused it) comes from one traced replay of the first
 case to reach each distinct fingerprint, on a fresh session over the
 same prepared corpus; repeat crashes only count hits.
 
+A fresh router's replies depend only on the transactions it receives,
+so a seeded case whose session sends exactly what an earlier case's
+session sent (the same supports, then the same case bytes) is not
+dispatched again: it counts the outcome, fingerprint and IPC edge that
+the earlier dispatch gave.  EMPTY and RANDOM cases always dispatch: each
+would pay for a key, and the only repeats among them are empty payloads.
+
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
 (never per recursion level), which is what makes parameter variants of
@@ -34,7 +41,7 @@ from .mutator import (
 )
 from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, _field, _items, corpus_digest
 from .replayer import PreparedCorpus, ReplaySession, Unreplayable, check_replies, prepare_corpus
-from .router import CrashInfo, Reply, ReplyKind, Router, Transaction
+from .router import CrashInfo, IpcEdge, Reply, ReplyKind, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
 FINGERPRINT_FRAMES = 5
@@ -293,7 +300,12 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
 
     The corpus is prepared once and replayed once, whole, to check that
     every record replies as recorded; every case then replays on a fresh
-    router of its own, so nothing one case does reaches the next.
+    router of its own, so nothing one case does reaches the next.  A
+    seeded case still replays its supports and is materialized on its own
+    session, but when an earlier case's session sent exactly the same
+    transactions, it reuses what that earlier fresh router replied
+    instead of dispatching again (see _sent_digest).  It still counts in
+    every tally, so the report is the one dispatching every case gives.
     """
     policies = _normalize_policies(config.policy)
     cases = generate_campaign(config.corpus, policies, config.budget, config.rng_seed)
@@ -308,10 +320,16 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     edges_by_sender: dict[str, int] = {}
     edges_by_descriptor: dict[str, int] = {}
 
+    # What each distinct seeded dispatch gave: its outcome, its
+    # fingerprint (None unless it crashed) and its IPC edge, by the
+    # digest of everything its session sent (see _sent_digest).
+    dispatched: dict[bytes, tuple[str, str | None, IpcEdge]] = {}
+
     executed = 0
     for case in cases:
         executed += 1
         session = ReplaySession(prepared)
+        edges = session.router.edges
 
         method = (case.descriptor, case.code)
         tally = tallies.get(method)
@@ -323,18 +341,31 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         except Unreplayable:
             outcome = "unreplayable"
         else:
-            reply = session.router.transact(txn)
-            outcome = classify(reply)
-            if reply.kind is ReplyKind.FATAL_CRASH:
-                digest = fingerprint(reply.crash)
-                hits[digest] = hits.get(digest, 0) + 1
-                if hits[digest] == 1:
-                    first_hits[digest] = (case, reply.crash, _traced_rerun(prepared, case, digest))
+            known = None
+            if case.seed_seq is not None:
+                key = _sent_digest(session._replayed.values(), txn)
+                known = dispatched.get(key)
+            if known is None:
+                reply = session.router.transact(txn)
+                outcome = classify(reply)
+                digest = None
+                if reply.kind is ReplyKind.FATAL_CRASH:
+                    digest = fingerprint(reply.crash)
+                    if digest not in hits:
+                        hits[digest] = 0
+                        first_hits[digest] = (case, reply.crash, _traced_rerun(prepared, case, digest))
+                if case.seed_seq is not None:
+                    dispatched[key] = (outcome, digest, edges[-1])
+            else:
+                outcome, digest, edge = known
+                edges = [*edges, edge]
+            if digest is not None:
+                hits[digest] += 1
         counters[outcome] += 1
         tally[outcome] += 1
 
-        _absorb_edges(session.router, edges_by_sender, edges_by_descriptor)
-        edge_total += len(session.router.edges)
+        _absorb_edges(edges, edges_by_sender, edges_by_descriptor)
+        edge_total += len(edges)
 
     report = CampaignReport(
         config={
@@ -361,8 +392,22 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     return report
 
 
-def _absorb_edges(router: Router, by_sender: dict, by_descriptor: dict) -> None:
-    for edge in router.edges:
+def _sent_digest(supports, txn: Transaction) -> bytes:
+    """sha256 over what a session sent: the supports it replayed, in
+    order, then the case.  Each transaction enters as a header, its
+    target handle, code, payload length and offsets list in decimal,
+    then its payload bytes, so two sequences share an input only if
+    they are the same."""
+    digest = hashlib.sha256()
+    for sent in (*supports, txn):
+        data = sent.data
+        digest.update(b"%d %d %d %a;" % (sent.target_handle, sent.code, len(data), data.offsets))
+        digest.update(data.buffer)
+    return digest.digest()
+
+
+def _absorb_edges(edges: list[IpcEdge], by_sender: dict, by_descriptor: dict) -> None:
+    for edge in edges:
         by_sender[edge.sender_id] = by_sender.get(edge.sender_id, 0) + 1
         by_descriptor[edge.target_descriptor] = by_descriptor.get(edge.target_descriptor, 0) + 1
 

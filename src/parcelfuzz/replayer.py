@@ -115,7 +115,7 @@ def check_replies(prepared: PreparedCorpus) -> None:
     """
     session = ReplaySession(prepared)
     for record in prepared.records.values():
-        replied = session._execute_record(record).kind.value
+        replied = session._execute_record(record)[1].kind.value
         if replied != record.reply_kind:
             raise CorpusError("record %d recorded %s, replayed %s" % (record.seq, record.reply_kind, replied))
 
@@ -127,14 +127,16 @@ class ReplaySession:
     once for the whole campaign.  A session only reads that corpus.
     ``live`` maps each recorded dynamic handle a replayed support produced
     to the live handle it produced this time.  Within a session each
-    support is replayed at most once (see ``ensure_supports``).
+    support is replayed at most once (see ``ensure_supports``), and
+    ``_replayed`` maps each replayed support's seq to the Transaction it
+    sent, in the order they were sent.
     """
 
     def __init__(self, prepared: PreparedCorpus):
         self.prepared = prepared
         self.router = fresh_router()
         self.live: dict[int, int] = {}
-        self._replayed: set[int] = set()
+        self._replayed: dict[int, Transaction] = {}
         self.probe_handle = self.router.export(Service())
 
     # -- static resolution ------------------------------------------------------
@@ -163,14 +165,14 @@ class ReplaySession:
             if support_seq in self._replayed:
                 continue
             record = self.prepared.records[support_seq]
-            reply = self._execute_record(record)
+            txn, reply = self._execute_record(record)
             if reply.kind is not ReplyKind.OK:
                 raise Unreplayable(
                     "support %d (%s code %d) replied %s"
                     % (support_seq, record.descriptor, record.code, reply.kind.value),
                     support_seq,
                 )
-            self._replayed.add(support_seq)
+            self._replayed[support_seq] = txn
             executed.append(support_seq)
         return executed
 
@@ -180,9 +182,10 @@ class ReplaySession:
         if record is None:
             raise CorpusError("no record with seq %d" % seed_seq)
         self.ensure_supports(seed_seq)
-        return self._execute_record(record)
+        return self._execute_record(record)[1]
 
-    def _execute_record(self, record: SeedRecord) -> Reply:
+    def _execute_record(self, record: SeedRecord) -> tuple[Transaction, Reply]:
+        """Send record, live-handle-patched; returns what was sent and the reply."""
         payload = self._patched(record.payload, record.offsets, ())
         txn = Transaction(self._live_handle(record.target), record.code, payload, SUPPORT_SENDER)
         reply = self.router.transact(txn)
@@ -192,7 +195,7 @@ class ReplaySession:
                 if pos not in reply.payload.offsets:
                     raise Unreplayable("record %d replied with no handle at %d" % (record.seq, pos), record.seq)
                 self.live[recorded_value] = handle_at(reply.payload.buffer, pos)
-        return reply
+        return txn, reply
 
     def _patched(self, payload: bytes, offsets: tuple[int, ...], slot_overrides) -> Parcel:
         """payload with the live handle in every slot at offsets, except

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -14,12 +15,24 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def shuffled_corpus():
-    """Four copies of every scenario in a seeded random order: 76 records,
-    several audio sessions whose supports interleave with other scenarios."""
-    names = [name for name in SCENARIOS for _ in range(4)]
-    random.Random(11).shuffle(names)
-    return record_session(names)
+def shuffled_corpus_of():
+    """shuffled_corpus_of(seed): four copies of every scenario in the
+    order random.Random(seed) shuffles them into, recorded once per seed:
+    76 records, several audio sessions whose supports interleave with
+    other scenarios."""
+
+    @functools.cache
+    def record(seed):
+        names = [name for name in SCENARIOS for _ in range(4)]
+        random.Random(seed).shuffle(names)
+        return record_session(names)
+
+    return record
+
+
+@pytest.fixture(scope="session")
+def shuffled_corpus(shuffled_corpus_of):
+    return shuffled_corpus_of(11)
 
 
 @pytest.fixture(scope="session")

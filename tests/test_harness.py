@@ -42,9 +42,9 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION, ConfigurationError, FuzzCase, Policy, make_random
+from parcelfuzz.mutator import CATALOG_VERSION, ConfigurationError, FuzzCase, Policy, generate_campaign, make_random
 from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_digest, corpus_text, load_corpus, record_session
-from parcelfuzz.replayer import ReplaySession, prepare_corpus
+from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
 
 
@@ -286,6 +286,112 @@ def test_per_case_values_are_immutable():
 def test_replaced_values_are_checked_again():
     case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
     assert case._replace(code=2).code == 2
+
+
+# -- repeated dispatches -------------------------------------------------------------
+
+
+def _dispatch_every_case(records, policy, budget):
+    """The counters, per-method tallies, edge summary and crashes
+    ({fingerprint: [first case id, hits]}) of a campaign whose every case
+    is dispatched on a fresh session of its own, with nothing remembered
+    from one case to the next."""
+    prepared = prepare_corpus(records)
+    counters = dict.fromkeys(OUTCOMES, 0)
+    per_method = {}
+    edges = {"total": 0, "by_sender": {}, "by_descriptor": {}}
+    crashes = {}
+    for case in generate_campaign(records, policy, budget, 1):
+        session = ReplaySession(prepared)
+        try:
+            reply = session.router.transact(session.prepare(case))
+        except Unreplayable:
+            outcome = "unreplayable"
+        else:
+            outcome = classify(reply)
+            if reply.kind is ReplyKind.FATAL_CRASH:
+                crashes.setdefault(fingerprint(reply.crash), [case.case_id, 0])[1] += 1
+        counters[outcome] += 1
+        per_method.setdefault("%s:%d" % (case.descriptor, case.code), dict.fromkeys(OUTCOMES, 0))[outcome] += 1
+        for edge in session.router.edges:
+            edges["total"] += 1
+            for field, value in (("by_sender", edge.sender_id), ("by_descriptor", edge.target_descriptor)):
+                edges[field][value] = edges[field].get(value, 0) + 1
+    return counters, per_method, edges, crashes
+
+
+@pytest.mark.parametrize("policy", ["semi-valid", "empty,random,semi-valid"])
+@pytest.mark.parametrize("corpus_source", ["corpus", "shuffled_corpus", 1, 2, 3, 13])
+def test_a_campaign_counts_what_dispatching_every_case_gives(request, shuffled_corpus_of, corpus_source, policy):
+    if isinstance(corpus_source, int):
+        records = shuffled_corpus_of(corpus_source)
+    else:
+        records = request.getfixturevalue(corpus_source)
+    report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=10000, rng_seed=1, corpus=records))
+    counters, per_method, edges, crashes = _dispatch_every_case(records, policy.split(","), 10000)
+    assert report.counters == counters
+    assert report.per_method == per_method
+    assert report.edge_summary == edges
+    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
+
+
+@pytest.mark.parametrize(
+    "policy,budget,corpus_fixture,executed,dispatched",
+    [
+        ("semi-valid", 10000, "shuffled_corpus", 1396, 295),
+        ("semi-valid", 10000, "corpus", 349, 295),
+        ("empty,random", 2000, "corpus", 2000, 2000),
+    ],
+)
+def test_a_seeded_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
+    monkeypatch, request, policy, budget, corpus_fixture, executed, dispatched
+):
+    records = request.getfixturevalue(corpus_fixture)
+    transact = Router.transact
+    cases = []
+
+    def counting(self, txn, trace_hook=None):
+        if trace_hook is None and txn.sender_id == "fuzzer":
+            cases.append(txn)
+        return transact(self, txn, trace_hook)
+
+    monkeypatch.setattr(Router, "transact", counting)
+    report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
+    assert report.executed == executed
+    assert len(cases) == dispatched
+
+
+def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(monkeypatch):
+    # Two recordings of one scenario: records 5-9 repeat records 0-4, and
+    # each session's register_client (4 and 9) carries the session handle
+    # its own open_session (2 and 7) produced.  Each case of seed 9 is
+    # byte for byte a case of seed 4, and its support sends what seed 4's
+    # does.
+    corpus = record_session(["audio_callback", "audio_callback"])
+    plans = prepare_corpus(corpus).plans
+    assert (plans[4], plans[9]) == ((2,), (7,))
+    # open_session reads nothing, so four more bytes on record 7 change
+    # what seed 9's support sends and nothing the corpus replies.
+    padded = [r._replace(payload=b"\x01\x00\x00\x00") if r.seq == 7 else r for r in corpus]
+    transact = Router.transact
+    registered = []
+
+    def counting(self, txn, trace_hook=None):
+        if trace_hook is None and txn.sender_id == "fuzzer" and txn.code == 2:
+            registered.append(self.descriptor_of(txn.target_handle))
+        return transact(self, txn, trace_hook)
+
+    monkeypatch.setattr(Router, "transact", counting)
+
+    def campaign(records):
+        registered.clear()
+        report = run_fuzz(FuzzConfig(policy="semi-valid", budget=10000, corpus=records))
+        return report, registered.count("svc.audio")
+
+    (report, once), (padded_report, twice) = campaign(corpus), campaign(padded)
+    assert once > 0
+    assert twice == 2 * once
+    assert padded_report.counters == report.counters
 
 
 # -- determinism and persistence ------------------------------------------------------
