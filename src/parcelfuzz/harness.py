@@ -13,16 +13,20 @@ case to reach each distinct fingerprint, on a fresh session over the
 same prepared corpus; repeat crashes only count hits.
 
 A fresh router's replies depend only on the transactions it receives,
-so a seeded case whose session sends exactly what an earlier case's
-session sent (the same supports, then the same case bytes) is not
-dispatched again: it counts the outcome, fingerprint and IPC edge that
-the earlier dispatch gave.  EMPTY and RANDOM cases always dispatch: each
-would pay for a key, and the only repeats among them are empty payloads.
+so a case whose session sends exactly what an earlier case's session
+sent is not dispatched again: it counts the outcome, fingerprint and IPC
+edge that the earlier dispatch gave.  A seeded case is keyed by what its
+session sent (the same supports, then the same case bytes).  An empty
+seedless case, EMPTY or an empty RANDOM one, sends nothing but an empty
+transaction to its method's static handle, so its method is its key and
+a repeat builds no session at all.  A non-empty RANDOM payload is fresh
+SHAKE-128 output that no other case repeats, so it is never keyed.
 
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
 (never per recursion level), which is what makes parameter variants of
-one bug collapse while distinct sites stay apart.
+one bug collapse while distinct sites stay apart; a campaign hashes each
+such site once.
 """
 
 from __future__ import annotations
@@ -304,8 +308,15 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     seeded case still replays its supports and is materialized on its own
     session, but when an earlier case's session sent exactly the same
     transactions, it reuses what that earlier fresh router replied
-    instead of dispatching again (see _sent_digest).  It still counts in
-    every tally, so the report is the one dispatching every case gives.
+    instead of dispatching again (see _sent_digest).  A case with no seed
+    and an empty payload is keyed by its (descriptor, code) before any
+    session is built: its session would send one transaction, the static
+    handle of its descriptor with that code and no bytes, so a repeat
+    reuses the first one's reply without building one.  A reused reply
+    still counts in every tally, so the report is the one dispatching
+    every case gives, and only a real dispatch stores a key.  Crashes are
+    fingerprinted once per crash site, by their exception kind and the
+    frames fingerprint hashes, in a memo that lives for this call.
     """
     policies = _normalize_policies(config.policy)
     cases = generate_campaign(config.corpus, policies, config.budget, config.rng_seed)
@@ -320,47 +331,58 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     edges_by_sender: dict[str, int] = {}
     edges_by_descriptor: dict[str, int] = {}
 
-    # What each distinct seeded dispatch gave: its outcome, its
-    # fingerprint (None unless it crashed) and its IPC edge, by the
-    # digest of everything its session sent (see _sent_digest).
-    dispatched: dict[bytes, tuple[str, str | None, IpcEdge]] = {}
+    # What each distinct dispatch gave: its outcome, its fingerprint (None
+    # unless it crashed) and its IPC edge.  A seeded case is keyed by the
+    # digest of everything its session sent (see _sent_digest), an empty
+    # seedless case by its method: its session would send one empty
+    # transaction to the method's static handle and nothing else.
+    dispatched: dict[bytes | tuple[str, int], tuple[str, str | None, IpcEdge]] = {}
+    # The fingerprint of each crash site: its exception kind and the
+    # frames fingerprint hashes.
+    sites: dict[tuple[str, tuple[str, ...]], str] = {}
 
     executed = 0
     for case in cases:
         executed += 1
-        session = ReplaySession(prepared)
-        edges = session.router.edges
-
         method = (case.descriptor, case.code)
         tally = tallies.get(method)
         if tally is None:
             tally = tallies[method] = dict.fromkeys(OUTCOMES, 0)
 
-        try:
-            txn = session.prepare(case)
-        except Unreplayable:
-            outcome = "unreplayable"
-        else:
-            known = None
-            if case.seed_seq is not None:
-                key = _sent_digest(session._replayed.values(), txn)
-                known = dispatched.get(key)
-            if known is None:
-                reply = session.router.transact(txn)
-                outcome = classify(reply)
-                digest = None
-                if reply.kind is ReplyKind.FATAL_CRASH:
-                    digest = fingerprint(reply.crash)
-                    if digest not in hits:
-                        hits[digest] = 0
-                        first_hits[digest] = (case, reply.crash, _traced_rerun(prepared, case, digest))
-                if case.seed_seq is not None:
-                    dispatched[key] = (outcome, digest, edges[-1])
+        key = method if case.seed_seq is None and not case.payload else None
+        known = dispatched.get(key)
+        edges = ()
+        if known is None:
+            session = ReplaySession(prepared)
+            edges = session.router.edges
+            try:
+                txn = session.prepare(case)
+            except Unreplayable:
+                outcome, digest = "unreplayable", None
             else:
-                outcome, digest, edge = known
-                edges = [*edges, edge]
-            if digest is not None:
-                hits[digest] += 1
+                if case.seed_seq is not None:
+                    key = _sent_digest(session._replayed.values(), txn)
+                    known = dispatched.get(key)
+                if known is None:
+                    reply = session.router.transact(txn)
+                    outcome = _OUTCOME_BY_KIND[reply.kind]
+                    digest = None
+                    crash = reply.crash
+                    if crash is not None:
+                        site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
+                        digest = sites.get(site)
+                        if digest is None:
+                            digest = sites[site] = fingerprint(crash)
+                        if digest not in hits:
+                            hits[digest] = 0
+                            first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
+                    if key is not None:
+                        dispatched[key] = (outcome, digest, edges[-1])
+        if known is not None:
+            outcome, digest, edge = known
+            edges = [*edges, edge]
+        if digest is not None:
+            hits[digest] += 1
         counters[outcome] += 1
         tally[outcome] += 1
 
@@ -402,7 +424,8 @@ def _sent_digest(supports, txn: Transaction) -> bytes:
     for sent in (*supports, txn):
         data = sent.data
         digest.update(b"%d %d %d %a;" % (sent.target_handle, sent.code, len(data), data.offsets))
-        digest.update(data.buffer)
+        # The parcel's own bytearray, hashed in place: .buffer would copy it.
+        digest.update(data._buf)
     return digest.digest()
 
 

@@ -466,14 +466,7 @@ def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ..
 
 
 def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
-    return FuzzCase(
-        case_id=case_id,
-        policy=Policy.EMPTY,
-        descriptor=descriptor,
-        code=code,
-        payload=b"",
-        offsets=(),
-    )
+    return FuzzCase(case_id, Policy.EMPTY, descriptor, code, b"", ())
 
 
 def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id: int = 0) -> FuzzCase:
@@ -487,14 +480,7 @@ def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id:
         payload = hashlib.shake_128(key).digest(length)
     else:
         payload = b""
-    return FuzzCase(
-        case_id=case_id,
-        policy=Policy.RANDOM,
-        descriptor=descriptor,
-        code=code,
-        payload=payload,
-        offsets=(),
-    )
+    return FuzzCase(case_id, Policy.RANDOM, descriptor, code, payload, ())
 
 
 # ---------------------------------------------------------------------------

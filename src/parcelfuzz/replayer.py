@@ -200,8 +200,10 @@ class ReplaySession:
     def _patched(self, payload: bytes, offsets: tuple[int, ...], slot_overrides) -> Parcel:
         """payload with the live handle in every slot at offsets, except
         where slot_overrides pins a slot's bytes or swaps in the handle of
-        another service."""
-        buf = bytearray(payload)
+        another service.  The parcel copies payload once, and its own
+        buffer is patched in place before anything else can read it."""
+        parcel = Parcel(payload, offsets)
+        buf = parcel._buf
         overrides = dict(slot_overrides)
         for pos in offsets:
             directive = overrides.get(pos)
@@ -212,7 +214,7 @@ class ReplaySession:
             else:
                 live = self._live_handle(handle_at(buf, pos))
             struct.pack_into("<i", buf, pos, live)
-        return Parcel(buf, offsets)
+        return parcel
 
     def _live_handle(self, recorded: int) -> int:
         """The live handle for a recorded target or slot value: the one a

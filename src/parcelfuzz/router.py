@@ -93,6 +93,13 @@ class Reply(NamedTuple):
         return cls(ReplyKind.FATAL_CRASH, crash=crash)
 
 
+# The reply kinds under module names, for the dispatch path, which
+# builds its replies positionally: a keyword call, or one of the
+# classmethods above, costs more than the tuple it builds.
+_OK, _REJECTED = ReplyKind.OK, ReplyKind.REJECTED
+_HANDLED_FAULT, _FATAL_CRASH = ReplyKind.HANDLED_FAULT, ReplyKind.FATAL_CRASH
+
+
 class Transaction(NamedTuple):
     """One request: a method code and payload addressed to a handle.  Any
     handle and code can be sent; the router rejects what it cannot serve."""
@@ -327,7 +334,7 @@ class Router:
         reg = self._registrations.get(handle) or self._host(handle)
         if reg is None:
             self.edges.append(IpcEdge(txn.sender_id, "<unknown>", txn.code))
-            return Reply.rejected("no such handle %d" % handle)
+            return Reply(_REJECTED, None, "no such handle %d" % handle)
         descriptor = reg.descriptor or "<anonymous:%d>" % handle
         self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code))
 
@@ -338,11 +345,11 @@ class Router:
             data.install_read_hook(trace_hook)
         try:
             payload = reg.instance.handle_transaction(txn.code, data, ctx)
-            return Reply.ok(payload)
+            return Reply(_OK, payload if payload is not None else Parcel())
         except Reject as exc:
-            return Reply.rejected(str(exc))
+            return Reply(_REJECTED, None, str(exc))
         except InternalFault as exc:
-            return Reply.handled_fault(str(exc))
+            return Reply(_HANDLED_FAULT, None, str(exc))
         except ServiceFault as exc:
             return self._contain(reg, exc, exc.kind, exc.detail)
         except ParcelError as exc:
@@ -361,4 +368,4 @@ class Router:
         frames = getattr(exc, "stack_frames", None) or ("%s.dispatch" % (reg.descriptor or "anonymous"),)
         if reg.handle != SERVICE_MANAGER_HANDLE:
             reg.instance = type(reg.instance)()
-        return Reply.fatal(CrashInfo(kind, frames, detail))
+        return Reply(_FATAL_CRASH, None, None, CrashInfo(kind, frames, detail))

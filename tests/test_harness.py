@@ -42,10 +42,19 @@ from parcelfuzz.harness import (
     run_fuzz,
     save_report,
 )
-from parcelfuzz.mutator import CATALOG_VERSION, ConfigurationError, FuzzCase, Policy, generate_campaign, make_random
+from parcelfuzz.mutator import (
+    CATALOG_VERSION,
+    RANDOM_LENGTH_CYCLE,
+    ConfigurationError,
+    FuzzCase,
+    Policy,
+    generate_campaign,
+    make_random,
+)
 from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_digest, corpus_text, load_corpus, record_session
 from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
+from parcelfuzz.services import all_methods
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +329,7 @@ def _dispatch_every_case(records, policy, budget):
     return counters, per_method, edges, crashes
 
 
-@pytest.mark.parametrize("policy", ["semi-valid", "empty,random,semi-valid"])
+@pytest.mark.parametrize("policy", ["semi-valid", "empty,random", "empty,random,semi-valid"])
 @pytest.mark.parametrize("corpus_source", ["corpus", "shuffled_corpus", 1, 2, 3, 13])
 def test_a_campaign_counts_what_dispatching_every_case_gives(request, shuffled_corpus_of, corpus_source, policy):
     if isinstance(corpus_source, int):
@@ -340,10 +349,12 @@ def test_a_campaign_counts_what_dispatching_every_case_gives(request, shuffled_c
     [
         ("semi-valid", 10000, "shuffled_corpus", 1396, 295),
         ("semi-valid", 10000, "corpus", 349, 295),
-        ("empty,random", 2000, "corpus", 2000, 2000),
+        # 339 of the 1989 RANDOM cases are empty, and each repeats the
+        # EMPTY case of its method.
+        ("empty,random", 2000, "corpus", 2000, 1661),
     ],
 )
-def test_a_seeded_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
+def test_a_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
     monkeypatch, request, policy, budget, corpus_fixture, executed, dispatched
 ):
     records = request.getfixturevalue(corpus_fixture)
@@ -359,6 +370,37 @@ def test_a_seeded_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
     assert report.executed == executed
     assert len(cases) == dispatched
+
+
+def test_an_empty_seedless_case_dispatches_once_per_method(monkeypatch):
+    # Three turns of the length cycle: every method gets three empty
+    # RANDOM cases, and no EMPTY case runs before them.
+    budget = 3 * len(all_methods()) * len(RANDOM_LENGTH_CYCLE)
+    transact = Router.transact
+    sent = []
+
+    def counting(self, txn, trace_hook=None):
+        if trace_hook is None and txn.sender_id == "fuzzer":
+            sent.append((self.descriptor_of(txn.target_handle), txn.code, txn.data.buffer))
+        return transact(self, txn, trace_hook)
+
+    monkeypatch.setattr(Router, "transact", counting)
+    report = run_fuzz(FuzzConfig(policy="random", budget=budget))
+    monkeypatch.undo()
+
+    expected, seen = [], set()
+    for case in generate_campaign((), ["random"], budget, 1):
+        method = (case.descriptor, case.code)
+        if case.payload or method not in seen:
+            expected.append((*method, case.payload))
+        if not case.payload:
+            seen.add(method)
+    assert len(seen) == len(all_methods())
+    assert sent == expected
+    assert len(sent) == budget - 2 * len(all_methods())
+    counters, per_method, edges, crashes = _dispatch_every_case((), ["random"], budget)
+    assert (report.counters, report.per_method, report.edge_summary) == (counters, per_method, edges)
+    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
 
 
 def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(monkeypatch):
