@@ -13,14 +13,21 @@ case to reach each distinct fingerprint, on a fresh session over the
 same prepared corpus; repeat crashes only count hits.
 
 A fresh router's replies depend only on the transactions it receives,
-so a case whose session sends exactly what an earlier case's session
-sent is not dispatched again: it counts the outcome, fingerprint and IPC
-edge that the earlier dispatch gave.  A seeded case is keyed by what its
-session sent (the same supports, then the same case bytes).  An empty
-seedless case, EMPTY or an empty RANDOM one, sends nothing but an empty
-transaction to its method's static handle, so its method is its key and
-a repeat builds no session at all.  A non-empty RANDOM payload is fresh
-SHAKE-128 output that no other case repeats, so it is never keyed.
+so a case that would send exactly what an earlier case sent is not
+dispatched again: it counts the outcome, fingerprint and IPC edge that
+the earlier dispatch gave.  A seeded case has two keys.  The first needs
+no session: each seed's supports are replayed once per campaign, and
+seeds whose supports send the same bytes and leave the same live target
+and handle map, and whose cases the mutator makes from the same content,
+share an id; (id, field_path, mutation_id) then names what a case sends.
+On a miss, the seed's pristine session materializes the case, and the
+digest of its supports and case bytes is the second key; only a miss
+there too is dispatched.  A case with no seed has no supports and no
+handle slots, so it is sent on a fresh router without a session.  An
+empty one, EMPTY or an empty RANDOM case, sends nothing but an empty
+transaction to its method's static handle, so its method is its key.  A
+non-empty RANDOM payload is fresh SHAKE-128 output that no other case
+repeats, so it is never keyed.
 
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
@@ -44,7 +51,7 @@ from .mutator import (
     generate_campaign,
 )
 from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, _field, _items, corpus_digest
-from .replayer import PreparedCorpus, ReplaySession, Unreplayable, check_replies, prepare_corpus
+from .replayer import PreparedCorpus, ReplaySession, Unreplayable, check_replies, prepare_corpus, seedless_transaction
 from .router import CrashInfo, IpcEdge, Reply, ReplyKind, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
@@ -303,20 +310,25 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     """Run one deterministic campaign and triage everything it dispatched.
 
     The corpus is prepared once and replayed once, whole, to check that
-    every record replies as recorded; every case then replays on a fresh
-    router of its own, so nothing one case does reaches the next.  A
-    seeded case still replays its supports and is materialized on its own
-    session, but when an earlier case's session sent exactly the same
-    transactions, it reuses what that earlier fresh router replied
-    instead of dispatching again (see _sent_digest).  A case with no seed
-    and an empty payload is keyed by its (descriptor, code) before any
-    session is built: its session would send one transaction, the static
-    handle of its descriptor with that code and no bytes, so a repeat
-    reuses the first one's reply without building one.  A reused reply
-    still counts in every tally, so the report is the one dispatching
-    every case gives, and only a real dispatch stores a key.  Crashes are
-    fingerprinted once per crash site, by their exception kind and the
-    frames fingerprint hashes, in a memo that lives for this call.
+    every record replies as recorded; every case then runs as if on a
+    fresh router of its own, so nothing one case does reaches the next.
+
+    A case is dispatched only if no earlier case would have sent the same
+    transactions; otherwise it counts the outcome, fingerprint and IPC
+    edge that the earlier dispatch gave, in every tally, so the report is
+    the one dispatching every case gives.  A seeded case is looked up
+    twice.  First, before any session exists, by its seed's class and
+    content and its (field_path, mutation_id) (see _open_seed): the
+    seed's supports are replayed once per campaign, when its first case
+    arrives.  On a miss, the seed's pristine session, which has replayed
+    its supports and dispatched nothing, materializes the case, and the
+    digest of all it would send is looked up (see _sent_digest); only a
+    miss there too is dispatched, on that session.  A case with no seed
+    gets no session: its router and transaction come from
+    seedless_transaction, and if its payload is empty, its (descriptor,
+    code) is its key.  Only a real dispatch stores a new reply.  Crashes
+    are fingerprinted once per crash site, by their exception kind and
+    the frames fingerprint hashes, in a memo that lives for this call.
     """
     policies = _normalize_policies(config.policy)
     cases = generate_campaign(config.corpus, policies, config.budget, config.rng_seed)
@@ -332,14 +344,20 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     edges_by_descriptor: dict[str, int] = {}
 
     # What each distinct dispatch gave: its outcome, its fingerprint (None
-    # unless it crashed) and its IPC edge.  A seeded case is keyed by the
-    # digest of everything its session sent (see _sent_digest), an empty
-    # seedless case by its method: its session would send one empty
-    # transaction to the method's static handle and nothing else.
-    dispatched: dict[bytes | tuple[str, int], tuple[str, str | None, IpcEdge]] = {}
+    # unless it crashed) and its IPC edge, under every key of the cases
+    # that send what it sent: (seed id, field_path, mutation_id), the
+    # digest of the sends, and for an empty seedless case its method.
+    dispatched: dict[tuple | bytes, tuple[str, str | None, IpcEdge]] = {}
     # The fingerprint of each crash site: its exception kind and the
     # frames fingerprint hashes.
     sites: dict[tuple[str, tuple[str, ...]], str] = {}
+    # The id of each seed class and content (see _open_seed).
+    seed_ids: dict[tuple, int] = {}
+    # The seed whose cases are arriving (the stream runs seed by seed): its
+    # id, the edges its supports leave, and a session that has replayed
+    # them and dispatched nothing, or None once it has dispatched.
+    open_seq = seed_id = pristine = None
+    support_edges: tuple[IpcEdge, ...] = ()
 
     executed = 0
     for case in cases:
@@ -349,22 +367,41 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         if tally is None:
             tally = tallies[method] = dict.fromkeys(OUTCOMES, 0)
 
-        key = method if case.seed_seq is None and not case.payload else None
+        seq = case.seed_seq
+        if seq is None:
+            key = None if case.payload else method
+        else:
+            if seq != open_seq:
+                open_seq = seq
+                seed_id, support_edges, pristine = _open_seed(prepared, seq, seed_ids)
+            key = None if seed_id is None else (seed_id, case.field_path, case.mutation_id)
         known = dispatched.get(key)
         edges = ()
         if known is None:
-            session = ReplaySession(prepared)
-            edges = session.router.edges
+            session = None
             try:
-                txn = session.prepare(case)
+                if seq is None:
+                    router, txn = seedless_transaction(case)
+                else:
+                    session = pristine or ReplaySession(prepared)
+                    pristine = None
+                    router = session.router
+                    txn = session.prepare(case)
             except Unreplayable:
                 outcome, digest = "unreplayable", None
+                if session is not None:
+                    edges = session.router.edges
             else:
-                if case.seed_seq is not None:
-                    key = _sent_digest(session._replayed.values(), txn)
-                    known = dispatched.get(key)
+                if session is not None:
+                    sent = _sent_digest((*session._replayed.values(), txn))
+                    known = dispatched.get(sent)
+                    if known is not None:
+                        pristine = session
+                        if key is not None:
+                            dispatched[key] = known
                 if known is None:
-                    reply = session.router.transact(txn)
+                    reply = router.transact(txn)
+                    edges = router.edges
                     outcome = _OUTCOME_BY_KIND[reply.kind]
                     digest = None
                     crash = reply.crash
@@ -376,11 +413,14 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
                         if digest not in hits:
                             hits[digest] = 0
                             first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
+                    stored = (outcome, digest, edges[-1])
+                    if session is not None:
+                        dispatched[sent] = stored
                     if key is not None:
-                        dispatched[key] = (outcome, digest, edges[-1])
+                        dispatched[key] = stored
         if known is not None:
             outcome, digest, edge = known
-            edges = [*edges, edge]
+            edges = (*support_edges, edge) if seq is not None else (edge,)
         if digest is not None:
             hits[digest] += 1
         counters[outcome] += 1
@@ -414,16 +454,50 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     return report
 
 
-def _sent_digest(supports, txn: Transaction) -> bytes:
-    """sha256 over what a session sent: the supports it replayed, in
-    order, then the case.  Each transaction enters as a header, its
-    target handle, code, payload length and offsets list in decimal,
-    then its payload bytes, so two sequences share an input only if
-    they are the same."""
+def _open_seed(
+    prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]
+) -> tuple[int | None, tuple[IpcEdge, ...], ReplaySession | None]:
+    """Replay seed seq's supports on a fresh session; returns the seed's
+    id, the edges the supports left and the session, or (None, (), None)
+    if the seed's cases cannot be replayed.
+
+    A seed's class is the digest of its support sends, its live target
+    and its live handle map (recorded -> live); its content is what the
+    mutator makes its cases from: descriptor, code, payload and trace.
+    Seeds of one class and content get one id from seed_ids, so a case
+    whose id, field_path and mutation_id another case has sends the same
+    transactions: the supports, then the same case bytes patched by the
+    same handles.  The key holds no payload bytes.
+    """
+    session = ReplaySession(prepared)
+    record = prepared.records[seq]
+    try:
+        session.ensure_supports(seq)
+        target = session._live_handle(record.target)
+    except Unreplayable:
+        return None, (), None
+    seed = (
+        _sent_digest(session._replayed.values()),
+        target,
+        tuple(session.live.items()),
+        record.descriptor,
+        record.code,
+        record.payload,
+        record.trace,
+    )
+    return seed_ids.setdefault(seed, len(seed_ids)), tuple(session.router.edges), session
+
+
+def _sent_digest(sent) -> bytes:
+    """sha256 over a sequence of transactions: for a session, the
+    supports it replayed, in order, then the case.  Each transaction
+    enters as a header, its target handle, code, payload length and
+    offsets list in decimal, then its payload bytes, so two sequences
+    share an input only if they are the same."""
     digest = hashlib.sha256()
-    for sent in (*supports, txn):
-        data = sent.data
-        digest.update(b"%d %d %d %a;" % (sent.target_handle, sent.code, len(data), data.offsets))
+    for txn in sent:
+        data = txn.data
+        digest.update(b"%d %d %d %a;" % (txn.target_handle, txn.code, len(data), data.offsets))
         # The parcel's own bytearray, hashed in place: .buffer would copy it.
         digest.update(data._buf)
     return digest.digest()

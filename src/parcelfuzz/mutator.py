@@ -297,6 +297,11 @@ def _encode_leaf(kind: str, value) -> bytes:
     return parcel.buffer
 
 
+# long_64k makes one value whatever the leaf held; its 64 KiB encoding is
+# made once, not once per case.
+_LONG_64K_LEAF = _encode_leaf("STRING", STRING_VALUES["long_64k"](""))
+
+
 class _SeedEncoding(NamedTuple):
     """A seed's identity rebuild, made once and shared by all its cases;
     spans[i] is the [start, end) of leaves[i] in payload, and
@@ -351,6 +356,7 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
     kind, value = leaf.kind, leaf.value
     slot_directive = None
     patch = None
+    encoded = None
 
     if kind in ("I32", "BOOL", "I64"):
         high_bit = 1 << (63 if kind == "I64" else 31)
@@ -358,11 +364,14 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
     elif kind == "F64":
         value = F64_VALUES[mutation_id]
     elif kind == "STRING":
-        value = STRING_VALUES[mutation_id](value)
-        if type(value) is bytes:
-            kind = "BYTES"
-        elif mutation_id == "declared_length_plus_4":
-            patch = "plus_4"
+        if mutation_id == "long_64k":
+            encoded = _LONG_64K_LEAF
+        else:
+            value = STRING_VALUES[mutation_id](value)
+            if type(value) is bytes:
+                kind = "BYTES"
+            elif mutation_id == "declared_length_plus_4":
+                patch = "plus_4"
     elif kind == "BYTES":
         if mutation_id == "truncate_half":
             value = value[: len(value) // 2]
@@ -379,7 +388,8 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
             slot_directive = "swap:%s" % ("svc.queue" if record.descriptor != "svc.queue" else "svc.audio")
 
     start, end = seed.spans[index]
-    encoded = _encode_leaf(kind, value)
+    if encoded is None:
+        encoded = _encode_leaf(kind, value)
     if patch is not None:
         declared = _I32.unpack_from(encoded)[0]
         encoded = _I32.pack(declared + 4 if patch == "plus_4" else I32_MAX) + encoded[4:]
@@ -394,7 +404,7 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
         policy=Policy.SEMI_VALID,
         descriptor=record.descriptor,
         code=record.code,
-        payload=seed.payload[:start] + encoded + seed.payload[end:],
+        payload=b"".join((seed.payload[:start], encoded, seed.payload[end:])),
         offsets=offsets,
         seed_seq=record.seq,
         field_path=leaf.path,
@@ -444,7 +454,7 @@ def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ..
         tag_path = path + (1,)
         tag_index = next(i for i in range(first_leaf, past_leaf) if seed.leaves[i].path == tag_path)
         start, end = seed.spans[tag_index]
-        payload = payload[:start] + _encode_leaf("I32", int(mutation_id.rsplit("_", 1)[1])) + payload[end:]
+        payload = b"".join((payload[:start], _encode_leaf("I32", int(mutation_id.rsplit("_", 1)[1])), payload[end:]))
 
     return FuzzCase(
         case_id=case_id,

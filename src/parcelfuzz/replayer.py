@@ -15,6 +15,10 @@ different service's handle.
 Live handles are deliberately made to differ from recorded ones: each
 session burns one handle number up front, so a replay that accidentally
 relied on recorded ids would fail loudly instead of passing by luck.
+
+A case with no seed has no supports and no handle slots, so it needs no
+session: ``seedless_transaction`` gives it a router of its own, burnt
+the same way, and the transaction a session would have sent.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .recorder import CorpusError, DependencyGraph, SeedRecord, build_dependency
 from .router import (
     Reply,
     ReplyKind,
+    Router,
     Service,
     Transaction,
     SERVICE_MANAGER_DESCRIPTOR,
@@ -120,16 +125,38 @@ def check_replies(prepared: PreparedCorpus) -> None:
             raise CorpusError("record %d recorded %s, replayed %s" % (record.seq, record.reply_kind, replied))
 
 
+def _static_handle(router: Router, descriptor: str) -> int:
+    """The live handle of a named service.  A router's names are its host
+    table's and never change, so a service-manager lookup replayed on it
+    returns this same handle."""
+    if descriptor == SERVICE_MANAGER_DESCRIPTOR:
+        return SERVICE_MANAGER_HANDLE
+    try:
+        return router.get_service(descriptor)
+    except UnknownServiceError:
+        raise Unreplayable("static prerequisite %r is not hosted" % descriptor) from None
+
+
+def seedless_transaction(case) -> tuple[Router, Transaction]:
+    """A fresh router for a generated case with no seed, its probe handle
+    burnt as a session's is, and the transaction a ReplaySession would
+    send for the case: its bytes, which hold no handle slot, to its
+    descriptor's static handle."""
+    router = fresh_router()
+    router.export(Service())
+    return router, Transaction(_static_handle(router, case.descriptor), case.code, Parcel(case.payload, ()), FUZZ_SENDER)
+
+
 class ReplaySession:
     """One fresh router over a prepared corpus: the unit of replay isolation.
 
-    The harness builds one session per fuzz case over a corpus it prepared
-    once for the whole campaign.  A session only reads that corpus.
-    ``live`` maps each recorded dynamic handle a replayed support produced
-    to the live handle it produced this time.  Within a session each
-    support is replayed at most once (see ``ensure_supports``), and
-    ``_replayed`` maps each replayed support's seq to the Transaction it
-    sent, in the order they were sent.
+    The harness builds a session over a corpus it prepared once for the
+    whole campaign, and dispatches at most one fuzz case on it.  A session
+    only reads that corpus.  ``live`` maps each recorded dynamic handle a
+    replayed support produced to the live handle it produced this time.
+    Within a session each support is replayed at most once (see
+    ``ensure_supports``), and ``_replayed`` maps each replayed support's
+    seq to the Transaction it sent, in the order they were sent.
     """
 
     def __init__(self, prepared: PreparedCorpus):
@@ -142,15 +169,8 @@ class ReplaySession:
     # -- static resolution ------------------------------------------------------
 
     def resolve_static(self, descriptor: str) -> int:
-        """The live handle of a named service.  A router's names are its
-        host table's and never change, so a service-manager lookup
-        replayed in the session returns this same handle."""
-        if descriptor == SERVICE_MANAGER_DESCRIPTOR:
-            return SERVICE_MANAGER_HANDLE
-        try:
-            return self.router.get_service(descriptor)
-        except UnknownServiceError:
-            raise Unreplayable("static prerequisite %r is not hosted" % descriptor) from None
+        """The live handle of a named service (see _static_handle)."""
+        return _static_handle(self.router, descriptor)
 
     # -- replaying records ------------------------------------------------------
 

@@ -16,14 +16,14 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def shuffled_corpus_of():
-    """shuffled_corpus_of(seed): four copies of every scenario in the
-    order random.Random(seed) shuffles them into, recorded once per seed:
-    76 records, several audio sessions whose supports interleave with
-    other scenarios."""
+    """shuffled_corpus_of(seed, copies=4): copies of every scenario in the
+    order random.Random(seed) shuffles them into, recorded once per seed
+    and count: with four copies, 76 records, several audio sessions whose
+    supports interleave with other scenarios."""
 
     @functools.cache
-    def record(seed):
-        names = [name for name in SCENARIOS for _ in range(4)]
+    def record(seed, copies=4):
+        names = [name for name in SCENARIOS for _ in range(copies)]
         random.Random(seed).shuffle(names)
         return record_session(names)
 
@@ -33,6 +33,12 @@ def shuffled_corpus_of():
 @pytest.fixture(scope="session")
 def shuffled_corpus(shuffled_corpus_of):
     return shuffled_corpus_of(11)
+
+
+@pytest.fixture(scope="session")
+def eight_copy_corpus(shuffled_corpus_of):
+    """Eight copies of every scenario: 152 records."""
+    return shuffled_corpus_of(11, 8)
 
 
 @pytest.fixture(scope="session")

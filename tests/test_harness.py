@@ -330,7 +330,7 @@ def _dispatch_every_case(records, policy, budget):
 
 
 @pytest.mark.parametrize("policy", ["semi-valid", "empty,random", "empty,random,semi-valid"])
-@pytest.mark.parametrize("corpus_source", ["corpus", "shuffled_corpus", 1, 2, 3, 13])
+@pytest.mark.parametrize("corpus_source", ["corpus", "shuffled_corpus", 1, 2, 3, 13, "eight_copy_corpus"])
 def test_a_campaign_counts_what_dispatching_every_case_gives(request, shuffled_corpus_of, corpus_source, policy):
     if isinstance(corpus_source, int):
         records = shuffled_corpus_of(corpus_source)
@@ -370,6 +370,68 @@ def test_a_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
     assert report.executed == executed
     assert len(cases) == dispatched
+
+
+@pytest.mark.parametrize("policy", ["semi-valid", "empty,random", "empty,random,semi-valid"])
+@pytest.mark.parametrize("corpus_source", [1, 2, 3, 13, "eight_copy_corpus"])
+def test_cases_with_one_first_level_key_send_the_same_transactions(request, shuffled_corpus_of, corpus_source, policy):
+    """run_fuzz looks a seeded case up by (seed id, field_path,
+    mutation_id) before it builds a session, and an empty seedless case
+    by its method.  Each case here also replays on a fresh session of its
+    own: every case under one key must send what the first one sent."""
+    if isinstance(corpus_source, int):
+        records = shuffled_corpus_of(corpus_source)
+    else:
+        records = request.getfixturevalue(corpus_source)
+    prepared = prepare_corpus(records)
+    seed_ids, opened, sent_under = {}, {}, {}
+    keyed = 0
+    for case in generate_campaign(records, policy.split(","), 10000, 1):
+        if case.seed_seq is not None:
+            if case.seed_seq not in opened:
+                opened[case.seed_seq] = harness._open_seed(prepared, case.seed_seq, seed_ids)[0]
+            key = (opened[case.seed_seq], case.field_path, case.mutation_id)
+        elif not case.payload:
+            key = (case.descriptor, case.code)
+        else:
+            continue
+        session = ReplaySession(prepared)
+        txn = session.prepare(case)
+        sent = harness._sent_digest((*session._replayed.values(), txn))
+        assert sent_under.setdefault(key, sent) == sent, "case %d" % case.case_id
+        keyed += 1
+    assert len(sent_under) < keyed
+    if opened:
+        # Copies of one scenario share seed ids, so their cases share keys.
+        assert None not in opened.values()
+        assert len(set(opened.values())) < len(opened)
+
+
+@pytest.mark.parametrize(
+    "policy,corpus_fixture,sessions",
+    [
+        # One session checks the corpus, one opens each seed (76 here),
+        # one runs each of the 10 traced re-runs, and one serves each
+        # first-level miss whose seed's session an earlier case already
+        # dispatched on: 1 + 76 + 10 + 287.
+        ("semi-valid", "shuffled_corpus", 374),
+        ("semi-valid", "corpus", 317),
+        # Seedless cases build none: the corpus check and 4 traced re-runs.
+        ("empty,random", "corpus", 5),
+    ],
+)
+def test_a_campaign_builds_a_session_per_seed_and_per_dispatch(monkeypatch, request, policy, corpus_fixture, sessions):
+    records = request.getfixturevalue(corpus_fixture)
+    init = ReplaySession.__init__
+    built = []
+
+    def counting(self, prepared):
+        built.append(self)
+        init(self, prepared)
+
+    monkeypatch.setattr(ReplaySession, "__init__", counting)
+    run_fuzz(FuzzConfig(policy=policy.split(","), budget=10000, rng_seed=1, corpus=records))
+    assert len(built) == sessions
 
 
 def test_an_empty_seedless_case_dispatches_once_per_method(monkeypatch):

@@ -185,6 +185,22 @@ def test_invalid_utf8_message_returns_the_cursor_to_the_start():
     assert p.cursor == 12
 
 
+def test_invalid_utf8_inside_a_later_string_names_its_place_in_the_body():
+    body = b"ab\xc3(de"
+    p = _after_one_i32(struct.pack("<i", 2) + b"hi\x00\x00" + struct.pack("<i", len(body)) + body + b"\x00\x00")
+    assert p.read_value(Kind.STRING) == "hi"
+    err = _read_error(p, lambda p: p.read_value(Kind.STRING))
+    with pytest.raises(UnicodeDecodeError) as copied:
+        bytes(body).decode("utf-8")
+    assert type(err) is EncodingError
+    assert str(err) == "STRING is not valid UTF-8 at 12: %s" % copied.value
+    assert str(err) == (
+        "STRING is not valid UTF-8 at 12: 'utf-8' codec can't decode byte 0xc3 "
+        "in position 2: invalid continuation byte"
+    )
+    assert p.cursor == 12
+
+
 def test_sized_reads_return_their_body_and_skip_the_padding():
     p = _after_one_i32(struct.pack("<i", 5) + b"hello\x00\x00\x00" + struct.pack("<i", 2) + b"\x01\x02\x00\x00")
     log = _LeafLog()

@@ -3,12 +3,12 @@
 import pytest
 
 from parcelfuzz.harness import FuzzConfig, run_fuzz
-from parcelfuzz.mutator import FuzzCase, Policy
+from parcelfuzz.mutator import RANDOM_LENGTH_CYCLE, FuzzCase, Policy, generate_campaign
 from parcelfuzz.parcel import I32_MAX, Kind, handle_at
 from parcelfuzz.recorder import CorpusError, build_dependency_graph, corpus_digest
-from parcelfuzz.replayer import ReplaySession, Unreplayable, plan, prepare_corpus
-from parcelfuzz.router import ReplyKind
-from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient
+from parcelfuzz.replayer import ReplaySession, Unreplayable, plan, prepare_corpus, seedless_transaction
+from parcelfuzz.router import ReplyKind, Service
+from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient, all_methods
 
 
 def _seq_of(corpus, descriptor, code):
@@ -302,6 +302,21 @@ def test_every_replayed_manager_lookup_returns_what_resolve_static_gives(corpus,
                 assert handle_at(reply.payload.buffer, pos) == session.resolve_static(name)
                 lookups += 1
     assert lookups == 6
+
+
+def test_a_seedless_case_sends_without_a_session_what_a_session_sends(prepared):
+    # Every EMPTY case, then two turns of the RANDOM length cycle.
+    budget = len(all_methods()) * (1 + 2 * len(RANDOM_LENGTH_CYCLE))
+    for case in generate_campaign((), ["empty", "random"], budget, 1):
+        router, txn = seedless_transaction(case)
+        session = ReplaySession(prepared)
+        expected = session.prepare(case)
+        assert txn.data.buffer == expected.data.buffer
+        assert (txn.target_handle, txn.code, txn.data.offsets, txn.sender_id) == (
+            expected.target_handle, expected.code, expected.data.offsets, expected.sender_id
+        )
+        # The probe handle is burnt on both routers.
+        assert router.export(Service()) == session.router.export(Service()) == session.probe_handle + 1
 
 
 def test_handle_numbering_hosted_then_probe_then_exports(prepared):
