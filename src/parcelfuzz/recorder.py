@@ -14,8 +14,14 @@ turns it into an acyclic producer-before-consumer graph, naming each
 static handle after the first service-manager lookup that produced it,
 in one walk of the records in seq order.
 
-A loaded record's type trace must describe its payload: its leaves, in
-tree order, tile the payload from its first byte to its last.
+Loading checks every record in full, each check once, in one pass over
+its fields in read order: each field's JSON type, then one walk of the
+type trace that checks every node, then one loop over the trace's leaves.
+That loop checks that the leaves, in tree order, tile the payload from
+its first byte to its last, that the HANDLE leaves start at the offsets,
+each 4-aligned, and that consumed_handles pairs each offset with an
+origin.  An error is worded only once a check fails, and names the first
+field that fails in read order.
 
 The corpus persists as JSON-lines: a header line, then one record per
 line with sorted keys, so identical sessions serialize byte-identically.
@@ -180,59 +186,71 @@ class TraceNode(NamedTuple):
         [0, I32_MAX] (the range write_handle accepts, so every loaded seed
         re-encodes), and every leaf is appended to leaves in tree order.
         """
-        if type(obj) is not dict:
-            raise CorpusError("trace node is not an object: %s" % _excerpt(obj))
-        kind = obj.get("kind")
-        label = obj.get("label", "")
-        byte_range = obj.get("byte_range")
-        if not (
-            type(kind) is str
-            and type(label) is str
-            and type(byte_range) is list
-            and len(byte_range) == 2
-            and type(byte_range[0]) is int
-            and type(byte_range[1]) is int
-        ):
-            # Name the first field that fails, in the order above.
-            _field(obj, "kind", _STR, "trace node")
-            _field(obj, "label", _STR, "trace node", CorpusError, "")
-            _items(obj, "byte_range", _INT, "trace node")
-            raise CorpusError("trace node byte_range must be [start, end], got %s" % _excerpt(byte_range))
-        start, end = byte_range
-        if kind == COMPOSITE:
-            children = obj.get("children", [])
-            if type(children) is not list:
-                _field(obj, "children", _LIST, "trace node")  # raises
-            return cls(kind, label, start, end, tuple([cls.from_json(c, payload, leaves) for c in children]))
-        fixed_part = _FIXED_PART.get(kind)
-        if fixed_part is None:
-            raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
-        if obj.get("children"):
-            raise CorpusError("trace leaf %r carries children" % kind)
-        if not 0 <= start <= end - fixed_part or end > len(payload):
+        return _trace_from_json(obj, payload, leaves)
+
+
+def _trace_from_json(obj, payload: bytes, leaves: list) -> TraceNode:
+    """TraceNode.from_json, in one Python frame per trace level.  A
+    comprehension would add a frame per level before Python 3.12, and an
+    iterative walk would load traces deeper than the recursion limit
+    allows on 3.12 and later, so either would move the depth at which a
+    corpus line is refused as nested too deeply."""
+    if type(obj) is not dict:
+        raise CorpusError("trace node is not an object: %s" % _excerpt(obj))
+    kind = obj.get("kind")
+    label = obj.get("label", "")
+    byte_range = obj.get("byte_range")
+    if not (
+        type(kind) is str
+        and type(label) is str
+        and type(byte_range) is list
+        and len(byte_range) == 2
+        and type(byte_range[0]) is int
+        and type(byte_range[1]) is int
+    ):
+        # Name the first field that fails, in the order above.
+        _field(obj, "kind", _STR, "trace node")
+        _field(obj, "label", _STR, "trace node", CorpusError, "")
+        _items(obj, "byte_range", _INT, "trace node")
+        raise CorpusError("trace node byte_range must be [start, end], got %s" % _excerpt(byte_range))
+    start, end = byte_range
+    if kind == COMPOSITE:
+        children = obj.get("children", [])
+        if type(children) is not list:
+            _field(obj, "children", _LIST, "trace node")  # raises
+        nodes = []
+        for child in children:
+            nodes.append(_trace_from_json(child, payload, leaves))
+        return tuple.__new__(TraceNode, (kind, label, start, end, tuple(nodes)))
+    fixed_part = _FIXED_PART.get(kind)
+    if fixed_part is None:
+        raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
+    if obj.get("children"):
+        raise CorpusError("trace leaf %r carries children" % kind)
+    if not 0 <= start <= end - fixed_part or end > len(payload):
+        raise CorpusError(
+            "trace leaf %s at [%d, %d) does not fit the %d-byte payload" % (kind, start, end, len(payload))
+        )
+    if kind == "HANDLE":
+        handle = _I32.unpack_from(payload, start)[0]
+        if handle < 0:
             raise CorpusError(
-                "trace leaf %s at [%d, %d) does not fit the %d-byte payload" % (kind, start, end, len(payload))
+                "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]" % (start, end, handle, I32_MAX)
             )
-        if kind == "HANDLE":
-            handle = _I32.unpack_from(payload, start)[0]
-            if handle < 0:
+    elif kind == "STRING" or kind == "BYTES":
+        declared = _I32.unpack_from(payload, start)[0]
+        if declared < 0 or end != start + 4 + pad4(declared):
+            raise CorpusError("trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared))
+        if kind == "STRING":
+            try:
+                payload[start + 4 : start + 4 + declared].decode("utf-8")
+            except UnicodeDecodeError as exc:
                 raise CorpusError(
-                    "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]" % (start, end, handle, I32_MAX)
-                )
-        elif kind == "STRING" or kind == "BYTES":
-            declared = _I32.unpack_from(payload, start)[0]
-            if declared < 0 or end != start + 4 + pad4(declared):
-                raise CorpusError("trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared))
-            if kind == "STRING":
-                try:
-                    payload[start + 4 : start + 4 + declared].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CorpusError(
-                        "trace leaf STRING at [%d, %d) is not UTF-8: %s" % (start, end, exc.reason)
-                    ) from None
-        leaf = cls(kind, label, start, end)
-        leaves.append(leaf)
-        return leaf
+                    "trace leaf STRING at [%d, %d) is not UTF-8: %s" % (start, end, exc.reason)
+                ) from None
+    leaf = tuple.__new__(TraceNode, (kind, label, start, end, ()))
+    leaves.append(leaf)
+    return leaf
 
 
 class TraceBuilder:
@@ -315,8 +333,11 @@ class SeedRecord(NamedTuple):
     @classmethod
     def from_json(cls, obj, where: str = "seed record") -> "SeedRecord":
         """Parse one corpus record.  An unusable record is a CorpusError
-        naming the first field that fails and the record: by its seq once
-        that is read, by where until then."""
+        naming the first field that fails, in the order the fields are
+        read here, and the record: by its seq once that is read, by where
+        until then.  The offsets are read before the trace, so a trace
+        error is raised only once the offsets have passed _check_offsets.
+        """
         if type(obj) is not dict:
             raise CorpusError("%s is not an object: %s" % (where, _excerpt(obj)))
         get = obj.get
@@ -345,59 +366,27 @@ class SeedRecord(NamedTuple):
         except ValueError as exc:
             raise CorpusError("%s payload_hex is not hex: %s" % (where, exc)) from None
         offsets = get("offsets")
-        if type(offsets) is not list or not all(type(offset) is int for offset in offsets):
+        if type(offsets) is not list:
             _items(obj, "offsets", _INT, where)  # raises
+        for offset in offsets:
+            if type(offset) is not int:
+                _items(obj, "offsets", _INT, where)  # raises
         offsets = tuple(offsets)
-        try:
-            _check_offsets(offsets, len(payload))
-        except ValueError as exc:
-            raise CorpusError("%s offsets: %s" % (where, exc)) from None
         trace_obj = get("trace")
         if type(trace_obj) is not dict:
+            _refuse_offsets(where, offsets, len(payload))
             _field(obj, "trace", _DICT, where)  # raises
         leaves: list[TraceNode] = []
         try:
-            trace = TraceNode.from_json(trace_obj, payload, leaves)
-        except CorpusError as exc:
+            trace = _trace_from_json(trace_obj, payload, leaves)
+        except (CorpusError, RecursionError) as exc:
+            _refuse_offsets(where, offsets, len(payload))
+            if type(exc) is RecursionError:
+                raise
             raise CorpusError("%s trace: %s" % (where, exc)) from None
-        handle_starts = [leaf.start for leaf in leaves if leaf.kind == "HANDLE"]
-        if tuple(handle_starts) != offsets:
-            raise CorpusError(
-                "%s: HANDLE leaves start at %s, offsets are %s" % (where, _excerpt(handle_starts), _excerpt(offsets))
-            )
-        # The leaves, in tree order, must tile the payload: a leaf listed
-        # twice or left out would change what the mutator sweeps.
-        end = 0
-        for leaf in leaves:
-            if leaf.start != end:
-                raise CorpusError(
-                    "%s trace: leaves do not tile the %d-byte payload: leaf %s at [%d, %d) does not start at %d"
-                    % (where, len(payload), leaf.kind, leaf.start, leaf.end, end)
-                )
-            end = leaf.end
-        if end != len(payload):
-            raise CorpusError("%s trace: leaves do not tile the %d-byte payload: they end at %d" % (where, len(payload), end))
         consumed = get("consumed_handles")
-        if type(consumed) is not list:
-            _items(obj, "consumed_handles", _LIST, where)  # raises
-        for pair in consumed:
-            if not (
-                type(pair) is list
-                and len(pair) == 2
-                and type(pair[0]) is int
-                and (type(pair[1]) is int or (type(pair[1]) is str and pair[1].startswith(STATIC_PREFIX)))
-            ):
-                _items(obj, "consumed_handles", _LIST, where)  # raises if any item is no list
-                raise CorpusError(
-                    "%s consumed_handles must hold [int, int or '%s<descriptor>'] pairs, got %s"
-                    % (where, STATIC_PREFIX, _excerpt(pair))
-                )
-        positions = [pair[0] for pair in consumed]
-        if tuple(positions) != offsets:
-            raise CorpusError(
-                "%s: consumed_handles cover positions %s, offsets are %s"
-                % (where, _excerpt(positions), _excerpt(offsets))
-            )
+        if not _layout_fits(leaves, len(payload), offsets, consumed):
+            _refuse_layout(obj, where, len(payload), offsets, leaves)  # raises
         produced = get("produced_handles")
         if type(produced) is not list:
             _items(obj, "produced_handles", _LIST, where)  # raises
@@ -408,10 +397,88 @@ class SeedRecord(NamedTuple):
         reply_kind = get("reply_kind")
         if type(reply_kind) is not str:
             _field(obj, "reply_kind", _STR, where)  # raises
-        return cls(
+        return tuple.__new__(cls, (
             seq, scenario, descriptor, code, target, payload, offsets, trace,
             tuple(map(tuple, consumed)), tuple(map(tuple, produced)), reply_kind,
+        ))
+
+
+def _consumed_pair_fits(pair) -> bool:
+    """Whether pair is [position, origin]: an int, and a seq or STATIC:<descriptor>."""
+    return (
+        type(pair) is list
+        and len(pair) == 2
+        and type(pair[0]) is int
+        and (type(pair[1]) is int or (type(pair[1]) is str and pair[1].startswith(STATIC_PREFIX)))
+    )
+
+
+def _layout_fits(leaves: list, size: int, offsets: tuple, consumed) -> bool:
+    """Whether a record's trace leaves, in tree order, tile its size-byte
+    payload (a leaf listed twice or left out would change what the mutator
+    sweeps), its HANDLE leaves start at its offsets, each 4-aligned, and
+    consumed is a list that pairs each offset, in order, with an origin.
+    Leaves that fit and tile start in ascending order, so offsets that
+    pass also pass the rest of _check_offsets."""
+    if type(consumed) is not list or len(consumed) != len(offsets):
+        return False
+    end = handles = 0
+    for leaf in leaves:
+        start = leaf[2]
+        if start != end:
+            return False
+        if leaf[0] == "HANDLE":
+            if handles == len(offsets) or offsets[handles] != start or start & 3:
+                return False
+            pair = consumed[handles]
+            if not (_consumed_pair_fits(pair) and pair[0] == start):
+                return False
+            handles += 1
+        end = leaf[3]
+    return end == size and handles == len(offsets)
+
+
+def _refuse_offsets(where: str, offsets: tuple, size: int) -> None:
+    """Raise the CorpusError an offsets table fails with, if any."""
+    try:
+        _check_offsets(offsets, size)
+    except ValueError as exc:
+        raise CorpusError("%s offsets: %s" % (where, exc)) from None
+
+
+def _refuse_layout(obj: dict, where: str, size: int, offsets: tuple, leaves: list) -> None:
+    """Raise the CorpusError of a record that _layout_fits refuses: the
+    first check that fails, in read order."""
+    _refuse_offsets(where, offsets, size)
+    handle_starts = [leaf.start for leaf in leaves if leaf.kind == "HANDLE"]
+    if tuple(handle_starts) != offsets:
+        raise CorpusError(
+            "%s: HANDLE leaves start at %s, offsets are %s" % (where, _excerpt(handle_starts), _excerpt(offsets))
         )
+    end = 0
+    for leaf in leaves:
+        if leaf.start != end:
+            raise CorpusError(
+                "%s trace: leaves do not tile the %d-byte payload: leaf %s at [%d, %d) does not start at %d"
+                % (where, size, leaf.kind, leaf.start, leaf.end, end)
+            )
+        end = leaf.end
+    if end != size:
+        raise CorpusError("%s trace: leaves do not tile the %d-byte payload: they end at %d" % (where, size, end))
+    consumed = obj.get("consumed_handles")
+    if type(consumed) is not list:
+        _items(obj, "consumed_handles", _LIST, where)  # raises
+    for pair in consumed:
+        if not _consumed_pair_fits(pair):
+            _items(obj, "consumed_handles", _LIST, where)  # raises if any item is no list
+            raise CorpusError(
+                "%s consumed_handles must hold [int, int or '%s<descriptor>'] pairs, got %s"
+                % (where, STATIC_PREFIX, _excerpt(pair))
+            )
+    raise CorpusError(
+        "%s: consumed_handles cover positions %s, offsets are %s"
+        % (where, _excerpt([pair[0] for pair in consumed]), _excerpt(offsets))
+    )
 
 
 class RecordingClient(Client):
@@ -687,9 +754,24 @@ def save_corpus(records, path) -> None:
         out.write(corpus_text(records))
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str):
+    """json.loads(line) without its per-call set-up: raw_decode of the
+    line less the JSON whitespace around its value.  It refuses what
+    json.loads refuses, data after the value and a leading BOM alike."""
+    text = line.strip(" \t\n\r")
+    value, end = _raw_decode(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def load_corpus(path) -> list[SeedRecord]:
-    """The records of a corpus file.  A record that has no usable seq is
-    named by its 1-based line in the file, blank lines counted."""
+    """The records of a corpus file, each fully checked by
+    SeedRecord.from_json.  A record that has no usable seq is named by
+    its 1-based line in the file, blank lines counted."""
     try:
         with open(path, encoding="utf-8") as source:
             text = source.read()
@@ -699,7 +781,7 @@ def load_corpus(path) -> list[SeedRecord]:
     if not lines:
         raise CorpusError("corpus file is empty")
     try:
-        header = json.loads(lines[0][1])
+        header = _parse_line(lines[0][1])
     except json.JSONDecodeError:
         raise CorpusError("corpus header is not JSON") from None
     except RecursionError:
@@ -709,7 +791,7 @@ def load_corpus(path) -> list[SeedRecord]:
     records = []
     for number, line in lines[1:]:
         try:
-            records.append(SeedRecord.from_json(json.loads(line), "corpus line %d" % number))
+            records.append(SeedRecord.from_json(_parse_line(line), "corpus line %d" % number))
         except json.JSONDecodeError:
             raise CorpusError("corpus line %d is not JSON: %r" % (number, line[:80])) from None
         except RecursionError:

@@ -1651,13 +1651,17 @@ def test_cli_rejects_a_corpus_line_nested_too_deeply(tmp_path, capsys):
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # The JSON parser refuses the line before Python 3.13, the trace walk on 3.13.
+    assert err == "error: corpus line 2 nests too deeply: %r\n" % line[:80]
     assert not (tmp_path / "report.json").exists()
 
     corpus_path.write_text("\n".join(["[" * depth + "]" * depth, line, *rest]) + "\n")
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    if sys.version_info < (3, 13):
+        assert err == "error: corpus header nests too deeply\n"
+    else:  # The JSON parser of 3.13 reads 2000 levels.
+        assert err == "error: unsupported corpus header: [[[[[[[...]]]]]]]\n"
 
 
 def test_cli_rejects_a_report_nested_too_deeply(tmp_path, capsys):

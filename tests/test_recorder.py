@@ -293,6 +293,61 @@ def test_load_rejects_bad_header(tmp_path):
         load_corpus(path)
 
 
+_HEADER = '{"corpus_manifest_ref": "corpus-manifest-v1", "format_version": 1}\n'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "corpus file is empty"),
+        ("\n  \n\t\n", "corpus file is empty"),
+        ('{"format_version": 99}\n', "unsupported corpus header: {'format_version': 99}"),
+        ("[1]\n", "unsupported corpus header: [1]"),
+        ('{"format_version": 1\n', "corpus header is not JSON"),
+        ('{"format_version": 1} {}\n', "corpus header is not JSON"),
+        ('\ufeff{"format_version": 1}\n', "corpus header is not JSON"),
+        # Deeper than the JSON parser of any supported Python accepts.
+        ("[" * 100000 + "]" * 100000 + "\n", "corpus header nests too deeply"),
+        (_HEADER + '\n{"seq": 0,\n', "corpus line 3 is not JSON: '{\"seq\": 0,'"),
+        (_HEADER + "{} []\n", "corpus line 2 is not JSON: '{} []'"),
+        (_HEADER + "\xa0{}\n", "corpus line 2 is not JSON: '\\xa0{}'"),
+        (_HEADER + "[" * 100000 + "]" * 100000, "corpus line 2 nests too deeply: %r" % ("[" * 80)),
+    ],
+    ids=[
+        "no-lines", "blank-lines", "format-version", "header-list", "header-cut", "header-extra", "header-bom",
+        "header-deep", "line-cut", "line-extra", "line-nbsp", "line-deep",
+    ],
+)
+def test_each_broken_corpus_file_has_its_exact_error(tmp_path, text, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == message
+
+
+def test_json_whitespace_around_a_corpus_line_is_read_past(tmp_path, corpus):
+    """json.loads reads past spaces, tabs and carriage returns around a value."""
+    path = tmp_path / "corpus.jsonl"
+    lines = corpus_text(corpus).splitlines()
+    path.write_text("\n".join(" \t%s \r" % line for line in lines) + "\n", encoding="utf-8")
+    assert load_corpus(path) == list(corpus)
+
+
+def test_offsets_are_checked_before_a_trace_too_deep_to_walk(corpus):
+    """The offsets are read before the trace, so their error is named even
+    when the trace is nested past the recursion limit."""
+    record = corpus[1].to_json()
+    for _ in range(5000):
+        record["trace"] = _root_over([record["trace"]], 12)
+    with pytest.raises(RecursionError):
+        SeedRecord.from_json(record)
+    record["offsets"] = [2]
+    with pytest.raises(CorpusError) as info:
+        SeedRecord.from_json(record)
+    assert str(info.value) == "record 1 offsets: offset 2 is not 4-byte aligned"
+
+
 def test_load_rejects_malformed_records(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -342,6 +397,11 @@ def test_malformed_record_errors_name_the_record_and_the_field(corpus):
 _DELETE = object()
 
 
+def _root_over(children, size):
+    """A trace root over a size-byte payload with the given children."""
+    return {"kind": "COMPOSITE", "label": "request", "byte_range": [0, size], "children": children}
+
+
 @pytest.mark.parametrize(
     "where, changes, message",
     [
@@ -377,6 +437,38 @@ _DELETE = object()
             "record",
             {"consumed_handles": [[0, "x"]], "reply_kind": None},
             "record 1 consumed_handles must hold [int, int or 'STATIC:<descriptor>'] pairs, got [0, 'x']",
+        ),
+        # Each leaf check.
+        ("leaf", {"kind": "WAT"}, "record 1 trace: unknown trace leaf kind 'WAT'"),
+        ("leaf", {"children": [{}]}, "record 1 trace: trace leaf 'STRING' carries children"),
+        ("leaf", {"byte_range": [4, 16]}, "record 1 trace: trace leaf STRING at [4, 16) does not fit the 12-byte payload"),
+        ("leaf", {"byte_range": [0, 8]}, "record 1 trace: trace leaf STRING at [0, 8) declares 5 bytes"),
+        ("leaf", {"kind": "BYTES", "byte_range": [0, 8]}, "record 1 trace: trace leaf BYTES at [0, 8) declares 5 bytes"),
+        (
+            "record",
+            {"payload_hex": "ffffffff", "offsets": [0], "trace": _root_over([{"kind": "HANDLE", "byte_range": [0, 4]}], 4)},
+            "record 1 trace: trace leaf HANDLE at [0, 4) holds handle -1, outside [0, 2147483647]",
+        ),
+        # The leaves against the offsets, the payload and consumed_handles.
+        ("leaf", {"kind": "HANDLE", "byte_range": [0, 4]}, "record 1: HANDLE leaves start at [0], offsets are ()"),
+        ("record", {"offsets": [0]}, "record 1: HANDLE leaves start at [], offsets are (0,)"),
+        ("record", {"offsets": [12]}, "record 1 offsets: offset 12 leaves no room for a handle in 12 bytes"),
+        ("record", {"offsets": [4, 0]}, "record 1 offsets: offset 0 is negative or not above the offset before it"),
+        (
+            "root",
+            {"children": [{"kind": "STRING", "byte_range": [0, 12]}] * 2},
+            "record 1 trace: leaves do not tile the 12-byte payload: leaf STRING at [0, 12) does not start at 12",
+        ),
+        ("root", {"children": []}, "record 1 trace: leaves do not tile the 12-byte payload: they end at 0"),
+        ("record", {"consumed_handles": [[0, 1]]}, "record 1: consumed_handles cover positions [0], offsets are ()"),
+        # The offsets are read before the trace, the leaves before consumed_handles.
+        ("record", {"offsets": [16], "trace": {"kind": "WAT"}}, "record 1 offsets: offset 16 leaves no room for a handle in 12 bytes"),
+        ("record", {"offsets": [4, 0], "trace": None}, "record 1 offsets: offset 0 is negative or not above the offset before it"),
+        ("record", {"offsets": [0], "consumed_handles": [[0, "x"]]}, "record 1: HANDLE leaves start at [], offsets are (0,)"),
+        (
+            "record",
+            {"trace": _root_over([], 12), "consumed_handles": [[0, "x"]]},
+            "record 1 trace: leaves do not tile the 12-byte payload: they end at 0",
         ),
     ],
 )
