@@ -13,7 +13,6 @@ from .harness import (
     FuzzConfig,
     HarnessError,
     build_manifest,
-    classify,
     fingerprint,
     load_report,
     manifest_fingerprints,
@@ -61,7 +60,6 @@ __all__ = [
     "FuzzConfig",
     "HarnessError",
     "build_manifest",
-    "classify",
     "fingerprint",
     "load_report",
     "manifest_fingerprints",

@@ -80,10 +80,6 @@ class ManifestError(Exception):
     """A seeded bug does not behave as the catalog promises."""
 
 
-def classify(reply: Reply) -> str:
-    return _OUTCOME_BY_KIND[reply.kind]
-
-
 def fingerprint(crash: CrashInfo) -> str:
     digest = hashlib.sha256()
     digest.update(crash.exception_kind.encode("utf-8"))

@@ -7,15 +7,19 @@ catalog, and the payload is what re-serializing the edited leaf list
 would write, so length prefixes, padding, and the handle-offsets table
 come out right.  Each integer and string mutation is declared once, as
 a table entry that makes the new value from the old, and the tables'
-keys are the catalog's lists.  Each seed is decomposed and re-serialized
-once, keeping every leaf's byte range; a case then encodes only the
-edited leaf and splices it in place of the original, moving the handle
-offsets after it by the change in length.  Every leaf encodes to a multiple of four bytes
-wherever it sits, so the splice writes the same bytes a full rebuild
-would.  The two declared-length mutations exist to lie about framing:
-they patch the edited leaf's length prefix after encoding it and are
-flagged frame_breaking, as are the structural mutations, which copy or
-drop a subtree's contiguous byte range or re-encode a bundle entry's tag.
+keys are the catalog's lists.  A seed's cases depend on its content
+alone (descriptor, code, payload and trace), and a campaign decomposes
+and re-serializes each distinct content once, keeping every leaf's byte
+range.  A case is a splice of those bytes: only the edited leaf is
+encoded, to go in place of the original, and the handle offsets after
+it move by the change in length.  A later seed of the same content makes
+its cases from the first one's splices.  Every leaf encodes to a
+multiple of four bytes wherever it sits, so the splice writes the same
+bytes a full rebuild would.  The two declared-length mutations exist to
+lie about framing: they patch the edited leaf's length prefix after
+encoding it and are flagged frame_breaking, as are the structural
+mutations, which copy or drop a subtree's contiguous byte range or
+re-encode a bundle entry's tag.
 
 Payloads are ``bytes`` from the seed to the dispatched parcel: a case is
 built as bytes and materialized from them.  Hex appears only where a case
@@ -134,10 +138,10 @@ class FuzzCase(NamedTuple):
     the recorded one.  Every other offsets slot is patched with its live
     handle as usual.
 
-    A case is a plain immutable tuple, built once per dispatched case.
-    The generators build only consistent cases; ``from_json``, the one
-    place a case comes from outside, checks what a saved case can get
-    wrong.
+    A case is a plain immutable tuple.  Every generated case is built,
+    whether or not the harness dispatches it.  The generators build only
+    consistent cases; ``from_json``, the one place a case comes from
+    outside, checks what a saved case can get wrong.
     """
 
     case_id: int
@@ -348,10 +352,33 @@ def _add_subtrees(node: TraceNode, path: tuple[int, ...], first: int, subtrees: 
 # ---------------------------------------------------------------------------
 
 
-def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_id: str, case_id: int = 0) -> FuzzCase:
+class _Splice(NamedTuple):
+    """One semi-valid case as an edit of its seed's re-encoded payload:
+    insert replaces payload[start:end], and the rest is the case's own."""
+
+    start: int
+    insert: bytes
+    end: int
+    offsets: tuple[int, ...]
+    field_path: tuple[int, ...]
+    mutation_id: str
+    frame_breaking: bool
+    slot_overrides: tuple[tuple[int, str], ...]
+
+
+def _spliced_case(record: SeedRecord, base: bytes, splice: _Splice, case_id: int) -> FuzzCase:
+    """The case splice makes of record, whose re-encoded payload is base."""
+    start, insert, end, offsets, field_path, mutation_id, frame_breaking, slot_overrides = splice
+    payload = b"".join((base[:start], insert, base[end:]))
+    return tuple.__new__(FuzzCase, (
+        case_id, Policy.SEMI_VALID, record.descriptor, record.code, payload, offsets,
+        record.seq, field_path, mutation_id, frame_breaking, slot_overrides,
+    ))
+
+
+def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_id: str) -> _Splice:
     """One catalog mutation applied to leaves[index] of an encoded seed:
-    only the edited leaf is encoded, and spliced into the seed's bytes in
-    place of the original."""
+    only the edited leaf is encoded, to go in place of the original."""
     leaf = seed.leaves[index]
     kind, value = leaf.kind, leaf.value
     slot_directive = None
@@ -399,18 +426,15 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
         past = bisect_left(offsets, end)
         offsets = offsets[:past] + tuple(pos + delta for pos in offsets[past:])
 
-    return FuzzCase(
-        case_id=case_id,
-        policy=Policy.SEMI_VALID,
-        descriptor=record.descriptor,
-        code=record.code,
-        payload=b"".join((seed.payload[:start], encoded, seed.payload[end:])),
-        offsets=offsets,
-        seed_seq=record.seq,
-        field_path=leaf.path,
-        mutation_id=mutation_id,
-        frame_breaking=mutation_id in FRAME_BREAKING_MUTATIONS,
-        slot_overrides=((start, slot_directive),) if slot_directive is not None else (),
+    return _Splice(
+        start,
+        encoded,
+        end,
+        offsets,
+        leaf.path,
+        mutation_id,
+        mutation_id in FRAME_BREAKING_MUTATIONS,
+        ((start, slot_directive),) if slot_directive is not None else (),
     )
 
 
@@ -430,14 +454,16 @@ def _structural_mutations(record: SeedRecord, node: TraceNode) -> list[str]:
     return out
 
 
-def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str, case_id: int = 0) -> FuzzCase:
+def _mutate_subtree(seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str) -> _Splice:
     """Subtree duplication or removal, or a bundle-entry tag rewrite, on
     an encoded seed.  A subtree's leaves are contiguous in depth-first
     order, so its bytes are one range of the seed's: duplication repeats
     the range, removal drops it, and a tag swap re-encodes the one tag
     leaf.  A subtree with no leaves leaves the seed encoding as it is."""
-    payload, offsets = seed.payload, seed.offsets
+    offsets = seed.offsets
     _node, first_leaf, past_leaf = seed.subtrees[path]
+    start = end = 0
+    insert = b""
 
     if mutation_id in STRUCTURAL_MUTATIONS:
         if past_leaf > first_leaf:
@@ -445,29 +471,17 @@ def _mutate_subtree(record: SeedRecord, seed: _SeedEncoding, path: tuple[int, ..
             first, past = bisect_left(offsets, start), bisect_left(offsets, end)
             width = end - start
             if mutation_id == "duplicate_subtree":
-                payload = payload[:end] + payload[start:]
+                insert, start = seed.payload[start:end], end  # the copy goes in after the range
                 offsets = offsets[:past] + tuple(pos + width for pos in offsets[first:])
             else:
-                payload = payload[:start] + payload[end:]
                 offsets = offsets[:first] + tuple(pos - width for pos in offsets[past:])
     else:
         tag_path = path + (1,)
         tag_index = next(i for i in range(first_leaf, past_leaf) if seed.leaves[i].path == tag_path)
         start, end = seed.spans[tag_index]
-        payload = b"".join((payload[:start], _encode_leaf("I32", int(mutation_id.rsplit("_", 1)[1])), payload[end:]))
+        insert = _encode_leaf("I32", int(mutation_id.rsplit("_", 1)[1]))
 
-    return FuzzCase(
-        case_id=case_id,
-        policy=Policy.SEMI_VALID,
-        descriptor=record.descriptor,
-        code=record.code,
-        payload=payload,
-        offsets=offsets,
-        seed_seq=record.seq,
-        field_path=path,
-        mutation_id=mutation_id,
-        frame_breaking=True,
-    )
+    return _Splice(start, insert, end, offsets, path, mutation_id, True, ())
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +540,19 @@ def semi_valid_cases(record: SeedRecord, case_ids: Iterator[int] | None = None):
     if case_ids is None:
         case_ids = itertools.repeat(0)
     seed = _encode_seed(record)
+    for splice in _splices(record, seed):
+        yield _spliced_case(record, seed.payload, splice, next(case_ids))
+
+
+def _splices(record: SeedRecord, seed: _SeedEncoding) -> Iterator[_Splice]:
+    """The splice of each of record's semi-valid cases, in case order,
+    each made when it is asked for."""
     for index, leaf in enumerate(seed.leaves):
         for mutation_id in CATALOG.get(leaf.kind, ()):
-            yield _mutate_leaf(record, seed, index, mutation_id, next(case_ids))
+            yield _mutate_leaf(record, seed, index, mutation_id)
     for path, (node, _first, _past) in seed.subtrees.items():
         for mutation_id in _structural_mutations(record, node):
-            yield _mutate_subtree(record, seed, path, mutation_id, next(case_ids))
+            yield _mutate_subtree(seed, path, mutation_id)
 
 
 def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int]):
@@ -545,8 +566,25 @@ def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int
             length = RANDOM_LENGTH_CYCLE[(i // len(methods)) % len(RANDOM_LENGTH_CYCLE)]
             yield make_random(descriptor, code, length, rng_seed * 1_000_003 + i, next(case_ids))
     else:
+        # Splices depend on a seed's content alone: the first seed with a
+        # content keeps its re-encoded payload and each splice as its case
+        # is made, and a later seed of that content builds its cases from
+        # them.  The list is stored once every splice is made.
+        spliced: dict[tuple, tuple[bytes, list[_Splice]]] = {}
         for record in sorted(corpus, key=lambda r: r.seq):
-            yield from semi_valid_cases(record, case_ids)
+            content = (record.descriptor, record.code, record.payload, record.trace)
+            known = spliced.get(content)
+            if known is not None:
+                base, splices = known
+                for splice in splices:
+                    yield _spliced_case(record, base, splice, next(case_ids))
+                continue
+            seed = _encode_seed(record)
+            splices = []
+            for splice in _splices(record, seed):
+                splices.append(splice)
+                yield _spliced_case(record, seed.payload, splice, next(case_ids))
+            spliced[content] = (seed.payload, splices)
 
 
 def generate_campaign(corpus, policy, budget: int, rng_seed: int):

@@ -14,8 +14,8 @@ from collections import Counter
 import pytest
 
 from parcelfuzz.harness import (
+    _OUTCOME_BY_KIND,
     FuzzConfig,
-    classify,
     fingerprint,
     manifest_fingerprints,
     reproduce,
@@ -29,6 +29,11 @@ from parcelfuzz.router import InternalFault, Reject, ReplyKind, Service, Transac
 from parcelfuzz.services import all_methods, fresh_router
 
 BUDGET = 10_000
+
+
+def classify(reply) -> str:
+    """The outcome a campaign counts reply under."""
+    return _OUTCOME_BY_KIND[reply.kind]
 
 
 def _bug_fingerprint(manifest, bug_id):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from parcelfuzz import harness
 from parcelfuzz.cli import main
 from parcelfuzz.harness import (
+    _OUTCOME_BY_KIND,
     FINGERPRINT_FRAMES,
     OUTCOMES,
     SCHEMA_DEPTH_LIMIT,
@@ -33,7 +34,6 @@ from parcelfuzz.harness import (
     ManifestError,
     build_manifest,
     canonical_json,
-    classify,
     find_crash,
     fingerprint,
     load_report,
@@ -64,6 +64,11 @@ def semi_report(corpus):
 
 def _crash(kind="NULL_DEREF", frames=("a", "b"), detail=""):
     return CrashInfo(kind, tuple(frames), detail)
+
+
+def classify(reply) -> str:
+    """The outcome a campaign counts reply under."""
+    return _OUTCOME_BY_KIND[reply.kind]
 
 
 # -- classification ---------------------------------------------------------------

@@ -6,13 +6,14 @@ functions under test.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import struct
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parcelfuzz import mutator
@@ -38,7 +39,7 @@ from parcelfuzz.mutator import (
     semi_valid_cases,
 )
 from parcelfuzz.parcel import I32_MAX, I32_MIN, CapacityError, Kind, Parcel
-from parcelfuzz.recorder import COMPOSITE, SeedRecord, TraceNode
+from parcelfuzz.recorder import COMPOSITE, SCENARIOS, SeedRecord, TraceNode, record_session
 from parcelfuzz.services import all_methods
 
 
@@ -58,7 +59,7 @@ def _synthetic_four_ints():
         "request",
         0,
         16,
-        [TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(4)],
+        tuple(TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(4)),
     )
     return SeedRecord(
         seq=0,
@@ -239,7 +240,7 @@ def test_handle_mutations_pin_or_swap(semi_valid_case, corpus):
 
 def test_f64_mutations_apply(semi_valid_case):
     payload = Parcel().write_value(Kind.F64, 2.5)
-    trace = TraceNode(COMPOSITE, "request", 0, 8, [TraceNode("F64", "", 0, 8)])
+    trace = TraceNode(COMPOSITE, "request", 0, 8, (TraceNode("F64", "", 0, 8),))
     record = SeedRecord(0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK")
     tiny = semi_valid_case(record, (0,), "min_positive")
     assert struct.unpack_from("<d", tiny.payload, 0)[0] == 5e-324
@@ -424,6 +425,89 @@ def test_semi_valid_cases_decompose_each_seed_once(monkeypatch, corpus):
         calls.clear()
 
 
+def _content(record):
+    """What a seed's semi-valid cases are made from, beside its seq."""
+    return (record.descriptor, record.code, record.payload, record.trace)
+
+
+def test_a_campaign_decomposes_each_seed_content_once(monkeypatch, shuffled_corpus_of):
+    corpus = shuffled_corpus_of(1)
+    calls = []
+    monkeypatch.setattr(mutator, "decompose", lambda record: calls.append(record.seq) or decompose(record))
+    first_of_content = {}
+    for record in sorted(corpus, key=lambda r: r.seq):
+        first_of_content.setdefault(_content(record), record.seq)
+    for _campaign in range(2):
+        cases = list(generate_campaign(corpus, "semi-valid", sys.maxsize, 1))
+        assert (len(corpus), len(cases)) == (76, 1396)
+        assert calls == sorted(first_of_content.values())
+        assert len(calls) == 25
+        calls.clear()
+
+
+def _seed_by_seed(records, budget):
+    """The cases semi_valid_cases gives each record, in seq order,
+    numbered from 1 and cut at budget."""
+    case_ids = itertools.count(1)
+    ordered = sorted(records, key=lambda r: r.seq)
+    return list(itertools.islice(itertools.chain.from_iterable(semi_valid_cases(r, case_ids) for r in ordered), budget))
+
+
+def _retraced(record):
+    """record's trace under one more composite: its payload, other paths."""
+    trace = record.trace
+    return record._replace(trace=TraceNode(COMPOSITE, "wrapped", trace.start, trace.end, (trace,)))
+
+
+_VARIANTS = {
+    "code": lambda record: record._replace(code=record.code + 100),
+    "descriptor": lambda record: record._replace(descriptor="svc.audio" if record.descriptor == "svc.queue" else "svc.queue"),
+    "trace": _retraced,
+}
+
+
+@pytest.mark.parametrize("part", sorted(_VARIANTS))
+def test_a_seed_that_differs_in_one_part_of_its_content_makes_its_own_cases(corpus, part):
+    past = max(r.seq for r in corpus) + 1
+    records = list(corpus) + [_VARIANTS[part](r)._replace(seq=past + r.seq) for r in corpus]
+    cases = [case.to_json() for case in generate_campaign(records, "semi-valid", sys.maxsize, 1)]
+    assert cases == [case.to_json() for case in _seed_by_seed(records, sys.maxsize)]
+
+
+@st.composite
+def _recorded_corpora(draw):
+    """A recording of a drawn multiset of scenarios, each run one to four
+    times in a drawn order, plus copies of drawn records that differ from
+    their original in one part of its content only."""
+    names = draw(st.lists(st.sampled_from(sorted(SCENARIOS)), min_size=1, unique=True))
+    copies = draw(st.lists(st.integers(1, 4), min_size=len(names), max_size=len(names)))
+    records = record_session(draw(st.permutations([n for n, k in zip(names, copies) for _ in range(k)])))
+    variants = draw(st.lists(st.tuples(st.sampled_from(sorted(_VARIANTS)), st.integers(0, len(records) - 1)), max_size=3))
+    past = max(r.seq for r in records) + 1
+    return records + [_VARIANTS[part](records[i])._replace(seq=past + n) for n, (part, i) in enumerate(variants)]
+
+
+@given(_recorded_corpora(), st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_campaign_makes_the_cases_each_seed_makes_alone(records, data):
+    """Seeds whose content repeats reuse the first one's splices; what a
+    campaign yields must still be, case for case, what each seed makes on
+    its own.  Checked whole, cut at a drawn budget, and cut inside a seed
+    whose content an earlier seed had."""
+    expected = [case.to_json() for case in _seed_by_seed(records, sys.maxsize)]
+    budgets = [len(expected) + data.draw(st.integers(0, 3)), data.draw(st.integers(1, len(expected)))]
+    seen, past = set(), 0
+    for record in sorted(records, key=lambda r: r.seq):
+        start, past = past, past + sum(1 for _ in semi_valid_cases(record))
+        if _content(record) in seen and past - start >= 2:
+            budgets.append(data.draw(st.integers(start + 1, past - 1), label="inside a repeated seed"))
+            break
+        seen.add(_content(record))
+    for budget in budgets:
+        cases = [case.to_json() for case in generate_campaign(records, "semi-valid", budget, 1)]
+        assert cases == expected[:budget]
+
+
 def _synthetic_handles_and_empty_subtree():
     """A seed with handles before and after sized leaves, a BOOL stored
     as 5 (the rebuild writes 1), a handle-bearing pair and an empty
@@ -440,13 +524,13 @@ def _synthetic_handles_and_empty_subtree():
         "request",
         0,
         g1,
-        [
+        (
             TraceNode("STRING", "", s0, s1),
-            TraceNode(COMPOSITE, "pair", h0, b1, [TraceNode("HANDLE", "", h0, h1), TraceNode("BOOL", "", b0, b1)]),
+            TraceNode(COMPOSITE, "pair", h0, b1, (TraceNode("HANDLE", "", h0, h1), TraceNode("BOOL", "", b0, b1))),
             TraceNode(COMPOSITE, "empty", y0, y0),
             TraceNode("BYTES", "", y0, y1),
             TraceNode("HANDLE", "", g0, g1),
-        ],
+        ),
     )
     return SeedRecord(
         3, "synthetic", "svc.audio", 2, 1, payload.buffer, tuple(payload.offsets), trace, (), (), "OK"
@@ -627,7 +711,7 @@ def test_every_int_mutation_yields_a_decodable_payload(semi_valid_case, values, 
         "request",
         0,
         len(values) * 4,
-        [TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(len(values))],
+        tuple(TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(len(values))),
     )
     record = SeedRecord(
         0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK"
