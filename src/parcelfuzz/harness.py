@@ -46,7 +46,6 @@ from typing import NamedTuple, Sequence
 from .mutator import (
     CATALOG_VERSION,
     FuzzCase,
-    Policy,
     _normalize_policies,
     generate_campaign,
 )
@@ -316,10 +315,11 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     twice.  First, before any session exists, by its seed's class and
     content and its (field_path, mutation_id) (see _open_seed): the
     seed's supports are replayed once per campaign, when its first case
-    arrives.  On a miss, the seed's pristine session, which has replayed
-    its supports and dispatched nothing, materializes the case, and the
-    digest of all it would send is looked up (see _sent_digest); only a
-    miss there too is dispatched, on that session.  A case with no seed
+    arrives, and if they fail, every case of the seed is unreplayable,
+    with the edges they left.  On a miss, the seed's pristine session,
+    which has replayed its supports and dispatched nothing, materializes
+    the case, and the digest of all it would send is looked up (see
+    _sent_digest); only a miss there too is dispatched, on that session.  A case with no seed
     gets no session: its router and transaction come from
     seedless_transaction, and if its payload is empty, its (descriptor,
     code) is its key.  Only a real dispatch stores a new reply.  Crashes
@@ -350,8 +350,9 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     # The id of each seed class and content (see _open_seed).
     seed_ids: dict[tuple, int] = {}
     # The seed whose cases are arriving (the stream runs seed by seed): its
-    # id, the edges its supports leave, and a session that has replayed
-    # them and dispatched nothing, or None once it has dispatched.
+    # id (None if it cannot be replayed), the edges its supports leave, and
+    # a session that has replayed them and dispatched nothing, or None
+    # once it has dispatched.
     open_seq = seed_id = pristine = None
     support_edges: tuple[IpcEdge, ...] = ()
 
@@ -372,48 +373,41 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
                 seed_id, support_edges, pristine = _open_seed(prepared, seq, seed_ids)
             key = None if seed_id is None else (seed_id, case.field_path, case.mutation_id)
         known = dispatched.get(key)
-        edges = ()
-        if known is None:
+        if seq is not None and seed_id is None:
+            outcome, digest, edges = "unreplayable", None, support_edges
+        elif known is None:
             session = None
-            try:
-                if seq is None:
-                    router, txn = seedless_transaction(case)
-                else:
-                    session = pristine or ReplaySession(prepared)
-                    pristine = None
-                    router = session.router
-                    txn = session.prepare(case)
-            except Unreplayable:
-                outcome, digest = "unreplayable", None
-                if session is not None:
-                    edges = session.router.edges
+            if seq is None:
+                router, txn = seedless_transaction(case)
             else:
+                session = pristine or ReplaySession(prepared)
+                pristine = None
+                router = session.router
+                txn = session.prepare(case)
+                sent = _sent_digest((*session._replayed.values(), txn))
+                known = dispatched.get(sent)
+                if known is not None:
+                    pristine = session
+                    dispatched[key] = known
+            if known is None:
+                reply = router.transact(txn)
+                edges = router.edges
+                outcome = _OUTCOME_BY_KIND[reply.kind]
+                digest = None
+                crash = reply.crash
+                if crash is not None:
+                    site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
+                    digest = sites.get(site)
+                    if digest is None:
+                        digest = sites[site] = fingerprint(crash)
+                    if digest not in hits:
+                        hits[digest] = 0
+                        first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
+                stored = (outcome, digest, edges[-1])
                 if session is not None:
-                    sent = _sent_digest((*session._replayed.values(), txn))
-                    known = dispatched.get(sent)
-                    if known is not None:
-                        pristine = session
-                        if key is not None:
-                            dispatched[key] = known
-                if known is None:
-                    reply = router.transact(txn)
-                    edges = router.edges
-                    outcome = _OUTCOME_BY_KIND[reply.kind]
-                    digest = None
-                    crash = reply.crash
-                    if crash is not None:
-                        site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
-                        digest = sites.get(site)
-                        if digest is None:
-                            digest = sites[site] = fingerprint(crash)
-                        if digest not in hits:
-                            hits[digest] = 0
-                            first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
-                    stored = (outcome, digest, edges[-1])
-                    if session is not None:
-                        dispatched[sent] = stored
-                    if key is not None:
-                        dispatched[key] = stored
+                    dispatched[sent] = stored
+                if key is not None:
+                    dispatched[key] = stored
         if known is not None:
             outcome, digest, edge = known
             edges = (*support_edges, edge) if seq is not None else (edge,)
@@ -454,16 +448,17 @@ def _open_seed(
     prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]
 ) -> tuple[int | None, tuple[IpcEdge, ...], ReplaySession | None]:
     """Replay seed seq's supports on a fresh session; returns the seed's
-    id, the edges the supports left and the session, or (None, (), None)
-    if the seed's cases cannot be replayed.
+    id, the edges the supports left and the session.  If the seed's cases
+    cannot be replayed, every one of them is unreplayable, and this
+    returns (None, the edges the supports left up to the failure, None).
 
     A seed's class is the digest of its support sends, its live target
     and its live handle map (recorded -> live); its content is what the
-    mutator makes its cases from: descriptor, code, payload and trace.
-    Seeds of one class and content get one id from seed_ids, so a case
-    whose id, field_path and mutation_id another case has sends the same
+    mutator makes its cases from (see SeedRecord.content).  Seeds of one
+    class and content get one id from seed_ids, so a case whose id,
+    field_path and mutation_id another case has sends the same
     transactions: the supports, then the same case bytes patched by the
-    same handles.  The key holds no payload bytes.
+    same handles.  The key holds the seed's payload, not any case's.
     """
     session = ReplaySession(prepared)
     record = prepared.records[seq]
@@ -471,15 +466,12 @@ def _open_seed(
         session.ensure_supports(seq)
         target = session._live_handle(record.target)
     except Unreplayable:
-        return None, (), None
+        return None, tuple(session.router.edges), None
     seed = (
         _sent_digest(session._replayed.values()),
         target,
         tuple(session.live.items()),
-        record.descriptor,
-        record.code,
-        record.payload,
-        record.trace,
+        record.content,
     )
     return seed_ids.setdefault(seed, len(seed_ids)), tuple(session.router.edges), session
 

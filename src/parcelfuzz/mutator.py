@@ -572,7 +572,7 @@ def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int
         # them.  The list is stored once every splice is made.
         spliced: dict[tuple, tuple[bytes, list[_Splice]]] = {}
         for record in sorted(corpus, key=lambda r: r.seq):
-            content = (record.descriptor, record.code, record.payload, record.trace)
+            content = record.content
             known = spliced.get(content)
             if known is not None:
                 base, splices = known

@@ -118,9 +118,6 @@ class Parcel:
     def buffer(self) -> bytes:
         return bytes(self._buf)
 
-    def remaining(self) -> int:
-        return len(self._buf) - self.cursor
-
     def __len__(self) -> int:
         return len(self._buf)
 

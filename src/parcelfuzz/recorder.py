@@ -149,10 +149,6 @@ class TraceNode(NamedTuple):
     def is_leaf(self) -> bool:
         return self.kind != COMPOSITE
 
-    @property
-    def byte_range(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
     def to_json(self, max_depth: int | None = None) -> dict:
         """The tree as JSON.  With max_depth, composites max_depth levels
         below this node keep no children and are marked truncated: a
@@ -314,6 +310,12 @@ class SeedRecord(NamedTuple):
 
     def parcel(self) -> Parcel:
         return Parcel(self.payload, self.offsets)
+
+    @property
+    def content(self) -> tuple:
+        """What the mutator makes this seed's semi-valid cases from, and
+        all they depend on: descriptor, code, payload and trace."""
+        return (self.descriptor, self.code, self.payload, self.trace)
 
     def to_json(self) -> dict:
         return {

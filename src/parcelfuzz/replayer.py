@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .parcel import Parcel, handle_at
-from .recorder import CorpusError, DependencyGraph, SeedRecord, build_dependency_graph
+from .recorder import CorpusError, SeedRecord, build_dependency_graph
 from .router import (
     Reply,
     ReplyKind,
@@ -57,26 +57,6 @@ class Unreplayable(ReplayError):
         self.support_seq = support_seq
 
 
-def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
-    """All ancestors of seed_seq, ascending; the seed itself excluded.
-
-    Ascending seq is a valid topological order because every edge points
-    from an earlier record to a later one.  ``prepare_corpus`` computes
-    the same plans for every seed at once; this walk is their reference.
-    """
-    if seed_seq not in graph.nodes:
-        raise CorpusError("seed %d is not in the dependency graph" % seed_seq)
-    ancestors: set[int] = set()
-    frontier = [seed_seq]
-    while frontier:
-        node = frontier.pop()
-        for edge in graph.edges:
-            if edge.consumer_seq == node and edge.producer_seq not in ancestors:
-                ancestors.add(edge.producer_seq)
-                frontier.append(edge.producer_seq)
-    return sorted(ancestors)
-
-
 class PreparedCorpus(NamedTuple):
     """What replay derives from a corpus alone, built once and only read.
 
@@ -84,7 +64,7 @@ class PreparedCorpus(NamedTuple):
     static handle value to the service it was looked up as (see
     ``build_dependency_graph``), so every static handle a record targets
     or carries resolves by the same name; plans maps each seq to its
-    support plan (see ``plan``).
+    support plan: its ancestors, ascending, the order they replay in.
     """
 
     records: Mapping[int, SeedRecord]
@@ -195,14 +175,6 @@ class ReplaySession:
             self._replayed[support_seq] = txn
             executed.append(support_seq)
         return executed
-
-    def replay_seed(self, seed_seq: int) -> Reply:
-        """Replay one record, unmutated, with its supports; returns its reply."""
-        record = self.prepared.records.get(seed_seq)
-        if record is None:
-            raise CorpusError("no record with seq %d" % seed_seq)
-        self.ensure_supports(seed_seq)
-        return self._execute_record(record)[1]
 
     def _execute_record(self, record: SeedRecord) -> tuple[Transaction, Reply]:
         """Send record, live-handle-patched; returns what was sent and the reply."""

@@ -76,26 +76,10 @@ class Reply(NamedTuple):
     message: str | None = None
     crash: CrashInfo | None = None
 
-    @classmethod
-    def ok(cls, payload: Parcel | None = None) -> "Reply":
-        return cls(ReplyKind.OK, payload=payload if payload is not None else Parcel())
-
-    @classmethod
-    def rejected(cls, message: str) -> "Reply":
-        return cls(ReplyKind.REJECTED, message=message)
-
-    @classmethod
-    def handled_fault(cls, message: str) -> "Reply":
-        return cls(ReplyKind.HANDLED_FAULT, message=message)
-
-    @classmethod
-    def fatal(cls, crash: CrashInfo) -> "Reply":
-        return cls(ReplyKind.FATAL_CRASH, crash=crash)
-
 
 # The reply kinds under module names, for the dispatch path, which
-# builds its replies positionally: a keyword call, or one of the
-# classmethods above, costs more than the tuple it builds.
+# builds its replies positionally: a keyword call costs more than the
+# tuple it builds.
 _OK, _REJECTED = ReplyKind.OK, ReplyKind.REJECTED
 _HANDLED_FAULT, _FATAL_CRASH = ReplyKind.HANDLED_FAULT, ReplyKind.FATAL_CRASH
 

@@ -70,6 +70,18 @@ def semi_valid_case():
 
 
 @pytest.fixture(scope="session")
+def replay_seed():
+    """replay_seed(session, seq): the reply of record seq, replayed
+    unmutated on session once its supports have run there."""
+
+    def replay(session, seq):
+        session.ensure_supports(seq)
+        return session._execute_record(session.prepared.records[seq])[1]
+
+    return replay
+
+
+@pytest.fixture(scope="session")
 def trace_leaves():
     """leaves(node): the leaves of a trace tree, depth-first."""
 

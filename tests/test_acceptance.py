@@ -105,7 +105,7 @@ def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
             else:
                 assert reader.read_value(kind) == value
             assert reader.cursor % 4 == 0
-        assert reader.remaining() == 0
+        assert reader.cursor == len(reader)
     assert time.monotonic() - started < 5.0
 
 
@@ -127,13 +127,13 @@ def test_criterion_02_recorded_traces_equal_writer_logs_exactly(trace_leaves):
 # -- criterion 3 -------------------------------------------------------------------
 
 
-def test_criterion_03_callback_scenario_replays_on_live_handles(semi_valid_case, corpus):
+def test_criterion_03_callback_scenario_replays_on_live_handles(semi_valid_case, corpus, replay_seed):
     register = next(r for r in corpus if (r.descriptor, r.code) == ("svc.audio", 2))
     recorded_handle = handle_at(register.payload, register.offsets[0])
 
     # unmutated terminal transaction is accepted on a fresh router
     session = ReplaySession(prepare_corpus(corpus))
-    reply = session.replay_seed(register.seq)
+    reply = replay_seed(session, register.seq)
     assert reply.kind is ReplyKind.OK
     assert session.live[recorded_handle] != recorded_handle
 

@@ -75,10 +75,10 @@ def classify(reply) -> str:
 
 
 def test_classify_maps_each_reply_kind():
-    assert classify(Reply.ok()) == "ok"
-    assert classify(Reply.rejected("nope")) == "rejected"
-    assert classify(Reply.handled_fault("hmm")) == "handled_fault"
-    assert classify(Reply.fatal(_crash())) == "fatal_crash"
+    assert classify(Reply(ReplyKind.OK)) == "ok"
+    assert classify(Reply(ReplyKind.REJECTED, message="nope")) == "rejected"
+    assert classify(Reply(ReplyKind.HANDLED_FAULT, message="hmm")) == "handled_fault"
+    assert classify(Reply(ReplyKind.FATAL_CRASH, crash=_crash())) == "fatal_crash"
     assert set(OUTCOMES) >= {"ok", "rejected", "handled_fault", "fatal_crash", "unreplayable"}
 
 
@@ -173,8 +173,8 @@ def test_a_failed_support_replay_leaves_later_cases_alone(monkeypatch, corpus, s
         r._replace(code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
         for r in corpus
     ]
-    # run_fuzz refuses this corpus (see above); the per-case path is
-    # what this test is about.
+    # run_fuzz refuses this corpus (see above); what a campaign does
+    # behind that check is what this test is about.
     monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
     report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
     assert report.counters["unreplayable"] > 0
@@ -276,7 +276,7 @@ def test_a_traced_rerun_on_another_fingerprint_is_a_harness_error(monkeypatch, c
         reply = transact(self, txn, trace_hook)
         if trace_hook is None or reply.kind is not ReplyKind.FATAL_CRASH:
             return reply
-        return Reply.fatal(_crash("ELSEWHERE", ("elsewhere",)))
+        return Reply(ReplyKind.FATAL_CRASH, crash=_crash("ELSEWHERE", ("elsewhere",)))
 
     monkeypatch.setattr(Router, "transact", elsewhere_when_traced)
     first = min(c.first_seen_case_id for c in semi_report.crashes)
@@ -288,7 +288,7 @@ def test_per_case_values_are_immutable():
     case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
     values = (
         (case, "payload", b"\x00"),
-        (Reply.ok(), "kind", ReplyKind.REJECTED),
+        (Reply(ReplyKind.OK), "kind", ReplyKind.REJECTED),
         (_crash(), "stack_frames", ()),
         (IpcEdge("fuzzer", "svc.queue", 1), "sender_id", "other"),
     )
@@ -343,6 +343,40 @@ def test_a_campaign_counts_what_dispatching_every_case_gives(request, shuffled_c
         records = request.getfixturevalue(corpus_source)
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=10000, rng_seed=1, corpus=records))
     counters, per_method, edges, crashes = _dispatch_every_case(records, policy.split(","), 10000)
+    assert report.counters == counters
+    assert report.per_method == per_method
+    assert report.edge_summary == edges
+    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
+
+
+def _reject_open_session(record):
+    return record._replace(code=99)
+
+
+def _move_open_session_handle(record):
+    # open_session's reply holds the session handle at 0 and an int at 4.
+    return record._replace(produced_handles=((record.produced_handles[0][0], 4),))
+
+
+@pytest.mark.parametrize("policy", ["semi-valid", "empty,random,semi-valid"])
+@pytest.mark.parametrize("corpus_source", ["corpus", 1, 2])
+@pytest.mark.parametrize("break_support", [_reject_open_session, _move_open_session_handle])
+def test_a_seed_whose_supports_fail_counts_what_dispatching_every_case_gives(
+    monkeypatch, request, shuffled_corpus_of, corpus_source, policy, break_support
+):
+    """Behind the corpus check, a seed whose supports cannot be replayed
+    makes each of its cases unreplayable, with the edges its supports
+    left.  run_fuzz decides that once per seed; the reference tries each
+    case on a session of its own."""
+    if isinstance(corpus_source, int):
+        records = shuffled_corpus_of(corpus_source)
+    else:
+        records = request.getfixturevalue(corpus_source)
+    broken = [break_support(r) if (r.descriptor, r.code) == ("svc.audio", 3) else r for r in records]
+    monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
+    report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=3000, rng_seed=1, corpus=broken))
+    counters, per_method, edges, crashes = _dispatch_every_case(broken, policy.split(","), 3000)
+    assert report.counters["unreplayable"] > 0
     assert report.counters == counters
     assert report.per_method == per_method
     assert report.edge_summary == edges
@@ -1094,17 +1128,35 @@ def test_a_repeated_policy_is_refused_before_the_campaign_runs(tmp_path, capsys)
     assert not out.exists()
 
 
+def _loaded_after_import(module: str, wanted: str) -> str:
+    """The printed sorted list of the names in sys.modules for which
+    wanted, an expression over name, holds, in a fresh interpreter that
+    has imported module from this checkout."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, %r); import %s; print(sorted(name for name in sys.modules if %s))"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe % (src, module, wanted)], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    return run.stdout
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """Every replay is a fresh process that imports the package first;
     dataclasses and the inspect module it loads cost about a quarter of
     that import, and the package declares its records without them.
     pathlib, with the urllib.parse and ipaddress it imports, is left out
     too: the package reads and writes its files with open()."""
-    src = str(Path(harness.__file__).resolve().parents[1])
     unwanted = {"dataclasses", "inspect", "pathlib", "urllib.parse", "ipaddress"}
-    probe = "import sys; sys.path.insert(0, %r); import parcelfuzz.cli; print(sorted(%r & set(sys.modules)))"
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", probe % (src, unwanted)], capture_output=True, text=True, timeout=60)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    assert _loaded_after_import("parcelfuzz.cli", "name in %r" % unwanted) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "module,loaded", [("parcelfuzz", ["parcelfuzz"]), ("parcelfuzz.parcel", ["parcelfuzz", "parcelfuzz.parcel"])]
+)
+def test_importing_a_module_loads_only_the_modules_it_imports(module, loaded):
+    """The package root re-exports nothing: importing it loads no module
+    of the package, and importing the parcel format, which imports no
+    other, loads that module alone."""
+    assert _loaded_after_import(module, "name.partition('.')[0] == 'parcelfuzz'") == "%r\n" % loaded
 
 
 def test_cli_replay_mismatch_is_an_error(tmp_path, capsys, corpus):

@@ -721,7 +721,7 @@ def test_every_int_mutation_yields_a_decodable_payload(semi_valid_case, values, 
     case = semi_valid_case(record, (index,), mutation)
     reader = Parcel(case.payload)
     out = [reader.read_value(Kind.I32) for _ in values]
-    assert reader.remaining() == 0
+    assert reader.cursor == len(reader)
     for i, (before, after) in enumerate(zip(values, out)):
         if i != index:
             assert before == after

@@ -367,7 +367,7 @@ def test_round_trip_any_sequence(seq):
                 assert struct.pack("<d", got) == struct.pack("<d", value)
             else:
                 assert got == value
-    assert reader.remaining() == 0
+    assert reader.cursor == len(reader)
 
 
 @given(st.binary(max_size=256))

@@ -87,7 +87,7 @@ def test_trace_roots_are_request_composites(corpus):
     for record in corpus:
         assert not record.trace.is_leaf
         assert record.trace.label == "request"
-        assert record.trace.byte_range == (0, len(record.parcel()))
+        assert (record.trace.start, record.trace.end) == (0, len(record.parcel()))
 
 
 def test_a_composite_whose_first_child_is_a_composite_starts_at_its_first_read():
@@ -102,9 +102,9 @@ def test_a_composite_whose_first_child_is_a_composite_starts_at_its_first_read()
     builder.exit_composite()
     root = builder.finish()
     outer = root.children[2]
-    assert (outer.label, outer.byte_range) == ("outer", (8, 16))
-    assert outer.children[0].byte_range == (8, 12)
-    assert root.byte_range == (0, 16)
+    assert (outer.label, outer.start, outer.end) == ("outer", 8, 16)
+    assert (outer.children[0].start, outer.children[0].end) == (8, 12)
+    assert (root.start, root.end) == (0, 16)
 
 
 # A read tree: a leaf is its width in bytes, a composite the tuple of its

@@ -5,8 +5,8 @@ import pytest
 from parcelfuzz.harness import FuzzConfig, run_fuzz
 from parcelfuzz.mutator import RANDOM_LENGTH_CYCLE, FuzzCase, Policy, generate_campaign
 from parcelfuzz.parcel import I32_MAX, Kind, handle_at
-from parcelfuzz.recorder import CorpusError, build_dependency_graph, corpus_digest
-from parcelfuzz.replayer import ReplaySession, Unreplayable, plan, prepare_corpus, seedless_transaction
+from parcelfuzz.recorder import CorpusError, DependencyGraph, build_dependency_graph, corpus_digest
+from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus, seedless_transaction
 from parcelfuzz.router import ReplyKind, Service
 from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient, all_methods
 
@@ -16,6 +16,26 @@ def _seq_of(corpus, descriptor, code):
         if record.descriptor == descriptor and record.code == code:
             return record.seq
     raise LookupError((descriptor, code))
+
+
+def plan(seed_seq: int, graph: DependencyGraph) -> list[int]:
+    """All ancestors of seed_seq, ascending; the seed itself excluded.
+
+    Ascending seq is a valid topological order because every edge points
+    from an earlier record to a later one.  ``prepare_corpus`` computes
+    the same plans for every seed at once; this walk is their reference.
+    """
+    if seed_seq not in graph.nodes:
+        raise CorpusError("seed %d is not in the dependency graph" % seed_seq)
+    ancestors: set[int] = set()
+    frontier = [seed_seq]
+    while frontier:
+        node = frontier.pop()
+        for edge in graph.edges:
+            if edge.consumer_seq == node and edge.producer_seq not in ancestors:
+                ancestors.add(edge.producer_seq)
+                frontier.append(edge.producer_seq)
+    return sorted(ancestors)
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +134,10 @@ def test_a_prepared_corpus_serves_many_sessions(prepared, audio_seqs):
 # -- replay soundness --------------------------------------------------------------
 
 
-def test_every_seed_replays_clean_on_a_fresh_router(corpus, prepared):
+def test_every_seed_replays_clean_on_a_fresh_router(corpus, prepared, replay_seed):
     for record in corpus:
         session = ReplaySession(prepared)
-        reply = session.replay_seed(record.seq)
+        reply = replay_seed(session, record.seq)
         assert reply.kind is ReplyKind.OK, "seq %d (%s code %d) replied %s" % (
             record.seq,
             record.descriptor,
@@ -126,10 +146,10 @@ def test_every_seed_replays_clean_on_a_fresh_router(corpus, prepared):
         )
 
 
-def test_one_session_replays_the_whole_corpus_in_order(corpus, prepared):
+def test_one_session_replays_the_whole_corpus_in_order(corpus, prepared, replay_seed):
     session = ReplaySession(prepared)
     for record in corpus:
-        assert session.replay_seed(record.seq).kind is ReplyKind.OK
+        assert replay_seed(session, record.seq).kind is ReplyKind.OK
 
 
 # -- the probe burn ------------------------------------------------------------------
@@ -179,11 +199,6 @@ def test_a_support_reply_without_its_recorded_handle_is_unreplayable(corpus, aud
         with pytest.raises(Unreplayable, match="replied with no handle at %d" % pos) as info:
             session.ensure_supports(audio_seqs["ping"])
         assert info.value.support_seq == audio_seqs["open_session"]
-
-
-def test_replay_seed_rejects_unknown_seqs(prepared):
-    with pytest.raises(CorpusError):
-        ReplaySession(prepared).replay_seed(999)
 
 
 # -- materialization -------------------------------------------------------------------
@@ -289,13 +304,13 @@ def test_resolve_static_answers_by_name_and_manager_is_special(prepared):
         session.resolve_static("svc.ghost")
 
 
-def test_every_replayed_manager_lookup_returns_what_resolve_static_gives(corpus, prepared):
+def test_every_replayed_manager_lookup_returns_what_resolve_static_gives(corpus, prepared, replay_seed):
     # Why a session needs no cache of static handles: a lookup replayed
     # anywhere in a session returns the handle resolving the name gives.
     session = ReplaySession(prepared)
     lookups = 0
     for record in corpus:
-        reply = session.replay_seed(record.seq)
+        reply = replay_seed(session, record.seq)
         if record.descriptor == "service_manager":
             name = record.parcel().read_value(Kind.STRING)
             for _recorded, pos in record.produced_handles:

@@ -20,7 +20,6 @@ from parcelfuzz.router import (
     HostTable,
     InternalFault,
     Reject,
-    Reply,
     ReplyKind,
     Router,
     Service,
@@ -321,9 +320,3 @@ def test_every_transact_logs_exactly_one_edge(router):
     assert [e.sender_id for e in router.edges] == ["alice", "bob", "carol"]
     assert [e.target_descriptor for e in router.edges] == ["test.moody", "test.moody", "<unknown>"]
     assert router.edges[0].code == Moody.ANSWER
-
-
-def test_reply_constructors():
-    assert Reply.ok().kind is ReplyKind.OK
-    assert Reply.rejected("x").message == "x"
-    assert Reply.handled_fault("y").kind is ReplyKind.HANDLED_FAULT

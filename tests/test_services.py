@@ -138,7 +138,7 @@ def test_a_bundle_entry_of_every_tag_reads_back_as_written():
     write_bundle(written, entries)
     reader = Parcel(written.buffer, written.offsets)
     assert ActivityService()._read_bundle(reader, DispatchContext(Router(), "svc.activity"), 1) == entries
-    assert reader.remaining() == 0
+    assert reader.cursor == len(reader)
 
 
 def test_bundle_depth_is_bounded_by_the_decoder_not_the_interpreter():
