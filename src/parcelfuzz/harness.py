@@ -7,27 +7,29 @@ canonical JSON with no wall-clock anywhere, so identical configurations
 serialize byte-identically; every crash embeds enough provenance to be
 re-run from the report plus the corpus, nothing else.
 
-Cases dispatch without a trace hook.  A crash's schema (the type trace
-of the input that caused it) comes from one traced replay of the first
-case to reach each distinct fingerprint, on a fresh session over the
-same prepared corpus; repeat crashes only count hits.
+A campaign is one stream and one fold.  _answers answers each case in
+turn and owns the memo below; run_fuzz folds that stream into the
+report.  Cases dispatch without a trace hook.  A crash's schema (the
+type trace of the input that caused it) comes from one traced replay of
+the first case to reach each distinct fingerprint, on a fresh session
+over the same prepared corpus; repeat crashes only count hits.
 
 A fresh router's replies depend only on the transactions it receives,
 so a case that would send exactly what an earlier case sent is not
-dispatched again: it counts the outcome, fingerprint and IPC edge that
-the earlier dispatch gave.  A seeded case has two keys.  The first needs
-no session: each seed's supports are replayed once per campaign, and
-seeds whose supports send the same bytes and leave the same live target
-and handle map, and whose cases the mutator makes from the same content,
-share an id; (id, field_path, mutation_id) then names what a case sends.
-On a miss, the seed's pristine session materializes the case, and the
-digest of its supports and case bytes is the second key; only a miss
-there too is dispatched.  A case with no seed has no supports and no
-handle slots, so it is sent on a fresh router without a session.  An
-empty one, EMPTY or an empty RANDOM case, sends nothing but an empty
-transaction to its method's static handle, so its method is its key.  A
-non-empty RANDOM payload is fresh SHAKE-128 output that no other case
-repeats, so it is never keyed.
+dispatched again: it gets the answer that dispatch stored, whole (its
+outcome, fingerprint, crash and every IPC edge it left).  A seeded case
+has two keys.  The first needs no session: each seed's supports are
+replayed once per campaign, and seeds whose supports send the same bytes
+and leave the same live target and handle map, and whose cases the
+mutator makes from the same content, share an id; (id, field_path,
+mutation_id) then names what a case sends.  On a miss, the seed's
+pristine session materializes the case, and the digest of its supports
+and case bytes is the second key; only a miss there too is dispatched.
+A case with no seed has no supports and no handle slots, so it is sent
+on a fresh router without a session.  An empty one, EMPTY or an empty
+RANDOM case, sends nothing but an empty transaction to its method's
+static handle, so its method is its key.  A non-empty RANDOM payload is
+fresh SHAKE-128 output that no other case repeats, so it is never keyed.
 
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
@@ -305,26 +307,13 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     """Run one deterministic campaign and triage everything it dispatched.
 
     The corpus is prepared once and replayed once, whole, to check that
-    every record replies as recorded; every case then runs as if on a
-    fresh router of its own, so nothing one case does reaches the next.
-
-    A case is dispatched only if no earlier case would have sent the same
-    transactions; otherwise it counts the outcome, fingerprint and IPC
-    edge that the earlier dispatch gave, in every tally, so the report is
-    the one dispatching every case gives.  A seeded case is looked up
-    twice.  First, before any session exists, by its seed's class and
-    content and its (field_path, mutation_id) (see _open_seed): the
-    seed's supports are replayed once per campaign, when its first case
-    arrives, and if they fail, every case of the seed is unreplayable,
-    with the edges they left.  On a miss, the seed's pristine session,
-    which has replayed its supports and dispatched nothing, materializes
-    the case, and the digest of all it would send is looked up (see
-    _sent_digest); only a miss there too is dispatched, on that session.  A case with no seed
-    gets no session: its router and transaction come from
-    seedless_transaction, and if its payload is empty, its (descriptor,
-    code) is its key.  Only a real dispatch stores a new reply.  Crashes
-    are fingerprinted once per crash site, by their exception kind and
-    the frames fingerprint hashes, in a memo that lives for this call.
+    every record replies as recorded; _answers then answers every case
+    as if on a fresh router of its own, so nothing one case does reaches
+    the next.  This folds that stream into the report: the counters, the
+    per-method tallies, the hit count of each fingerprint and the edge
+    summary.  The first case to reach a fingerprint is always one that
+    _answers dispatched, and it runs once more, traced, for the crash's
+    schema (see _traced_rerun).
     """
     policies = _normalize_policies(config.policy)
     cases = generate_campaign(config.corpus, policies, config.budget, config.rng_seed)
@@ -339,87 +328,25 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     edges_by_sender: dict[str, int] = {}
     edges_by_descriptor: dict[str, int] = {}
 
-    # What each distinct dispatch gave: its outcome, its fingerprint (None
-    # unless it crashed) and its IPC edge, under every key of the cases
-    # that send what it sent: (seed id, field_path, mutation_id), the
-    # digest of the sends, and for an empty seedless case its method.
-    dispatched: dict[tuple | bytes, tuple[str, str | None, IpcEdge]] = {}
-    # The fingerprint of each crash site: its exception kind and the
-    # frames fingerprint hashes.
-    sites: dict[tuple[str, tuple[str, ...]], str] = {}
-    # The id of each seed class and content (see _open_seed).
-    seed_ids: dict[tuple, int] = {}
-    # The seed whose cases are arriving (the stream runs seed by seed): its
-    # id (None if it cannot be replayed), the edges its supports leave, and
-    # a session that has replayed them and dispatched nothing, or None
-    # once it has dispatched.
-    open_seq = seed_id = pristine = None
-    support_edges: tuple[IpcEdge, ...] = ()
-
     executed = 0
-    for case in cases:
+    for case, (outcome, digest, crash, edges) in _answers(prepared, cases):
         executed += 1
         method = (case.descriptor, case.code)
         tally = tallies.get(method)
         if tally is None:
             tally = tallies[method] = dict.fromkeys(OUTCOMES, 0)
-
-        seq = case.seed_seq
-        if seq is None:
-            key = None if case.payload else method
-        else:
-            if seq != open_seq:
-                open_seq = seq
-                seed_id, support_edges, pristine = _open_seed(prepared, seq, seed_ids)
-            key = None if seed_id is None else (seed_id, case.field_path, case.mutation_id)
-        known = dispatched.get(key)
-        if seq is not None and seed_id is None:
-            outcome, digest, edges = "unreplayable", None, support_edges
-        elif known is None:
-            session = None
-            if seq is None:
-                router, txn = seedless_transaction(case)
-            else:
-                session = pristine or ReplaySession(prepared)
-                pristine = None
-                router = session.router
-                txn = session.prepare(case)
-                sent = _sent_digest((*session._replayed.values(), txn))
-                known = dispatched.get(sent)
-                if known is not None:
-                    pristine = session
-                    dispatched[key] = known
-            if known is None:
-                reply = router.transact(txn)
-                edges = router.edges
-                outcome = _OUTCOME_BY_KIND[reply.kind]
-                digest = None
-                crash = reply.crash
-                if crash is not None:
-                    site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
-                    digest = sites.get(site)
-                    if digest is None:
-                        digest = sites[site] = fingerprint(crash)
-                    if digest not in hits:
-                        hits[digest] = 0
-                        first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
-                stored = (outcome, digest, edges[-1])
-                if session is not None:
-                    dispatched[sent] = stored
-                if key is not None:
-                    dispatched[key] = stored
-        if known is not None:
-            outcome, digest, edge = known
-            edges = (*support_edges, edge) if seq is not None else (edge,)
         if digest is not None:
-            hits[digest] += 1
+            if digest not in first_hits:
+                first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
+            hits[digest] = hits.get(digest, 0) + 1
         counters[outcome] += 1
         tally[outcome] += 1
-
-        _absorb_edges(edges, edges_by_sender, edges_by_descriptor)
+        for edge in edges:
+            edges_by_sender[edge.sender_id] = edges_by_sender.get(edge.sender_id, 0) + 1
+            edges_by_descriptor[edge.target_descriptor] = edges_by_descriptor.get(edge.target_descriptor, 0) + 1
         edge_total += len(edges)
 
-    report = CampaignReport(
+    return CampaignReport(
         config={
             "policy": [p.value for p in policies],
             "budget": config.budget,
@@ -441,16 +368,85 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
         executed=executed,
         unexecuted=config.budget - executed,
     )
-    return report
+
+
+def _answers(prepared: PreparedCorpus, cases):
+    """Yield (case, answer) for each of cases, pulling them one at a time.
+
+    An answer is (outcome, fingerprint or None, CrashInfo or None, the
+    IPC edges the dispatch left: the supports', then the case's), stored
+    as it is yielded; a case that repeats an earlier one (see the module
+    docstring for the keys) gets the stored answer object itself.  A seed
+    whose supports fail gets one unreplayable answer for all its cases,
+    with the edges they left (see _open_seed).
+    """
+    # Each dispatch's answer, under every key of the cases that send what
+    # it sent: (seed id, field_path, mutation_id), the digest of the
+    # sends, and for an empty seedless case its method.
+    dispatched: dict[tuple | bytes, tuple[str, str | None, CrashInfo | None, list[IpcEdge]]] = {}
+    # The fingerprint of each crash site: its exception kind and the
+    # frames fingerprint hashes.
+    sites: dict[tuple[str, tuple[str, ...]], str] = {}
+    # The id of each seed class and content (see _open_seed).
+    seed_ids: dict[tuple, int] = {}
+    # The seed whose cases are arriving (the stream runs seed by seed): its
+    # id (None if it cannot be replayed), and a session that has replayed
+    # its supports and dispatched nothing, or None once it has dispatched.
+    open_seq = seed_id = pristine = None
+
+    for case in cases:
+        seq = case.seed_seq
+        if seq is None:
+            key = None if case.payload else (case.descriptor, case.code)
+        else:
+            if seq != open_seq:
+                open_seq = seq
+                seed_id, pristine, failed_edges = _open_seed(prepared, seq, seed_ids)
+                if seed_id is None:
+                    unreplayable = ("unreplayable", None, None, failed_edges)
+            if seed_id is None:
+                yield case, unreplayable
+                continue
+            key = (seed_id, case.field_path, case.mutation_id)
+        answer = dispatched.get(key)
+        if answer is None:
+            if seq is None:
+                router, txn = seedless_transaction(case)
+            else:
+                session = pristine or ReplaySession(prepared)
+                router = session.router
+                txn = session.prepare(case)
+                sent = _sent_digest((*session._replayed.values(), txn))
+                answer = dispatched.get(sent)
+                if answer is None:
+                    pristine = None
+                else:
+                    pristine = session
+                    dispatched[key] = answer
+            if answer is None:
+                reply = router.transact(txn)
+                digest = None
+                crash = reply.crash
+                if crash is not None:
+                    site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
+                    digest = sites.get(site)
+                    if digest is None:
+                        digest = sites[site] = fingerprint(crash)
+                answer = (_OUTCOME_BY_KIND[reply.kind], digest, crash, router.edges)
+                if seq is not None:
+                    dispatched[sent] = answer
+                if key is not None:
+                    dispatched[key] = answer
+        yield case, answer
 
 
 def _open_seed(
     prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]
-) -> tuple[int | None, tuple[IpcEdge, ...], ReplaySession | None]:
+) -> tuple[int, ReplaySession, None] | tuple[None, None, list[IpcEdge]]:
     """Replay seed seq's supports on a fresh session; returns the seed's
-    id, the edges the supports left and the session.  If the seed's cases
-    cannot be replayed, every one of them is unreplayable, and this
-    returns (None, the edges the supports left up to the failure, None).
+    id, the session and None.  If the seed's cases cannot be replayed,
+    every one of them is unreplayable, and this returns (None, None, the
+    edges the supports left up to the failure).
 
     A seed's class is the digest of its support sends, its live target
     and its live handle map (recorded -> live); its content is what the
@@ -466,14 +462,14 @@ def _open_seed(
         session.ensure_supports(seq)
         target = session._live_handle(record.target)
     except Unreplayable:
-        return None, tuple(session.router.edges), None
+        return None, None, session.router.edges
     seed = (
         _sent_digest(session._replayed.values()),
         target,
         tuple(session.live.items()),
         record.content,
     )
-    return seed_ids.setdefault(seed, len(seed_ids)), tuple(session.router.edges), session
+    return seed_ids.setdefault(seed, len(seed_ids)), session, None
 
 
 def _sent_digest(sent) -> bytes:
@@ -489,12 +485,6 @@ def _sent_digest(sent) -> bytes:
         # The parcel's own bytearray, hashed in place: .buffer would copy it.
         digest.update(data._buf)
     return digest.digest()
-
-
-def _absorb_edges(edges: list[IpcEdge], by_sender: dict, by_descriptor: dict) -> None:
-    for edge in edges:
-        by_sender[edge.sender_id] = by_sender.get(edge.sender_id, 0) + 1
-        by_descriptor[edge.target_descriptor] = by_descriptor.get(edge.target_descriptor, 0) + 1
 
 
 def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str) -> TraceNode:

@@ -530,20 +530,6 @@ def _normalize_policies(policy) -> tuple[Policy, ...]:
     return tuple(out)
 
 
-def semi_valid_cases(record: SeedRecord, case_ids: Iterator[int] | None = None):
-    """Every semi-valid case for one seed: leaf sweeps, then structural.
-
-    The seed is decomposed and encoded once; each case splices into
-    that encoding.  Each case takes its case_id from case_ids as it is
-    built (0 without).
-    """
-    if case_ids is None:
-        case_ids = itertools.repeat(0)
-    seed = _encode_seed(record)
-    for splice in _splices(record, seed):
-        yield _spliced_case(record, seed.payload, splice, next(case_ids))
-
-
 def _splices(record: SeedRecord, seed: _SeedEncoding) -> Iterator[_Splice]:
     """The splice of each of record's semi-valid cases, in case order,
     each made when it is asked for."""

@@ -1,11 +1,25 @@
 import functools
+import itertools
 import random
 
 import pytest
 
 from parcelfuzz.harness import build_manifest, manifest_fingerprints
-from parcelfuzz.mutator import semi_valid_cases
+from parcelfuzz.mutator import _encode_seed, _spliced_case, _splices
 from parcelfuzz.recorder import SCENARIOS, build_dependency_graph, record_session
+
+
+def semi_valid_cases(record, case_ids=None):
+    """Every semi-valid case for one seed, made from that seed alone:
+    leaf sweeps, then structural.  The reference that generate_campaign's
+    semi-valid stream, which reuses the splices of a seed whose content
+    it has seen, is checked against.  Each case takes its case_id from
+    case_ids as it is built (0 without)."""
+    if case_ids is None:
+        case_ids = itertools.repeat(0)
+    seed = _encode_seed(record)
+    for splice in _splices(record, seed):
+        yield _spliced_case(record, seed.payload, splice, next(case_ids))
 
 
 @pytest.fixture(scope="session")

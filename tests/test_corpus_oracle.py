@@ -287,7 +287,7 @@ def _retype(record, draw):
     parent = record
     for step in path[:-1]:
         parent = parent[step]
-    parent[path[-1]] = draw(st.sampled_from(_WRONG_VALUES))
+    parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES)))
 
 
 def _shift_range(record, draw):

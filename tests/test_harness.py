@@ -4,6 +4,7 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -135,7 +137,7 @@ def test_unstructured_policies_find_strictly_fewer(corpus, manifest_fps, semi_re
     assert "MEMORY_CORRUPTION" not in kinds
 
 
-def test_unreplayable_cases_are_counted_not_fatal(monkeypatch, corpus):
+def test_unreplayable_cases_are_counted_not_fatal(monkeypatch, corpus, semi_report):
     broken = [
         r._replace(code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
         for r in corpus
@@ -148,6 +150,14 @@ def test_unreplayable_cases_are_counted_not_fatal(monkeypatch, corpus):
     report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
     assert report.counters["unreplayable"] > 0
     assert sum(report.counters.values()) == report.executed
+    # Every scenario recorded after the audio one runs as if nothing failed.
+    later_services = ("svc.bluetooth", "svc.view", "svc.graphics", "svc.activity")
+    later = [key for key in semi_report.per_method if key.split(":")[0] in later_services]
+    assert later
+    for key in later:
+        assert report.per_method[key] == semi_report.per_method[key]
+    later_crashes = {c.fingerprint for c in semi_report.crashes if c.descriptor != "svc.audio"}
+    assert later_crashes <= report.distinct_fingerprints()
 
 
 def test_a_campaign_leaves_its_prepared_corpus_unchanged(monkeypatch, corpus):
@@ -166,26 +176,6 @@ def test_a_campaign_leaves_its_prepared_corpus_unchanged(monkeypatch, corpus):
     assert report.executed == 500
     (once,) = prepared
     assert snapshot(once) == snapshot(prepare_corpus(corpus))
-
-
-def test_a_failed_support_replay_leaves_later_cases_alone(monkeypatch, corpus, semi_report):
-    broken = [
-        r._replace(code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
-        for r in corpus
-    ]
-    # run_fuzz refuses this corpus (see above); what a campaign does
-    # behind that check is what this test is about.
-    monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
-    report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
-    assert report.counters["unreplayable"] > 0
-    # Every scenario recorded after the audio one runs as if nothing failed.
-    later_services = ("svc.bluetooth", "svc.view", "svc.graphics", "svc.activity")
-    later = [key for key in semi_report.per_method if key.split(":")[0] in later_services]
-    assert later
-    for key in later:
-        assert report.per_method[key] == semi_report.per_method[key]
-    later_crashes = {c.fingerprint for c in semi_report.crashes if c.descriptor != "svc.audio"}
-    assert later_crashes <= report.distinct_fingerprints()
 
 
 def test_a_non_contiguous_corpus_fails_before_any_dispatch(monkeypatch, corpus):
@@ -305,48 +295,74 @@ def test_replaced_values_are_checked_again():
 # -- repeated dispatches -------------------------------------------------------------
 
 
+@pytest.fixture
+def records(request, shuffled_corpus_of):
+    """The corpus a test is parametrized with: a fixture's name, or the
+    shuffle seed that shuffled_corpus_of records four copies in."""
+    source = request.param
+    return shuffled_corpus_of(source) if isinstance(source, int) else request.getfixturevalue(source)
+
+
+@pytest.fixture
+def fuzzer_sends(monkeypatch):
+    """Every transaction fuzz cases send from here on, in order, as
+    (target descriptor, transaction, traced): dispatches and traced
+    re-runs, no supports."""
+    transact, sends = Router.transact, []
+
+    def logged(self, txn, trace_hook=None):
+        if txn.sender_id == "fuzzer":
+            sends.append((self.descriptor_of(txn.target_handle), txn, trace_hook is not None))
+        return transact(self, txn, trace_hook)
+
+    monkeypatch.setattr(Router, "transact", logged)
+    return sends
+
+
 def _dispatch_every_case(records, policy, budget):
-    """The counters, per-method tallies, edge summary and crashes
-    ({fingerprint: [first case id, hits]}) of a campaign whose every case
-    is dispatched on a fresh session of its own, with nothing remembered
-    from one case to the next."""
+    """(case, answer) for each case of a campaign, as _answers gives them,
+    each case dispatched on a fresh session of its own, with nothing
+    remembered from one case to the next."""
     prepared = prepare_corpus(records)
-    counters = dict.fromkeys(OUTCOMES, 0)
-    per_method = {}
-    edges = {"total": 0, "by_sender": {}, "by_descriptor": {}}
-    crashes = {}
     for case in generate_campaign(records, policy, budget, 1):
         session = ReplaySession(prepared)
         try:
             reply = session.router.transact(session.prepare(case))
         except Unreplayable:
-            outcome = "unreplayable"
+            yield case, ("unreplayable", None, None, session.router.edges)
         else:
-            outcome = classify(reply)
-            if reply.kind is ReplyKind.FATAL_CRASH:
-                crashes.setdefault(fingerprint(reply.crash), [case.case_id, 0])[1] += 1
+            digest = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else None
+            yield case, (classify(reply), digest, reply.crash, session.router.edges)
+
+
+def _check_against_every_dispatch(records, policy, budget):
+    """Compare _answers' stream with _dispatch_every_case's item by item,
+    and the campaign's report with this test's own tally of the latter;
+    returns the report."""
+    expected = list(_dispatch_every_case(records, policy, budget))
+    answers = harness._answers(prepare_corpus(records), generate_campaign(records, policy, budget, 1))
+    for got, want in itertools.zip_longest(answers, expected):
+        assert got == want, "case %d is answered otherwise" % (want or got)[0].case_id
+
+    counters, per_method, crashes = dict.fromkeys(OUTCOMES, 0), {}, {}
+    for case, (outcome, digest, _crash, _edges) in expected:
         counters[outcome] += 1
         per_method.setdefault("%s:%d" % (case.descriptor, case.code), dict.fromkeys(OUTCOMES, 0))[outcome] += 1
-        for edge in session.router.edges:
-            edges["total"] += 1
-            for field, value in (("by_sender", edge.sender_id), ("by_descriptor", edge.target_descriptor)):
-                edges[field][value] = edges[field].get(value, 0) + 1
-    return counters, per_method, edges, crashes
+        if digest is not None:
+            crashes.setdefault(digest, [case.case_id, 0])[1] += 1
+    edges = [edge for _case, answer in expected for edge in answer[3]]
+    by_sender, by_descriptor = Counter(e.sender_id for e in edges), Counter(e.target_descriptor for e in edges)
+    report = run_fuzz(FuzzConfig(policy=policy, budget=budget, rng_seed=1, corpus=records))
+    assert (report.counters, report.per_method) == (counters, per_method)
+    assert report.edge_summary == {"total": len(edges), "by_sender": by_sender, "by_descriptor": by_descriptor}
+    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
+    return report
 
 
 @pytest.mark.parametrize("policy", ["semi-valid", "empty,random", "empty,random,semi-valid"])
-@pytest.mark.parametrize("corpus_source", ["corpus", "shuffled_corpus", 1, 2, 3, 13, "eight_copy_corpus"])
-def test_a_campaign_counts_what_dispatching_every_case_gives(request, shuffled_corpus_of, corpus_source, policy):
-    if isinstance(corpus_source, int):
-        records = shuffled_corpus_of(corpus_source)
-    else:
-        records = request.getfixturevalue(corpus_source)
-    report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=10000, rng_seed=1, corpus=records))
-    counters, per_method, edges, crashes = _dispatch_every_case(records, policy.split(","), 10000)
-    assert report.counters == counters
-    assert report.per_method == per_method
-    assert report.edge_summary == edges
-    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
+@pytest.mark.parametrize("records", ["corpus", "shuffled_corpus", 1, 2, 3, 13, "eight_copy_corpus"], indirect=True)
+def test_a_campaign_counts_what_dispatching_every_case_gives(records, policy):
+    _check_against_every_dispatch(records, policy.split(","), 10000)
 
 
 def _reject_open_session(record):
@@ -359,28 +375,17 @@ def _move_open_session_handle(record):
 
 
 @pytest.mark.parametrize("policy", ["semi-valid", "empty,random,semi-valid"])
-@pytest.mark.parametrize("corpus_source", ["corpus", 1, 2])
+@pytest.mark.parametrize("records", ["corpus", 1, 2], indirect=True)
 @pytest.mark.parametrize("break_support", [_reject_open_session, _move_open_session_handle])
-def test_a_seed_whose_supports_fail_counts_what_dispatching_every_case_gives(
-    monkeypatch, request, shuffled_corpus_of, corpus_source, policy, break_support
-):
+def test_a_seed_whose_supports_fail_counts_what_dispatching_every_case_gives(monkeypatch, records, policy, break_support):
     """Behind the corpus check, a seed whose supports cannot be replayed
     makes each of its cases unreplayable, with the edges its supports
-    left.  run_fuzz decides that once per seed; the reference tries each
+    left.  _answers decides that once per seed; the reference tries each
     case on a session of its own."""
-    if isinstance(corpus_source, int):
-        records = shuffled_corpus_of(corpus_source)
-    else:
-        records = request.getfixturevalue(corpus_source)
     broken = [break_support(r) if (r.descriptor, r.code) == ("svc.audio", 3) else r for r in records]
     monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
-    report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=3000, rng_seed=1, corpus=broken))
-    counters, per_method, edges, crashes = _dispatch_every_case(broken, policy.split(","), 3000)
+    report = _check_against_every_dispatch(broken, policy.split(","), 3000)
     assert report.counters["unreplayable"] > 0
-    assert report.counters == counters
-    assert report.per_method == per_method
-    assert report.edge_summary == edges
-    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
 
 
 @pytest.mark.parametrize(
@@ -394,34 +399,21 @@ def test_a_seed_whose_supports_fail_counts_what_dispatching_every_case_gives(
     ],
 )
 def test_a_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
-    monkeypatch, request, policy, budget, corpus_fixture, executed, dispatched
+    fuzzer_sends, request, policy, budget, corpus_fixture, executed, dispatched
 ):
     records = request.getfixturevalue(corpus_fixture)
-    transact = Router.transact
-    cases = []
-
-    def counting(self, txn, trace_hook=None):
-        if trace_hook is None and txn.sender_id == "fuzzer":
-            cases.append(txn)
-        return transact(self, txn, trace_hook)
-
-    monkeypatch.setattr(Router, "transact", counting)
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
     assert report.executed == executed
-    assert len(cases) == dispatched
+    assert sum(not traced for _target, _txn, traced in fuzzer_sends) == dispatched
 
 
 @pytest.mark.parametrize("policy", ["semi-valid", "empty,random", "empty,random,semi-valid"])
-@pytest.mark.parametrize("corpus_source", [1, 2, 3, 13, "eight_copy_corpus"])
-def test_cases_with_one_first_level_key_send_the_same_transactions(request, shuffled_corpus_of, corpus_source, policy):
-    """run_fuzz looks a seeded case up by (seed id, field_path,
+@pytest.mark.parametrize("records", [1, 2, 3, 13, "eight_copy_corpus"], indirect=True)
+def test_cases_with_one_first_level_key_send_the_same_transactions(records, policy):
+    """_answers looks a seeded case up by (seed id, field_path,
     mutation_id) before it builds a session, and an empty seedless case
     by its method.  Each case here also replays on a fresh session of its
     own: every case under one key must send what the first one sent."""
-    if isinstance(corpus_source, int):
-        records = shuffled_corpus_of(corpus_source)
-    else:
-        records = request.getfixturevalue(corpus_source)
     prepared = prepare_corpus(records)
     seed_ids, opened, sent_under = {}, {}, {}
     keyed = 0
@@ -473,21 +465,12 @@ def test_a_campaign_builds_a_session_per_seed_and_per_dispatch(monkeypatch, requ
     assert len(built) == sessions
 
 
-def test_an_empty_seedless_case_dispatches_once_per_method(monkeypatch):
+def test_an_empty_seedless_case_dispatches_once_per_method(fuzzer_sends):
     # Three turns of the length cycle: every method gets three empty
     # RANDOM cases, and no EMPTY case runs before them.
     budget = 3 * len(all_methods()) * len(RANDOM_LENGTH_CYCLE)
-    transact = Router.transact
-    sent = []
-
-    def counting(self, txn, trace_hook=None):
-        if trace_hook is None and txn.sender_id == "fuzzer":
-            sent.append((self.descriptor_of(txn.target_handle), txn.code, txn.data.buffer))
-        return transact(self, txn, trace_hook)
-
-    monkeypatch.setattr(Router, "transact", counting)
     report = run_fuzz(FuzzConfig(policy="random", budget=budget))
-    monkeypatch.undo()
+    sent = [(target, txn.code, txn.data.buffer) for target, txn, traced in fuzzer_sends if not traced]
 
     expected, seen = [], set()
     for case in generate_campaign((), ["random"], budget, 1):
@@ -499,12 +482,35 @@ def test_an_empty_seedless_case_dispatches_once_per_method(monkeypatch):
     assert len(seen) == len(all_methods())
     assert sent == expected
     assert len(sent) == budget - 2 * len(all_methods())
-    counters, per_method, edges, crashes = _dispatch_every_case((), ["random"], budget)
-    assert (report.counters, report.per_method, report.edge_summary) == (counters, per_method, edges)
-    assert {c.fingerprint: [c.first_seen_case_id, c.hit_count] for c in report.crashes} == crashes
+    assert _check_against_every_dispatch((), ["random"], budget) == report
 
 
-def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(monkeypatch):
+def test_a_campaign_answers_each_case_before_it_pulls_the_next(monkeypatch, fuzzer_sends, corpus):
+    """The benchmark times a case as the span between two pulls of the
+    case stream (perfbench's install_case_stamps), so each case's
+    dispatch and traced re-run must fall between its own pull and the
+    next: a campaign that drew its cases ahead would time none of them."""
+    generate, pulls = harness.generate_campaign, []
+
+    def pulled(inner):
+        for case in inner:
+            pulls.append((case, len(fuzzer_sends)))
+            yield case
+
+    monkeypatch.setattr(harness, "generate_campaign", lambda *a, **k: pulled(generate(*a, **k)))
+    report = run_fuzz(FuzzConfig(policy=["empty", "random", "semi-valid"], budget=2000, corpus=corpus))
+    assert len(pulls) == report.executed == 2000
+    traced = set()
+    for (case, start), (_next, end) in zip(pulls, pulls[1:] + [(None, len(fuzzer_sends))]):
+        sent = fuzzer_sends[start:end]
+        assert [t for _target, _txn, t in sent] in ([], [False], [False, True]), case.case_id
+        assert all((txn.code, len(txn.data.buffer)) == (case.code, len(case.payload)) for _, txn, _ in sent)
+        if len(sent) == 2:
+            traced.add(case.case_id)
+    assert traced == {c.first_seen_case_id for c in report.crashes} != set()
+
+
+def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(fuzzer_sends):
     # Two recordings of one scenario: records 5-9 repeat records 0-4, and
     # each session's register_client (4 and 9) carries the session handle
     # its own open_session (2 and 7) produced.  Each case of seed 9 is
@@ -516,19 +522,11 @@ def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(monkeypatch):
     # open_session reads nothing, so four more bytes on record 7 change
     # what seed 9's support sends and nothing the corpus replies.
     padded = [r._replace(payload=b"\x01\x00\x00\x00") if r.seq == 7 else r for r in corpus]
-    transact = Router.transact
-    registered = []
-
-    def counting(self, txn, trace_hook=None):
-        if trace_hook is None and txn.sender_id == "fuzzer" and txn.code == 2:
-            registered.append(self.descriptor_of(txn.target_handle))
-        return transact(self, txn, trace_hook)
-
-    monkeypatch.setattr(Router, "transact", counting)
 
     def campaign(records):
-        registered.clear()
+        fuzzer_sends.clear()
         report = run_fuzz(FuzzConfig(policy="semi-valid", budget=10000, corpus=records))
+        registered = [target for target, txn, traced in fuzzer_sends if not traced and txn.code == 2]
         return report, registered.count("svc.audio")
 
     (report, once), (padded_report, twice) = campaign(corpus), campaign(padded)

@@ -36,11 +36,12 @@ from parcelfuzz.mutator import (
     decompose,
     generate_campaign,
     make_random,
-    semi_valid_cases,
 )
 from parcelfuzz.parcel import I32_MAX, I32_MIN, CapacityError, Kind, Parcel
 from parcelfuzz.recorder import COMPOSITE, SCENARIOS, SeedRecord, TraceNode, record_session
 from parcelfuzz.services import all_methods
+
+from conftest import semi_valid_cases
 
 
 def _record_for(corpus, descriptor, code=None):
