@@ -2,9 +2,9 @@
 
 Subcommands mirror the workflow: `list` the fuzzable surface, `record` a
 seed corpus, `fuzz` a campaign against it, `replay` a crash out of a
-saved report, and `report` to render one.  Exit status is 0 for a clean
-run, 2 when crashes were found (or reproduced), 1 for usage and I/O
-errors.
+saved report (with --schema, also the type trace of its input), and
+`report` to render one.  Exit status is 0 for a clean run, 2 when
+crashes were found (or reproduced), 1 for usage and I/O errors.
 
 Each subcommand is declared once, in COMMANDS: its help line, handler
 and arguments.  A command line that starts with a subcommand builds
@@ -37,6 +37,7 @@ from .mutator import ConfigurationError
 from .recorder import (
     CorpusError,
     RecordingError,
+    TraceBuilder,
     corpus_digest,
     load_corpus,
     record_session,
@@ -44,6 +45,9 @@ from .recorder import (
     scenario_names,
 )
 from .replayer import ReplayError
+
+# Trace nodes deeper than this print as truncated in a `replay --schema`.
+SCHEMA_DEPTH_LIMIT = 32
 
 _ERRORS = (
     HarnessError,
@@ -106,10 +110,13 @@ def _cmd_fuzz(args) -> int:
 def _cmd_replay(args) -> int:
     report = load_report(args.report)
     corpus = load_corpus(args.corpus) if args.corpus else []
-    crash = reproduce(report, args.fingerprint, corpus).crash
+    builder = TraceBuilder() if args.schema else None
+    crash = reproduce(report, args.fingerprint, corpus, builder).crash
     print("reproduced %s" % fingerprint(crash))
     print("  %s in %s" % (crash.exception_kind, " < ".join(crash.stack_frames)))
     print("  detail: %s" % crash.detail)
+    if builder is not None:
+        print(canonical_json(builder.finish().to_json(max_depth=SCHEMA_DEPTH_LIMIT)))
     return 2
 
 
@@ -197,6 +204,7 @@ COMMANDS = {
             ("--report", dict(required=True, metavar="PATH")),
             ("--fingerprint", dict(required=True, metavar="HEX")),
             ("--corpus", dict(metavar="PATH", help="corpus the campaign was run against")),
+            ("--schema", dict(action="store_true", help="also print the type trace of the crashing input")),
         ),
     ),
     "report": Command(

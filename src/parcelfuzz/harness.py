@@ -9,10 +9,12 @@ re-run from the report plus the corpus, nothing else.
 
 A campaign is one stream and one fold.  _answers answers each case in
 turn and owns the memo below; run_fuzz folds that stream into the
-report.  Cases dispatch without a trace hook.  A crash's schema (the
-type trace of the input that caused it) comes from one traced replay of
-the first case to reach each distinct fingerprint, on a fresh session
-over the same prepared corpus; repeat crashes only count hits.
+report.  Cases dispatch without a trace hook, and the report holds no
+type trace: `parcelfuzz replay --schema` traces a crash's saved case
+when someone asks (see reproduce).  The first case to reach each
+distinct fingerprint runs once more, on a fresh session over the same
+prepared corpus, and must crash exactly as before; repeat crashes only
+count hits.
 
 A fresh router's replies depend only on the transactions it receives,
 so a case that would send exactly what an earlier case sent is not
@@ -51,13 +53,12 @@ from .mutator import (
     _normalize_policies,
     generate_campaign,
 )
-from .recorder import SeedRecord, TraceBuilder, TraceNode, _excerpt, _field, _items, corpus_digest
+from .recorder import SeedRecord, _excerpt, _field, _items, corpus_digest
 from .replayer import PreparedCorpus, ReplaySession, Unreplayable, check_replies, prepare_corpus, seedless_transaction
 from .router import CrashInfo, IpcEdge, Reply, ReplyKind, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
 FINGERPRINT_FRAMES = 5
-SCHEMA_DEPTH_LIMIT = 32
 
 OUTCOMES = ("ok", "rejected", "handled_fault", "fatal_crash", "unreplayable")
 
@@ -105,8 +106,10 @@ def canonical_json(value) -> str:
 
     The stdlib writes an indented dump through a pure-Python generator
     per nesting level, every chunk passing up through each level above
-    it; a crash schema nests reports about 69 levels deep.  Here each
-    chunk is appended once, to one list.
+    it.  Here each chunk is appended once, to one list: the 31 KB report
+    of a semi-valid campaign over four copies of every scenario takes
+    about 0.3 ms of thread time, against about 0.5 ms for
+    json.dumps(indent=2) (Python 3.11 on a shared Xeon VM).
     """
     chunks: list[str] = []
     _encode(value, "\n", chunks.append)
@@ -174,7 +177,6 @@ class CrashReport(NamedTuple):
     stack_frames: tuple[str, ...]
     detail: str
     provenance: dict
-    schema: dict
     first_seen_case_id: int
     hit_count: int
 
@@ -187,7 +189,6 @@ class CrashReport(NamedTuple):
             "stack_frames": list(self.stack_frames),
             "detail": self.detail,
             "provenance": self.provenance,
-            "schema": self.schema,
             "first_seen_case_id": self.first_seen_case_id,
             "hit_count": self.hit_count,
         }
@@ -195,7 +196,8 @@ class CrashReport(NamedTuple):
     @classmethod
     def from_json(cls, obj, where: str = "crash") -> "CrashReport":
         """Parse a saved crash, checking the type of every field; where
-        names the crash in a HarnessError."""
+        names the crash in a HarnessError.  Keys it does not read are
+        ignored, such as the schema reports once held."""
         if type(obj) is not dict:
             raise HarnessError("%s is not an object: %s" % (where, _excerpt(obj)))
         provenance = _field(obj, "provenance", (dict,), where, HarnessError)
@@ -208,7 +210,6 @@ class CrashReport(NamedTuple):
             stack_frames=tuple(_items(obj, "stack_frames", (str,), where, HarnessError)),
             detail=_field(obj, "detail", (str,), where, HarnessError, ""),
             provenance=provenance,
-            schema=_field(obj, "schema", (dict,), where, HarnessError, {}),
             first_seen_case_id=_field(obj, "first_seen_case_id", (int,), where, HarnessError),
             hit_count=_field(obj, "hit_count", (int,), where, HarnessError),
         )
@@ -312,8 +313,8 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     the next.  This folds that stream into the report: the counters, the
     per-method tallies, the hit count of each fingerprint and the edge
     summary.  The first case to reach a fingerprint is always one that
-    _answers dispatched, and it runs once more, traced, for the crash's
-    schema (see _traced_rerun).
+    _answers dispatched; it is that crash's saved case, and it runs once
+    more to check that replay reproduces it (see _rerun).
     """
     policies = _normalize_policies(config.policy)
     cases = generate_campaign(config.corpus, policies, config.budget, config.rng_seed)
@@ -323,7 +324,7 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
     counters = dict.fromkeys(OUTCOMES, 0)
     tallies: dict[tuple[str, int], dict[str, int]] = {}
     hits: dict[str, int] = {}
-    first_hits: dict[str, tuple[FuzzCase, CrashInfo, TraceNode]] = {}
+    first_hits: dict[str, tuple[FuzzCase, CrashInfo]] = {}
     edge_total = 0
     edges_by_sender: dict[str, int] = {}
     edges_by_descriptor: dict[str, int] = {}
@@ -337,7 +338,8 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
             tally = tallies[method] = dict.fromkeys(OUTCOMES, 0)
         if digest is not None:
             if digest not in first_hits:
-                first_hits[digest] = (case, crash, _traced_rerun(prepared, case, digest))
+                _rerun(prepared, case, crash)
+                first_hits[digest] = (case, crash)
             hits[digest] = hits.get(digest, 0) + 1
         counters[outcome] += 1
         tally[outcome] += 1
@@ -487,23 +489,18 @@ def _sent_digest(sent) -> bytes:
     return digest.digest()
 
 
-def _traced_rerun(prepared: PreparedCorpus, case: FuzzCase, digest: str) -> TraceNode:
-    """Type trace of a crashing case, from one more run of it, traced,
-    on a fresh session; replay is deterministic, so the run must crash
-    with the same fingerprint again."""
+def _rerun(prepared: PreparedCorpus, case: FuzzCase, crash: CrashInfo) -> None:
+    """Run a crashing case once more, on a fresh session; replay is
+    deterministic, so it must crash exactly as before: the same kind,
+    frames and detail."""
     session = ReplaySession(prepared)
-    builder = TraceBuilder()
-    reply = session.router.transact(session.prepare(case), trace_hook=builder)
-    got = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else reply.kind.value
-    if got != digest:
-        raise HarnessError(
-            "case %d crashed as %s, but its traced re-run gave %s" % (case.case_id, digest[:12], got[:12])
-        )
-    return builder.finish()
+    again = session.router.transact(session.prepare(case)).crash
+    if again != crash:
+        raise HarnessError("case %d crashed as %r, but its re-run gave %r" % (case.case_id, crash, again))
 
 
 def _crash_report(
-    digest: str, case: FuzzCase, crash: CrashInfo, schema: TraceNode, hit_count: int, config: FuzzConfig
+    digest: str, case: FuzzCase, crash: CrashInfo, hit_count: int, config: FuzzConfig
 ) -> CrashReport:
     return CrashReport(
         fingerprint=digest,
@@ -520,7 +517,6 @@ def _crash_report(
             "rng_seed": config.rng_seed,
             "case": case.to_json(),
         },
-        schema=schema.to_json(max_depth=SCHEMA_DEPTH_LIMIT),
         first_seen_case_id=case.case_id,
         hit_count=hit_count,
     )
@@ -547,8 +543,12 @@ def find_crash(report: CampaignReport, fingerprint_hex: str) -> CrashReport:
     raise HarnessError("fingerprint prefix %r is ambiguous (%d matches)" % (fingerprint_hex, len(prefixed)))
 
 
-def reproduce(report: CampaignReport, fingerprint_hex: str, corpus) -> Reply:
+def reproduce(report: CampaignReport, fingerprint_hex: str, corpus, trace_hook=None) -> Reply:
     """Re-run a saved crash from its provenance; the fingerprint must match.
+
+    trace_hook, if given, is passed to Router.transact: a TraceBuilder
+    there records the crash's schema, the type trace of its input, and
+    the fingerprint check proves that tracing changed nothing.
 
     A case made from a seed must name a seed the corpus holds and that
     seed's method: replay addresses the seed's target, so a case naming
@@ -572,8 +572,7 @@ def reproduce(report: CampaignReport, fingerprint_hex: str, corpus) -> Reply:
                 "crash provenance is unusable: case %d targets %s code %d, its seed %d is %s code %d"
                 % (case.case_id, case.descriptor, case.code, seed.seq, seed.descriptor, seed.code)
             )
-    txn = session.prepare(case)
-    reply = session.router.transact(txn)
+    reply = session.router.transact(session.prepare(case), trace_hook)
     if reply.kind is not ReplyKind.FATAL_CRASH:
         raise FingerprintMismatch(
             "expected FATAL_CRASH %s, got %s" % (saved.fingerprint[:12], reply.kind.value)

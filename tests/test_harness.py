@@ -22,12 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parcelfuzz import harness
-from parcelfuzz.cli import main
+from parcelfuzz.cli import SCHEMA_DEPTH_LIMIT, main
 from parcelfuzz.harness import (
     _OUTCOME_BY_KIND,
     FINGERPRINT_FRAMES,
     OUTCOMES,
-    SCHEMA_DEPTH_LIMIT,
     CampaignReport,
     CrashReport,
     FingerprintMismatch,
@@ -53,7 +52,15 @@ from parcelfuzz.mutator import (
     generate_campaign,
     make_random,
 )
-from parcelfuzz.recorder import CorpusError, TraceBuilder, corpus_digest, corpus_text, load_corpus, record_session
+from parcelfuzz.recorder import (
+    CorpusError,
+    TraceBuilder,
+    corpus_digest,
+    corpus_text,
+    load_corpus,
+    record_session,
+    save_corpus,
+)
 from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus
 from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
 from parcelfuzz.services import all_methods
@@ -212,20 +219,6 @@ def test_a_corpus_padded_with_blank_lines_keeps_its_identity(tmp_path, capsys):
     assert "(%s)" % ids[0][:12] in recorded
 
 
-def test_crash_schema_is_depth_capped(semi_report):
-    crash = next(c for c in semi_report.crashes if c.exception_kind == "STACK_OVERFLOW")
-
-    def walk(node, depth=0):
-        yield node, depth
-        for child in node.get("children", []):
-            yield from walk(child, depth + 1)
-
-    depths = [(n, d) for n, d in walk(crash.schema)]
-    assert max(d for _, d in depths) <= SCHEMA_DEPTH_LIMIT
-    assert any(n.get("truncated") for n, _ in depths)
-    assert all(set(n) >= {"kind", "label", "byte_range"} for n, _ in depths)
-
-
 def test_crash_provenance_carries_the_full_case(semi_report):
     for crash in semi_report.crashes:
         prov = crash.provenance
@@ -234,43 +227,44 @@ def test_crash_provenance_carries_the_full_case(semi_report):
         assert prov["case"]["case_id"] == crash.first_seen_case_id
 
 
-def test_a_campaign_traces_once_per_distinct_fingerprint(monkeypatch, corpus):
-    built = []
+def test_a_campaign_traces_nothing_and_reruns_each_fingerprint_once(monkeypatch, corpus):
+    built, reruns = [], []
+    init, rerun = TraceBuilder.__init__, harness._rerun
 
-    class CountingBuilder(TraceBuilder):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
+    def counting_init(self):
+        built.append(self)
+        init(self)
 
-    monkeypatch.setattr(harness, "TraceBuilder", CountingBuilder)
+    def counting_rerun(prepared, case, crash):
+        reruns.append(case.case_id)
+        rerun(prepared, case, crash)
+
+    monkeypatch.setattr(TraceBuilder, "__init__", counting_init)
+    monkeypatch.setattr(harness, "_rerun", counting_rerun)
     report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus))
     assert report.counters["fatal_crash"] > len(report.crashes) == 10
-    assert len(built) == len(report.crashes)
+    assert built == []
+    assert sorted(reruns) == sorted(c.first_seen_case_id for c in report.crashes)
 
 
-def test_every_crash_schema_is_the_trace_of_its_saved_case(semi_report, corpus):
-    prepared = prepare_corpus(corpus)
-    for crash in semi_report.crashes:
-        session = ReplaySession(prepared)
-        builder = TraceBuilder()
-        case = FuzzCase.from_json(crash.provenance["case"])
-        reply = session.router.transact(session.prepare(case), trace_hook=builder)
-        assert fingerprint(reply.crash) == crash.fingerprint
-        assert crash.schema == builder.finish().to_json(max_depth=SCHEMA_DEPTH_LIMIT)
-
-
-def test_a_traced_rerun_on_another_fingerprint_is_a_harness_error(monkeypatch, corpus, semi_report):
+def test_a_rerun_that_crashes_otherwise_is_a_harness_error(monkeypatch, in_rerun, corpus, semi_report):
+    """The re-run must crash as the dispatch did, detail included: here
+    it differs in the detail alone, which the fingerprint does not hash."""
     transact = Router.transact
 
-    def elsewhere_when_traced(self, txn, trace_hook=None):
+    def detail_moved_in_rerun(self, txn, trace_hook=None):
         reply = transact(self, txn, trace_hook)
-        if trace_hook is None or reply.kind is not ReplyKind.FATAL_CRASH:
+        if not in_rerun[0] or reply.crash is None:
             return reply
-        return Reply(ReplyKind.FATAL_CRASH, crash=_crash("ELSEWHERE", ("elsewhere",)))
+        return reply._replace(crash=reply.crash._replace(detail=reply.crash.detail + " again"))
 
-    monkeypatch.setattr(Router, "transact", elsewhere_when_traced)
-    first = min(c.first_seen_case_id for c in semi_report.crashes)
-    with pytest.raises(HarnessError, match=r"^case %d crashed as " % first):
+    monkeypatch.setattr(Router, "transact", detail_moved_in_rerun)
+    first = min(semi_report.crashes, key=lambda c: c.first_seen_case_id)
+    crash = CrashInfo(first.exception_kind, first.stack_frames, first.detail)
+    message = "case %d crashed as %r, but its re-run gave %r" % (
+        first.first_seen_case_id, crash, crash._replace(detail=crash.detail + " again")
+    )
+    with pytest.raises(HarnessError, match="^%s$" % re.escape(message)):
         run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=corpus))
 
 
@@ -304,15 +298,31 @@ def records(request, shuffled_corpus_of):
 
 
 @pytest.fixture
-def fuzzer_sends(monkeypatch):
+def in_rerun(monkeypatch):
+    """A one-item list that holds True while harness._rerun runs."""
+    rerun, flag = harness._rerun, [False]
+
+    def marked(*args):
+        flag[0] = True
+        try:
+            return rerun(*args)
+        finally:
+            flag[0] = False
+
+    monkeypatch.setattr(harness, "_rerun", marked)
+    return flag
+
+
+@pytest.fixture
+def fuzzer_sends(monkeypatch, in_rerun):
     """Every transaction fuzz cases send from here on, in order, as
-    (target descriptor, transaction, traced): dispatches and traced
-    re-runs, no supports."""
+    (target descriptor, transaction, rerun): dispatches and the re-runs
+    of first crashes (rerun True), no supports."""
     transact, sends = Router.transact, []
 
     def logged(self, txn, trace_hook=None):
         if txn.sender_id == "fuzzer":
-            sends.append((self.descriptor_of(txn.target_handle), txn, trace_hook is not None))
+            sends.append((self.descriptor_of(txn.target_handle), txn, in_rerun[0]))
         return transact(self, txn, trace_hook)
 
     monkeypatch.setattr(Router, "transact", logged)
@@ -404,7 +414,7 @@ def test_a_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
     records = request.getfixturevalue(corpus_fixture)
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
     assert report.executed == executed
-    assert sum(not traced for _target, _txn, traced in fuzzer_sends) == dispatched
+    assert sum(not rerun for _target, _txn, rerun in fuzzer_sends) == dispatched
 
 
 @pytest.mark.parametrize("policy", ["semi-valid", "empty,random", "empty,random,semi-valid"])
@@ -442,12 +452,12 @@ def test_cases_with_one_first_level_key_send_the_same_transactions(records, poli
     "policy,corpus_fixture,sessions",
     [
         # One session checks the corpus, one opens each seed (76 here),
-        # one runs each of the 10 traced re-runs, and one serves each
+        # one re-runs each of the 10 first crashes, and one serves each
         # first-level miss whose seed's session an earlier case already
         # dispatched on: 1 + 76 + 10 + 287.
         ("semi-valid", "shuffled_corpus", 374),
         ("semi-valid", "corpus", 317),
-        # Seedless cases build none: the corpus check and 4 traced re-runs.
+        # Seedless cases build none: the corpus check and 4 re-runs.
         ("empty,random", "corpus", 5),
     ],
 )
@@ -470,7 +480,7 @@ def test_an_empty_seedless_case_dispatches_once_per_method(fuzzer_sends):
     # RANDOM cases, and no EMPTY case runs before them.
     budget = 3 * len(all_methods()) * len(RANDOM_LENGTH_CYCLE)
     report = run_fuzz(FuzzConfig(policy="random", budget=budget))
-    sent = [(target, txn.code, txn.data.buffer) for target, txn, traced in fuzzer_sends if not traced]
+    sent = [(target, txn.code, txn.data.buffer) for target, txn, rerun in fuzzer_sends if not rerun]
 
     expected, seen = [], set()
     for case in generate_campaign((), ["random"], budget, 1):
@@ -488,8 +498,8 @@ def test_an_empty_seedless_case_dispatches_once_per_method(fuzzer_sends):
 def test_a_campaign_answers_each_case_before_it_pulls_the_next(monkeypatch, fuzzer_sends, corpus):
     """The benchmark times a case as the span between two pulls of the
     case stream (perfbench's install_case_stamps), so each case's
-    dispatch and traced re-run must fall between its own pull and the
-    next: a campaign that drew its cases ahead would time none of them."""
+    dispatch and re-run must fall between its own pull and the next: a
+    campaign that drew its cases ahead would time none of them."""
     generate, pulls = harness.generate_campaign, []
 
     def pulled(inner):
@@ -500,14 +510,14 @@ def test_a_campaign_answers_each_case_before_it_pulls_the_next(monkeypatch, fuzz
     monkeypatch.setattr(harness, "generate_campaign", lambda *a, **k: pulled(generate(*a, **k)))
     report = run_fuzz(FuzzConfig(policy=["empty", "random", "semi-valid"], budget=2000, corpus=corpus))
     assert len(pulls) == report.executed == 2000
-    traced = set()
+    rerun = set()
     for (case, start), (_next, end) in zip(pulls, pulls[1:] + [(None, len(fuzzer_sends))]):
         sent = fuzzer_sends[start:end]
-        assert [t for _target, _txn, t in sent] in ([], [False], [False, True]), case.case_id
+        assert [r for _target, _txn, r in sent] in ([], [False], [False, True]), case.case_id
         assert all((txn.code, len(txn.data.buffer)) == (case.code, len(case.payload)) for _, txn, _ in sent)
         if len(sent) == 2:
-            traced.add(case.case_id)
-    assert traced == {c.first_seen_case_id for c in report.crashes} != set()
+            rerun.add(case.case_id)
+    assert rerun == {c.first_seen_case_id for c in report.crashes} != set()
 
 
 def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(fuzzer_sends):
@@ -526,7 +536,7 @@ def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(fuzzer_sends):
     def campaign(records):
         fuzzer_sends.clear()
         report = run_fuzz(FuzzConfig(policy="semi-valid", budget=10000, corpus=records))
-        registered = [target for target, txn, traced in fuzzer_sends if not traced and txn.code == 2]
+        registered = [target for target, txn, rerun in fuzzer_sends if not rerun and txn.code == 2]
         return report, registered.count("svc.audio")
 
     (report, once), (padded_report, twice) = campaign(corpus), campaign(padded)
@@ -546,24 +556,74 @@ def test_identical_configs_serialize_identically(corpus, semi_report):
 # sha256 of the canonical report of each config, pinned from a build
 # known to be right: any byte a change moves in a report shows up here.
 PINNED_REPORTS = [
-    ("semi-valid", 10000, "corpus", "670557ca73187b3961a3a09dd39422871f401fde3774993e53e481147af09466"),
-    ("semi-valid", 10000, "shuffled_corpus", "2f30d2eadbbecf04cfb01f5389b0d409c4a5c98a4721a93e058d559988abadce"),
-    ("empty,random", 10000, "corpus", "00931f7dafd4b071599b91301157e0f1a7de42332cdb67885a6db3670719e57c"),
+    ("semi-valid", 10000, "corpus", "76da270510fd9b9bd9671b03af299a2c16e9b5d820aaeef02e38fbcf6a988edf"),
+    ("semi-valid", 10000, "shuffled_corpus", "d8d540e51d457ea09382a1145d6f910c7dc383ee3d244320c46d69dc5e962150"),
+    ("empty,random", 10000, "corpus", "b274c11f11a3527d9fbf138cf96986a316898057bf648b95e91815f32591aebf"),
 ]
+
+# sha256 of the same reports as they were written while each crash held
+# its schema, the type trace that `replay --schema` now prints: the pins
+# from before schemas left the report.
+PINNED_REPORTS_WITH_SCHEMAS = {
+    "semi-valid-corpus": "670557ca73187b3961a3a09dd39422871f401fde3774993e53e481147af09466",
+    "semi-valid-shuffled_corpus": "2f30d2eadbbecf04cfb01f5389b0d409c4a5c98a4721a93e058d559988abadce",
+    "empty,random-corpus": "00931f7dafd4b071599b91301157e0f1a7de42332cdb67885a6db3670719e57c",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _replay_schema(capsys, report_path, corpus_path, fingerprint_hex) -> dict:
+    """The schema `replay --schema` prints for a saved crash.  The lines
+    before it must be the whole output of the same replay without the
+    flag, and both must exit 2 with nothing on stderr."""
+    argv = ["replay", "--report", str(report_path), "--fingerprint", fingerprint_hex, "--corpus", str(corpus_path)]
+    assert main(argv) == 2
+    plain, err = capsys.readouterr()
+    assert (main(argv + ["--schema"]), err) == (2, "")
+    out, err = capsys.readouterr()
+    assert (out[: len(plain)], err) == (plain, "")
+    return json.loads(out[len(plain):])
+
+
+def _with_schemas(report, records, directory, capsys) -> dict:
+    """report in the layout it had while it held schemas: its JSON, each
+    crash with the schema that `replay --schema` prints for it."""
+    corpus_path, report_path = directory / "corpus.jsonl", directory / "report.json"
+    save_corpus(records, corpus_path)
+    save_report(report, report_path)
+    old = report.to_json()
+    for crash in old["crashes"]:
+        crash["schema"] = _replay_schema(capsys, report_path, corpus_path, crash["fingerprint"])
+    return old
 
 
 @pytest.mark.parametrize(
     "policy,budget,corpus_fixture,digest", PINNED_REPORTS, ids=["%s-%d-%s" % pin[:3] for pin in PINNED_REPORTS]
 )
-def test_canonical_reports_are_pinned(request, policy, budget, corpus_fixture, digest):
+def test_canonical_reports_are_pinned(request, tmp_path, capsys, policy, budget, corpus_fixture, digest):
+    """Each report is pinned, and re-adding its crashes' schemas gives
+    back the bytes pinned before they left: nothing else moved.  A report
+    that still holds them loads as the report without them and replays."""
     records = request.getfixturevalue(corpus_fixture)
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
-    assert hashlib.sha256(report.to_canonical_json().encode("utf-8")).hexdigest() == digest
+    assert _sha256(report.to_canonical_json()) == digest
+    old = _with_schemas(report, records, tmp_path, capsys)
+    assert _sha256(canonical_json(old) + "\n") == PINNED_REPORTS_WITH_SCHEMAS["%s-%s" % (policy, corpus_fixture)]
+
+    old_path = tmp_path / "old.json"
+    old_path.write_text(canonical_json(old) + "\n")
+    assert load_report(old_path).to_canonical_json() == report.to_canonical_json()
+    crash = old["crashes"][0]
+    assert _replay_schema(capsys, old_path, tmp_path / "corpus.jsonl", crash["fingerprint"]) == crash["schema"]
 
 
 # sha256 of the same semi-valid reports under catalog-v1, whose RANDOM
-# bytes came from a seeded Mersenne Twister.  Semi-valid cases draw no
-# random bytes, so the catalog version is all that moved.
+# bytes came from a seeded Mersenne Twister, in the layout of
+# PINNED_REPORTS_WITH_SCHEMAS.  Semi-valid cases draw no random bytes,
+# so the catalog version is all that moved.
 CATALOG_V1_SEMI_VALID_REPORTS = [
     ("corpus", "698083aa82ed576bf0cd952fe19b51c6240fe9b7ae40565be28c2cdd990f9423"),
     ("shuffled_corpus", "c04004d732831d30a321266ca766a458c48a6c162d869260ef5706ad4fb0bb28"),
@@ -573,12 +633,13 @@ CATALOG_V1_SEMI_VALID_REPORTS = [
 @pytest.mark.parametrize(
     "corpus_fixture,digest", CATALOG_V1_SEMI_VALID_REPORTS, ids=[pin[0] for pin in CATALOG_V1_SEMI_VALID_REPORTS]
 )
-def test_semi_valid_reports_differ_from_catalog_v1_in_the_version_alone(request, corpus_fixture, digest):
+def test_semi_valid_reports_differ_from_catalog_v1_in_the_version_alone(request, tmp_path, capsys, corpus_fixture, digest):
     records = request.getfixturevalue(corpus_fixture)
     report = run_fuzz(FuzzConfig(policy=["semi-valid"], budget=10000, rng_seed=1, corpus=records))
     assert report.config["catalog_version"] == CATALOG_VERSION != "catalog-v1"
-    v1 = report._replace(config={**report.config, "catalog_version": "catalog-v1"})
-    assert hashlib.sha256(v1.to_canonical_json().encode("utf-8")).hexdigest() == digest
+    v1 = _with_schemas(report, records, tmp_path, capsys)
+    v1["config"]["catalog_version"] = "catalog-v1"
+    assert _sha256(canonical_json(v1) + "\n") == digest
 
 
 # sha256 of the semi-valid case stream of the shipped corpus and then the
@@ -689,11 +750,13 @@ def test_canonical_json_refuses_what_json_cannot_load(value):
 
 
 def test_the_deepest_loadable_report_renders_as_json(tmp_path, capsys, saved_campaign):
-    """The deepest crash schema a report can hold and still load also
-    writes through the CLI, with no traceback."""
+    """The deepest value a crash's provenance, which a report keeps
+    whole, can hold and still load also writes through the CLI, with no
+    traceback."""
     _corpus_path, saved = saved_campaign
     report_path = tmp_path / "report.json"
-    report = dict(saved, crashes=[dict(saved["crashes"][0], schema="@@")])
+    crash = saved["crashes"][0]
+    report = dict(saved, crashes=[dict(crash, provenance=dict(crash["provenance"], nested="@@"))])
     text = json.dumps(report)
     opening = '{"kind": "COMPOSITE", "label": "x", "byte_range": [0, 4], "children": ['
     leaf = '{"kind": "I32", "label": "v", "byte_range": [0, 4]}'
@@ -1004,7 +1067,9 @@ _RECORD_USAGE = "usage: parcelfuzz record [-h] [--scenario NAME] --out PATH\n"
 _FUZZ_USAGE = """usage: parcelfuzz fuzz [-h] --policy POLICY [--corpus PATH] --budget N
                        [--rng-seed S] --out PATH
 """
-_REPLAY_USAGE = "usage: parcelfuzz replay [-h] --report PATH --fingerprint HEX [--corpus PATH]\n"
+_REPLAY_USAGE = """usage: parcelfuzz replay [-h] --report PATH --fingerprint HEX [--corpus PATH]
+                         [--schema]
+"""
 _REPORT_USAGE = "usage: parcelfuzz report [-h] --in PATH [--format {text,json}]\n"
 
 
@@ -1068,6 +1133,7 @@ options:
   --report PATH
   --fingerprint HEX
   --corpus PATH      corpus the campaign was run against
+  --schema           also print the type trace of the crashing input
 """,
         "",
     ),
@@ -1155,6 +1221,66 @@ def test_importing_a_module_loads_only_the_modules_it_imports(module, loaded):
     of the package, and importing the parcel format, which imports no
     other, loads that module alone."""
     assert _loaded_after_import(module, "name.partition('.')[0] == 'parcelfuzz'") == "%r\n" % loaded
+
+
+def _written(tmp_path, saved) -> Path:
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(saved))
+    return path
+
+
+def test_crash_schema_is_depth_capped(tmp_path, capsys, saved_campaign):
+    corpus_path, saved = saved_campaign
+    crash = next(c for c in saved["crashes"] if c["exception_kind"] == "STACK_OVERFLOW")
+    schema = _replay_schema(capsys, _written(tmp_path, saved), corpus_path, crash["fingerprint"])
+
+    def walk(node, depth=0):
+        yield node, depth
+        for child in node.get("children", []):
+            yield from walk(child, depth + 1)
+
+    depths = list(walk(schema))
+    assert max(d for _, d in depths) == SCHEMA_DEPTH_LIMIT
+    assert any(n.get("truncated") for n, _ in depths)
+    assert all(set(n) >= {"kind", "label", "byte_range"} for n, _ in depths)
+
+
+def test_every_crash_schema_is_the_trace_of_its_saved_case(tmp_path, capsys, saved_campaign):
+    corpus_path, saved = saved_campaign
+    report_path = _written(tmp_path, saved)
+    prepared = prepare_corpus(load_corpus(corpus_path))
+    for crash in saved["crashes"]:
+        session = ReplaySession(prepared)
+        builder = TraceBuilder()
+        case = FuzzCase.from_json(crash["provenance"]["case"])
+        reply = session.router.transact(session.prepare(case), trace_hook=builder)
+        assert fingerprint(reply.crash) == crash["fingerprint"]
+        schema = _replay_schema(capsys, report_path, corpus_path, crash["fingerprint"])
+        assert schema == builder.finish().to_json(max_depth=SCHEMA_DEPTH_LIMIT)
+
+
+def test_a_schema_replay_that_lands_elsewhere_is_a_mismatch(monkeypatch, tmp_path, capsys, saved_campaign):
+    """Tracing must change nothing: a traced dispatch that crashes on
+    another fingerprint exits 1 with one line, and prints no schema."""
+    corpus_path, saved = saved_campaign
+    transact, elsewhere = Router.transact, _crash("ELSEWHERE", ("elsewhere",))
+
+    def elsewhere_when_traced(self, txn, trace_hook=None):
+        reply = transact(self, txn, trace_hook)
+        if trace_hook is None or reply.kind is not ReplyKind.FATAL_CRASH:
+            return reply
+        return Reply(ReplyKind.FATAL_CRASH, crash=elsewhere)
+
+    monkeypatch.setattr(Router, "transact", elsewhere_when_traced)
+    expected = saved["crashes"][0]["fingerprint"]
+    argv = ["replay", "--report", str(_written(tmp_path, saved)), "--fingerprint", expected,
+            "--corpus", str(corpus_path)]
+    assert main(argv) == 2
+    capsys.readouterr()
+    assert main(argv + ["--schema"]) == 1
+    assert capsys.readouterr() == (
+        "", "fingerprint mismatch: reproduced %s, expected %s\n" % (fingerprint(elsewhere)[:12], expected[:12])
+    )
 
 
 def test_cli_replay_mismatch_is_an_error(tmp_path, capsys, corpus):
