@@ -54,12 +54,15 @@ from .mutator import (
     generate_campaign,
 )
 from .recorder import SeedRecord, _excerpt, _field, _items, corpus_digest
-from .replayer import PreparedCorpus, ReplaySession, Unreplayable, check_replies, prepare_corpus, seedless_transaction
+from .replayer import PreparedCorpus, ReplaySession, check_replies, prepare_corpus, seedless_transaction
 from .router import CrashInfo, IpcEdge, Reply, ReplyKind, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
 FINGERPRINT_FRAMES = 5
 
+# "unreplayable" is always 0: a support that fails inside a campaign stops
+# it (see _open_seed).  The report format lists the counter until its next
+# version, and perfbench counts it as failed operations.
 OUTCOMES = ("ok", "rejected", "handled_fault", "fatal_crash", "unreplayable")
 
 _OUTCOME_BY_KIND = {
@@ -379,8 +382,8 @@ def _answers(prepared: PreparedCorpus, cases):
     IPC edges the dispatch left: the supports', then the case's), stored
     as it is yielded; a case that repeats an earlier one (see the module
     docstring for the keys) gets the stored answer object itself.  A seed
-    whose supports fail gets one unreplayable answer for all its cases,
-    with the edges they left (see _open_seed).
+    whose supports fail raises their Unreplayable when its first case
+    arrives (see _open_seed).
     """
     # Each dispatch's answer, under every key of the cases that send what
     # it sent: (seed id, field_path, mutation_id), the digest of the
@@ -392,8 +395,8 @@ def _answers(prepared: PreparedCorpus, cases):
     # The id of each seed class and content (see _open_seed).
     seed_ids: dict[tuple, int] = {}
     # The seed whose cases are arriving (the stream runs seed by seed): its
-    # id (None if it cannot be replayed), and a session that has replayed
-    # its supports and dispatched nothing, or None once it has dispatched.
+    # id, and a session that has replayed its supports and dispatched
+    # nothing, or None once it has dispatched.
     open_seq = seed_id = pristine = None
 
     for case in cases:
@@ -403,12 +406,7 @@ def _answers(prepared: PreparedCorpus, cases):
         else:
             if seq != open_seq:
                 open_seq = seq
-                seed_id, pristine, failed_edges = _open_seed(prepared, seq, seed_ids)
-                if seed_id is None:
-                    unreplayable = ("unreplayable", None, None, failed_edges)
-            if seed_id is None:
-                yield case, unreplayable
-                continue
+                seed_id, pristine = _open_seed(prepared, seq, seed_ids)
             key = (seed_id, case.field_path, case.mutation_id)
         answer = dispatched.get(key)
         if answer is None:
@@ -442,13 +440,11 @@ def _answers(prepared: PreparedCorpus, cases):
         yield case, answer
 
 
-def _open_seed(
-    prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]
-) -> tuple[int, ReplaySession, None] | tuple[None, None, list[IpcEdge]]:
+def _open_seed(prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]) -> tuple[int, ReplaySession]:
     """Replay seed seq's supports on a fresh session; returns the seed's
-    id, the session and None.  If the seed's cases cannot be replayed,
-    every one of them is unreplayable, and this returns (None, None, the
-    edges the supports left up to the failure).
+    id and the session.  A support that fails, or a target with no live
+    handle, raises Unreplayable: check_replies has already replayed every
+    record, so that is a corpus the campaign cannot run, not an outcome.
 
     A seed's class is the digest of its support sends, its live target
     and its live handle map (recorded -> live); its content is what the
@@ -460,18 +456,14 @@ def _open_seed(
     """
     session = ReplaySession(prepared)
     record = prepared.records[seq]
-    try:
-        session.ensure_supports(seq)
-        target = session._live_handle(record.target)
-    except Unreplayable:
-        return None, None, session.router.edges
+    session.ensure_supports(seq)
     seed = (
         _sent_digest(session._replayed.values()),
-        target,
+        session._live_handle(record.target),
         tuple(session.live.items()),
         record.content,
     )
-    return seed_ids.setdefault(seed, len(seed_ids)), session, None
+    return seed_ids.setdefault(seed, len(seed_ids)), session
 
 
 def _sent_digest(sent) -> bytes:

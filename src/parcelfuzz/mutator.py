@@ -287,11 +287,15 @@ def _write_leaf(parcel: Parcel, kind: str, value) -> None:
         parcel.write_value(_KIND_NAMED[kind], value)
 
 
-def _rebuild(leaves) -> Parcel:
+def _rebuild(leaves) -> tuple[Parcel, list[tuple[int, int]]]:
+    """The parcel leaves encode to, and each leaf's [start, end) in it."""
     parcel = Parcel()
+    spans = []
     for leaf in leaves:
+        start = len(parcel)
         _write_leaf(parcel, leaf.kind, leaf.value)
-    return parcel
+        spans.append((start, len(parcel)))
+    return parcel, spans
 
 
 def _encode_leaf(kind: str, value) -> bytes:
@@ -321,8 +325,7 @@ class _SeedEncoding(NamedTuple):
 
 def _encode_seed(record: SeedRecord) -> _SeedEncoding:
     leaves = decompose(record)
-    parcel = _rebuild(leaves)
-    spans = [(start, end) for _kind, start, end in parcel.write_log]
+    parcel, spans = _rebuild(leaves)
     return _SeedEncoding(leaves, parcel.buffer, spans, tuple(parcel.offsets), _subtrees(record.trace))
 
 

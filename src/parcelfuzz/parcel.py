@@ -96,12 +96,10 @@ class Parcel:
     """Byte buffer + handle-slot offsets table + read cursor.
 
     The buffer and offsets are the value; the cursor and the hook slot are
-    transient reader state.  ``write_log`` records every leaf written as
-    ``(Kind, start, end)`` tuples and is used by recording code as the
-    writer-side ground truth for trace fidelity checks.
+    transient reader state.
     """
 
-    __slots__ = ("_buf", "offsets", "cursor", "write_log", "_hook")
+    __slots__ = ("_buf", "offsets", "cursor", "_hook")
 
     def __init__(self, data: bytes = b"", offsets: list[int] | None = None):
         offsets = list(offsets) if offsets else []
@@ -109,7 +107,6 @@ class Parcel:
         self._buf = bytearray(data)
         self.offsets = offsets
         self.cursor = 0
-        self.write_log: list[tuple[Kind, int, int]] = []
         self._hook = None
 
     # -- construction / export ------------------------------------------------
@@ -132,7 +129,6 @@ class Parcel:
 
     def write_value(self, kind: Kind, value) -> "Parcel":
         """Append one value; returns self so writes chain."""
-        start = len(self._buf)
         if kind is _K_I32:
             self._buf += _I32.pack(_check_range(value, I32_MIN, I32_MAX))
         elif kind is _K_I64:
@@ -151,17 +147,14 @@ class Parcel:
             self._append_sized(value)
         else:
             raise CapacityError("cannot write kind %s through write_value" % kind)
-        self.write_log.append((kind, start, len(self._buf)))
         return self
 
     def write_handle(self, handle: int) -> "Parcel":
         """Append a handle and record its position in the offsets table."""
         if not isinstance(handle, int) or not 0 <= handle <= I32_MAX:
             raise CapacityError("handle out of range: %r" % (handle,))
-        start = len(self._buf)
-        self.offsets.append(start)
+        self.offsets.append(len(self._buf))
         self._buf += _I32.pack(handle)
-        self.write_log.append((_K_HANDLE, start, len(self._buf)))
         return self
 
     def _append_sized(self, raw: bytes) -> None:

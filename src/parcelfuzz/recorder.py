@@ -489,10 +489,6 @@ class RecordingClient(Client):
     def __init__(self, router: Router, sender_id: str = "recorder"):
         super().__init__(router, sender_id)
         self.records: list[SeedRecord] = []
-        # Writer-side encoding log per record, index-aligned with records.
-        # Kept so fidelity checks can compare what the reader's trace saw
-        # against what the sender actually encoded.
-        self.writer_logs: list[list[tuple[Kind, int, int]]] = []
         self.scenario = "adhoc"
         # Live handle value -> origin assigned when the value first arrived.
         self._static_origin: dict[int, str] = {}
@@ -535,7 +531,6 @@ class RecordingClient(Client):
                 reply_kind=reply.kind.value,
             )
         )
-        self.writer_logs.append(list(data.write_log))
         return reply
 
     def _origin_of(self, value: int) -> int | str:

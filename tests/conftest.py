@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -6,7 +7,8 @@ import pytest
 
 from parcelfuzz.harness import build_manifest, manifest_fingerprints
 from parcelfuzz.mutator import _encode_seed, _spliced_case, _splices
-from parcelfuzz.recorder import SCENARIOS, build_dependency_graph, record_session
+from parcelfuzz.parcel import Kind, Parcel
+from parcelfuzz.recorder import SCENARIOS, RecordingClient, build_dependency_graph, record_session
 
 
 def semi_valid_cases(record, case_ids=None):
@@ -105,3 +107,38 @@ def trace_leaves():
         return [leaf for child in node.children for leaf in leaves(child)]
 
     return leaves
+
+
+class KeepingClient(RecordingClient):
+    """A RecordingClient that also keeps each parcel it sends, in order:
+    sent[i] is the parcel records[i] was recorded from."""
+
+    def __init__(self, router):
+        super().__init__(router)
+        self.sent = []
+
+    def transact(self, handle, code, data):
+        self.sent.append(data)
+        return super().transact(handle, code, data)
+
+
+@pytest.fixture
+def parcel_writes(monkeypatch):
+    """writes[parcel]: every (Kind, start, end) written to parcel from here
+    on, in order, as the writer measured it, [] for a parcel never
+    written: the ground truth a reader's trace is checked against."""
+    writes = collections.defaultdict(list)
+    write_value, write_handle = Parcel.write_value, Parcel.write_handle
+
+    def logged(write, kind):
+        def wrapper(parcel, *args):
+            start = len(parcel)
+            write(parcel, *args)
+            writes[parcel].append((kind or args[0], start, len(parcel)))
+            return parcel
+
+        return wrapper
+
+    monkeypatch.setattr(Parcel, "write_value", logged(write_value, None))
+    monkeypatch.setattr(Parcel, "write_handle", logged(write_handle, Kind.HANDLE))
+    return writes

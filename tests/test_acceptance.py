@@ -23,10 +23,12 @@ from parcelfuzz.harness import (
 )
 from parcelfuzz.mutator import Policy, generate_campaign
 from parcelfuzz.parcel import Kind, Parcel, handle_at
-from parcelfuzz.recorder import RecordingClient, SCENARIOS
+from parcelfuzz.recorder import SCENARIOS
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import InternalFault, Reject, ReplyKind, Service, Transaction
 from parcelfuzz.services import all_methods, fresh_router
+
+from conftest import KeepingClient
 
 BUDGET = 10_000
 
@@ -112,16 +114,16 @@ def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
 # -- criterion 2 -------------------------------------------------------------------
 
 
-def test_criterion_02_recorded_traces_equal_writer_logs_exactly(trace_leaves):
-    client = RecordingClient(fresh_router())
+def test_criterion_02_recorded_traces_equal_writer_logs_exactly(trace_leaves, parcel_writes):
+    client = KeepingClient(fresh_router())
     for scenario in SCENARIOS.values():
         scenario(client)
-    assert len(client.records) == len(client.writer_logs) > 0
-    for record, writer_log in zip(client.records, client.writer_logs):
+    assert len(client.records) == len(client.sent) > 0
+    for record, data in zip(client.records, client.sent):
         traced = [
             (Kind(leaf.kind), leaf.start, leaf.end) for leaf in trace_leaves(record.trace)
         ]
-        assert traced == writer_log, "record %d diverged" % record.seq
+        assert traced == parcel_writes[data], "record %d diverged" % record.seq
 
 
 # -- criterion 3 -------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_unstructured_policies_find_strictly_fewer(corpus, manifest_fps, semi_re
     assert "MEMORY_CORRUPTION" not in kinds
 
 
-def test_unreplayable_cases_are_counted_not_fatal(monkeypatch, corpus, semi_report):
+def test_a_support_that_fails_behind_the_corpus_check_stops_the_campaign(monkeypatch, corpus):
     broken = [
         r._replace(code=99) if (r.descriptor, r.code) == ("svc.audio", 3) else r
         for r in corpus
@@ -152,19 +152,12 @@ def test_unreplayable_cases_are_counted_not_fatal(monkeypatch, corpus, semi_repo
     # The campaign's replay of the whole corpus refuses it up front...
     with pytest.raises(CorpusError, match=r"^record 8 recorded OK, replayed REJECTED$"):
         run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
-    # ...and behind that check, a case whose support fails is counted.
+    # ...and behind that check, the first seed that needs the failed
+    # support stops the campaign with that support's error.
     monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
-    report = run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
-    assert report.counters["unreplayable"] > 0
-    assert sum(report.counters.values()) == report.executed
-    # Every scenario recorded after the audio one runs as if nothing failed.
-    later_services = ("svc.bluetooth", "svc.view", "svc.graphics", "svc.activity")
-    later = [key for key in semi_report.per_method if key.split(":")[0] in later_services]
-    assert later
-    for key in later:
-        assert report.per_method[key] == semi_report.per_method[key]
-    later_crashes = {c.fingerprint for c in semi_report.crashes if c.descriptor != "svc.audio"}
-    assert later_crashes <= report.distinct_fingerprints()
+    with pytest.raises(Unreplayable, match=r"^support 8 \(svc.audio code 99\) replied REJECTED$") as raised:
+        run_fuzz(FuzzConfig(policy="semi-valid", budget=400, corpus=broken))
+    assert raised.value.support_seq == 8
 
 
 def test_a_campaign_leaves_its_prepared_corpus_unchanged(monkeypatch, corpus):
@@ -336,13 +329,9 @@ def _dispatch_every_case(records, policy, budget):
     prepared = prepare_corpus(records)
     for case in generate_campaign(records, policy, budget, 1):
         session = ReplaySession(prepared)
-        try:
-            reply = session.router.transact(session.prepare(case))
-        except Unreplayable:
-            yield case, ("unreplayable", None, None, session.router.edges)
-        else:
-            digest = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else None
-            yield case, (classify(reply), digest, reply.crash, session.router.edges)
+        reply = session.router.transact(session.prepare(case))
+        digest = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else None
+        yield case, (classify(reply), digest, reply.crash, session.router.edges)
 
 
 def _check_against_every_dispatch(records, policy, budget):
@@ -386,16 +375,34 @@ def _move_open_session_handle(record):
 
 @pytest.mark.parametrize("policy", ["semi-valid", "empty,random,semi-valid"])
 @pytest.mark.parametrize("records", ["corpus", 1, 2], indirect=True)
+def _until_unreplayable(stream) -> tuple[list, Unreplayable]:
+    """The items stream yields before it raises Unreplayable, and that error."""
+    items = []
+    with pytest.raises(Unreplayable) as raised:
+        for item in stream:
+            items.append(item)
+    return items, raised.value
+
+
+@pytest.mark.parametrize("policy", ["semi-valid", "empty,random,semi-valid"])
+@pytest.mark.parametrize("records", ["corpus", 1, 2], indirect=True)
 @pytest.mark.parametrize("break_support", [_reject_open_session, _move_open_session_handle])
-def test_a_seed_whose_supports_fail_counts_what_dispatching_every_case_gives(monkeypatch, records, policy, break_support):
-    """Behind the corpus check, a seed whose supports cannot be replayed
-    makes each of its cases unreplayable, with the edges its supports
-    left.  _answers decides that once per seed; the reference tries each
-    case on a session of its own."""
-    broken = [break_support(r) if (r.descriptor, r.code) == ("svc.audio", 3) else r for r in records]
+def test_a_seed_whose_supports_fail_stops_where_dispatching_every_case_does(monkeypatch, records, policy, break_support):
+    """Behind the corpus check, the first case of a seed whose supports
+    cannot be replayed raises the support's Unreplayable, naming it.
+    _answers replays the supports once per seed, the reference once per
+    case; both give the same items before it."""
+    audio_seq = next(r.seq for r in records if (r.descriptor, r.code) == ("svc.audio", 3))
+    broken = [break_support(r) if r.seq == audio_seq else r for r in records]
+    expected, refused = _until_unreplayable(_dispatch_every_case(broken, policy.split(","), 3000))
+    answers = harness._answers(prepare_corpus(broken), generate_campaign(broken, policy.split(","), 3000, 1))
+    got, error = _until_unreplayable(answers)
+    assert got == expected
+    assert expected, "the broken seed's first case is the campaign's first"
+    assert (str(error), error.support_seq) == (str(refused), audio_seq)
     monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
-    report = _check_against_every_dispatch(broken, policy.split(","), 3000)
-    assert report.counters["unreplayable"] > 0
+    with pytest.raises(Unreplayable, match="^%s$" % re.escape(str(error))):
+        run_fuzz(FuzzConfig(policy=policy.split(","), budget=3000, rng_seed=1, corpus=broken))
 
 
 @pytest.mark.parametrize(
@@ -444,7 +451,6 @@ def test_cases_with_one_first_level_key_send_the_same_transactions(records, poli
     assert len(sent_under) < keyed
     if opened:
         # Copies of one scenario share seed ids, so their cases share keys.
-        assert None not in opened.values()
         assert len(set(opened.values())) < len(opened)
 
 
@@ -1330,10 +1336,11 @@ def test_cli_rejects_a_trace_leaf_past_the_payload(tmp_path, capsys):
 _HUGE = "<1e400>"
 
 
-def _fuzz_on_edited_corpus(tmp_path, capsys, edit, line=1) -> tuple[int, str]:
-    """Exit code and stderr of a semi-valid fuzz run on the shipped corpus
-    with one line passed through edit: by default its first record, and
-    line 0 is the header.  line may also be a range of lines."""
+def _fuzz_on_edited_corpus(tmp_path, capsys, edit, line=1, budget=10) -> tuple[int, str]:
+    """Exit code and stderr of a semi-valid fuzz run of budget cases on
+    the shipped corpus with one line passed through edit: by default its
+    first record, and line 0 is the header.  line may also be a range of
+    lines."""
     corpus_path = tmp_path / "corpus.jsonl"
     main(["record", "--scenario", "all", "--out", str(corpus_path)])
     lines = corpus_path.read_text().splitlines()
@@ -1343,7 +1350,7 @@ def _fuzz_on_edited_corpus(tmp_path, capsys, edit, line=1) -> tuple[int, str]:
         lines[number] = json.dumps(obj, sort_keys=True).replace(json.dumps(_HUGE), "1e400")
     corpus_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", "10",
+    argv = ["fuzz", "--policy", "semi-valid", "--corpus", str(corpus_path), "--budget", str(budget),
             "--out", str(tmp_path / "report.json")]
     code = main(argv)
     assert not (tmp_path / "report.json").exists()
@@ -1459,6 +1466,38 @@ def test_cli_rejects_a_corpus_record_that_replays_otherwise(tmp_path, capsys):
     code, err = _fuzz_on_edited_corpus(tmp_path, capsys, _set_field("code", 0), line=2)
     assert code == 1
     assert err == "error: record 1 recorded OK, replayed REJECTED\n"
+
+
+def _reject_open_session_line(record):
+    record["code"] = 99
+
+
+def _move_open_session_handle_line(record):
+    record["produced_handles"][0][1] = 4
+
+
+@pytest.mark.parametrize(
+    "edit, checked, unchecked",
+    [
+        (
+            _reject_open_session_line,
+            "error: record 8 recorded OK, replayed REJECTED\n",
+            "error: support 8 (svc.audio code 99) replied REJECTED\n",
+        ),
+        (
+            _move_open_session_handle_line,
+            "error: record 8 replied with no handle at 4\n",
+            "error: record 8 replied with no handle at 4\n",
+        ),
+    ],
+)
+def test_cli_rejects_a_corpus_whose_session_support_fails(monkeypatch, tmp_path, capsys, edit, checked, unchecked):
+    """Record 8 opens the audio session that later records use.  Rejected,
+    or with its handle moved, it refuses the corpus; behind the corpus
+    check, the first seed that needs it stops the campaign instead."""
+    assert _fuzz_on_edited_corpus(tmp_path, capsys, edit, line=9, budget=400) == (1, checked)
+    monkeypatch.setattr(harness, "check_replies", lambda prepared: None)
+    assert _fuzz_on_edited_corpus(tmp_path, capsys, edit, line=9, budget=400) == (1, unchecked)
 
 
 def test_cli_rejects_a_corpus_payload_that_is_not_hex(tmp_path, capsys):

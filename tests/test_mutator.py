@@ -31,6 +31,7 @@ from parcelfuzz.mutator import (
     ConfigurationError,
     FuzzCase,
     Policy,
+    _Leaf,
     _rebuild,
     _subtrees,
     decompose,
@@ -103,7 +104,7 @@ def test_catalog_is_pinned():
 
 def test_identity_rebuild_reproduces_every_seed_exactly(corpus):
     for record in corpus:
-        rebuilt = _rebuild(decompose(record))
+        rebuilt, _spans = _rebuild(decompose(record))
         assert rebuilt.buffer == record.payload, "record %d" % record.seq
         assert tuple(rebuilt.offsets) == record.offsets
 
@@ -513,13 +514,11 @@ def _synthetic_handles_and_empty_subtree():
     """A seed with handles before and after sized leaves, a BOOL stored
     as 5 (the rebuild writes 1), a handle-bearing pair and an empty
     composite: what the splice has to shift, copy, drop or normalize."""
-    payload = Parcel()
-    payload.write_value(Kind.STRING, "ab")
-    payload.write_handle(3)
-    payload.write_value(Kind.I32, 5)
-    payload.write_value(Kind.BYTES, b"xyz")
-    payload.write_handle(7)
-    (_s, s0, s1), (_h, h0, h1), (_b, b0, b1), (_y, y0, y1), (_g, g0, g1) = payload.write_log
+    payload, spans = _rebuild(
+        [_Leaf("STRING", (0,), "ab"), _Leaf("HANDLE", (1, 0), 3), _Leaf("I32", (1, 1), 5),
+         _Leaf("BYTES", (3,), b"xyz"), _Leaf("HANDLE", (4,), 7)]
+    )
+    (s0, s1), (h0, h1), (b0, b1), (y0, y1), (g0, g1) = spans
     trace = TraceNode(
         COMPOSITE,
         "request",
@@ -554,7 +553,7 @@ def _full_rebuild_case(record, case):
         else:
             tag = next(i for i, leaf in enumerate(leaves) if leaf.path == path + (1,))
             leaves[tag] = leaves[tag]._replace(value=int(mutation_id.rsplit("_", 1)[1]))
-        parcel = _rebuild(leaves)
+        parcel, _spans = _rebuild(leaves)
         return parcel.buffer, tuple(parcel.offsets), ()
     index = next(i for i, leaf in enumerate(leaves) if leaf.path == path)
     leaf = leaves[index]
@@ -578,9 +577,9 @@ def _full_rebuild_case(record, case):
     else:
         leaves[index] = leaf._replace(value=0 if mutation_id == "zero_handle" else I32_MAX)
         directive = "pin"
-    parcel = _rebuild(leaves)
+    parcel, spans = _rebuild(leaves)
     payload = parcel.buffer
-    start = parcel.write_log[index][1]
+    start = spans[index][0]
     if patch is not None:
         declared = struct.unpack_from("<i", payload, start)[0]
         lie = I32_MAX if patch == "max" else declared + 4
@@ -612,7 +611,7 @@ def test_splice_moves_handles_with_the_bytes_around_them(semi_valid_case):
     assert doubled.offsets == (8, 16, 32)
     dropped = semi_valid_case(record, (1,), "remove_subtree")
     assert dropped.offsets == (16,)
-    seed_bytes = _rebuild(decompose(record)).buffer
+    seed_bytes = _rebuild(decompose(record))[0].buffer
     for mutation_id in ("duplicate_subtree", "remove_subtree"):
         unchanged = semi_valid_case(record, (2,), mutation_id)
         assert (unchanged.payload, unchanged.offsets) == (seed_bytes, record.offsets)

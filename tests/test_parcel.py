@@ -58,7 +58,6 @@ def test_string_encoding_with_padding():
     one = Parcel().write_value(Kind.STRING, "a")
     assert one.buffer.hex() == "0100000061000000"
     assert len(one) == 8
-    assert one.write_log == [(Kind.STRING, 0, 8)]
 
 
 def test_empty_string_is_just_a_length():

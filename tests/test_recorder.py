@@ -15,7 +15,6 @@ from parcelfuzz.recorder import (
     SCENARIOS,
     CorpusError,
     RecordingAborted,
-    RecordingClient,
     SeedRecord,
     TraceBuilder,
     TraceNode,
@@ -29,6 +28,8 @@ from parcelfuzz.recorder import (
 )
 from parcelfuzz.router import ReplyKind, Router, Service, Transaction
 from parcelfuzz.services import all_methods, fresh_router
+
+from conftest import KeepingClient
 
 
 # -- corpus shape ---------------------------------------------------------------
@@ -58,16 +59,16 @@ def test_unknown_scenario_is_refused():
 # -- trace fidelity ----------------------------------------------------------------
 
 
-def test_reader_traces_match_writer_logs_exactly(trace_leaves):
+def test_reader_traces_match_writer_logs_exactly(trace_leaves, parcel_writes):
     """What each service's reads traced is byte-for-byte what the client wrote."""
-    client = RecordingClient(fresh_router())
+    client = KeepingClient(fresh_router())
     for name, scenario in SCENARIOS.items():
         client.scenario = name
         scenario(client)
-    assert len(client.records) == len(client.writer_logs) == 19
-    for record, writer_log in zip(client.records, client.writer_logs):
+    assert len(client.records) == len(client.sent) == 19
+    for record, data in zip(client.records, client.sent):
         traced = [(Kind(leaf.kind), leaf.start, leaf.end) for leaf in trace_leaves(record.trace)]
-        assert traced == writer_log, "trace diverged on record %d" % record.seq
+        assert traced == parcel_writes[data], "trace diverged on record %d" % record.seq
 
 
 def test_traces_tile_their_payloads(trace_leaves, corpus):
