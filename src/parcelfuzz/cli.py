@@ -7,11 +7,12 @@ saved report (with --schema, also the type trace of its input), and
 crashes were found (or reproduced), 1 for usage and I/O errors.
 
 Each subcommand is declared once, in COMMANDS: its help line, handler
-and arguments.  A command line that starts with a subcommand builds
-only that subparser: a replay is one short call, and building the four
-it does not use was a large share of it.  Any other command line (none,
---help, an unknown word) builds all five.  Help, usage and error texts
-are the same either way.
+and arguments.  A command line that starts with a subcommand is parsed
+by that subcommand's parser alone: a replay is one short call, and
+building the full parser around it was a large share of it.  Any other
+command line (none, --help, an unknown word, or words the subcommand
+leaves over) goes to the full parser, which builds all five.  Help,
+usage and error texts are the same either way.
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ class Command(NamedTuple):
     arguments: tuple[tuple[str, dict], ...]
 
 
-# Every subcommand, in the order usage lists them.  build_parser builds
-# its subparsers from this table and main runs their handlers.
+# Every subcommand, in the order usage lists them.  Its parser, alone or
+# as a subparser of build_parser's, is built from this table, and main
+# runs its handler.
 COMMANDS = {
     "list": Command(
         "show services, methods and seeded defects",
@@ -218,30 +220,45 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for argv.  When argv starts with a subcommand, only that
-    subparser is built, and the usage line still names all of them, as the
-    full parser's does; otherwise (no command, --help, an unknown word)
-    every subparser is built, so the help and the error list them all."""
-    names = (argv[0],) if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    for flag, keywords in COMMANDS[name].arguments:
+        parser.add_argument(flag, **keywords)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, every subcommand's subparser in it.  main builds
+    it only for a command line that does not start with a subcommand, or
+    that its subcommand's parser leaves words of, so help and errors name
+    every subcommand."""
     parser = argparse.ArgumentParser(prog="parcelfuzz")
-    # Without a metavar, argparse names the choices it holds.  Not set when
-    # all are built: with it, a missing command would be named by it too.
-    metavar = "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        command = COMMANDS[name]
-        subparser = sub.add_parser(name, help=command.help)
-        for flag, keywords in command.arguments:
-            subparser.add_argument(flag, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=command.help), name)
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed as build_parser().parse_args(argv) parses it.  A command
+    line that starts with a subcommand is parsed by that subcommand's
+    parser alone, which is the parser the full one hands the rest of the
+    line to: its help and errors are the same.  Only words it leaves over
+    need the full parser, which names them in the top-level usage."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog="parcelfuzz " + name)
+        _add_arguments(parser, name)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:

@@ -14,14 +14,16 @@ turns it into an acyclic producer-before-consumer graph, naming each
 static handle after the first service-manager lookup that produced it,
 in one walk of the records in seq order.
 
-Loading checks every record in full, each check once, in one pass over
-its fields in read order: each field's JSON type, then one walk of the
-type trace that checks every node, then one loop over the trace's leaves.
-That loop checks that the leaves, in tree order, tile the payload from
-its first byte to its last, that the HANDLE leaves start at the offsets,
-each 4-aligned, and that consumed_handles pairs each offset with an
-origin.  An error is worded only once a check fails, and names the first
-field that fails in read order.
+Loading checks every record in full, in one pass over its fields in
+read order: each field's JSON type, then one walk of the type trace that
+checks every node, then one loop over the trace's leaves.  That loop
+checks that the leaves, in tree order, tile the payload from its first
+byte to its last, that the HANDLE leaves start at the offsets, each
+4-aligned, and that consumed_handles pairs each offset with an origin.
+Each check runs once per record, except the walk: a load walks each
+distinct payload and trace once, and a record that repeats both reuses
+the trace already walked.  An error is worded only once a check fails,
+and names the first field that fails in read order.
 
 The corpus persists as JSON-lines: a header line, then one record per
 line with sorted keys, so identical sessions serialize byte-identically.
@@ -333,12 +335,23 @@ class SeedRecord(NamedTuple):
         }
 
     @classmethod
-    def from_json(cls, obj, where: str = "seed record") -> "SeedRecord":
+    def from_json(cls, obj, where: str = "seed record", traces: dict | None = None) -> "SeedRecord":
         """Parse one corpus record.  An unusable record is a CorpusError
         naming the first field that fails, in the order the fields are
         read here, and the record: by its seq once that is read, by where
         until then.  The offsets are read before the trace, so a trace
         error is raised only once the offsets have passed _check_offsets.
+
+        traces, when given, maps each payload whose trace was walked to
+        (trace object, TraceNode, leaves), and is filled as records are
+        read.  A record whose payload is in it and whose trace object is
+        read exactly as the stored one (_accepted_before) reuses that
+        TraceNode and its leaves; any other trace is walked, and stored
+        if it passes.  That is exact because the walk's result, or its
+        error, depends on the trace object and the payload alone.  The
+        checks on the leaves, against this record's own offsets and
+        consumed_handles, and on the fields after them, run on every
+        record.
         """
         if type(obj) is not dict:
             raise CorpusError("%s is not an object: %s" % (where, _excerpt(obj)))
@@ -378,14 +391,20 @@ class SeedRecord(NamedTuple):
         if type(trace_obj) is not dict:
             _refuse_offsets(where, offsets, len(payload))
             _field(obj, "trace", _DICT, where)  # raises
-        leaves: list[TraceNode] = []
-        try:
-            trace = _trace_from_json(trace_obj, payload, leaves)
-        except (CorpusError, RecursionError) as exc:
-            _refuse_offsets(where, offsets, len(payload))
-            if type(exc) is RecursionError:
-                raise
-            raise CorpusError("%s trace: %s" % (where, exc)) from None
+        seen = traces.get(payload) if traces is not None else None
+        if seen is not None and _accepted_before(trace_obj, seen[0]):
+            trace, leaves = seen[1], seen[2]
+        else:
+            leaves = []
+            try:
+                trace = _trace_from_json(trace_obj, payload, leaves)
+            except (CorpusError, RecursionError) as exc:
+                _refuse_offsets(where, offsets, len(payload))
+                if type(exc) is RecursionError:
+                    raise
+                raise CorpusError("%s trace: %s" % (where, exc)) from None
+            if traces is not None:
+                traces[payload] = (trace_obj, trace, leaves)
         consumed = get("consumed_handles")
         if not _layout_fits(leaves, len(payload), offsets, consumed):
             _refuse_layout(obj, where, len(payload), offsets, leaves)  # raises
@@ -403,6 +422,32 @@ class SeedRecord(NamedTuple):
             seq, scenario, descriptor, code, target, payload, offsets, trace,
             tuple(map(tuple, consumed)), tuple(map(tuple, produced)), reply_kind,
         ))
+
+
+def _accepted_before(obj, accepted) -> bool:
+    """Whether _trace_from_json reads the trace object obj exactly as it
+    read accepted, a trace object it accepted for the same payload.  Its
+    result depends on nothing else.  The objects must be equal, compared
+    in C, and each byte_range must hold ints: json.loads gives no other
+    type that equals a str, list or dict, but true equals 1 and 4.0
+    equals 4, and the walk refuses those.  A comparison too deep for the
+    recursion limit counts as not equal, so the walk decides."""
+    try:
+        if obj != accepted:
+            return False
+    except RecursionError:
+        return False
+    # obj equals an accepted trace: every node is an object with a str
+    # kind and a two-item byte_range, each composite's children a list.
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        start, end = node["byte_range"]
+        if type(start) is not int or type(end) is not int:
+            return False
+        if node["kind"] == COMPOSITE:
+            stack.extend(node.get("children", ()))
+    return True
 
 
 def _consumed_pair_fits(pair) -> bool:
@@ -768,13 +813,18 @@ def _parse_line(line: str):
 def load_corpus(path) -> list[SeedRecord]:
     """The records of a corpus file, each fully checked by
     SeedRecord.from_json.  A record that has no usable seq is named by
-    its 1-based line in the file, blank lines counted."""
+    its 1-based line in the file, blank lines counted.  Lines end at
+    "\n" alone: JSON allows U+2028 and the other characters at which
+    str.splitlines also breaks raw inside a string, and a carriage
+    return is whitespace to it.  The trace of each distinct payload and
+    trace is walked once per call, through a dict that lives only for
+    the call, so records that repeat a seed share one TraceNode."""
     try:
-        with open(path, encoding="utf-8") as source:
+        with open(path, encoding="utf-8", newline="") as source:
             text = source.read()
     except UnicodeDecodeError as exc:
         raise CorpusError("corpus %s is not UTF-8: %s" % (path, exc)) from None
-    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    lines = [(number, line) for number, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise CorpusError("corpus file is empty")
     try:
@@ -786,9 +836,10 @@ def load_corpus(path) -> list[SeedRecord]:
     if type(header) is not dict or _field(header, "format_version", _INT, "corpus header") != CORPUS_FORMAT_VERSION:
         raise CorpusError("unsupported corpus header: %s" % _excerpt(header))
     records = []
+    traces: dict = {}
     for number, line in lines[1:]:
         try:
-            records.append(SeedRecord.from_json(_parse_line(line), "corpus line %d" % number))
+            records.append(SeedRecord.from_json(_parse_line(line), "corpus line %d" % number, traces))
         except json.JSONDecodeError:
             raise CorpusError("corpus line %d is not JSON: %r" % (number, line[:80])) from None
         except RecursionError:

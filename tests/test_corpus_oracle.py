@@ -6,6 +6,10 @@ leaves' tiling and HANDLE starts by their own passes, each line parsed by
 json.loads.  Corrupted copies of recorded records must load to an equal
 record with equal field types under both, or fail under both with the
 same CorpusError text.  Do not edit the oracle to follow the loader.
+Its one edit since it was frozen mends a defect it shared with the
+loader: a line ends at "\n" alone, not at every character where
+str.splitlines breaks, nor at a carriage return that universal-newline
+reading turns into "\n".
 """
 
 import binascii
@@ -221,11 +225,11 @@ def oracle_record(obj, where="seed record"):
 
 def oracle_load(path):
     try:
-        with open(path, encoding="utf-8") as source:
+        with open(path, encoding="utf-8", newline="") as source:
             text = source.read()
     except UnicodeDecodeError as exc:
         raise CorpusError("corpus %s is not UTF-8: %s" % (path, exc)) from None
-    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
+    lines = [(number, line) for number, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise CorpusError("corpus file is empty")
     try:
@@ -282,12 +286,16 @@ def _drop_key(record, draw):
 _WRONG_VALUES = [True, False, 3.0, None, "x", "STATIC:", [], {}, [0], -1, 0, 5, 2**31, float("inf")]
 
 
-def _retype(record, draw):
-    path = draw(st.sampled_from(list(_paths(record))[1:]))
+def _set_at(record, path, value):
     parent = record
     for step in path[:-1]:
         parent = parent[step]
-    parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES)))
+    parent[path[-1]] = value
+
+
+def _retype(record, draw):
+    path = draw(st.sampled_from(list(_paths(record))[1:]))
+    _set_at(record, path, copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES))))
 
 
 def _shift_range(record, draw):
@@ -466,3 +474,165 @@ def test_a_corrupted_corpus_file_loads_as_the_frozen_loader_loads_it(corpus, tmp
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_text(text, encoding="utf-8")
     assert _outcome(load_corpus, path) == _outcome(oracle_load, path)
+
+
+# -- the trace memo --------------------------------------------------------------
+#
+# The loader checks each distinct (payload, trace) once per load: a record
+# whose payload an earlier record of the file had reuses that record's
+# checked trace when its trace object is the same.  Each corrupted record
+# below follows an intact copy of its original, so the memo has seen its
+# payload.
+
+
+def _deep_node(record, draw):
+    """A node of the trace: a leaf, the deepest kind, or any node."""
+    nodes = [node for node, _ in _nodes(record.get("trace"))] or [{}]
+    leaves = [node for node in nodes if node.get("kind") != "COMPOSITE"]
+    return draw(st.sampled_from(leaves or nodes) | st.sampled_from(nodes))
+
+
+def _equal_retype(record, draw):
+    """A byte_range int as the bool or float it equals: == takes them for
+    the int, the walk does not."""
+    node = _deep_node(record, draw)
+    byte_range = node.get("byte_range")
+    if type(byte_range) is list and byte_range:
+        side = draw(st.integers(0, len(byte_range) - 1))
+        value = byte_range[side]
+        if type(value) is int:
+            byte_range[side] = draw(st.sampled_from([float(value), bool(value)] if value in (0, 1) else [float(value)]))
+
+
+def _retype_in_trace(record, draw):
+    paths = [("trace",) + path for path in _paths(record.get("trace"))]
+    _set_at(record, draw(st.sampled_from(paths[1:] or paths)), copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES))))
+
+
+def _relabel(record, draw):
+    node = _deep_node(record, draw)
+    how = draw(st.sampled_from(["drop", "empty", "other"]))
+    if how == "drop":
+        node.pop("label", None)
+    else:
+        node["label"] = "" if how == "empty" else "relabeled"
+
+
+def _rekind(record, draw):
+    """Another kind for a node; a leaf of the same width still tiles."""
+    node = _deep_node(record, draw)
+    node["kind"] = draw(st.sampled_from(["I32", "BOOL", "I64", "F64", "STRING", "BYTES", "HANDLE", "COMPOSITE"]))
+
+
+def _edit_leaf_byte(record, draw):
+    """Set one byte of a STRING, BYTES or HANDLE leaf: its length prefix,
+    its handle's sign or its text's UTF-8 break."""
+    try:
+        payload = bytearray.fromhex(record["payload_hex"])
+        spans = [
+            node["byte_range"] for node, _ in _nodes(record["trace"])
+            if node.get("kind") in ("STRING", "BYTES", "HANDLE") and node["byte_range"][0] < node["byte_range"][1]
+        ]
+        start, end = draw(st.sampled_from(spans))
+        at = draw(st.integers(start, min(end, len(payload)) - 1) | st.sampled_from([start, start + 3]))
+        payload[at] = draw(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xC3, 0xFF]))
+        record["payload_hex"] = payload.hex()
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError):
+        pass  # no such leaf in this record
+
+
+_MEMO_CORRUPTIONS = [
+    # A trace changed deep down, under the same payload.
+    [_equal_retype, _retype_in_trace, _relabel, _rekind, _shift_range, _graft, _wrap_trace],
+    # The payload changed in one byte, under the same trace.
+    [_edit_leaf_byte, _edit_nibble],
+    # The same payload and trace, with lying offsets or consumed_handles.
+    [_edit_offsets, _break_pair],
+]
+
+
+def _corpus_file(path, *records):
+    path.write_text("\n".join([json.dumps({"format_version": 1})] + [json.dumps(r) for r in records]) + "\n")
+    return path
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_corrupted_record_after_an_intact_copy_loads_as_the_frozen_loader_loads_it(
+    corpus, shuffled_corpus, tmp_path_factory, data
+):
+    records = list(corpus) + list(shuffled_corpus)
+    with_handles = [record for record in records if record.offsets]
+    intact = data.draw(st.sampled_from(records) | st.sampled_from(with_handles)).to_json()
+    broken = copy.deepcopy(intact)
+    for corrupt in data.draw(st.lists(st.sampled_from(data.draw(st.sampled_from(_MEMO_CORRUPTIONS))), min_size=1, max_size=3)):
+        corrupt(broken, data.draw)
+    path = _corpus_file(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", intact, broken, intact)
+    assert _outcome(load_corpus, path) == _outcome(oracle_load, path)
+
+
+def test_a_range_equal_to_an_accepted_one_in_value_alone_is_refused(corpus, tmp_path):
+    """true equals 1 and 12.0 equals 12, but the walk refuses both, so a
+    trace that equals an accepted one only so is refused after it too."""
+    intact = corpus[1].to_json()  # a root over one STRING leaf, both at [0, 12]
+    for path, value in [
+        (("trace", "byte_range", 0), False),
+        (("trace", "byte_range", 1), 12.0),
+        (("trace", "children", 0, "byte_range", 0), 0.0),
+        (("trace", "children", 0, "byte_range", 1), 12.0),
+    ]:
+        broken = copy.deepcopy(intact)
+        _set_at(broken, path, value)
+        outcome = _outcome(load_corpus, _corpus_file(tmp_path / "corpus.jsonl", intact, broken))
+        assert outcome == _outcome(oracle_load, tmp_path / "corpus.jsonl")
+        assert outcome[0] == "refused" and outcome[1].startswith("record 1 trace: trace node byte_range must hold only int")
+
+
+def test_the_deepest_trace_loads_twice_and_one_level_deeper_is_refused(corpus, tmp_path):
+    """The memo compares a trace with the one it accepted in C, which
+    recurses per level as the walk does.  The deepest trace a one-record
+    file loads with, where the memo has nothing to reuse, loads twice
+    over; one level deeper, two copies are refused with the text one copy
+    is refused with, as the oracle refuses it.  Before Python 3.12 the
+    oracle's comprehension adds a frame per level, so it may refuse a
+    level sooner: at its own deepest, both loaders load two copies alike.
+    Every load runs at one stack depth, and a loaded trace is compared by
+    its depth and innermost node, which recurse no further."""
+    record = corpus[1].to_json()
+    leaf = json.dumps(record.pop("trace"))
+    path = tmp_path / "corpus.jsonl"
+    wrapper = '{"kind": "COMPOSITE", "label": "w", "byte_range": [0, 12], "children": ['
+
+    def outcome(depth, copies, load=load_corpus):
+        line = json.dumps(record)[:-1] + ', "trace": ' + wrapper * depth + leaf + "]}" * depth + "}"
+        path.write_text(json.dumps({"format_version": 1}) + "\n" + (line + "\n") * copies)
+        try:
+            loaded = load(path)
+        except CorpusError as exc:
+            return "refused", str(exc)
+        shapes = []
+        for seed in loaded:
+            node, levels = seed.trace, 0
+            while node.kind == "COMPOSITE":
+                node, levels = node.children[0], levels + 1
+            shapes.append((seed._replace(trace=None), levels, node))
+        return "loaded", shapes
+
+    deepest = {}
+    for load in (load_corpus, oracle_load):
+        low, high = 0, 4096
+        assert outcome(high, 1, load)[0] == "refused"
+        while low + 1 < high:
+            middle = (low + high) // 2
+            if outcome(middle, 1, load)[0] == "loaded":
+                low = middle
+            else:
+                high = middle
+        deepest[load] = low
+    depth = deepest[load_corpus]
+    assert outcome(depth, 2) == ("loaded", outcome(depth, 1)[1] * 2)
+    refused = outcome(depth + 1, 1)
+    assert refused[0] == "refused" and refused[1].startswith("corpus line 2 nests too deeply: ")
+    assert outcome(depth + 1, 1, oracle_load) == refused
+    assert outcome(depth + 1, 2) == refused
+    assert outcome(deepest[oracle_load], 2) == outcome(deepest[oracle_load], 2, oracle_load)

@@ -4,11 +4,13 @@ import contextlib
 import copy
 import hashlib
 import io
+import argparse
 import itertools
 import json
 import math
 import os
 import platform
+import random
 import re
 import shutil
 import struct
@@ -21,8 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parcelfuzz import harness
-from parcelfuzz.cli import SCHEMA_DEPTH_LIMIT, main
+import parse_both_ways
+from parcelfuzz import cli, harness
+from parcelfuzz.cli import COMMANDS, SCHEMA_DEPTH_LIMIT, main
 from parcelfuzz.harness import (
     _OUTCOME_BY_KIND,
     FINGERPRINT_FRAMES,
@@ -1187,6 +1190,69 @@ def test_cli_help_usage_and_errors_are_pinned(monkeypatch, capsys, argv, code, o
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert main(argv) == code
     assert capsys.readouterr() == (out, err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_command_line_parses_as_the_full_parser_parses_it(data):
+    """main parses a command line that starts with a subcommand with that
+    subcommand's parser alone.  Exit code, stdout, stderr and the
+    handler's Namespace must be what build_parser().parse_args gives:
+    flags whole, abbreviated and with =value, repeated, "--", -h anywhere,
+    extra words and unknown flags."""
+    name = data.draw(st.sampled_from(list(COMMANDS)))
+    argv = [name] + data.draw(st.lists(st.sampled_from(parse_both_ways.words(name)), max_size=8))
+    fast, full = parse_both_ways.both(argv)
+    assert fast == full
+
+
+def _command_lines(count: int, seed: int = 0) -> list[list[str]]:
+    """Command lines drawn as the property above draws them, and every
+    pinned one."""
+    rng = random.Random(seed)
+    lines = [argv for argv, *_ in _CLI_OUTPUTS]
+    for _ in range(count):
+        name = rng.choice(list(COMMANDS))
+        vocabulary = parse_both_ways.words(name)
+        lines.append([name] + [rng.choice(vocabulary) for _ in range(rng.randrange(9))])
+    return lines
+
+
+def test_a_command_line_parses_as_the_full_parser_parses_it_under_every_python():
+    """argparse's texts, and how it reports the words a subparser leaves,
+    vary by version: the fast parse must match under every Python 3.10+
+    found here too."""
+    lines = json.dumps(_command_lines(400))
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), COLUMNS="80")
+    probe = str(Path(parse_both_ways.__file__).resolve())
+    for path, version in _other_interpreters().items():
+        run = subprocess.run([path, probe], input=lines, env=env, capture_output=True, text=True, timeout=300)
+        print("ran %s (Python %s)" % (path, version))
+        assert (run.returncode, run.stderr, json.loads(run.stdout or "null")) == (0, "", []), (path, version)
+
+
+def test_a_replay_builds_one_parser_and_loads_each_file_once(monkeypatch, tmp_path, capsys, saved_campaign):
+    """A valid replay line builds its subcommand's parser alone, and calls
+    cli.load_corpus and cli.load_report, the names perfbench times, once
+    each."""
+    corpus_path, saved = saved_campaign
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted("parser", argparse.ArgumentParser.__init__))
+    monkeypatch.setattr(cli, "load_corpus", counted("load_corpus", cli.load_corpus))
+    monkeypatch.setattr(cli, "load_report", counted("load_report", cli.load_report))
+    argv = ["replay", "--report", str(_written(tmp_path, saved)), "--fingerprint", saved["crashes"][0]["fingerprint"],
+            "--corpus", str(corpus_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out.startswith("reproduced %s\n" % saved["crashes"][0]["fingerprint"])
+    assert calls == {"parser": 1, "load_corpus": 1, "load_report": 1}
 
 
 def test_a_repeated_policy_is_refused_before_the_campaign_runs(tmp_path, capsys):

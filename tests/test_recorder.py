@@ -6,6 +6,8 @@ tests lean on its exact shape, which is stable by construction: scenario
 order is fixed and every wrapper call is deterministic.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -313,10 +315,16 @@ _HEADER = '{"corpus_manifest_ref": "corpus-manifest-v1", "format_version": 1}\n'
         (_HEADER + "{} []\n", "corpus line 2 is not JSON: '{} []'"),
         (_HEADER + "\xa0{}\n", "corpus line 2 is not JSON: '\\xa0{}'"),
         (_HEADER + "[" * 100000 + "]" * 100000, "corpus line 2 nests too deeply: %r" % ("[" * 80)),
+        # Lines end at "\n" alone: a line that holds a form feed is blank,
+        # and a carriage return inside a line is JSON whitespace.
+        (_HEADER + "\f\n{} []\n", "corpus line 3 is not JSON: '{} []'"),
+        ('{"format_version":\r1}\n{} []\n', "corpus line 2 is not JSON: '{} []'"),
+        (_HEADER + '{"seq": "\u2028"}\n', "corpus line 2 seq must be int, got '\\u2028'"),
     ],
     ids=[
         "no-lines", "blank-lines", "format-version", "header-list", "header-cut", "header-extra", "header-bom",
-        "header-deep", "line-cut", "line-extra", "line-nbsp", "line-deep",
+        "header-deep", "line-cut", "line-extra", "line-nbsp", "line-deep", "after-form-feed", "lone-cr",
+        "line-separator",
     ],
 )
 def test_each_broken_corpus_file_has_its_exact_error(tmp_path, text, message):
@@ -333,6 +341,39 @@ def test_json_whitespace_around_a_corpus_line_is_read_past(tmp_path, corpus):
     lines = corpus_text(corpus).splitlines()
     path.write_text("\n".join(" \t%s \r" % line for line in lines) + "\n", encoding="utf-8")
     assert load_corpus(path) == list(corpus)
+
+
+def test_a_corpus_line_ends_at_a_newline_alone(tmp_path, corpus):
+    """JSON allows U+2028, U+2029, \\x85 and the other characters at which
+    str.splitlines also breaks raw inside a string, so a line that holds
+    them loads; a CRLF file loads too."""
+    scenario = "queue\u2028session\u2029\x85\x1c"
+    lines = corpus_text(corpus).splitlines()[:1] + [
+        json.dumps({**record.to_json(), "scenario": scenario}, ensure_ascii=False, sort_keys=True) for record in corpus
+    ]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    assert load_corpus(path) == [record._replace(scenario=scenario) for record in corpus]
+    path.write_bytes(corpus_text(corpus).replace("\n", "\r\n").encode("utf-8"))
+    assert load_corpus(path) == list(corpus)
+
+
+def test_a_load_reuses_no_trace_checked_by_an_earlier_load(tmp_path, shuffled_corpus):
+    """Each load checks its distinct traces anew: after a file loads, the
+    same file with a repeated record's trace broken is refused."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(shuffled_corpus, path)
+    assert load_corpus(path) == list(shuffled_corpus)
+    seen = {}
+    repeat = next(r for r in shuffled_corpus if seen.setdefault((r.payload, r.trace), r.seq) != r.seq)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[repeat.seq + 1])
+    record["trace"]["kind"] = "NOPE"
+    lines[repeat.seq + 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError) as info:
+        load_corpus(path)
+    assert str(info.value) == "record %d trace: unknown trace leaf kind 'NOPE'" % repeat.seq
 
 
 def test_offsets_are_checked_before_a_trace_too_deep_to_walk(corpus):
