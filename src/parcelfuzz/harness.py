@@ -55,7 +55,7 @@ from .mutator import (
 )
 from .recorder import SeedRecord, _excerpt, _field, _items, corpus_digest
 from .replayer import PreparedCorpus, ReplaySession, check_replies, prepare_corpus, seedless_transaction
-from .router import CrashInfo, IpcEdge, Reply, ReplyKind, Transaction
+from .router import FATAL_CRASH, HANDLED_FAULT, OK, REJECTED, CrashInfo, IpcEdge, Reply, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
 
 FINGERPRINT_FRAMES = 5
@@ -65,12 +65,7 @@ FINGERPRINT_FRAMES = 5
 # version, and perfbench counts it as failed operations.
 OUTCOMES = ("ok", "rejected", "handled_fault", "fatal_crash", "unreplayable")
 
-_OUTCOME_BY_KIND = {
-    ReplyKind.OK: "ok",
-    ReplyKind.REJECTED: "rejected",
-    ReplyKind.HANDLED_FAULT: "handled_fault",
-    ReplyKind.FATAL_CRASH: "fatal_crash",
-}
+_OUTCOME_BY_KIND = {OK: "ok", REJECTED: "rejected", HANDLED_FAULT: "handled_fault", FATAL_CRASH: "fatal_crash"}
 
 
 class HarnessError(Exception):
@@ -353,7 +348,7 @@ def run_fuzz(config: FuzzConfig) -> CampaignReport:
 
     return CampaignReport(
         config={
-            "policy": [p.value for p in policies],
+            "policy": list(policies),
             "budget": config.budget,
             "rng_seed": config.rng_seed,
             "catalog_version": CATALOG_VERSION,
@@ -502,7 +497,7 @@ def _crash_report(
         stack_frames=crash.stack_frames,
         detail=crash.detail,
         provenance={
-            "policy": case.policy.value,
+            "policy": case.policy,
             "seed_seq": case.seed_seq,
             "field_path": list(case.field_path) if case.field_path is not None else None,
             "mutation_id": case.mutation_id,
@@ -565,10 +560,8 @@ def reproduce(report: CampaignReport, fingerprint_hex: str, corpus, trace_hook=N
                 % (case.case_id, case.descriptor, case.code, seed.seq, seed.descriptor, seed.code)
             )
     reply = session.router.transact(session.prepare(case), trace_hook)
-    if reply.kind is not ReplyKind.FATAL_CRASH:
-        raise FingerprintMismatch(
-            "expected FATAL_CRASH %s, got %s" % (saved.fingerprint[:12], reply.kind.value)
-        )
+    if reply.kind != FATAL_CRASH:
+        raise FingerprintMismatch("expected FATAL_CRASH %s, got %s" % (saved.fingerprint[:12], reply.kind))
     got = fingerprint(reply.crash)
     if got != saved.fingerprint:
         raise FingerprintMismatch("reproduced %s, expected %s" % (got[:12], saved.fingerprint[:12]))
@@ -593,8 +586,8 @@ def build_manifest() -> dict:
         router = fresh_router()
         txn = Transaction(router.get_service(bug.descriptor), bug.code, bug.build_trigger(), "manifest")
         reply = router.transact(txn)
-        if reply.kind is not ReplyKind.FATAL_CRASH:
-            raise ManifestError("seeded bug %s did not crash (%s)" % (bug.bug_id, reply.kind.value))
+        if reply.kind != FATAL_CRASH:
+            raise ManifestError("seeded bug %s did not crash (%s)" % (bug.bug_id, reply.kind))
         if reply.crash.exception_kind != bug.exception_kind:
             raise ManifestError(
                 "seeded bug %s raised %s, catalog promises %s"

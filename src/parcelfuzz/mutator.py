@@ -46,11 +46,10 @@ import re
 import struct
 import sys
 from bisect import bisect_left
-from enum import Enum
 from types import NoneType
 from typing import Iterator, NamedTuple
 
-from .parcel import I32_MAX, Kind, Parcel, _check_offsets
+from .parcel import BOOL, BYTES, F64, HANDLE, I32, I32_MAX, I64, STRING, Parcel, _check_offsets
 from .recorder import SeedRecord, TraceNode, _excerpt, _field, _items
 from .services import TAG_NAMES, all_methods
 
@@ -63,10 +62,9 @@ LONG_STRING_LENGTH = 65536
 _ENTRY_LABEL = re.compile(r"^Bundle\.entry\[\d+\]$")
 
 
-class Policy(str, Enum):
-    EMPTY = "EMPTY"
-    RANDOM = "RANDOM"
-    SEMI_VALID = "SEMI_VALID"
+# Policies, as case and report files name them.
+EMPTY, RANDOM, SEMI_VALID = "EMPTY", "RANDOM", "SEMI_VALID"
+POLICIES = (EMPTY, RANDOM, SEMI_VALID)
 
 
 class ConfigurationError(Exception):
@@ -117,13 +115,13 @@ STRUCTURAL_MUTATIONS = ("duplicate_subtree", "remove_subtree")
 
 # BOOL rides the integer list: it is an I32 on the wire.
 CATALOG: dict[str, tuple[str, ...]] = {
-    "I32": INT_MUTATIONS,
-    "I64": INT_MUTATIONS,
-    "BOOL": INT_MUTATIONS,
-    "F64": F64_MUTATIONS,
-    "STRING": STRING_MUTATIONS,
-    "BYTES": BYTES_MUTATIONS,
-    "HANDLE": HANDLE_MUTATIONS,
+    I32: INT_MUTATIONS,
+    I64: INT_MUTATIONS,
+    BOOL: INT_MUTATIONS,
+    F64: F64_MUTATIONS,
+    STRING: STRING_MUTATIONS,
+    BYTES: BYTES_MUTATIONS,
+    HANDLE: HANDLE_MUTATIONS,
 }
 
 FRAME_BREAKING_MUTATIONS = {"declared_length_plus_4", "declared_length_max"}
@@ -145,7 +143,7 @@ class FuzzCase(NamedTuple):
     """
 
     case_id: int
-    policy: Policy
+    policy: str
     descriptor: str
     code: int
     payload: bytes
@@ -159,7 +157,7 @@ class FuzzCase(NamedTuple):
     def to_json(self) -> dict:
         return {
             "case_id": self.case_id,
-            "policy": self.policy.value,
+            "policy": self.policy,
             "descriptor": self.descriptor,
             "code": self.code,
             "payload_hex": self.payload.hex(),
@@ -214,7 +212,7 @@ class FuzzCase(NamedTuple):
             field_path = tuple(_items(obj, "field_path", (int,), "case", ValueError))
         case = cls(
             case_id=_field(obj, "case_id", (int,), "case", ValueError),
-            policy=Policy(_field(obj, "policy", (str,), "case", ValueError)),
+            policy=_case_policy(obj),
             descriptor=_field(obj, "descriptor", (str,), "case", ValueError),
             code=_field(obj, "code", (int,), "case", ValueError),
             payload=payload,
@@ -226,12 +224,20 @@ class FuzzCase(NamedTuple):
             slot_overrides=tuple(overrides.items()),
         )
         provenance = (case.seed_seq, case.field_path, case.mutation_id)
-        if case.policy is Policy.SEMI_VALID:
+        if case.policy == SEMI_VALID:
             if None in provenance:
                 raise ValueError("SEMI_VALID cases reference a seed, a path, and a mutation")
         elif provenance != (None, None, None):
-            raise ValueError("%s cases reference no seed" % case.policy.value)
+            raise ValueError("%s cases reference no seed" % case.policy)
         return case
+
+
+def _case_policy(obj: dict) -> str:
+    """A saved case's policy: one of POLICIES, as written."""
+    policy = _field(obj, "policy", (str,), "case", ValueError)
+    if policy not in POLICIES:
+        raise ValueError("%r is not a valid Policy" % policy)
+    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +252,7 @@ class _Leaf(NamedTuple):
 
 
 _I32 = struct.Struct("<i")
-_FIXED_CODECS = {"I32": _I32, "I64": struct.Struct("<q"), "F64": struct.Struct("<d"), "BOOL": _I32, "HANDLE": _I32}
+_FIXED_CODECS = {I32: _I32, I64: struct.Struct("<q"), F64: struct.Struct("<d"), BOOL: _I32, HANDLE: _I32}
 
 
 def _decode_leaf(buf: bytes, node: TraceNode) -> object:
@@ -255,7 +261,7 @@ def _decode_leaf(buf: bytes, node: TraceNode) -> object:
         return codec.unpack_from(buf, node.start)[0]
     declared = _I32.unpack_from(buf, node.start)[0]
     content = buf[node.start + 4 : node.start + 4 + declared]
-    if node.kind == "STRING":
+    if node.kind == STRING:
         return content.decode("utf-8")
     return content
 
@@ -276,15 +282,11 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
     return leaves
 
 
-# Kind by name, without an Enum call per leaf.
-_KIND_NAMED = {kind.value: kind for kind in Kind}
-
-
 def _write_leaf(parcel: Parcel, kind: str, value) -> None:
-    if kind == "HANDLE":
+    if kind == HANDLE:
         parcel.write_handle(value)
     else:
-        parcel.write_value(_KIND_NAMED[kind], value)
+        parcel.write_value(kind, value)
 
 
 def _rebuild(leaves) -> tuple[Parcel, list[tuple[int, int]]]:
@@ -307,7 +309,7 @@ def _encode_leaf(kind: str, value) -> bytes:
 
 # long_64k makes one value whatever the leaf held; its 64 KiB encoding is
 # made once, not once per case.
-_LONG_64K_LEAF = _encode_leaf("STRING", STRING_VALUES["long_64k"](""))
+_LONG_64K_LEAF = _encode_leaf(STRING, STRING_VALUES["long_64k"](""))
 
 
 class _SeedEncoding(NamedTuple):
@@ -374,7 +376,7 @@ def _spliced_case(record: SeedRecord, base: bytes, splice: _Splice, case_id: int
     start, insert, end, offsets, field_path, mutation_id, frame_breaking, slot_overrides = splice
     payload = b"".join((base[:start], insert, base[end:]))
     return tuple.__new__(FuzzCase, (
-        case_id, Policy.SEMI_VALID, record.descriptor, record.code, payload, offsets,
+        case_id, SEMI_VALID, record.descriptor, record.code, payload, offsets,
         record.seq, field_path, mutation_id, frame_breaking, slot_overrides,
     ))
 
@@ -388,21 +390,21 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
     patch = None
     encoded = None
 
-    if kind in ("I32", "BOOL", "I64"):
-        high_bit = 1 << (63 if kind == "I64" else 31)
+    if kind in (I32, BOOL, I64):
+        high_bit = 1 << (63 if kind == I64 else 31)
         value = ((INT_VALUES[mutation_id](value, high_bit) + high_bit) & (2 * high_bit - 1)) - high_bit
-    elif kind == "F64":
+    elif kind == F64:
         value = F64_VALUES[mutation_id]
-    elif kind == "STRING":
+    elif kind == STRING:
         if mutation_id == "long_64k":
             encoded = _LONG_64K_LEAF
         else:
             value = STRING_VALUES[mutation_id](value)
             if type(value) is bytes:
-                kind = "BYTES"
+                kind = BYTES
             elif mutation_id == "declared_length_plus_4":
                 patch = "plus_4"
-    elif kind == "BYTES":
+    elif kind == BYTES:
         if mutation_id == "truncate_half":
             value = value[: len(value) // 2]
         else:
@@ -451,7 +453,7 @@ def _structural_mutations(record: SeedRecord, node: TraceNode) -> list[str]:
     out = list(STRUCTURAL_MUTATIONS)
     if _ENTRY_LABEL.match(node.label) and len(node.children) >= 2:
         tag_leaf = node.children[1]
-        if tag_leaf.is_leaf and tag_leaf.kind == "I32":
+        if tag_leaf.is_leaf and tag_leaf.kind == I32:
             current = _I32.unpack_from(record.payload, tag_leaf.start)[0]
             out.extend("tag_swap_to_%d" % t for t in sorted(TAG_NAMES) if t != current)
     return out
@@ -482,7 +484,7 @@ def _mutate_subtree(seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str
         tag_path = path + (1,)
         tag_index = next(i for i in range(first_leaf, past_leaf) if seed.leaves[i].path == tag_path)
         start, end = seed.spans[tag_index]
-        insert = _encode_leaf("I32", int(mutation_id.rsplit("_", 1)[1]))
+        insert = _encode_leaf(I32, int(mutation_id.rsplit("_", 1)[1]))
 
     return _Splice(start, insert, end, offsets, path, mutation_id, True, ())
 
@@ -493,7 +495,7 @@ def _mutate_subtree(seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str
 
 
 def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
-    return FuzzCase(case_id, Policy.EMPTY, descriptor, code, b"", ())
+    return FuzzCase(case_id, EMPTY, descriptor, code, b"", ())
 
 
 def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id: int = 0) -> FuzzCase:
@@ -507,7 +509,7 @@ def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id:
         payload = hashlib.shake_128(key).digest(length)
     else:
         payload = b""
-    return FuzzCase(case_id, Policy.RANDOM, descriptor, code, payload, ())
+    return FuzzCase(case_id, RANDOM, descriptor, code, payload, ())
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +517,16 @@ def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_policies(policy) -> tuple[Policy, ...]:
-    if isinstance(policy, (Policy, str)):
+def _normalize_policies(policy) -> tuple[str, ...]:
+    if isinstance(policy, str):
         policy = [policy]
     out = []
-    for p in policy:
-        if not isinstance(p, Policy):
-            try:
-                p = Policy(str(p).strip().upper().replace("-", "_"))
-            except ValueError:
-                raise ConfigurationError("unknown policy %r" % (p,)) from None
+    for given in policy:
+        p = str(given).strip().upper().replace("-", "_")
+        if p not in POLICIES:
+            raise ConfigurationError("unknown policy %r" % (given,))
         if p in out:
-            raise ConfigurationError("policy %s is given more than once" % p.value)
+            raise ConfigurationError("policy %s is given more than once" % p)
         out.append(p)
     if not out:
         raise ConfigurationError("at least one policy is required")
@@ -544,11 +544,11 @@ def _splices(record: SeedRecord, seed: _SeedEncoding) -> Iterator[_Splice]:
             yield _mutate_subtree(seed, path, mutation_id)
 
 
-def _policy_stream(policy: Policy, corpus, rng_seed: int, case_ids: Iterator[int]):
-    if policy is Policy.EMPTY:
+def _policy_stream(policy: str, corpus, rng_seed: int, case_ids: Iterator[int]):
+    if policy == EMPTY:
         for descriptor, code, _name in all_methods():
             yield make_empty(descriptor, code, next(case_ids))
-    elif policy is Policy.RANDOM:
+    elif policy == RANDOM:
         methods = all_methods()
         for i in itertools.count():
             descriptor, code, _name = methods[i % len(methods)]
@@ -588,11 +588,11 @@ def generate_campaign(corpus, policy, budget: int, rng_seed: int):
     policies = _normalize_policies(policy)
     if not 1 <= budget <= sys.maxsize:
         raise ConfigurationError("budget must be in [1, %d], got %d" % (sys.maxsize, budget))
-    if Policy.SEMI_VALID in policies and not corpus:
+    if SEMI_VALID in policies and not corpus:
         raise ConfigurationError("SEMI_VALID needs a non-empty seed corpus")
 
     case_ids = itertools.count(1)
-    ordered = sorted(policies, key=lambda p: p is Policy.RANDOM)  # stable: finite ones keep their order
+    ordered = sorted(policies, key=lambda p: p == RANDOM)  # stable: finite ones keep their order
     streams = (_policy_stream(p, corpus, rng_seed, case_ids) for p in ordered)
     return itertools.islice(itertools.chain.from_iterable(streams), budget)
 

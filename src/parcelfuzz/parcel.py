@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import struct
 from contextlib import AbstractContextManager, contextmanager, nullcontext
-from enum import Enum
 from typing import Iterator
 
 I32_MAX = 0x7FFFFFFF
@@ -38,24 +37,11 @@ I64_MIN = -0x8000000000000000
 HANDLE_BYTES = 4
 
 
-class Kind(str, Enum):
-    """Value tags accepted by write_value/read_value (HANDLE has its own pair)."""
-
-    I32 = "I32"
-    I64 = "I64"
-    F64 = "F64"
-    BOOL = "BOOL"
-    STRING = "STRING"
-    BYTES = "BYTES"
-    HANDLE = "HANDLE"
-    COMPOSITE = "COMPOSITE"
-
-
-# Kind members under module names for the read and write paths, which
-# compare kinds once per field: on Python 3.11 each ``Kind.X`` lookup is a
-# descriptor call costing about half as much as a whole fixed-width read.
-_K_I32, _K_I64, _K_F64, _K_BOOL = Kind.I32, Kind.I64, Kind.F64, Kind.BOOL
-_K_STRING, _K_BYTES, _K_HANDLE = Kind.STRING, Kind.BYTES, Kind.HANDLE
+# Value kinds accepted by write_value/read_value (HANDLE has its own pair,
+# and COMPOSITE names a trace node, not a value), each the string a type
+# trace names it by.  The read and write paths dispatch on identity, so a
+# kind passed in must be one of these objects, not an equal string.
+I32, I64, F64, BOOL, STRING, BYTES, HANDLE, COMPOSITE = "I32", "I64", "F64", "BOOL", "STRING", "BYTES", "HANDLE", "COMPOSITE"
 
 _I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
@@ -127,21 +113,21 @@ class Parcel:
 
     # -- write side -----------------------------------------------------------
 
-    def write_value(self, kind: Kind, value) -> "Parcel":
+    def write_value(self, kind: str, value) -> "Parcel":
         """Append one value; returns self so writes chain."""
-        if kind is _K_I32:
+        if kind is I32:
             self._buf += _I32.pack(_check_range(value, I32_MIN, I32_MAX))
-        elif kind is _K_I64:
+        elif kind is I64:
             self._buf += _I64.pack(_check_range(value, I64_MIN, I64_MAX))
-        elif kind is _K_F64:
+        elif kind is F64:
             self._buf += _F64.pack(float(value))
-        elif kind is _K_BOOL:
+        elif kind is BOOL:
             self._buf += _I32.pack(1 if value else 0)
-        elif kind is _K_STRING:
+        elif kind is STRING:
             if not isinstance(value, str):
                 raise CapacityError("STRING write needs str, got %s" % type(value).__name__)
             self._append_sized(value.encode("utf-8"))
-        elif kind is _K_BYTES:
+        elif kind is BYTES:
             if not isinstance(value, (bytes, bytearray)):
                 raise CapacityError("BYTES write needs bytes, got %s" % type(value).__name__)
             self._append_sized(value)
@@ -170,31 +156,31 @@ class Parcel:
     # of a STRING or BYTES value is copied, once.  A failed read leaves the
     # cursor where the read began.
 
-    def read_value(self, kind: Kind):
+    def read_value(self, kind: str):
         start = self.cursor
-        if kind is _K_STRING:
+        if kind is STRING:
             end, body_end = self._sized_bounds("STRING")
             try:
                 value = self._buf[start + 4 : body_end].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise EncodingError("STRING is not valid UTF-8 at %d: %s" % (start, exc)) from None
-        elif kind is _K_BYTES:
+        elif kind is BYTES:
             end, body_end = self._sized_bounds("BYTES")
             value = memoryview(self._buf)[start + 4 : body_end].tobytes()
         else:
-            if kind is _K_I32 or kind is _K_BOOL:
+            if kind is I32 or kind is BOOL:
                 codec = _I32
-            elif kind is _K_I64:
+            elif kind is I64:
                 codec = _I64
-            elif kind is _K_F64:
+            elif kind is F64:
                 codec = _F64
             else:
                 raise TruncationError("cannot read kind %s through read_value" % kind)
             end = start + codec.size
             if end > len(self._buf):
-                raise _truncated(kind.value, codec.size, start, len(self._buf))
+                raise _truncated(kind, codec.size, start, len(self._buf))
             value = codec.unpack_from(self._buf, start)[0]
-            if kind is _K_BOOL:
+            if kind is BOOL:
                 value = value != 0
         self.cursor = end
         if self._hook is not None:
@@ -216,10 +202,10 @@ class Parcel:
         self.cursor = end
         slot_valid = start in self.offsets
         if self._hook is not None:
-            self._hook.on_leaf(_K_HANDLE, start, end)
+            self._hook.on_leaf(HANDLE, start, end)
         return value, slot_valid
 
-    def read_lenient(self, kind: Kind):
+    def read_lenient(self, kind: str):
         """Read a value, absorbing malformed input as None (missing-data style).
 
         Mirrors deserializers that hand back null/zero when the buffer runs

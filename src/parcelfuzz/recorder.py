@@ -20,10 +20,12 @@ checks every node, then one loop over the trace's leaves.  That loop
 checks that the leaves, in tree order, tile the payload from its first
 byte to its last, that the HANDLE leaves start at the offsets, each
 4-aligned, and that consumed_handles pairs each offset with an origin.
-Each check runs once per record, except the walk: a load walks each
-distinct payload and trace once, and a record that repeats both reuses
-the trace already walked.  An error is worded only once a check fails,
-and names the first field that fails in read order.
+Last, each leaf must re-encode to its own bytes, as the mutator re-encodes
+a seed.  Each check runs once per record, except the walk and that last
+check: a load makes both once per distinct payload and trace, and a
+record that repeats both reuses the trace already walked.  An error is
+worded only once a check fails, and names the first field that fails in
+read order, a leaf that would not re-encode after every other field.
 
 The corpus persists as JSON-lines: a header line, then one record per
 line with sorted keys, so identical sessions serialize byte-identically.
@@ -39,8 +41,8 @@ import struct
 from types import NoneType
 from typing import NamedTuple
 
-from .parcel import I32_MAX, Kind, Parcel, _check_offsets, handle_at, pad4
-from .router import Reply, ReplyKind, Router, Transaction, SERVICE_MANAGER_DESCRIPTOR, SERVICE_MANAGER_HANDLE
+from .parcel import BOOL, BYTES, COMPOSITE, F64, HANDLE, I32, I32_MAX, I64, STRING, Parcel, _check_offsets, handle_at, pad4
+from .router import OK, Reply, Router, Transaction, SERVICE_MANAGER_DESCRIPTOR, SERVICE_MANAGER_HANDLE
 from .services import (
     ActivityClient,
     AudioClient,
@@ -61,12 +63,13 @@ from .services import (
 CORPUS_FORMAT_VERSION = 1
 CORPUS_MANIFEST_REF = "corpus-manifest-v1"
 
-COMPOSITE = Kind.COMPOSITE.value
 STATIC_PREFIX = "STATIC:"
 
-# Bytes a trace leaf of each kind holds at least: the value itself, or
-# the length prefix of a STRING or BYTES.
-_FIXED_PART = {"I32": 4, "I64": 8, "F64": 8, "BOOL": 4, "STRING": 4, "BYTES": 4, "HANDLE": 4}
+# Each trace leaf kind by name: parcel's own constant, which a loaded leaf
+# holds because parcel dispatches on identity, and the bytes a leaf of the
+# kind holds, all of them or the length prefix of a STRING or BYTES.
+_LEAF_KINDS = {I32: (I32, 4), I64: (I64, 8), F64: (F64, 8), BOOL: (BOOL, 4),
+               STRING: (STRING, 4), BYTES: (BYTES, 4), HANDLE: (HANDLE, 4)}
 _I32 = struct.Struct("<i")
 
 
@@ -219,27 +222,28 @@ def _trace_from_json(obj, payload: bytes, leaves: list) -> TraceNode:
         nodes = []
         for child in children:
             nodes.append(_trace_from_json(child, payload, leaves))
-        return tuple.__new__(TraceNode, (kind, label, start, end, tuple(nodes)))
-    fixed_part = _FIXED_PART.get(kind)
-    if fixed_part is None:
+        return tuple.__new__(TraceNode, (COMPOSITE, label, start, end, tuple(nodes)))
+    known = _LEAF_KINDS.get(kind)
+    if known is None:
         raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
+    kind, fixed_part = known
     if obj.get("children"):
         raise CorpusError("trace leaf %r carries children" % kind)
     if not 0 <= start <= end - fixed_part or end > len(payload):
         raise CorpusError(
             "trace leaf %s at [%d, %d) does not fit the %d-byte payload" % (kind, start, end, len(payload))
         )
-    if kind == "HANDLE":
+    if kind is HANDLE:
         handle = _I32.unpack_from(payload, start)[0]
         if handle < 0:
             raise CorpusError(
                 "trace leaf HANDLE at [%d, %d) holds handle %d, outside [0, %d]" % (start, end, handle, I32_MAX)
             )
-    elif kind == "STRING" or kind == "BYTES":
+    elif kind is STRING or kind is BYTES:
         declared = _I32.unpack_from(payload, start)[0]
         if declared < 0 or end != start + 4 + pad4(declared):
             raise CorpusError("trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared))
-        if kind == "STRING":
+        if kind is STRING:
             try:
                 payload[start + 4 : start + 4 + declared].decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -264,8 +268,8 @@ class TraceBuilder:
         self._end = 0
         self._stack = [("request", 0, [])]
 
-    def on_leaf(self, kind: Kind, start: int, end: int) -> None:
-        self._stack[-1][2].append(TraceNode(kind.value, "", start, end))
+    def on_leaf(self, kind: str, start: int, end: int) -> None:
+        self._stack[-1][2].append(TraceNode(kind, "", start, end))
         self._end = end
 
     def enter_composite(self, label: str) -> None:
@@ -351,7 +355,10 @@ class SeedRecord(NamedTuple):
         error, depends on the trace object and the payload alone.  The
         checks on the leaves, against this record's own offsets and
         consumed_handles, and on the fields after them, run on every
-        record.
+        record.  Last, the leaves of a walked trace must re-encode to
+        their own bytes (_refuse_reencoding); a reused trace passed that
+        on the record that walked it, since a record that fails it stops
+        the load.
         """
         if type(obj) is not dict:
             raise CorpusError("%s is not an object: %s" % (where, _excerpt(obj)))
@@ -392,7 +399,8 @@ class SeedRecord(NamedTuple):
             _refuse_offsets(where, offsets, len(payload))
             _field(obj, "trace", _DICT, where)  # raises
         seen = traces.get(payload) if traces is not None else None
-        if seen is not None and _accepted_before(trace_obj, seen[0]):
+        walked = seen is None or not _accepted_before(trace_obj, seen[0])
+        if not walked:
             trace, leaves = seen[1], seen[2]
         else:
             leaves = []
@@ -418,6 +426,8 @@ class SeedRecord(NamedTuple):
         reply_kind = get("reply_kind")
         if type(reply_kind) is not str:
             _field(obj, "reply_kind", _STR, where)  # raises
+        if walked:
+            _refuse_reencoding(where, payload, leaves)
         return tuple.__new__(cls, (
             seq, scenario, descriptor, code, target, payload, offsets, trace,
             tuple(map(tuple, consumed)), tuple(map(tuple, produced)), reply_kind,
@@ -450,6 +460,23 @@ def _accepted_before(obj, accepted) -> bool:
     return True
 
 
+def _refuse_reencoding(where: str, payload: bytes, leaves: list) -> None:
+    """Raise the CorpusError of the first leaf that would not re-encode to
+    its own bytes, which would change every case the mutator makes of its
+    seed: a fixed-width leaf wider than its kind, nonzero padding after a
+    STRING or BYTES body, or a BOOL that holds neither 0 nor 1."""
+    for kind, _label, start, end, _children in leaves:
+        value = _I32.unpack_from(payload, start)[0]
+        if kind is STRING or kind is BYTES:
+            lie = any(payload[start + 4 + value : end]) and "pads its value with nonzero bytes"
+        elif end - start != _LEAF_KINDS[kind][1]:
+            lie = "is %d bytes wide, not %d" % (end - start, _LEAF_KINDS[kind][1])
+        else:
+            lie = kind is BOOL and value not in (0, 1) and "holds %d, not 0 or 1" % value
+        if lie:
+            raise CorpusError("%s trace: trace leaf %s at [%d, %d) %s" % (where, kind, start, end, lie))
+
+
 def _consumed_pair_fits(pair) -> bool:
     """Whether pair is [position, origin]: an int, and a seq or STATIC:<descriptor>."""
     return (
@@ -474,7 +501,7 @@ def _layout_fits(leaves: list, size: int, offsets: tuple, consumed) -> bool:
         start = leaf[2]
         if start != end:
             return False
-        if leaf[0] == "HANDLE":
+        if leaf[0] is HANDLE:
             if handles == len(offsets) or offsets[handles] != start or start & 3:
                 return False
             pair = consumed[handles]
@@ -497,7 +524,7 @@ def _refuse_layout(obj: dict, where: str, size: int, offsets: tuple, leaves: lis
     """Raise the CorpusError of a record that _layout_fits refuses: the
     first check that fails, in read order."""
     _refuse_offsets(where, offsets, size)
-    handle_starts = [leaf.start for leaf in leaves if leaf.kind == "HANDLE"]
+    handle_starts = [leaf.start for leaf in leaves if leaf.kind is HANDLE]
     if tuple(handle_starts) != offsets:
         raise CorpusError(
             "%s: HANDLE leaves start at %s, offsets are %s" % (where, _excerpt(handle_starts), _excerpt(offsets))
@@ -551,7 +578,7 @@ class RecordingClient(Client):
             consumed.append((pos, self._origin_of(value)))
 
         produced = []
-        if reply.kind is ReplyKind.OK and reply.payload is not None:
+        if reply.kind == OK and reply.payload is not None:
             payload = reply.payload
             for pos in payload.offsets:
                 value = handle_at(payload.buffer, pos)
@@ -573,7 +600,7 @@ class RecordingClient(Client):
                 trace=builder.finish(),
                 consumed_handles=tuple(consumed),
                 produced_handles=tuple(produced),
-                reply_kind=reply.kind.value,
+                reply_kind=reply.kind,
             )
         )
         return reply
@@ -607,8 +634,8 @@ def _audio_callback(client: Client) -> None:
     audio.play("track-one")
     session, _index = audio.open_session()
     reply = client.transact(session, AudioSession.PING, Parcel())
-    if reply.kind is not ReplyKind.OK:
-        raise RecordingError("session ping failed: %s" % reply.kind.value)
+    if reply.kind != OK:
+        raise RecordingError("session ping failed: %s" % reply.kind)
     audio._register_client(session, "monitor")
 
 
@@ -766,8 +793,8 @@ def build_dependency_graph(records) -> DependencyGraph:
         if record.target != SERVICE_MANAGER_HANDLE:
             for value, _pos in record.produced_handles:
                 dyn_produced[value] = record.seq
-        elif record.reply_kind == ReplyKind.OK.value:
-            name = record.parcel().read_lenient(Kind.STRING)
+        elif record.reply_kind == OK:
+            name = record.parcel().read_lenient(STRING)
             if name is not None:
                 for value, _pos in record.produced_handles:
                     static_names.setdefault(value, name)

@@ -30,8 +30,8 @@ from typing import Mapping, NamedTuple
 from .parcel import Parcel, handle_at
 from .recorder import CorpusError, SeedRecord, build_dependency_graph
 from .router import (
+    OK,
     Reply,
-    ReplyKind,
     Router,
     Service,
     Transaction,
@@ -100,7 +100,7 @@ def check_replies(prepared: PreparedCorpus) -> None:
     """
     session = ReplaySession(prepared)
     for record in prepared.records.values():
-        replied = session._execute_record(record)[1].kind.value
+        replied = session._execute_record(record)[1].kind
         if replied != record.reply_kind:
             raise CorpusError("record %d recorded %s, replayed %s" % (record.seq, record.reply_kind, replied))
 
@@ -166,10 +166,10 @@ class ReplaySession:
                 continue
             record = self.prepared.records[support_seq]
             txn, reply = self._execute_record(record)
-            if reply.kind is not ReplyKind.OK:
+            if reply.kind != OK:
                 raise Unreplayable(
                     "support %d (%s code %d) replied %s"
-                    % (support_seq, record.descriptor, record.code, reply.kind.value),
+                    % (support_seq, record.descriptor, record.code, reply.kind),
                     support_seq,
                 )
             self._replayed[support_seq] = txn
@@ -182,7 +182,7 @@ class ReplaySession:
         txn = Transaction(self._live_handle(record.target), record.code, payload, SUPPORT_SENDER)
         reply = self.router.transact(txn)
         # What a service-manager lookup returns is resolved by name instead.
-        if reply.kind is ReplyKind.OK and record.target != SERVICE_MANAGER_HANDLE:
+        if reply.kind == OK and record.target != SERVICE_MANAGER_HANDLE:
             for recorded_value, pos in record.produced_handles:
                 if pos not in reply.payload.offsets:
                     raise Unreplayable("record %d replied with no handle at %d" % (record.seq, pos), record.seq)

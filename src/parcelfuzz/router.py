@@ -33,11 +33,10 @@ names come from: an object a service exports at run time is anonymous.
 
 from __future__ import annotations
 
-from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .parcel import Kind, Parcel, ParcelError
+from .parcel import STRING, Parcel, ParcelError
 
 # Reserved handle, name and method code for service lookup.
 SERVICE_MANAGER_HANDLE = 0
@@ -57,11 +56,8 @@ MEMORY_CORRUPTION = "MEMORY_CORRUPTION"
 MALFORMED_PARCEL = "MALFORMED_PARCEL"
 
 
-class ReplyKind(str, Enum):
-    OK = "OK"
-    REJECTED = "REJECTED"
-    HANDLED_FAULT = "HANDLED_FAULT"
-    FATAL_CRASH = "FATAL_CRASH"
+# Reply kinds: the strings corpus records hold as reply_kind.
+OK, REJECTED, HANDLED_FAULT, FATAL_CRASH = "OK", "REJECTED", "HANDLED_FAULT", "FATAL_CRASH"
 
 
 class CrashInfo(NamedTuple):
@@ -71,17 +67,10 @@ class CrashInfo(NamedTuple):
 
 
 class Reply(NamedTuple):
-    kind: ReplyKind
+    kind: str
     payload: Parcel | None = None
     message: str | None = None
     crash: CrashInfo | None = None
-
-
-# The reply kinds under module names, for the dispatch path, which
-# builds its replies positionally: a keyword call costs more than the
-# tuple it builds.
-_OK, _REJECTED = ReplyKind.OK, ReplyKind.REJECTED
-_HANDLED_FAULT, _FATAL_CRASH = ReplyKind.HANDLED_FAULT, ReplyKind.FATAL_CRASH
 
 
 class Transaction(NamedTuple):
@@ -211,7 +200,7 @@ class _ServiceManager(Service):
         if code != GET_SERVICE:
             raise Reject("service manager supports only GET_SERVICE, got code %d" % code)
         try:
-            name = data.read_value(Kind.STRING)
+            name = data.read_value(STRING)
         except ParcelError as exc:
             raise Reject("malformed lookup request: %s" % exc) from None
         handle = ctx._router._by_name.get(name)
@@ -318,7 +307,7 @@ class Router:
         reg = self._registrations.get(handle) or self._host(handle)
         if reg is None:
             self.edges.append(IpcEdge(txn.sender_id, "<unknown>", txn.code))
-            return Reply(_REJECTED, None, "no such handle %d" % handle)
+            return Reply(REJECTED, None, "no such handle %d" % handle)
         descriptor = reg.descriptor or "<anonymous:%d>" % handle
         self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code))
 
@@ -329,11 +318,11 @@ class Router:
             data.install_read_hook(trace_hook)
         try:
             payload = reg.instance.handle_transaction(txn.code, data, ctx)
-            return Reply(_OK, payload if payload is not None else Parcel())
+            return Reply(OK, payload if payload is not None else Parcel())
         except Reject as exc:
-            return Reply(_REJECTED, None, str(exc))
+            return Reply(REJECTED, None, str(exc))
         except InternalFault as exc:
-            return Reply(_HANDLED_FAULT, None, str(exc))
+            return Reply(HANDLED_FAULT, None, str(exc))
         except ServiceFault as exc:
             return self._contain(reg, exc, exc.kind, exc.detail)
         except ParcelError as exc:
@@ -352,4 +341,4 @@ class Router:
         frames = getattr(exc, "stack_frames", None) or ("%s.dispatch" % (reg.descriptor or "anonymous"),)
         if reg.handle != SERVICE_MANAGER_HANDLE:
             reg.instance = type(reg.instance)()
-        return Reply(_FATAL_CRASH, None, None, CrashInfo(kind, frames, detail))
+        return Reply(FATAL_CRASH, None, None, CrashInfo(kind, frames, detail))

@@ -31,18 +31,18 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .parcel import I32_MAX, Kind, Parcel, ParcelError
+from .parcel import BOOL, BYTES, F64, I32, I32_MAX, I64, STRING, Parcel, ParcelError
 from .router import (
     MALFORMED_PARCEL,
     MEMORY_CORRUPTION,
     NULL_DEREF,
+    OK,
     OUT_OF_BOUNDS,
     STACK_OVERFLOW,
     DispatchContext,
     InternalFault,
     Reject,
     Reply,
-    ReplyKind,
     Router,
     Service,
     SERVICE_MANAGER_HANDLE,
@@ -50,11 +50,6 @@ from .router import (
     HostTable,
     Transaction,
 )
-
-# Kind members bound to module names, as in parcel.py: looking a member
-# up on the Enum class costs about a third of a decoder's read.
-_K_I32, _K_I64, _K_F64, _K_BOOL = Kind.I32, Kind.I64, Kind.F64, Kind.BOOL
-_K_STRING, _K_BYTES = Kind.STRING, Kind.BYTES
 
 # Bundle entry value tags, and the kind each plain value tag holds.  A
 # BUNDLE value nests, and a HANDLE value is read and written as a handle.
@@ -66,7 +61,7 @@ TAG_BYTES = 5
 TAG_BUNDLE = 6
 TAG_HANDLE = 7
 
-TAG_KINDS = {TAG_I32: _K_I32, TAG_I64: _K_I64, TAG_F64: _K_F64, TAG_STRING: _K_STRING, TAG_BYTES: _K_BYTES}
+TAG_KINDS = {TAG_I32: I32, TAG_I64: I64, TAG_F64: F64, TAG_STRING: STRING, TAG_BYTES: BYTES}
 TAG_NAMES = frozenset((*TAG_KINDS, TAG_BUNDLE, TAG_HANDLE))
 
 # Writer-side nesting limits.  The deserializers deliberately do not
@@ -84,9 +79,9 @@ class ReplyError(Exception):
 
     def __init__(self, reply: Reply):
         if reply.crash is not None:
-            what = "%s (%s)" % (reply.kind.value, reply.crash.exception_kind)
+            what = "%s (%s)" % (reply.kind, reply.crash.exception_kind)
         else:
-            what = "%s: %s" % (reply.kind.value, reply.message)
+            what = "%s: %s" % (reply.kind, reply.message)
         super().__init__(what)
         self.reply = reply
 
@@ -155,25 +150,25 @@ class QueueService(RegistryService):
 
     def add(self, data, ctx):
         try:
-            item = data.read_value(_K_STRING)
+            item = data.read_value(STRING)
         except ParcelError as exc:
             raise Reject("malformed add request: %s" % exc) from None
         self._items.append(item)
-        return Parcel().write_value(_K_BOOL, True)
+        return Parcel().write_value(BOOL, True)
 
     def peek(self, data, ctx):
         head = self._items[0] if self._items else ""
-        return Parcel().write_value(_K_STRING, head)
+        return Parcel().write_value(STRING, head)
 
     def poll(self, data, ctx):
         head = self._items.pop(0) if self._items else ""
-        return Parcel().write_value(_K_STRING, head)
+        return Parcel().write_value(STRING, head)
 
     def remove(self, data, ctx):
         removed = bool(self._items)
         if removed:
             del self._items[0]
-        return Parcel().write_value(_K_BOOL, removed)
+        return Parcel().write_value(BOOL, removed)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +183,7 @@ class AudioSession(RegistryService):
     REGISTRY = MethodRegistry("svc.audio.session", (MethodSpec("ping", ()),))
 
     def ping(self, data, ctx):
-        return Parcel().write_value(_K_BOOL, True)
+        return Parcel().write_value(BOOL, True)
 
 
 class AudioService(RegistryService):
@@ -219,28 +214,28 @@ class AudioService(RegistryService):
 
     def play(self, data, ctx):
         try:
-            track = data.read_value(_K_STRING)
+            track = data.read_value(STRING)
         except ParcelError as exc:
             raise Reject("malformed play request: %s" % exc) from None
         if not track:
             # The server notices mid-flight and reports its own failure.
             raise InternalFault("playback failed: empty track name")
         self._now_playing = track
-        return Parcel().write_value(_K_BOOL, True)
+        return Parcel().write_value(BOOL, True)
 
     def register_client(self, data, ctx):
         callback, _slot_declared = data.read_handle_lenient()
-        name = data.read_lenient(_K_STRING)
+        name = data.read_lenient(STRING)
         if not callback or name is None:
             ctx.fail(NULL_DEREF, "callback=%r name=%r" % (callback, name))
         self._clients[name] = callback
-        return Parcel().write_value(_K_BOOL, True)
+        return Parcel().write_value(BOOL, True)
 
     def open_session(self, data, ctx):
         handle = ctx.export_object(AudioSession())
         index = self._session_count
         self._session_count += 1
-        return Parcel().write_handle(handle).write_value(_K_I32, index)
+        return Parcel().write_handle(handle).write_value(I32, index)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +264,14 @@ class BluetoothService(RegistryService):
         self._table: list[str] = []
 
     def register_app_configuration(self, data, ctx):
-        count = data.read_value(_K_I32)
+        count = data.read_value(I32)
         if count > self.SLOTS:
             ctx.fail(OUT_OF_BOUNDS, "reserving %d entries in a %d-slot table" % (count, self.SLOTS))
         table = []
         for _ in range(max(count, 0)):
-            table.append(data.read_value(_K_STRING))
+            table.append(data.read_value(STRING))
         self._table = table
-        return Parcel().write_value(_K_BOOL, True)
+        return Parcel().write_value(BOOL, True)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +314,10 @@ def write_view_node(parcel: Parcel, node: ViewNode, depth: int = 1) -> None:
     if depth > VIEW_WRITER_DEPTH_LIMIT:
         raise ClientCheckError("view tree deeper than %d" % VIEW_WRITER_DEPTH_LIMIT)
     if node.is_leaf:
-        parcel.write_value(_K_I32, MODE_NORMAL)
-        parcel.write_value(_K_STRING, node.content)
+        parcel.write_value(I32, MODE_NORMAL)
+        parcel.write_value(STRING, node.content)
     else:
-        parcel.write_value(_K_I32, 1)
+        parcel.write_value(I32, 1)
         write_view_node(parcel, node.children[0], depth + 1)
         write_view_node(parcel, node.children[1], depth + 1)
 
@@ -348,19 +343,19 @@ class ViewService(RegistryService):
 
     def inflate(self, data, ctx):
         try:
-            _template = data.read_value(_K_STRING)
+            _template = data.read_value(STRING)
         except ParcelError as exc:
             raise Reject("bad template name: %s" % exc) from None
         nodes = self._decode_node(data, ctx, 1)
         self._inflated += 1
-        return Parcel().write_value(_K_I32, nodes)
+        return Parcel().write_value(I32, nodes)
 
     def _decode_node(self, data: Parcel, ctx: DispatchContext, depth: int) -> int:
         ctx.check_depth(depth)
         with data.composite("view.node"):
-            mode = data.read_value(_K_I32)
+            mode = data.read_value(I32)
             if mode == MODE_NORMAL:
-                data.read_value(_K_STRING)
+                data.read_value(STRING)
                 return 1
             count = 1
             count += self._decode_node(data, ctx, depth + 1)
@@ -396,9 +391,9 @@ class GraphicsService(RegistryService):
 
     def create_native_handle(self, data, ctx):
         try:
-            name = data.read_value(_K_STRING)
-            num_fds = data.read_value(_K_I32)
-            num_ints = data.read_value(_K_I32)
+            name = data.read_value(STRING)
+            num_fds = data.read_value(I32)
+            num_ints = data.read_value(I32)
         except ParcelError as exc:
             raise Reject("malformed allocation request: %s" % exc) from None
         total_slots = num_fds + num_ints
@@ -407,7 +402,7 @@ class GraphicsService(RegistryService):
         if required > alloc_size:
             ctx.fail(MEMORY_CORRUPTION, "allocated %d bytes, slot data needs %d" % (alloc_size, required))
         self._allocations.append((name, alloc_size))
-        return Parcel().write_value(_K_I64, alloc_size)
+        return Parcel().write_value(I64, alloc_size)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +433,23 @@ class ActivityService(RegistryService):
     def start_activity(self, data, ctx):
         with ctx.frame("activity.start_activity.decode_intent"):
             with data.composite("Intent"):
-                action = data.read_value(_K_STRING)
-                _data_uri = data.read_value(_K_STRING)
+                action = data.read_value(STRING)
+                _data_uri = data.read_value(STRING)
                 _extras = self._read_bundle(data, ctx, 1)
         self._launched.append(action)
-        return Parcel().write_value(_K_BOOL, True)
+        return Parcel().write_value(BOOL, True)
 
     def _read_bundle(self, data: Parcel, ctx: DispatchContext, depth: int):
         ctx.check_depth(depth)
         with data.composite("Bundle"):
-            count = data.read_value(_K_I32)
+            count = data.read_value(I32)
             entries = []
             for i in range(max(count, 0)):
                 with data.composite("Bundle.entry[%d]" % i):
                     with ctx.frame("activity.bundle.entry_loop"):
-                        key = data.read_value(_K_STRING)
+                        key = data.read_value(STRING)
                     with ctx.frame("activity.bundle.tag_switch"):
-                        tag = data.read_value(_K_I32)
+                        tag = data.read_value(I32)
                         if tag not in TAG_NAMES:
                             ctx.fail(MALFORMED_PARCEL, "unknown extras tag %d" % tag)
                     if tag == TAG_BUNDLE:
@@ -474,12 +469,12 @@ def write_bundle(parcel: Parcel, entries, depth: int = 1) -> None:
     """Writer-side bundle encoder with full validation (tags, types, depth)."""
     if depth > BUNDLE_WRITER_DEPTH_LIMIT:
         raise ClientCheckError("bundle nested deeper than %d" % BUNDLE_WRITER_DEPTH_LIMIT)
-    parcel.write_value(_K_I32, len(entries))
+    parcel.write_value(I32, len(entries))
     for key, tag, value in entries:
         if not isinstance(key, str):
             raise ClientCheckError("bundle key must be str, got %r" % (key,))
-        parcel.write_value(_K_STRING, key)
-        parcel.write_value(_K_I32, tag)
+        parcel.write_value(STRING, key)
+        parcel.write_value(I32, tag)
         if tag == TAG_BUNDLE:
             write_bundle(parcel, value, depth + 1)
         elif tag == TAG_HANDLE:
@@ -506,7 +501,7 @@ class Client:
         return self.router.transact(Transaction(handle, code, data, self.sender_id))
 
     def get_service(self, descriptor: str) -> int:
-        request = Parcel().write_value(_K_STRING, descriptor)
+        request = Parcel().write_value(STRING, descriptor)
         reply = self.transact(SERVICE_MANAGER_HANDLE, GET_SERVICE, request)
         payload = _expect_ok(reply)
         handle, _ = payload.read_handle()
@@ -514,7 +509,7 @@ class Client:
 
 
 def _expect_ok(reply: Reply) -> Parcel:
-    if reply.kind is not ReplyKind.OK:
+    if reply.kind != OK:
         raise ReplyError(reply)
     payload = reply.payload
     payload.cursor = 0
@@ -544,17 +539,17 @@ class QueueClient(_Wrapper):
     def add(self, item: str) -> bool:
         if not isinstance(item, str):
             raise ClientCheckError("queue items are strings")
-        reply = self._call(QueueService.ADD, Parcel().write_value(_K_STRING, item))
-        return reply.read_value(_K_BOOL)
+        reply = self._call(QueueService.ADD, Parcel().write_value(STRING, item))
+        return reply.read_value(BOOL)
 
     def peek(self) -> str:
-        return self._call(QueueService.PEEK, Parcel()).read_value(_K_STRING)
+        return self._call(QueueService.PEEK, Parcel()).read_value(STRING)
 
     def poll(self) -> str:
-        return self._call(QueueService.POLL, Parcel()).read_value(_K_STRING)
+        return self._call(QueueService.POLL, Parcel()).read_value(STRING)
 
     def remove(self) -> bool:
-        return self._call(QueueService.REMOVE, Parcel()).read_value(_K_BOOL)
+        return self._call(QueueService.REMOVE, Parcel()).read_value(BOOL)
 
 
 class AudioClient(_Wrapper):
@@ -569,14 +564,14 @@ class AudioClient(_Wrapper):
     def play(self, track: str) -> bool:
         if not isinstance(track, str) or not track:
             raise ClientCheckError("track name must be a non-empty string")
-        reply = self._call(AudioService.PLAY, Parcel().write_value(_K_STRING, track))
-        return reply.read_value(_K_BOOL)
+        reply = self._call(AudioService.PLAY, Parcel().write_value(STRING, track))
+        return reply.read_value(BOOL)
 
     def open_session(self) -> tuple[int, int]:
         """Returns (session handle, session index)."""
         reply = self._call(AudioService.OPEN_SESSION, Parcel())
         handle, _ = reply.read_handle()
-        index = reply.read_value(_K_I32)
+        index = reply.read_value(I32)
         return handle, index
 
     def _register_client(self, callback_handle: int, name: str) -> bool:
@@ -585,8 +580,8 @@ class AudioClient(_Wrapper):
             raise ClientCheckError("callback handle must be a positive handle")
         if not isinstance(name, str) or not name:
             raise ClientCheckError("client name must be a non-empty string")
-        data = Parcel().write_handle(callback_handle).write_value(_K_STRING, name)
-        return self._call(AudioService.REGISTER_CLIENT, data).read_value(_K_BOOL)
+        data = Parcel().write_handle(callback_handle).write_value(STRING, name)
+        return self._call(AudioService.REGISTER_CLIENT, data).read_value(BOOL)
 
 
 class BluetoothClient(_Wrapper):
@@ -600,13 +595,13 @@ class BluetoothClient(_Wrapper):
             )
         if not 0 <= count <= BluetoothService.SLOTS:
             raise ClientCheckError("entry count %d outside [0, %d]" % (count, BluetoothService.SLOTS))
-        data = Parcel().write_value(_K_I32, count)
+        data = Parcel().write_value(I32, count)
         for entry in entries:
             if not isinstance(entry, str):
                 raise ClientCheckError("configuration entries are strings")
-            data.write_value(_K_STRING, entry)
+            data.write_value(STRING, entry)
         reply = self._call(BluetoothService.REGISTER_APP_CONFIGURATION, data)
-        return reply.read_value(_K_BOOL)
+        return reply.read_value(BOOL)
 
 
 class ViewClient(_Wrapper):
@@ -615,9 +610,9 @@ class ViewClient(_Wrapper):
     def inflate(self, template: str, root: ViewNode) -> int:
         if not isinstance(template, str):
             raise ClientCheckError("template name must be a string")
-        data = Parcel().write_value(_K_STRING, template)
+        data = Parcel().write_value(STRING, template)
         write_view_node(data, root)
-        return self._call(ViewService.INFLATE, data).read_value(_K_I32)
+        return self._call(ViewService.INFLATE, data).read_value(I32)
 
 
 class GraphicsClient(_Wrapper):
@@ -634,11 +629,11 @@ class GraphicsClient(_Wrapper):
             raise ClientCheckError("num_ints %r outside [0, %d]" % (num_ints, self.MAX_INTS))
         data = (
             Parcel()
-            .write_value(_K_STRING, name)
-            .write_value(_K_I32, num_fds)
-            .write_value(_K_I32, num_ints)
+            .write_value(STRING, name)
+            .write_value(I32, num_fds)
+            .write_value(I32, num_ints)
         )
-        return self._call(GraphicsService.CREATE_NATIVE_HANDLE, data).read_value(_K_I64)
+        return self._call(GraphicsService.CREATE_NATIVE_HANDLE, data).read_value(I64)
 
 
 class ActivityClient(_Wrapper):
@@ -649,10 +644,10 @@ class ActivityClient(_Wrapper):
             raise ClientCheckError("action must be a non-empty string")
         if not isinstance(data_uri, str):
             raise ClientCheckError("data uri must be a string")
-        data = Parcel().write_value(_K_STRING, action).write_value(_K_STRING, data_uri)
+        data = Parcel().write_value(STRING, action).write_value(STRING, data_uri)
         write_bundle(data, list(extras))
         reply = self._call(ActivityService.START_ACTIVITY, data)
-        return reply.read_value(_K_BOOL)
+        return reply.read_value(BOOL)
 
 
 # ---------------------------------------------------------------------------
@@ -702,68 +697,68 @@ def _trigger_audio_null() -> Parcel:
 
 
 def _trigger_bt_table_overrun() -> Parcel:
-    data = Parcel().write_value(_K_I32, 20)
+    data = Parcel().write_value(I32, 20)
     for i in range(20):
-        data.write_value(_K_STRING, "cfg%d" % i)
+        data.write_value(STRING, "cfg%d" % i)
     return data
 
 
 def _trigger_bt_count_overread() -> Parcel:
-    return Parcel().write_value(_K_I32, 5).write_value(_K_STRING, "only-one")
+    return Parcel().write_value(I32, 5).write_value(STRING, "only-one")
 
 
 def _trigger_view_recursion() -> Parcel:
-    data = Parcel().write_value(_K_STRING, "probe")
+    data = Parcel().write_value(STRING, "probe")
     for _ in range(600):
-        data.write_value(_K_I32, 1)
+        data.write_value(I32, 1)
     return data
 
 
 def _trigger_view_underflow() -> Parcel:
-    return Parcel().write_value(_K_STRING, "probe").write_value(_K_I32, 1)
+    return Parcel().write_value(STRING, "probe").write_value(I32, 1)
 
 
 def _trigger_gfx_alloc_wrap() -> Parcel:
     return (
         Parcel()
-        .write_value(_K_STRING, "fb0")
-        .write_value(_K_I32, 1)
-        .write_value(_K_I32, I32_MAX)
+        .write_value(STRING, "fb0")
+        .write_value(I32, 1)
+        .write_value(I32, I32_MAX)
     )
 
 
 def _trigger_activity_bad_args() -> Parcel:
     # A negative declared length where the action string should start.
-    return Parcel().write_value(_K_I32, -1)
+    return Parcel().write_value(I32, -1)
 
 
 def _intent_prefix() -> Parcel:
     return (
         Parcel()
-        .write_value(_K_STRING, "app.intent.MAIN")
-        .write_value(_K_STRING, "content://item/1")
+        .write_value(STRING, "app.intent.MAIN")
+        .write_value(STRING, "content://item/1")
     )
 
 
 def _trigger_activity_entry_overread() -> Parcel:
     data = _intent_prefix()
-    data.write_value(_K_I32, 5)  # declares five entries
-    data.write_value(_K_STRING, "mode").write_value(_K_I32, TAG_I32).write_value(_K_I32, 7)
+    data.write_value(I32, 5)  # declares five entries
+    data.write_value(STRING, "mode").write_value(I32, TAG_I32).write_value(I32, 7)
     return data
 
 
 def _trigger_activity_tag_confusion() -> Parcel:
     data = _intent_prefix()
-    data.write_value(_K_I32, 1)
-    data.write_value(_K_STRING, "mode").write_value(_K_I32, 9).write_value(_K_I32, 7)
+    data.write_value(I32, 1)
+    data.write_value(STRING, "mode").write_value(I32, 9).write_value(I32, 7)
     return data
 
 
 def _trigger_activity_bytes_length() -> Parcel:
     data = _intent_prefix()
-    data.write_value(_K_I32, 1)
-    data.write_value(_K_STRING, "blob").write_value(_K_I32, TAG_BYTES)
-    data.write_value(_K_I32, -8)  # negative declared byte-array length
+    data.write_value(I32, 1)
+    data.write_value(STRING, "blob").write_value(I32, TAG_BYTES)
+    data.write_value(I32, -8)  # negative declared byte-array length
     return data
 
 

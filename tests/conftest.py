@@ -7,7 +7,7 @@ import pytest
 
 from parcelfuzz.harness import build_manifest, manifest_fingerprints
 from parcelfuzz.mutator import _encode_seed, _spliced_case, _splices
-from parcelfuzz.parcel import Kind, Parcel
+from parcelfuzz.parcel import HANDLE, Parcel
 from parcelfuzz.recorder import SCENARIOS, RecordingClient, build_dependency_graph, record_session
 
 
@@ -124,7 +124,7 @@ class KeepingClient(RecordingClient):
 
 @pytest.fixture
 def parcel_writes(monkeypatch):
-    """writes[parcel]: every (Kind, start, end) written to parcel from here
+    """writes[parcel]: every (kind, start, end) written to parcel from here
     on, in order, as the writer measured it, [] for a parcel never
     written: the ground truth a reader's trace is checked against."""
     writes = collections.defaultdict(list)
@@ -140,5 +140,5 @@ def parcel_writes(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Parcel, "write_value", logged(write_value, None))
-    monkeypatch.setattr(Parcel, "write_handle", logged(write_handle, Kind.HANDLE))
+    monkeypatch.setattr(Parcel, "write_handle", logged(write_handle, HANDLE))
     return writes

@@ -21,11 +21,11 @@ from parcelfuzz.harness import (
     reproduce,
     run_fuzz,
 )
-from parcelfuzz.mutator import Policy, generate_campaign
-from parcelfuzz.parcel import Kind, Parcel, handle_at
+from parcelfuzz.mutator import EMPTY, RANDOM, SEMI_VALID, generate_campaign
+from parcelfuzz.parcel import BOOL, BYTES, F64, HANDLE, I32, I64, STRING, Parcel, handle_at
 from parcelfuzz.recorder import SCENARIOS
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
-from parcelfuzz.router import InternalFault, Reject, ReplyKind, Service, Transaction
+from parcelfuzz.router import FATAL_CRASH, OK, REJECTED, InternalFault, Reject, Service, Transaction
 from parcelfuzz.services import all_methods, fresh_router
 
 from conftest import KeepingClient
@@ -60,22 +60,22 @@ def campaigns(corpus):
 
 def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
     rng = random.Random(0xA11CE)
-    kinds = (Kind.I32, Kind.I64, Kind.F64, Kind.BOOL, Kind.STRING, Kind.BYTES, Kind.HANDLE)
+    kinds = (I32, I64, F64, BOOL, STRING, BYTES, HANDLE)
 
     def draw(kind):
-        if kind is Kind.I32:
+        if kind is I32:
             return rng.randint(-(1 << 31), (1 << 31) - 1)
-        if kind is Kind.I64:
+        if kind is I64:
             return rng.randint(-(1 << 63), (1 << 63) - 1)
-        if kind is Kind.F64:
+        if kind is F64:
             return rng.choice(
                 [0.0, -0.0, 1.5, -2.75, float("inf"), float("-inf"), float("nan"), rng.uniform(-1e18, 1e18)]
             )
-        if kind is Kind.BOOL:
+        if kind is BOOL:
             return rng.random() < 0.5
-        if kind is Kind.STRING:
+        if kind is STRING:
             return "".join(chr(rng.randint(1, 0x2FF)) for _ in range(rng.randint(0, 24)))
-        if kind is Kind.BYTES:
+        if kind is BYTES:
             return rng.randbytes(rng.randint(0, 24))
         return rng.randint(0, 1 << 20)  # HANDLE
 
@@ -85,7 +85,7 @@ def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
         parcel = Parcel()
         expected_offsets = []
         for kind, value in sequence:
-            if kind is Kind.HANDLE:
+            if kind is HANDLE:
                 expected_offsets.append(len(parcel.buffer))
                 parcel.write_handle(value)
             else:
@@ -98,10 +98,10 @@ def test_criterion_01_parcel_round_trip_1000_randomized_sequences():
 
         reader = Parcel(parcel.buffer, list(parcel.offsets))
         for kind, value in sequence:
-            if kind is Kind.HANDLE:
+            if kind is HANDLE:
                 got, slot_valid = reader.read_handle()
                 assert got == value and slot_valid
-            elif kind is Kind.F64:
+            elif kind is F64:
                 got = reader.read_value(kind)
                 assert struct.pack("<d", got) == struct.pack("<d", value)
             else:
@@ -120,9 +120,7 @@ def test_criterion_02_recorded_traces_equal_writer_logs_exactly(trace_leaves, pa
         scenario(client)
     assert len(client.records) == len(client.sent) > 0
     for record, data in zip(client.records, client.sent):
-        traced = [
-            (Kind(leaf.kind), leaf.start, leaf.end) for leaf in trace_leaves(record.trace)
-        ]
+        traced = [(leaf.kind, leaf.start, leaf.end) for leaf in trace_leaves(record.trace)]
         assert traced == parcel_writes[data], "record %d diverged" % record.seq
 
 
@@ -136,7 +134,7 @@ def test_criterion_03_callback_scenario_replays_on_live_handles(semi_valid_case,
     # unmutated terminal transaction is accepted on a fresh router
     session = ReplaySession(prepare_corpus(corpus))
     reply = replay_seed(session, register.seq)
-    assert reply.kind is ReplyKind.OK
+    assert reply.kind == OK
     assert session.live[recorded_handle] != recorded_handle
 
     # a mutated fuzz case built from the same seed also materializes and runs
@@ -145,7 +143,7 @@ def test_criterion_03_callback_scenario_replays_on_live_handles(semi_valid_case,
     txn = session.prepare(case)
     live = handle_at(txn.data.buffer, register.offsets[0])
     assert live != recorded_handle
-    assert session.router.transact(txn).kind in (ReplyKind.OK, ReplyKind.REJECTED)
+    assert session.router.transact(txn).kind in (OK, REJECTED)
 
 
 # -- criterion 4 -------------------------------------------------------------------
@@ -185,7 +183,7 @@ def test_criterion_06_overflow_variants_collapse_to_one_fingerprint(semi_valid_c
         case = semi_valid_case(gfx, path, "max", case_id=1)
         session = ReplaySession(prepare_corpus(corpus))
         reply = session.router.transact(session.prepare(case))
-        assert reply.kind is ReplyKind.FATAL_CRASH
+        assert reply.kind == FATAL_CRASH
         assert reply.crash.exception_kind == "MEMORY_CORRUPTION"
         fingerprints.add(fingerprint(reply.crash))
     assert len(fingerprints) == 1
@@ -250,7 +248,7 @@ def test_criterion_09_mixed_campaign_is_contained_and_queue_is_clean(corpus, man
     report = run_fuzz(FuzzConfig(policy=policies, budget=BUDGET, corpus=corpus))
     # every requested policy gets cases, counted from the stream the campaign ran
     ran = Counter(case.policy for case in generate_campaign(corpus, policies, BUDGET, 1))
-    assert set(ran) == {Policy.EMPTY, Policy.RANDOM, Policy.SEMI_VALID}
+    assert set(ran) == {EMPTY, RANDOM, SEMI_VALID}
     assert manifest_fps <= report.distinct_fingerprints()
     # reaching this line at all means no case took the process down
     assert report.executed == BUDGET
@@ -278,14 +276,14 @@ def test_criterion_10_wrapped_allocation_matches_the_modular_oracle(manifest):
     router = fresh_router()
     payload = (
         Parcel()
-        .write_value(Kind.STRING, "oracle")
-        .write_value(Kind.I32, num_fds)
-        .write_value(Kind.I32, num_ints)
+        .write_value(STRING, "oracle")
+        .write_value(I32, num_fds)
+        .write_value(I32, num_ints)
     )
     reply = router.transact(
         Transaction(router.get_service("svc.graphics"), 1, payload, "acceptance")
     )
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     assert reply.crash.exception_kind == "MEMORY_CORRUPTION"
     reported = re.search(r"allocated (\d+) bytes", reply.crash.detail)
     assert reported and int(reported.group(1)) == wrapped

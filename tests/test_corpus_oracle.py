@@ -6,10 +6,13 @@ leaves' tiling and HANDLE starts by their own passes, each line parsed by
 json.loads.  Corrupted copies of recorded records must load to an equal
 record with equal field types under both, or fail under both with the
 same CorpusError text.  Do not edit the oracle to follow the loader.
-Its one edit since it was frozen mends a defect it shared with the
-loader: a line ends at "\n" alone, not at every character where
+Its two edits since it was frozen each mend a defect it shared with the
+loader.  A line ends at "\n" alone, not at every character where
 str.splitlines breaks, nor at a carriage return that universal-newline
-reading turns into "\n".
+reading turns into "\n".  And a record is refused, after every other
+check on it, when a leaf would not re-encode to its own bytes: a
+fixed-width leaf wider than its kind, a STRING or BYTES leaf with
+nonzero padding, or a BOOL that holds neither 0 nor 1.
 """
 
 import binascii
@@ -22,6 +25,7 @@ from types import NoneType
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from parcelfuzz.mutator import _encode_seed
 from parcelfuzz.recorder import CorpusError, SeedRecord, TraceNode, corpus_text, load_corpus
 
 # -- the oracle ------------------------------------------------------------------
@@ -217,6 +221,24 @@ def oracle_record(obj, where="seed record"):
     reply_kind = get("reply_kind")
     if type(reply_kind) is not str:
         _field(obj, "reply_kind", (str,), where)
+    for leaf in leaves:
+        if leaf.kind in ("STRING", "BYTES"):
+            padding = payload[leaf.start + 4 + _I32.unpack_from(payload, leaf.start)[0] : leaf.end]
+            if padding != bytes(len(padding)):
+                raise CorpusError(
+                    "%s trace: trace leaf %s at [%d, %d) pads its value with nonzero bytes"
+                    % (where, leaf.kind, leaf.start, leaf.end)
+                )
+        elif leaf.end - leaf.start != _FIXED_PART[leaf.kind]:
+            raise CorpusError(
+                "%s trace: trace leaf %s at [%d, %d) is %d bytes wide, not %d"
+                % (where, leaf.kind, leaf.start, leaf.end, leaf.end - leaf.start, _FIXED_PART[leaf.kind])
+            )
+        elif leaf.kind == "BOOL" and _I32.unpack_from(payload, leaf.start)[0] not in (0, 1):
+            raise CorpusError(
+                "%s trace: trace leaf BOOL at [%d, %d) holds %d, not 0 or 1"
+                % (where, leaf.start, leaf.end, _I32.unpack_from(payload, leaf.start)[0])
+            )
     return SeedRecord(
         seq, scenario, descriptor, code, target, payload, offsets, trace,
         tuple(map(tuple, consumed)), tuple(map(tuple, produced)), reply_kind,
@@ -423,8 +445,43 @@ def _insert_leaf(record, draw):
         pass  # an earlier corruption left nothing to shift consistently
 
 
+def _misencode_leaf(record, draw):
+    """A lie of the right type that keeps the leaves tiling the payload: a
+    nonzero pad byte after a STRING or BYTES body, an I32 relabelled BOOL,
+    or a fixed-width leaf widened over the leaf after it, which is dropped."""
+    try:
+        payload = bytearray.fromhex(record["payload_hex"])
+        leaves = [(node, parent) for node, parent in _nodes(record["trace"]) if node.get("kind") != "COMPOSITE"]
+        pads, ints, pairs = [], [], []
+        for node, siblings in leaves:
+            start, end = node["byte_range"]
+            if node["kind"] in ("STRING", "BYTES"):
+                declared = _I32.unpack_from(payload, start)[0]
+                if 0 <= start and end <= len(payload) and 0 <= declared <= end - start - 4:  # else broken before
+                    pads.extend(range(start + 4 + declared, end))
+                continue
+            if node["kind"] == "I32":
+                ints.append(node)
+            at = next(i for i, other in enumerate(siblings) if other is node)
+            if at + 1 < len(siblings):
+                pairs.append((siblings, at))
+        how = draw(st.sampled_from(["pad", "bool", "widen"]))
+        if how == "pad" and pads:
+            payload[draw(st.sampled_from(pads))] = draw(st.sampled_from([0x01, 0x41, 0xFF]))
+            record["payload_hex"] = payload.hex()
+        elif how == "bool" and ints:
+            draw(st.sampled_from(ints))["kind"] = "BOOL"
+        elif how == "widen" and pairs:
+            siblings, at = draw(st.sampled_from(pairs))
+            siblings[at]["byte_range"] = [siblings[at]["byte_range"][0], siblings[at + 1]["byte_range"][1]]
+            del siblings[at + 1]
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError, StopIteration, struct.error):
+        pass  # an earlier corruption left no leaf to lie about
+
+
 _CORRUPTIONS = [
     _drop_key, _retype, _shift_range, _edit_nibble, _edit_offsets, _break_pair, _wrap_trace, _graft, _insert_leaf,
+    _misencode_leaf,
 ]
 
 
@@ -636,3 +693,30 @@ def test_the_deepest_trace_loads_twice_and_one_level_deeper_is_refused(corpus, t
     assert outcome(depth + 1, 1, oracle_load) == refused
     assert outcome(depth + 1, 2) == refused
     assert outcome(deepest[oracle_load], 2) == outcome(deepest[oracle_load], 2, oracle_load)
+
+
+# -- re-encoding ----------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_every_record_the_loader_accepts_reencodes_to_itself(corpus, shuffled_corpus, tmp_path_factory, data):
+    """The mutator makes a seed's cases from what its leaves re-encode
+    to, and exactly one leaf gets one mutation only if that is the
+    recorded payload.  So each record a corrupted file loads with must
+    re-encode to its own payload and offsets."""
+    # A record with an empty payload has no leaf to lie about.
+    records = [record for record in list(corpus) + list(shuffled_corpus) if record.payload]
+    with_handles = [record for record in records if record.offsets]
+    record = data.draw(st.sampled_from(records) | st.sampled_from(with_handles)).to_json()
+    corruptions = _CORRUPTIONS + [c for group in _MEMO_CORRUPTIONS for c in group if c not in _CORRUPTIONS]
+    # Half the corruptions are lies of the right type, which nothing else refuses.
+    for corrupt in data.draw(st.lists(st.sampled_from(corruptions) | st.just(_misencode_leaf), min_size=1, max_size=3)):
+        corrupt(record, data.draw)
+    try:
+        loaded = load_corpus(_corpus_file(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", record))
+    except CorpusError:
+        return
+    for seed in loaded:
+        encoded = _encode_seed(seed)
+        assert (encoded.payload, encoded.offsets) == (seed.payload, seed.offsets)

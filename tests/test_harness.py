@@ -50,8 +50,8 @@ from parcelfuzz.mutator import (
     CATALOG_VERSION,
     RANDOM_LENGTH_CYCLE,
     ConfigurationError,
+    EMPTY,
     FuzzCase,
-    Policy,
     generate_campaign,
     make_random,
 )
@@ -64,8 +64,9 @@ from parcelfuzz.recorder import (
     record_session,
     save_corpus,
 )
+from parcelfuzz.parcel import BOOL, BYTES, COMPOSITE, F64, HANDLE, I32, I64, STRING
 from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus
-from parcelfuzz.router import CrashInfo, IpcEdge, Reply, ReplyKind, Router
+from parcelfuzz.router import FATAL_CRASH, HANDLED_FAULT, OK, REJECTED, CrashInfo, IpcEdge, Reply, Router
 from parcelfuzz.services import all_methods
 
 
@@ -87,10 +88,10 @@ def classify(reply) -> str:
 
 
 def test_classify_maps_each_reply_kind():
-    assert classify(Reply(ReplyKind.OK)) == "ok"
-    assert classify(Reply(ReplyKind.REJECTED, message="nope")) == "rejected"
-    assert classify(Reply(ReplyKind.HANDLED_FAULT, message="hmm")) == "handled_fault"
-    assert classify(Reply(ReplyKind.FATAL_CRASH, crash=_crash())) == "fatal_crash"
+    assert classify(Reply(OK)) == "ok"
+    assert classify(Reply(REJECTED, message="nope")) == "rejected"
+    assert classify(Reply(HANDLED_FAULT, message="hmm")) == "handled_fault"
+    assert classify(Reply(FATAL_CRASH, crash=_crash())) == "fatal_crash"
     assert set(OUTCOMES) >= {"ok", "rejected", "handled_fault", "fatal_crash", "unreplayable"}
 
 
@@ -215,6 +216,25 @@ def test_a_corpus_padded_with_blank_lines_keeps_its_identity(tmp_path, capsys):
     assert "(%s)" % ids[0][:12] in recorded
 
 
+def test_a_loaded_corpus_holds_parcels_own_kinds_and_fuzzes_as_recorded(tmp_path, shuffled_corpus_of):
+    """Parcel's writers dispatch on a kind's identity, so a loaded trace
+    node must hold parcel's own constant, not the equal string the JSON
+    parser made: a semi-valid campaign over a saved and reloaded corpus
+    writes the report its in-memory corpus writes."""
+    recorded = shuffled_corpus_of(1)
+    save_corpus(recorded, tmp_path / "corpus.jsonl")
+    loaded = load_corpus(tmp_path / "corpus.jsonl")
+    constants = (I32, I64, F64, BOOL, STRING, BYTES, HANDLE, COMPOSITE)
+    nodes = [record.trace for record in loaded]
+    while nodes:
+        node = nodes.pop()
+        assert any(node.kind is constant for constant in constants), node
+        nodes.extend(node.children)
+    for name, records in (("recorded", recorded), ("loaded", loaded)):
+        save_report(run_fuzz(FuzzConfig(policy="semi-valid", budget=10000, corpus=records)), tmp_path / name)
+    assert (tmp_path / "loaded").read_bytes() == (tmp_path / "recorded").read_bytes()
+
+
 def test_crash_provenance_carries_the_full_case(semi_report):
     for crash in semi_report.crashes:
         prov = crash.provenance
@@ -265,10 +285,10 @@ def test_a_rerun_that_crashes_otherwise_is_a_harness_error(monkeypatch, in_rerun
 
 
 def test_per_case_values_are_immutable():
-    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
+    case = FuzzCase(1, EMPTY, "svc.queue", 1, b"", ())
     values = (
         (case, "payload", b"\x00"),
-        (Reply(ReplyKind.OK), "kind", ReplyKind.REJECTED),
+        (Reply(OK), "kind", REJECTED),
         (_crash(), "stack_frames", ()),
         (IpcEdge("fuzzer", "svc.queue", 1), "sender_id", "other"),
     )
@@ -278,7 +298,7 @@ def test_per_case_values_are_immutable():
 
 
 def test_replaced_values_are_checked_again():
-    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ())
+    case = FuzzCase(1, EMPTY, "svc.queue", 1, b"", ())
     assert case._replace(code=2).code == 2
 
 
@@ -333,7 +353,7 @@ def _dispatch_every_case(records, policy, budget):
     for case in generate_campaign(records, policy, budget, 1):
         session = ReplaySession(prepared)
         reply = session.router.transact(session.prepare(case))
-        digest = fingerprint(reply.crash) if reply.kind is ReplyKind.FATAL_CRASH else None
+        digest = fingerprint(reply.crash) if reply.kind == FATAL_CRASH else None
         yield case, (classify(reply), digest, reply.crash, session.router.edges)
 
 
@@ -826,7 +846,7 @@ def test_find_crash_accepts_unique_prefixes(semi_report):
 def test_every_saved_crash_reproduces(semi_report, corpus):
     for crash in semi_report.crashes:
         reply = reproduce(semi_report, crash.fingerprint, corpus)
-        assert reply.kind is ReplyKind.FATAL_CRASH
+        assert reply.kind == FATAL_CRASH
         assert fingerprint(reply.crash) == crash.fingerprint
 
 
@@ -1264,6 +1284,13 @@ def test_a_repeated_policy_is_refused_before_the_campaign_runs(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_an_unknown_policy_is_named_as_given(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["fuzz", "--policy", "bogus", "--budget", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: unknown policy 'bogus'\n")
+    assert not out.exists()
+
+
 def _loaded_after_import(module: str, wanted: str) -> str:
     """The printed sorted list of the names in sys.modules for which
     wanted, an expression over name, holds, in a fresh interpreter that
@@ -1339,9 +1366,9 @@ def test_a_schema_replay_that_lands_elsewhere_is_a_mismatch(monkeypatch, tmp_pat
 
     def elsewhere_when_traced(self, txn, trace_hook=None):
         reply = transact(self, txn, trace_hook)
-        if trace_hook is None or reply.kind is not ReplyKind.FATAL_CRASH:
+        if trace_hook is None or reply.kind != FATAL_CRASH:
             return reply
-        return Reply(ReplyKind.FATAL_CRASH, crash=elsewhere)
+        return Reply(FATAL_CRASH, crash=elsewhere)
 
     monkeypatch.setattr(Router, "transact", elsewhere_when_traced)
     expected = saved["crashes"][0]["fingerprint"]
@@ -1610,6 +1637,19 @@ def saved_campaign(tmp_path_factory):
 _DROP = object()
 
 
+def test_cli_replay_names_a_saved_policy_it_does_not_know(tmp_path, capsys, saved_campaign):
+    corpus_path, saved = saved_campaign
+    report = copy.deepcopy(saved)
+    crash = report["crashes"][0]
+    crash["provenance"]["case"]["policy"] = "BOGUS"
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    argv = ["replay", "--report", str(report_path), "--fingerprint", crash["fingerprint"], "--corpus", str(corpus_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: crash provenance is unusable: 'BOGUS' is not a valid Policy\n")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1839,6 +1879,46 @@ def test_cli_rejects_a_trace_that_does_not_tile_its_payload(tmp_path, capsys, se
     """A leaf listed twice would be swept twice, and a leaf left out never
     (the graphics allocation defect hides behind the last I32), so a
     trace whose leaves do not cover the payload end to end is refused."""
+    assert _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, edits) == ["error: %s\n" % message] * 2
+
+
+def _widen_num_fds(record):
+    """Record 16's num_fds I32, at [16, 20), widened over num_ints,
+    which is dropped: the leaves still tile the payload."""
+    children = record["trace"]["children"]
+    assert record["descriptor"] == "svc.graphics" and children[1]["byte_range"] == [16, 20]
+    children[1]["byte_range"] = [16, 24]
+    del children[2]
+
+
+def _pad_alpha(record):
+    """Record 1's STRING "alpha" with its last pad byte, 11, set to 'A'."""
+    assert bytes.fromhex(record["payload_hex"]) == b"\x05\x00\x00\x00alpha\x00\x00\x00"
+    record["payload_hex"] = record["payload_hex"][:22] + "41"
+
+
+def _num_fds_as_bool(record):
+    """Record 16's num_fds I32, which holds 2, relabelled BOOL."""
+    leaf = record["trace"]["children"][1]
+    assert leaf["kind"] == "I32" and bytes.fromhex(record["payload_hex"])[16:20] == b"\x02\x00\x00\x00"
+    leaf["kind"] = "BOOL"
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({16: [_widen_num_fds]}, "record 16 trace: trace leaf I32 at [16, 24) is 8 bytes wide, not 4"),
+        ({1: [_pad_alpha]}, "record 1 trace: trace leaf STRING at [0, 12) pads its value with nonzero bytes"),
+        ({16: [_num_fds_as_bool]}, "record 16 trace: trace leaf BOOL at [16, 20) holds 2, not 0 or 1"),
+    ],
+    ids=["wide-fixed-leaf", "nonzero-padding", "bool-neither-0-nor-1"],
+)
+def test_cli_rejects_a_leaf_that_does_not_reencode_to_its_own_bytes(tmp_path, capsys, semi_report, edits, message):
+    """A seed's cases are made from its re-encoded leaves.  A leaf of the
+    right type that re-encodes to other bytes passes every other check
+    and replies as recorded, but would change every case of its seed:
+    num_ints gone, zero padding, or the BOOL written as 1.  fuzz and
+    replay refuse it alike."""
     assert _refused_by_fuzz_and_replay(tmp_path, capsys, semi_report, edits) == ["error: %s\n" % message] * 2
 
 

@@ -21,16 +21,18 @@ from parcelfuzz.mutator import (
     BYTES_MUTATIONS,
     CATALOG,
     CATALOG_VERSION,
+    EMPTY,
     F64_MUTATIONS,
     F64_VALUES,
     FRAME_BREAKING_MUTATIONS,
     HANDLE_MUTATIONS,
     INT_MUTATIONS,
+    RANDOM,
     RANDOM_LENGTH_CYCLE,
+    SEMI_VALID,
     STRING_MUTATIONS,
     ConfigurationError,
     FuzzCase,
-    Policy,
     _Leaf,
     _rebuild,
     _subtrees,
@@ -38,7 +40,7 @@ from parcelfuzz.mutator import (
     generate_campaign,
     make_random,
 )
-from parcelfuzz.parcel import I32_MAX, I32_MIN, CapacityError, Kind, Parcel
+from parcelfuzz.parcel import BOOL, BYTES, F64, HANDLE, I32, I32_MAX, I64, I32_MIN, STRING, CapacityError, Parcel
 from parcelfuzz.recorder import COMPOSITE, SCENARIOS, SeedRecord, TraceNode, record_session
 from parcelfuzz.services import all_methods
 
@@ -55,13 +57,13 @@ def _record_for(corpus, descriptor, code=None):
 def _synthetic_four_ints():
     payload = Parcel()
     for value in (10, 20, 30, 40):
-        payload.write_value(Kind.I32, value)
+        payload.write_value(I32, value)
     trace = TraceNode(
         COMPOSITE,
         "request",
         0,
         16,
-        tuple(TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(4)),
+        tuple(TraceNode(I32, "", i * 4, i * 4 + 4) for i in range(4)),
     )
     return SeedRecord(
         seq=0,
@@ -146,7 +148,7 @@ def test_int_max_mutation_rewrites_exactly_one_leaf(semi_valid_case, corpus):
     assert struct.unpack_from("<i", mutated, leaf.start)[0] == I32_MAX
     assert mutated[: leaf.start] == original[: leaf.start]
     assert mutated[leaf.end :] == original[leaf.end :]
-    assert case.policy is Policy.SEMI_VALID
+    assert case.policy == SEMI_VALID
     assert not case.frame_breaking
 
 
@@ -241,8 +243,8 @@ def test_handle_mutations_pin_or_swap(semi_valid_case, corpus):
 
 
 def test_f64_mutations_apply(semi_valid_case):
-    payload = Parcel().write_value(Kind.F64, 2.5)
-    trace = TraceNode(COMPOSITE, "request", 0, 8, (TraceNode("F64", "", 0, 8),))
+    payload = Parcel().write_value(F64, 2.5)
+    trace = TraceNode(COMPOSITE, "request", 0, 8, (TraceNode(F64, "", 0, 8),))
     record = SeedRecord(0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK")
     tiny = semi_valid_case(record, (0,), "min_positive")
     assert struct.unpack_from("<d", tiny.payload, 0)[0] == 5e-324
@@ -344,12 +346,12 @@ def test_make_random_is_seed_deterministic():
 def test_fuzz_case_reference_validation():
     """A saved case's provenance must fit its policy; the check lives in
     from_json, the only place a case comes from outside."""
-    semi = FuzzCase(1, Policy.SEMI_VALID, "svc.queue", 1, b"", (), 3, (0,), "zero").to_json()
+    semi = FuzzCase(1, SEMI_VALID, "svc.queue", 1, b"", (), 3, (0,), "zero").to_json()
     assert FuzzCase.from_json(semi).seed_seq == 3
     for field in ("seed_seq", "field_path", "mutation_id"):
         with pytest.raises(ValueError, match="^SEMI_VALID cases reference a seed, a path, and a mutation$"):
             FuzzCase.from_json({**semi, field: None})
-    empty = FuzzCase(1, Policy.EMPTY, "svc.queue", 1, b"", ()).to_json()
+    empty = FuzzCase(1, EMPTY, "svc.queue", 1, b"", ()).to_json()
     for field, value in (("seed_seq", 3), ("field_path", [0]), ("mutation_id", "zero")):
         with pytest.raises(ValueError, match="^EMPTY cases reference no seed$"):
             FuzzCase.from_json({**empty, field: value})
@@ -385,7 +387,7 @@ def test_random_cases_differ_from_catalog_v1_in_their_payload_bytes_alone(corpus
     digest = hashlib.sha256()
     for case in generate_campaign(corpus, ["empty", "random"], 300, 1):
         obj = case.to_json()
-        if case.policy is Policy.RANDOM:
+        if case.policy == RANDOM:
             sub_seed = 1 * 1_000_003 + case.case_id - 12  # the 11 EMPTY cases come first
             obj["payload_hex"] = random.Random(sub_seed).randbytes(len(case.payload)).hex()
         digest.update(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
@@ -515,8 +517,8 @@ def _synthetic_handles_and_empty_subtree():
     as 5 (the rebuild writes 1), a handle-bearing pair and an empty
     composite: what the splice has to shift, copy, drop or normalize."""
     payload, spans = _rebuild(
-        [_Leaf("STRING", (0,), "ab"), _Leaf("HANDLE", (1, 0), 3), _Leaf("I32", (1, 1), 5),
-         _Leaf("BYTES", (3,), b"xyz"), _Leaf("HANDLE", (4,), 7)]
+        [_Leaf(STRING, (0,), "ab"), _Leaf(HANDLE, (1, 0), 3), _Leaf(I32, (1, 1), 5),
+         _Leaf(BYTES, (3,), b"xyz"), _Leaf(HANDLE, (4,), 7)]
     )
     (s0, s1), (h0, h1), (b0, b1), (y0, y1), (g0, g1) = spans
     trace = TraceNode(
@@ -525,11 +527,11 @@ def _synthetic_handles_and_empty_subtree():
         0,
         g1,
         (
-            TraceNode("STRING", "", s0, s1),
-            TraceNode(COMPOSITE, "pair", h0, b1, (TraceNode("HANDLE", "", h0, h1), TraceNode("BOOL", "", b0, b1))),
+            TraceNode(STRING, "", s0, s1),
+            TraceNode(COMPOSITE, "pair", h0, b1, (TraceNode(HANDLE, "", h0, h1), TraceNode(BOOL, "", b0, b1))),
             TraceNode(COMPOSITE, "empty", y0, y0),
-            TraceNode("BYTES", "", y0, y1),
-            TraceNode("HANDLE", "", g0, g1),
+            TraceNode(BYTES, "", y0, y1),
+            TraceNode(HANDLE, "", g0, g1),
         ),
     )
     return SeedRecord(
@@ -557,17 +559,17 @@ def _full_rebuild_case(record, case):
         return parcel.buffer, tuple(parcel.offsets), ()
     index = next(i for i, leaf in enumerate(leaves) if leaf.path == path)
     leaf = leaves[index]
-    if leaf.kind in ("I32", "BOOL", "I64"):
-        bits = 64 if leaf.kind == "I64" else 32
+    if leaf.kind in (I32, BOOL, I64):
+        bits = 64 if leaf.kind == I64 else 32
         value = mutator.INT_VALUES[mutation_id](leaf.value, 1 << (bits - 1)) & ((1 << bits) - 1)
         leaves[index] = leaf._replace(value=value - (1 << bits) if value >> (bits - 1) else value)
-    elif leaf.kind == "F64":
+    elif leaf.kind == F64:
         leaves[index] = leaf._replace(value=F64_VALUES[mutation_id])
-    elif leaf.kind == "STRING":
+    elif leaf.kind == STRING:
         value = mutator.STRING_VALUES[mutation_id](leaf.value)
-        leaves[index] = leaf._replace(kind="BYTES" if isinstance(value, bytes) else "STRING", value=value)
+        leaves[index] = leaf._replace(kind=BYTES if isinstance(value, bytes) else STRING, value=value)
         patch = 4 if mutation_id == "declared_length_plus_4" else None
-    elif leaf.kind == "BYTES":
+    elif leaf.kind == BYTES:
         if mutation_id == "truncate_half":
             leaves[index] = leaf._replace(value=leaf.value[: len(leaf.value) // 2])
         else:
@@ -629,7 +631,7 @@ def test_empty_policy_covers_every_method_once(corpus):
     cases = list(generate_campaign(corpus, "empty", 100, 1))
     assert len(cases) == 11
     assert [(c.descriptor, c.code) for c in cases] == [(d, c) for d, c, _ in all_methods()]
-    assert all(c.payload == b"" and c.policy is Policy.EMPTY for c in cases)
+    assert all(c.payload == b"" and c.policy == EMPTY for c in cases)
 
 
 def test_random_policy_round_robins_with_the_length_cycle(corpus):
@@ -646,15 +648,15 @@ def test_policies_concatenate_in_order(monkeypatch, corpus):
     built = []
     monkeypatch.setattr(mutator, "make_random", lambda *args: built.append(args) or make_random(*args))
     cases = list(generate_campaign(corpus, ["empty", "random"], 15, 1))
-    assert [c.policy for c in cases[:11]] == [Policy.EMPTY] * 11
-    assert [c.policy for c in cases[11:]] == [Policy.RANDOM] * 4
+    assert [c.policy for c in cases[:11]] == [EMPTY] * 11
+    assert [c.policy for c in cases[11:]] == [RANDOM] * 4
     assert [c.case_id for c in cases] == list(range(1, 16))
     assert len(built) == 4  # no 16th case is built past the budget
 
 
 def test_finite_policies_run_before_random_in_the_order_given(corpus):
     cases = list(generate_campaign(corpus, ["random", "semi-valid", "empty"], 400, 1))
-    assert [c.policy for c in cases] == [Policy.SEMI_VALID] * 349 + [Policy.EMPTY] * 11 + [Policy.RANDOM] * 40
+    assert [c.policy for c in cases] == [SEMI_VALID] * 349 + [EMPTY] * 11 + [RANDOM] * 40
     assert [c.case_id for c in cases] == list(range(1, 401))
     alone = list(generate_campaign(corpus, "semi-valid", 400, 1))
     assert [c.to_json() for c in cases[:349]] == [c.to_json() for c in alone]
@@ -684,7 +686,7 @@ def test_campaign_configuration_errors(corpus):
 
 @pytest.mark.parametrize(
     "policy, repeated",
-    [(["empty", "empty"], "EMPTY"), (["semi-valid", "SEMI_VALID"], "SEMI_VALID"), ([Policy.RANDOM, "empty", "random"], "RANDOM")],
+    [(["empty", "empty"], "EMPTY"), (["semi-valid", "SEMI_VALID"], "SEMI_VALID"), ([RANDOM, "empty", "random"], "RANDOM")],
 )
 def test_a_repeated_policy_is_refused(corpus, policy, repeated):
     with pytest.raises(ConfigurationError, match=r"^policy %s is given more than once$" % repeated):
@@ -692,9 +694,9 @@ def test_a_repeated_policy_is_refused(corpus, policy, repeated):
 
 
 def test_policy_spellings_normalize(corpus):
-    for spelling in ("semi-valid", "SEMI_VALID", Policy.SEMI_VALID, "Semi-Valid"):
+    for spelling in ("semi-valid", "SEMI_VALID", SEMI_VALID, "Semi-Valid"):
         case = next(iter(generate_campaign(corpus, spelling, 1, 1)))
-        assert case.policy is Policy.SEMI_VALID
+        assert case.policy == SEMI_VALID
 
 
 # -- a rebuild property -----------------------------------------------------------------
@@ -705,13 +707,13 @@ def test_policy_spellings_normalize(corpus):
 def test_every_int_mutation_yields_a_decodable_payload(semi_valid_case, values, data):
     payload = Parcel()
     for value in values:
-        payload.write_value(Kind.I32, value)
+        payload.write_value(I32, value)
     trace = TraceNode(
         COMPOSITE,
         "request",
         0,
         len(values) * 4,
-        tuple(TraceNode("I32", "", i * 4, i * 4 + 4) for i in range(len(values))),
+        tuple(TraceNode(I32, "", i * 4, i * 4 + 4) for i in range(len(values))),
     )
     record = SeedRecord(
         0, "synthetic", "svc.queue", 1, 1, payload.buffer, (), trace, (), (), "OK"
@@ -720,7 +722,7 @@ def test_every_int_mutation_yields_a_decodable_payload(semi_valid_case, values, 
     mutation = data.draw(st.sampled_from(INT_MUTATIONS))
     case = semi_valid_case(record, (index,), mutation)
     reader = Parcel(case.payload)
-    out = [reader.read_value(Kind.I32) for _ in values]
+    out = [reader.read_value(I32) for _ in values]
     assert reader.cursor == len(reader)
     for i, (before, after) in enumerate(zip(values, out)):
         if i != index:

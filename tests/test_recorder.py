@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parcelfuzz.parcel import Kind, Parcel, handle_at
+from parcelfuzz.parcel import HANDLE, I32, I64, Parcel, handle_at
 from parcelfuzz.recorder import (
     SCENARIOS,
     CorpusError,
@@ -28,7 +28,7 @@ from parcelfuzz.recorder import (
     save_corpus,
     scenario_names,
 )
-from parcelfuzz.router import ReplyKind, Router, Service, Transaction
+from parcelfuzz.router import FATAL_CRASH, Router, Service, Transaction
 from parcelfuzz.services import all_methods, fresh_router
 
 from conftest import KeepingClient
@@ -69,7 +69,7 @@ def test_reader_traces_match_writer_logs_exactly(trace_leaves, parcel_writes):
         scenario(client)
     assert len(client.records) == len(client.sent) == 19
     for record, data in zip(client.records, client.sent):
-        traced = [(Kind(leaf.kind), leaf.start, leaf.end) for leaf in trace_leaves(record.trace)]
+        traced = [(leaf.kind, leaf.start, leaf.end) for leaf in trace_leaves(record.trace)]
         assert traced == parcel_writes[data], "trace diverged on record %d" % record.seq
 
 
@@ -82,7 +82,7 @@ def test_traces_tile_their_payloads(trace_leaves, corpus):
             assert leaf.end > leaf.start or leaf.end == leaf.start
             cursor = leaf.end
         assert cursor == len(record.parcel())
-        handle_positions = [leaf.start for leaf in leaves if leaf.kind == Kind.HANDLE.value]
+        handle_positions = [leaf.start for leaf in leaves if leaf.kind == HANDLE]
         assert tuple(handle_positions) == record.offsets
 
 
@@ -95,13 +95,13 @@ def test_trace_roots_are_request_composites(corpus):
 
 def test_a_composite_whose_first_child_is_a_composite_starts_at_its_first_read():
     builder = TraceBuilder()
-    builder.on_leaf(Kind.I32, 0, 4)
-    builder.on_leaf(Kind.I32, 4, 8)
+    builder.on_leaf(I32, 0, 4)
+    builder.on_leaf(I32, 4, 8)
     builder.enter_composite("outer")
     builder.enter_composite("inner")
-    builder.on_leaf(Kind.I32, 8, 12)
+    builder.on_leaf(I32, 8, 12)
     builder.exit_composite()
-    builder.on_leaf(Kind.I32, 12, 16)
+    builder.on_leaf(I32, 12, 16)
     builder.exit_composite()
     root = builder.finish()
     outer = root.children[2]
@@ -154,7 +154,7 @@ def test_the_builder_matches_an_oracle_over_the_whole_event_sequence(tree):
     builder = TraceBuilder()
     for event in events:
         if event[0] == "leaf":
-            builder.on_leaf(Kind.I32 if event[2] - event[1] == 4 else Kind.I64, event[1], event[2])
+            builder.on_leaf(I32 if event[2] - event[1] == 4 else I64, event[1], event[2])
         elif event[0] == "enter":
             builder.enter_composite(event[1])
         else:
@@ -172,7 +172,7 @@ def test_a_decoder_stopped_by_the_recursion_limit_keeps_its_trace():
         def handle_transaction(self, code, data, ctx):
             def descend():
                 with data.composite("level"):
-                    data.read_value(Kind.I32)
+                    data.read_value(I32)
                     descend()
 
             descend()
@@ -180,7 +180,7 @@ def test_a_decoder_stopped_by_the_recursion_limit_keeps_its_trace():
     router = Router()
     builder = TraceBuilder()
     reply = router.transact(Transaction(router.export(Runaway()), 1, Parcel(bytes(40000))), trace_hook=builder)
-    assert reply.kind is ReplyKind.FATAL_CRASH and reply.crash.detail == "host recursion limit"
+    assert reply.kind == FATAL_CRASH and reply.crash.detail == "host recursion limit"
     (node,) = builder.finish().children
     depth = 1
     while len(node.children) == 2:

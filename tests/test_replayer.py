@@ -3,11 +3,11 @@
 import pytest
 
 from parcelfuzz.harness import FuzzConfig, run_fuzz
-from parcelfuzz.mutator import RANDOM_LENGTH_CYCLE, FuzzCase, Policy, generate_campaign
-from parcelfuzz.parcel import I32_MAX, Kind, handle_at
+from parcelfuzz.mutator import EMPTY, RANDOM_LENGTH_CYCLE, SEMI_VALID, FuzzCase, generate_campaign
+from parcelfuzz.parcel import I32_MAX, STRING, handle_at
 from parcelfuzz.recorder import CorpusError, DependencyGraph, build_dependency_graph, corpus_digest
 from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus, seedless_transaction
-from parcelfuzz.router import ReplyKind, Service
+from parcelfuzz.router import OK, Service
 from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient, all_methods
 
 
@@ -138,18 +138,18 @@ def test_every_seed_replays_clean_on_a_fresh_router(corpus, prepared, replay_see
     for record in corpus:
         session = ReplaySession(prepared)
         reply = replay_seed(session, record.seq)
-        assert reply.kind is ReplyKind.OK, "seq %d (%s code %d) replied %s" % (
+        assert reply.kind == OK, "seq %d (%s code %d) replied %s" % (
             record.seq,
             record.descriptor,
             record.code,
-            reply.kind.value,
+            reply.kind,
         )
 
 
 def test_one_session_replays_the_whole_corpus_in_order(corpus, prepared, replay_seed):
     session = ReplaySession(prepared)
     for record in corpus:
-        assert replay_seed(session, record.seq).kind is ReplyKind.OK
+        assert replay_seed(session, record.seq).kind == OK
 
 
 # -- the probe burn ------------------------------------------------------------------
@@ -208,7 +208,7 @@ def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs, prepared):
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = FuzzCase(
         1,
-        Policy.SEMI_VALID,
+        SEMI_VALID,
         register.descriptor,
         register.code,
         register.payload,
@@ -223,7 +223,7 @@ def test_unmutated_case_gets_the_live_handle(corpus, audio_seqs, prepared):
     recorded = handle_at(register.payload, 0)
     assert slot == session.live[recorded]
     assert slot != recorded
-    assert session.router.transact(txn).kind is ReplyKind.OK
+    assert session.router.transact(txn).kind == OK
 
 
 def test_pin_directive_keeps_the_mutated_slot_bytes(semi_valid_case, corpus, audio_seqs, prepared):
@@ -254,7 +254,7 @@ def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs, pr
     register = next(r for r in corpus if r.seq == audio_seqs["register"])
     case = FuzzCase(
         1,
-        Policy.SEMI_VALID,
+        SEMI_VALID,
         register.descriptor,
         register.code,
         register.payload,
@@ -268,17 +268,17 @@ def test_materialize_without_supports_has_no_live_mapping(corpus, audio_seqs, pr
 
 
 def test_unknown_static_descriptor_is_unreplayable(prepared):
-    case = FuzzCase(1, Policy.EMPTY, "svc.ghost", 1, b"", ())
+    case = FuzzCase(1, EMPTY, "svc.ghost", 1, b"", ())
     with pytest.raises(Unreplayable):
         ReplaySession(prepared).prepare(case)
 
 
 def test_empty_policy_case_targets_the_named_service(prepared):
-    case = FuzzCase(1, Policy.EMPTY, "svc.queue", 2, b"", ())
+    case = FuzzCase(1, EMPTY, "svc.queue", 2, b"", ())
     session = ReplaySession(prepared)
     txn = session.prepare(case)
     assert txn.target_handle == session.router.get_service("svc.queue")
-    assert session.router.transact(txn).kind is ReplyKind.OK
+    assert session.router.transact(txn).kind == OK
 
 
 # -- static resolution ------------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_every_replayed_manager_lookup_returns_what_resolve_static_gives(corpus,
     for record in corpus:
         reply = replay_seed(session, record.seq)
         if record.descriptor == "service_manager":
-            name = record.parcel().read_value(Kind.STRING)
+            name = record.parcel().read_value(STRING)
             for _recorded, pos in record.produced_handles:
                 assert handle_at(reply.payload.buffer, pos) == session.resolve_static(name)
                 lookups += 1

@@ -8,11 +8,15 @@ import contextlib
 
 import pytest
 
-from parcelfuzz.parcel import Kind, Parcel, handle_at
+from parcelfuzz.parcel import I32, STRING, Parcel, handle_at
 from parcelfuzz.router import (
+    FATAL_CRASH,
     GET_SERVICE,
+    HANDLED_FAULT,
     NULL_DEREF,
+    OK,
     OUT_OF_BOUNDS,
+    REJECTED,
     SERVICE_MANAGER_HANDLE,
     STACK_LIMIT,
     STACK_OVERFLOW,
@@ -20,7 +24,6 @@ from parcelfuzz.router import (
     HostTable,
     InternalFault,
     Reject,
-    ReplyKind,
     Router,
     Service,
     ServiceFault,
@@ -49,7 +52,7 @@ class Moody(Service):
     def handle_transaction(self, code, data, ctx):
         self.calls += 1
         if code == self.ANSWER:
-            return Parcel().write_value(Kind.I32, self.calls)
+            return Parcel().write_value(I32, self.calls)
         if code == self.REFUSE:
             raise Reject("not like this")
         if code == self.FAULT:
@@ -119,13 +122,13 @@ def test_hosted_service_is_built_by_its_first_transaction():
     assert handle == 1
     assert r.descriptor_of(handle) == "test.counted"
     assert Counted.built == 0
-    assert _call(r, handle, Moody.ANSWER).payload.read_value(Kind.I32) == 1
-    assert _call(r, handle, Moody.ANSWER).payload.read_value(Kind.I32) == 2
+    assert _call(r, handle, Moody.ANSWER).payload.read_value(I32) == 1
+    assert _call(r, handle, Moody.ANSWER).payload.read_value(I32) == 2
     assert Counted.built == 1
     assert [e.target_descriptor for e in r.edges] == ["test.counted"] * 2
     # the next handle follows the hosted ones; a second router starts clean
     assert r.export(Moody()) == 2
-    assert _call(Router(HostTable((Counted,))), handle, Moody.ANSWER).payload.read_value(Kind.I32) == 1
+    assert _call(Router(HostTable((Counted,))), handle, Moody.ANSWER).payload.read_value(I32) == 1
 
 
 def test_a_host_table_refuses_two_services_with_one_name():
@@ -148,32 +151,32 @@ def test_descriptor_of_fallbacks(router):
 
 
 def test_get_service_reply_carries_a_declared_handle_slot(router):
-    request = Parcel().write_value(Kind.STRING, "test.moody")
+    request = Parcel().write_value(STRING, "test.moody")
     reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, request)
-    assert reply.kind is ReplyKind.OK
+    assert reply.kind == OK
     assert reply.payload.offsets == [0]
     assert handle_at(reply.payload.buffer, 0) == router.get_service("test.moody")
 
 
 def test_get_service_unknown_name_rejects(router):
-    request = Parcel().write_value(Kind.STRING, "test.ghost")
+    request = Parcel().write_value(STRING, "test.ghost")
     reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, request)
-    assert reply.kind is ReplyKind.REJECTED
+    assert reply.kind == REJECTED
 
 
 def test_get_service_quotes_only_the_start_of_a_long_unknown_name(router):
-    request = Parcel().write_value(Kind.STRING, "x" * 65536)
+    request = Parcel().write_value(STRING, "x" * 65536)
     reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, request)
-    assert reply.kind is ReplyKind.REJECTED
+    assert reply.kind == REJECTED
     assert reply.message.startswith("no such service: 'xxx")
     assert len(reply.message) < 200
 
 
 def test_get_service_malformed_request_rejects(router):
     reply = _call(router, SERVICE_MANAGER_HANDLE, GET_SERVICE, Parcel(bytes.fromhex("ffffff7f")))
-    assert reply.kind is ReplyKind.REJECTED
+    assert reply.kind == REJECTED
     reply = _call(router, SERVICE_MANAGER_HANDLE, 9, Parcel())
-    assert reply.kind is ReplyKind.REJECTED
+    assert reply.kind == REJECTED
 
 
 # -- the four reply kinds ---------------------------------------------------------
@@ -186,10 +189,10 @@ def test_reply_kinds_never_blur(router):
     fault = _call(router, moody, Moody.FAULT)
     crash = _call(router, moody, Moody.CRASH)
 
-    assert ok.kind is ReplyKind.OK and ok.payload is not None and ok.crash is None
-    assert refused.kind is ReplyKind.REJECTED and refused.message and refused.crash is None
-    assert fault.kind is ReplyKind.HANDLED_FAULT and fault.message and fault.crash is None
-    assert crash.kind is ReplyKind.FATAL_CRASH and crash.crash is not None
+    assert ok.kind == OK and ok.payload is not None and ok.crash is None
+    assert refused.kind == REJECTED and refused.message and refused.crash is None
+    assert fault.kind == HANDLED_FAULT and fault.message and fault.crash is None
+    assert crash.kind == FATAL_CRASH and crash.crash is not None
     assert len({r.kind for r in (ok, refused, fault, crash)}) == 4
 
 
@@ -224,7 +227,7 @@ def test_a_fault_after_a_caught_one_reports_its_own_frames():
 def test_uncaught_exception_is_contained_with_backstop_kind(router):
     moody = router.get_service("test.moody")
     reply = _call(router, moody, Moody.BUG)
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     assert reply.crash.exception_kind == "UNCAUGHT_ValueError"
     assert reply.crash.stack_frames == ("test.moody.dispatch",)
 
@@ -233,7 +236,7 @@ def test_unknown_handle_rejects_but_still_logs_an_edge(router):
     for handle in (4242, -1):
         before = len(router.edges)
         reply = _call(router, handle, 1)
-        assert (reply.kind, reply.message) == (ReplyKind.REJECTED, "no such handle %d" % handle)
+        assert (reply.kind, reply.message) == (REJECTED, "no such handle %d" % handle)
         assert len(router.edges) == before + 1
         assert router.edges[-1].target_descriptor == "<unknown>"
 
@@ -243,11 +246,11 @@ def test_unknown_handle_rejects_but_still_logs_an_edge(router):
 
 def test_crash_factory_resets_state_but_not_the_handle(router):
     moody = router.get_service("test.moody")
-    assert _call(router, moody, Moody.ANSWER).payload.read_value(Kind.I32) == 1
-    assert _call(router, moody, Moody.ANSWER).payload.read_value(Kind.I32) == 2
+    assert _call(router, moody, Moody.ANSWER).payload.read_value(I32) == 1
+    assert _call(router, moody, Moody.ANSWER).payload.read_value(I32) == 2
     _call(router, moody, Moody.CRASH)
     # same handle answers again, with fresh state
-    assert _call(router, moody, Moody.ANSWER).payload.read_value(Kind.I32) == 1
+    assert _call(router, moody, Moody.ANSWER).payload.read_value(I32) == 1
 
 
 def test_rejections_and_handled_faults_keep_state(router):
@@ -255,7 +258,7 @@ def test_rejections_and_handled_faults_keep_state(router):
     _call(router, moody, Moody.ANSWER)
     _call(router, moody, Moody.REFUSE)
     _call(router, moody, Moody.FAULT)
-    assert _call(router, moody, Moody.ANSWER).payload.read_value(Kind.I32) == 4
+    assert _call(router, moody, Moody.ANSWER).payload.read_value(I32) == 4
 
 
 def test_exported_objects_get_fresh_callable_handles(router):
@@ -264,7 +267,7 @@ def test_exported_objects_get_fresh_callable_handles(router):
     exported, slot_valid = reply.payload.read_handle()
     assert slot_valid
     assert exported != moody
-    assert _call(router, exported, Moody.ANSWER).kind is ReplyKind.OK
+    assert _call(router, exported, Moody.ANSWER).kind == OK
 
 
 # -- dispatch mechanics --------------------------------------------------------------
@@ -272,16 +275,16 @@ def test_exported_objects_get_fresh_callable_handles(router):
 
 def test_dispatch_rewinds_the_request_cursor(router):
     moody = router.get_service("test.moody")
-    data = Parcel().write_value(Kind.I32, 5)
+    data = Parcel().write_value(I32, 5)
     data.cursor = 4
     reply = _call(router, moody, Moody.ANSWER, data)
-    assert reply.kind is ReplyKind.OK
+    assert reply.kind == OK
 
 
 def test_frame_stack_has_a_hard_limit(router):
     moody = router.get_service("test.moody")
     reply = _call(router, moody, Moody.FRAME_RUNAWAY)
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     assert reply.crash.exception_kind == STACK_OVERFLOW
     assert len(reply.crash.stack_frames) == STACK_LIMIT
 
@@ -305,7 +308,7 @@ def test_recursion_error_maps_to_stack_overflow():
     r = Router()
     h = r.export(Spiral())
     reply = _call(r, h, 1)
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     assert reply.crash.exception_kind == STACK_OVERFLOW
 
 

@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from parcelfuzz.parcel import I32_MAX, Kind, Parcel
-from parcelfuzz.router import DispatchContext, ReplyKind, Router, Transaction
+from parcelfuzz.parcel import I32, I32_MAX, I64, STRING, Parcel
+from parcelfuzz.router import FATAL_CRASH, HANDLED_FAULT, OK, REJECTED, DispatchContext, Router, Transaction
 from parcelfuzz.services import (
     SEEDED_BUGS,
     SERVICE_CLASSES,
@@ -91,7 +91,7 @@ def test_audio_play_and_sessions(client):
     from parcelfuzz.services import AudioSession
 
     reply = client.transact(first_handle, AudioSession.PING, Parcel())
-    assert reply.kind is ReplyKind.OK
+    assert reply.kind == OK
     assert audio._register_client(first_handle, "monitor") is True
 
 
@@ -147,15 +147,15 @@ def test_bundle_depth_is_bounded_by_the_decoder_not_the_interpreter():
     the interpreter's recursion limit."""
 
     def launch(nested):
-        data = Parcel().write_value(Kind.STRING, "app.intent.MAIN").write_value(Kind.STRING, "")
+        data = Parcel().write_value(STRING, "app.intent.MAIN").write_value(STRING, "")
         for _ in range(nested):
-            data.write_value(Kind.I32, 1).write_value(Kind.STRING, "k").write_value(Kind.I32, TAG_BUNDLE)
-        data.write_value(Kind.I32, 0)
+            data.write_value(I32, 1).write_value(STRING, "k").write_value(I32, TAG_BUNDLE)
+        data.write_value(I32, 0)
         return _raw(fresh_router(), "svc.activity", 1, data)
 
-    assert launch(511).kind is ReplyKind.OK
+    assert launch(511).kind == OK
     deeper = launch(512)
-    assert deeper.kind is ReplyKind.FATAL_CRASH
+    assert deeper.kind == FATAL_CRASH
     assert deeper.crash.exception_kind == "STACK_OVERFLOW"
     assert deeper.crash.detail == "recursion depth 513 exceeds limit 512"
 
@@ -218,15 +218,15 @@ def test_bundle_writer_declares_handle_slots():
 
 
 def test_audio_play_empty_track_is_a_handled_fault(router):
-    reply = _raw(router, "svc.audio", AudioService.PLAY, Parcel().write_value(Kind.STRING, ""))
-    assert reply.kind is ReplyKind.HANDLED_FAULT
+    reply = _raw(router, "svc.audio", AudioService.PLAY, Parcel().write_value(STRING, ""))
+    assert reply.kind == HANDLED_FAULT
     assert "empty track" in reply.message
 
 
 def test_bluetooth_negative_count_skips_the_loop(router):
-    data = Parcel().write_value(Kind.I32, -5)
+    data = Parcel().write_value(I32, -5)
     reply = _raw(router, "svc.bluetooth", 1, data)
-    assert reply.kind is ReplyKind.OK
+    assert reply.kind == OK
 
 
 def test_graphics_wide_reply_survives_i32_overflow(router):
@@ -234,13 +234,13 @@ def test_graphics_wide_reply_survives_i32_overflow(router):
     # written wide so a legitimate large allocation is not itself a crash.
     data = (
         Parcel()
-        .write_value(Kind.STRING, "big")
-        .write_value(Kind.I32, 0)
-        .write_value(Kind.I32, 0x1FFFFFFF)
+        .write_value(STRING, "big")
+        .write_value(I32, 0)
+        .write_value(I32, 0x1FFFFFFF)
     )
     reply = _raw(router, "svc.graphics", 1, data)
-    assert reply.kind is ReplyKind.OK
-    assert reply.payload.read_value(Kind.I64) == 12 + 4 * 0x1FFFFFFF
+    assert reply.kind == OK
+    assert reply.payload.read_value(I64) == 12 + 4 * 0x1FFFFFFF
 
 
 def test_unstructured_input_bounces_off_guarded_leading_reads(router):
@@ -250,7 +250,7 @@ def test_unstructured_input_bounces_off_guarded_leading_reads(router):
     junk = Parcel(bytes.fromhex("deadbeef" * 4))
     for descriptor in ("svc.view", "svc.graphics"):
         data = Parcel(junk.buffer)
-        assert _raw(router, descriptor, 1, data).kind is ReplyKind.REJECTED
+        assert _raw(router, descriptor, 1, data).kind == REJECTED
 
 
 # -- seeded defects ---------------------------------------------------------------
@@ -287,7 +287,7 @@ EXPECTED_CRASH_SHAPE = {
 @pytest.mark.parametrize("bug", SEEDED_BUGS, ids=lambda b: b.bug_id)
 def test_seeded_bug_triggers(router, bug):
     reply = _raw(router, bug.descriptor, bug.code, bug.build_trigger())
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     assert reply.crash.exception_kind == bug.exception_kind
     assert reply.crash.stack_frames == EXPECTED_CRASH_SHAPE[bug.bug_id]
 
@@ -302,14 +302,14 @@ def test_seeded_bugs_are_pairwise_distinct():
 def test_view_recursion_crash_shape_is_depth_independent(router):
     # different recursion depths must not produce different stacks
     def probe(words):
-        data = Parcel().write_value(Kind.STRING, "probe")
+        data = Parcel().write_value(STRING, "probe")
         for _ in range(words):
-            data.write_value(Kind.I32, 1)
+            data.write_value(I32, 1)
         return _raw(router, "svc.view", 1, data)
 
     deep = probe(600)
     deeper = probe(900)
-    assert deep.kind is deeper.kind is ReplyKind.FATAL_CRASH
+    assert deep.kind is deeper.kind == FATAL_CRASH
     assert deep.crash.exception_kind == deeper.crash.exception_kind
     assert deep.crash.stack_frames == deeper.crash.stack_frames
 
@@ -317,12 +317,12 @@ def test_view_recursion_crash_shape_is_depth_independent(router):
 def test_graphics_wrap_detail_reports_both_sizes(router):
     data = (
         Parcel()
-        .write_value(Kind.STRING, "fb0")
-        .write_value(Kind.I32, 1)
-        .write_value(Kind.I32, I32_MAX)
+        .write_value(STRING, "fb0")
+        .write_value(I32, 1)
+        .write_value(I32, I32_MAX)
     )
     reply = _raw(router, "svc.graphics", 1, data)
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     assert "allocated 12 bytes" in reply.crash.detail
 
 
@@ -330,12 +330,12 @@ def test_graphics_wrap_detail_reports_both_sizes(router):
 
 
 def test_queue_never_crashes_on_truncation_sweep(router):
-    full = Parcel().write_value(Kind.STRING, "payload")
+    full = Parcel().write_value(STRING, "payload")
     raw = full.buffer
     for cut in range(len(raw) + 1):
         for code in (1, 2, 3, 4):
             reply = _raw(router, "svc.queue", code, Parcel(raw[:cut]))
-            assert reply.kind in (ReplyKind.OK, ReplyKind.REJECTED)
+            assert reply.kind in (OK, REJECTED)
 
 
 def test_queue_never_crashes_on_random_parcels(router):
@@ -344,7 +344,7 @@ def test_queue_never_crashes_on_random_parcels(router):
         blob = rng.randbytes(rng.randrange(0, 64))
         code = rng.randrange(1, 6)
         reply = _raw(router, "svc.queue", code, Parcel(blob))
-        assert reply.kind in (ReplyKind.OK, ReplyKind.REJECTED)
+        assert reply.kind in (OK, REJECTED)
 
 
 # -- registry plumbing ---------------------------------------------------------------
@@ -370,7 +370,7 @@ def test_crash_resets_a_service_built_on_first_reach(router, client):
     audio = AudioClient(client)
     assert [audio.open_session()[1] for _ in range(2)] == [0, 1]
     reply = _raw(router, AudioService.DESCRIPTOR, AudioService.REGISTER_CLIENT, Parcel())
-    assert reply.kind is ReplyKind.FATAL_CRASH
+    assert reply.kind == FATAL_CRASH
     # the instance that counted two sessions is gone; the handle is not
     assert audio.open_session()[1] == 0
     assert router.get_service(AudioService.DESCRIPTOR) == 2
@@ -401,7 +401,7 @@ def test_unknown_codes_are_refused_outside_any_frame(monkeypatch, router, client
         instances = set()
         for code in (past, past, 0, -1):
             reply = router.transact(Transaction(handle, code, Parcel(), "raw"))  # the first builds a hosted service
-            assert (reply.kind, reply.message) == (ReplyKind.REJECTED, "unknown %s code %d" % (short, code))
+            assert (reply.kind, reply.message) == (REJECTED, "unknown %s code %d" % (short, code))
             instances.add(id(router._registrations[handle].instance))
         assert len(instances) == 1
     assert entered == []
