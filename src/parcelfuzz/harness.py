@@ -403,7 +403,7 @@ def _answers(prepared: PreparedCorpus, cases):
                 open_seq = seq
                 seed_id, pristine = _open_seed(prepared, seq, seed_ids)
             key = (seed_id, case.field_path, case.mutation_id)
-        answer = dispatched.get(key)
+        answer = None if key is None else dispatched.get(key)
         if answer is None:
             if seq is None:
                 router, txn = seedless_transaction(case)
@@ -578,7 +578,8 @@ def build_manifest() -> dict:
 
     This is the recall oracle: campaign results are judged against the
     fingerprints measured here, one isolated dispatch per bug, with no
-    fuzzing machinery involved.
+    fuzzing machinery involved.  Every seeded bug must crash with its own
+    fingerprint: two bugs that share one would count as one in recall.
     """
     bugs_by_descriptor: dict[str, list[dict]] = {}
     fingerprints: set[str] = set()
@@ -605,8 +606,10 @@ def build_manifest() -> dict:
                 "needs_structure": bug.needs_structure,
             }
         )
-    if not 7 <= len(fingerprints) <= 10:
-        raise ManifestError("expected 7..10 distinct fingerprints, measured %d" % len(fingerprints))
+    if len(fingerprints) != len(SEEDED_BUGS):
+        raise ManifestError(
+            "expected one distinct fingerprint per seeded bug (%d), measured %d" % (len(SEEDED_BUGS), len(fingerprints))
+        )
     services = []
     for cls in SERVICE_CLASSES:
         services.append(

@@ -499,6 +499,12 @@ def make_empty(descriptor: str, code: int, case_id: int = 0) -> FuzzCase:
 
 
 def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id: int = 0) -> FuzzCase:
+    """The RANDOM case of length bytes for a method, from its sub-seed.
+
+    The only builder of a RANDOM case.  Like ``_spliced_case``, it builds
+    the FuzzCase positionally, every field given, since a campaign can
+    make millions of them.
+    """
     if not 0 <= length <= MAX_RANDOM_LENGTH:
         raise ConfigurationError("random payload length %d outside [0, %d]" % (length, MAX_RANDOM_LENGTH))
     # SHAKE-128 of the seed's shortest signed little-endian encoding: any
@@ -509,7 +515,7 @@ def make_random(descriptor: str, code: int, length: int, rng_seed: int, case_id:
         payload = hashlib.shake_128(key).digest(length)
     else:
         payload = b""
-    return FuzzCase(case_id, RANDOM, descriptor, code, payload, ())
+    return tuple.__new__(FuzzCase, (case_id, RANDOM, descriptor, code, payload, (), None, None, None, False, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +555,15 @@ def _policy_stream(policy: str, corpus, rng_seed: int, case_ids: Iterator[int]):
         for descriptor, code, _name in all_methods():
             yield make_empty(descriptor, code, next(case_ids))
     elif policy == RANDOM:
+        # Case i of the policy goes to method i mod n, with sub-seed
+        # rng_seed * 1_000_003 + i; the length steps through the cycle
+        # once per round of the registry.
         methods = all_methods()
-        for i in itertools.count():
-            descriptor, code, _name = methods[i % len(methods)]
-            length = RANDOM_LENGTH_CYCLE[(i // len(methods)) % len(RANDOM_LENGTH_CYCLE)]
-            yield make_random(descriptor, code, length, rng_seed * 1_000_003 + i, next(case_ids))
+        sub_seeds = itertools.count(rng_seed * 1_000_003)
+        while True:
+            for length in RANDOM_LENGTH_CYCLE:
+                for descriptor, code, _name in methods:
+                    yield make_random(descriptor, code, length, next(sub_seeds), next(case_ids))
     else:
         # Splices depend on a seed's content alone: the first seed with a
         # content keeps its re-encoded payload and each splice as its case

@@ -88,8 +88,11 @@ class Parcel:
     __slots__ = ("_buf", "offsets", "cursor", "_hook")
 
     def __init__(self, data: bytes = b"", offsets: list[int] | None = None):
-        offsets = list(offsets) if offsets else []
-        _check_offsets(offsets, len(data))
+        if offsets:
+            offsets = list(offsets)
+            _check_offsets(offsets, len(data))
+        else:
+            offsets = []
         self._buf = bytearray(data)
         self.offsets = offsets
         self.cursor = 0

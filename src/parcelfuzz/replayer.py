@@ -18,7 +18,9 @@ relied on recorded ids would fail loudly instead of passing by luck.
 
 A case with no seed has no supports and no handle slots, so it needs no
 session: ``seedless_transaction`` gives it a router of its own, burnt
-the same way, and the transaction a session would have sent.
+the same way, and the transaction a session would have sent.  It reads
+the target from the shipped host table (``services.HOSTED``) and builds
+the transaction positionally: a blind campaign builds one per case.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .router import (
     SERVICE_MANAGER_HANDLE,
     UnknownServiceError,
 )
-from .services import fresh_router
+from .services import HOSTED, fresh_router
 
 SUPPORT_SENDER = "replayer"
 FUZZ_SENDER = "fuzzer"
@@ -121,10 +123,20 @@ def seedless_transaction(case) -> tuple[Router, Transaction]:
     """A fresh router for a generated case with no seed, its probe handle
     burnt as a session's is, and the transaction a ReplaySession would
     send for the case: its bytes, which hold no handle slot, to its
-    descriptor's static handle."""
-    router = fresh_router()
+    descriptor's static handle.
+
+    The router is the one ``fresh_router`` builds, and the handle comes
+    from the host table the router answers lookups from.  Only a name the
+    table lacks goes through _static_handle: the service manager resolves
+    there, and an unhosted name raises its Unreplayable.  The Transaction
+    is built positionally, every field given.
+    """
+    router = Router(HOSTED)
     router.export(Service())
-    return router, Transaction(_static_handle(router, case.descriptor), case.code, Parcel(case.payload, ()), FUZZ_SENDER)
+    handle = HOSTED.names.get(case.descriptor)
+    if handle is None:
+        handle = _static_handle(router, case.descriptor)
+    return router, tuple.__new__(Transaction, (handle, case.code, Parcel(case.payload), FUZZ_SENDER))
 
 
 class ReplaySession:

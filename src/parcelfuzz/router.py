@@ -305,11 +305,13 @@ class Router:
         """
         handle = txn.target_handle
         reg = self._registrations.get(handle) or self._host(handle)
+        # Records are built positionally, every field given (tuple.__new__
+        # skips the NamedTuple's keyword defaults and its Python __new__).
         if reg is None:
-            self.edges.append(IpcEdge(txn.sender_id, "<unknown>", txn.code))
-            return Reply(REJECTED, None, "no such handle %d" % handle)
+            self.edges.append(tuple.__new__(IpcEdge, (txn.sender_id, "<unknown>", txn.code)))
+            return tuple.__new__(Reply, (REJECTED, None, "no such handle %d" % handle, None))
         descriptor = reg.descriptor or "<anonymous:%d>" % handle
-        self.edges.append(IpcEdge(txn.sender_id, descriptor, txn.code))
+        self.edges.append(tuple.__new__(IpcEdge, (txn.sender_id, descriptor, txn.code)))
 
         ctx = DispatchContext(self, descriptor)
         data = txn.data
@@ -318,11 +320,11 @@ class Router:
             data.install_read_hook(trace_hook)
         try:
             payload = reg.instance.handle_transaction(txn.code, data, ctx)
-            return Reply(OK, payload if payload is not None else Parcel())
+            return tuple.__new__(Reply, (OK, payload if payload is not None else Parcel(), None, None))
         except Reject as exc:
-            return Reply(REJECTED, None, str(exc))
+            return tuple.__new__(Reply, (REJECTED, None, str(exc), None))
         except InternalFault as exc:
-            return Reply(HANDLED_FAULT, None, str(exc))
+            return tuple.__new__(Reply, (HANDLED_FAULT, None, str(exc), None))
         except ServiceFault as exc:
             return self._contain(reg, exc, exc.kind, exc.detail)
         except ParcelError as exc:
@@ -341,4 +343,4 @@ class Router:
         frames = getattr(exc, "stack_frames", None) or ("%s.dispatch" % (reg.descriptor or "anonymous"),)
         if reg.handle != SERVICE_MANAGER_HANDLE:
             reg.instance = type(reg.instance)()
-        return Reply(FATAL_CRASH, None, None, CrashInfo(kind, frames, detail))
+        return tuple.__new__(Reply, (FATAL_CRASH, None, None, tuple.__new__(CrashInfo, (kind, frames, detail))))

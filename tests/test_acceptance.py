@@ -26,7 +26,7 @@ from parcelfuzz.parcel import BOOL, BYTES, F64, HANDLE, I32, I64, STRING, Parcel
 from parcelfuzz.recorder import SCENARIOS
 from parcelfuzz.replayer import ReplaySession, prepare_corpus
 from parcelfuzz.router import FATAL_CRASH, OK, REJECTED, InternalFault, Reject, Service, Transaction
-from parcelfuzz.services import all_methods, fresh_router
+from parcelfuzz.services import SEEDED_BUGS, all_methods, fresh_router
 
 from conftest import KeepingClient
 
@@ -153,7 +153,7 @@ def test_criterion_04_structured_policy_outfishes_unstructured(campaigns, manife
     semi_found = campaigns["semi"].distinct_fingerprints()
     unstructured_found = campaigns["unstructured"].distinct_fingerprints()
 
-    assert 7 <= manifest["fingerprint_count"] <= 10
+    assert manifest["fingerprint_count"] == len(SEEDED_BUGS)
     assert semi_found == manifest_fps
     assert unstructured_found < semi_found
     assert _bug_fingerprint(manifest, "view-unbounded-recursion") not in unstructured_found

@@ -67,7 +67,7 @@ from parcelfuzz.recorder import (
 from parcelfuzz.parcel import BOOL, BYTES, COMPOSITE, F64, HANDLE, I32, I64, STRING
 from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus
 from parcelfuzz.router import FATAL_CRASH, HANDLED_FAULT, OK, REJECTED, CrashInfo, IpcEdge, Reply, Router
-from parcelfuzz.services import all_methods
+from parcelfuzz.services import SEEDED_BUGS, all_methods
 
 
 @pytest.fixture(scope="module")
@@ -898,6 +898,14 @@ def test_manifest_fingerprints_match_the_build(manifest, manifest_fps):
     assert manifest_fingerprints(manifest) == manifest_fps
     assert manifest_fingerprints() == manifest_fps
     assert len(manifest_fps) == 10
+
+
+def test_manifest_needs_one_fingerprint_per_seeded_bug(monkeypatch):
+    # A bug listed twice crashes with its own fingerprint twice: one fewer
+    # distinct fingerprint than bugs.
+    monkeypatch.setattr(harness, "SEEDED_BUGS", SEEDED_BUGS + SEEDED_BUGS[:1])
+    with pytest.raises(ManifestError, match=r"^expected one distinct fingerprint per seeded bug \(11\), measured 10$"):
+        build_manifest()
 
 
 def test_structure_requirements_are_flagged(manifest):

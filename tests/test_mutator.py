@@ -330,6 +330,19 @@ def test_empty_random_payloads_match_a_seeded_generator():
             assert case.payload == hashlib.shake_128(_shortest_signed_le(seed)).digest(length), (index, length)
 
 
+@pytest.mark.parametrize("length", [0, 4096])
+def test_make_random_builds_every_field_of_its_case(length):
+    # make_random builds its case positionally, which skips FuzzCase's
+    # defaults: the case must still be the one keywords build.
+    case = make_random("svc.queue", 2, length, -77, case_id=9)
+    assert type(case) is FuzzCase and len(case) == len(FuzzCase._fields)
+    assert case == FuzzCase(
+        case_id=9, policy=RANDOM, descriptor="svc.queue", code=2,
+        payload=hashlib.shake_128(_shortest_signed_le(-77)).digest(length), offsets=(),
+    )
+    assert FuzzCase.from_json(case.to_json()) == case
+
+
 def test_make_random_is_seed_deterministic():
     a = make_random("svc.queue", 1, 64, 99)
     b = make_random("svc.queue", 1, 64, 99)
@@ -642,6 +655,19 @@ def test_random_policy_round_robins_with_the_length_cycle(corpus):
         assert (case.descriptor, case.code) == (descriptor, code)
         expected_length = RANDOM_LENGTH_CYCLE[(i // 11) % len(RANDOM_LENGTH_CYCLE)]
         assert len(case.payload) == expected_length
+
+
+def test_random_policy_numbers_its_sub_seeds_across_length_rounds(corpus):
+    # Past two turns of the length cycle, case i is make_random's case for
+    # method i mod n, its round's length and sub-seed rng_seed * 1_000_003 + i.
+    methods = all_methods()
+    count = 2 * len(methods) * len(RANDOM_LENGTH_CYCLE) + 5
+    cases = list(generate_campaign(corpus, "random", count, 5))
+    assert len(cases) == count
+    for i, case in enumerate(cases):
+        descriptor, code, _name = methods[i % len(methods)]
+        length = RANDOM_LENGTH_CYCLE[(i // len(methods)) % len(RANDOM_LENGTH_CYCLE)]
+        assert case == make_random(descriptor, code, length, 5 * 1_000_003 + i, i + 1), i
 
 
 def test_policies_concatenate_in_order(monkeypatch, corpus):

@@ -6,8 +6,16 @@ from parcelfuzz.harness import FuzzConfig, run_fuzz
 from parcelfuzz.mutator import EMPTY, RANDOM_LENGTH_CYCLE, SEMI_VALID, FuzzCase, generate_campaign
 from parcelfuzz.parcel import I32_MAX, STRING, handle_at
 from parcelfuzz.recorder import CorpusError, DependencyGraph, build_dependency_graph, corpus_digest
-from parcelfuzz.replayer import ReplaySession, Unreplayable, prepare_corpus, seedless_transaction
-from parcelfuzz.router import OK, Service
+from parcelfuzz.replayer import FUZZ_SENDER, ReplaySession, Unreplayable, prepare_corpus, seedless_transaction
+from parcelfuzz.router import (
+    FATAL_CRASH,
+    OK,
+    REJECTED,
+    SERVICE_MANAGER_DESCRIPTOR,
+    SERVICE_MANAGER_HANDLE,
+    Service,
+    Transaction,
+)
 from parcelfuzz.services import SERVICE_CLASSES, AudioClient, Client, QueueClient, all_methods
 
 
@@ -322,6 +330,7 @@ def test_every_replayed_manager_lookup_returns_what_resolve_static_gives(corpus,
 def test_a_seedless_case_sends_without_a_session_what_a_session_sends(prepared):
     # Every EMPTY case, then two turns of the RANDOM length cycle.
     budget = len(all_methods()) * (1 + 2 * len(RANDOM_LENGTH_CYCLE))
+    kinds = set()
     for case in generate_campaign((), ["empty", "random"], budget, 1):
         router, txn = seedless_transaction(case)
         session = ReplaySession(prepared)
@@ -332,6 +341,41 @@ def test_a_seedless_case_sends_without_a_session_what_a_session_sends(prepared):
         )
         # The probe handle is burnt on both routers.
         assert router.export(Service()) == session.router.export(Service()) == session.probe_handle + 1
+        # Both dispatch alike: same reply, crash and logged edge.
+        reply, expected_reply = router.transact(txn), session.router.transact(expected)
+        assert (reply.kind, reply.message, reply.crash) == (expected_reply.kind, expected_reply.message, expected_reply.crash)
+        if reply.kind == OK:
+            assert (reply.payload.buffer, reply.payload.offsets) == (expected_reply.payload.buffer, expected_reply.payload.offsets)
+        assert router.edges == session.router.edges == [(FUZZ_SENDER, case.descriptor, case.code)]
+        kinds.add(reply.kind)
+    # The comparison covers crashes and refusals, not only accepted cases.
+    assert kinds == {OK, REJECTED, FATAL_CRASH}
+
+
+def test_seedless_transaction_builds_every_field_of_its_transaction():
+    # It builds the Transaction positionally, which skips its defaults, and
+    # takes the target from the host table; keywords and the router agree.
+    for case in generate_campaign((), ["empty", "random"], 3 * len(all_methods()), 1):
+        router, txn = seedless_transaction(case)
+        assert type(txn) is Transaction and len(txn) == len(Transaction._fields)
+        assert txn == Transaction(
+            target_handle=router.get_service(case.descriptor), code=case.code, data=txn.data, sender_id=FUZZ_SENDER
+        )
+        assert (txn.data.buffer, txn.data.offsets, txn.data.cursor) == (case.payload, [], 0)
+
+
+def test_a_seedless_case_off_the_host_table_resolves_as_a_session_does(prepared):
+    # A name the table lacks goes the way ReplaySession.resolve_static goes:
+    # the service manager sits at its reserved handle, and an unhosted
+    # service is Unreplayable with the same text.
+    manager = FuzzCase(1, EMPTY, SERVICE_MANAGER_DESCRIPTOR, 1, b"", ())
+    _router, txn = seedless_transaction(manager)
+    assert txn.target_handle == SERVICE_MANAGER_HANDLE == ReplaySession(prepared).prepare(manager).target_handle
+    ghost = FuzzCase(1, EMPTY, "svc.ghost", 1, b"", ())
+    for build in (seedless_transaction, ReplaySession(prepared).prepare):
+        with pytest.raises(Unreplayable, match=r"^static prerequisite 'svc\.ghost' is not hosted$") as caught:
+            build(ghost)
+        assert caught.value.support_seq is None
 
 
 def test_handle_numbering_hosted_then_probe_then_exports(prepared):

@@ -20,10 +20,13 @@ from parcelfuzz.router import (
     SERVICE_MANAGER_HANDLE,
     STACK_LIMIT,
     STACK_OVERFLOW,
+    CrashInfo,
     DispatchContext,
     HostTable,
     InternalFault,
+    IpcEdge,
     Reject,
+    Reply,
     Router,
     Service,
     ServiceFault,
@@ -239,6 +242,41 @@ def test_unknown_handle_rejects_but_still_logs_an_edge(router):
         assert (reply.kind, reply.message) == (REJECTED, "no such handle %d" % handle)
         assert len(router.edges) == before + 1
         assert router.edges[-1].target_descriptor == "<unknown>"
+
+
+def _whole(record, cls) -> bool:
+    return type(record) is cls and len(record) == len(cls._fields)
+
+
+# transact builds its records positionally, which skips a NamedTuple's
+# defaults: each must still be the one keywords build, every field there.
+@pytest.mark.parametrize(
+    "code, kind, message, crash",
+    [
+        (Moody.ANSWER, OK, None, None),
+        (Moody.REFUSE, REJECTED, "not like this", None),
+        (Moody.FAULT, HANDLED_FAULT, "caught downstream failure", None),
+        (Moody.CRASH, FATAL_CRASH, None, CrashInfo(exception_kind=NULL_DEREF, stack_frames=("moody.crash",), detail="missing object")),
+        (Moody.BUG, FATAL_CRASH, None, CrashInfo(exception_kind="UNCAUGHT_ValueError", stack_frames=("test.moody.dispatch",), detail="implementation bug")),
+    ],
+)
+def test_transact_builds_whole_records(router, code, kind, message, crash):
+    reply = _call(router, router.get_service("test.moody"), code, sender="s")
+    payload = reply.payload if kind == OK else None
+    assert kind != OK or isinstance(payload, Parcel)
+    assert _whole(reply, Reply)
+    assert reply == Reply(kind=kind, payload=payload, message=message, crash=crash)
+    assert crash is None or _whole(reply.crash, CrashInfo)
+    assert router.edges == [IpcEdge(sender_id="s", target_descriptor="test.moody", code=code)]
+    assert _whole(router.edges[0], IpcEdge)
+
+
+def test_transact_builds_whole_records_for_a_dead_handle(router):
+    reply = _call(router, 4242, 3, sender="s")
+    assert _whole(reply, Reply)
+    assert reply == Reply(kind=REJECTED, payload=None, message="no such handle 4242", crash=None)
+    assert router.edges == [IpcEdge(sender_id="s", target_descriptor="<unknown>", code=3)]
+    assert _whole(router.edges[0], IpcEdge)
 
 
 # -- containment and reset ---------------------------------------------------------
