@@ -39,7 +39,6 @@ from .recorder import (
     CorpusError,
     RecordingError,
     TraceBuilder,
-    corpus_digest,
     load_corpus,
     record_session,
     save_corpus,
@@ -82,8 +81,8 @@ def _cmd_list(args) -> int:
 def _cmd_record(args) -> int:
     names = args.scenario or ["all"]
     records = record_session(names)
-    save_corpus(records, args.out)
-    print("wrote %d records to %s (%s)" % (len(records), args.out, corpus_digest(records)[:12]))
+    digest = save_corpus(records, args.out)
+    print("wrote %d records to %s (%s)" % (len(records), args.out, digest[:12]))
     return 0
 
 

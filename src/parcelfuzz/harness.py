@@ -17,21 +17,23 @@ prepared corpus, and must crash exactly as before; repeat crashes only
 count hits.
 
 A fresh router's replies depend only on the transactions it receives,
-so a case that would send exactly what an earlier case sent is not
-dispatched again: it gets the answer that dispatch stored, whole (its
-outcome, fingerprint, crash and every IPC edge it left).  A seeded case
-has two keys.  The first needs no session: each seed's supports are
-replayed once per campaign, and seeds whose supports send the same bytes
-and leave the same live target and handle map, and whose cases the
-mutator makes from the same content, share an id; (id, field_path,
-mutation_id) then names what a case sends.  On a miss, the seed's
-pristine session materializes the case, and the digest of its supports
-and case bytes is the second key; only a miss there too is dispatched.
-A case with no seed has no supports and no handle slots, so it is sent
-on a fresh router without a session.  An empty one, EMPTY or an empty
-RANDOM case, sends nothing but an empty transaction to its method's
-static handle, so its method is its key.  A non-empty RANDOM payload is
-fresh SHAKE-128 output that no other case repeats, so it is never keyed.
+so a case whose key shows that it sends exactly what an earlier case
+sent is not dispatched again: it gets the answer that dispatch stored,
+whole (its outcome, fingerprint, crash and every IPC edge it left).  A
+seeded case's key needs no session: each seed's supports are replayed
+once per campaign, and seeds whose supports send the same bytes and
+leave the same live target and handle map, and whose cases the mutator
+makes from the same content, share an id; (id, field_path, mutation_id)
+then names what a case sends.  Every miss is dispatched, a seed's first
+on the session that replayed its supports and each later one on a fresh
+session.  A digest of each miss's supports and case bytes would catch a
+few more repeats, but hashing every miss, some of them 64 KiB, costs
+about what the dispatches it would save cost.  A case with no seed has
+no supports and no handle slots, so it is sent on a fresh router without
+a session.  An empty one, EMPTY or an empty RANDOM case, sends nothing
+but an empty transaction to its method's static handle, so its method
+is its key.  A non-empty RANDOM payload is fresh SHAKE-128 output that
+no other case repeats, so it is never keyed.
 
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
@@ -53,7 +55,7 @@ from .mutator import (
     _normalize_policies,
     generate_campaign,
 )
-from .recorder import SeedRecord, _excerpt, _field, _items, corpus_digest
+from .recorder import SeedRecord, _encode_str, _excerpt, _field, _items, corpus_digest
 from .replayer import PreparedCorpus, ReplaySession, check_replies, prepare_corpus, seedless_transaction
 from .router import FATAL_CRASH, HANDLED_FAULT, OK, REJECTED, CrashInfo, IpcEdge, Reply, Transaction
 from .services import SEEDED_BUGS, SERVICE_CLASSES, fresh_router
@@ -92,8 +94,6 @@ def fingerprint(crash: CrashInfo) -> str:
 # ---------------------------------------------------------------------------
 # Canonical JSON.
 # ---------------------------------------------------------------------------
-
-_encode_str = json.encoder.encode_basestring_ascii
 
 
 def canonical_json(value) -> str:
@@ -375,15 +375,14 @@ def _answers(prepared: PreparedCorpus, cases):
 
     An answer is (outcome, fingerprint or None, CrashInfo or None, the
     IPC edges the dispatch left: the supports', then the case's), stored
-    as it is yielded; a case that repeats an earlier one (see the module
-    docstring for the keys) gets the stored answer object itself.  A seed
-    whose supports fail raises their Unreplayable when its first case
-    arrives (see _open_seed).
+    as it is yielded; a case whose key an earlier case had (see the
+    module docstring) gets the stored answer object itself.  A seed whose
+    supports fail raises their Unreplayable when its first case arrives
+    (see _open_seed).
     """
-    # Each dispatch's answer, under every key of the cases that send what
-    # it sent: (seed id, field_path, mutation_id), the digest of the
-    # sends, and for an empty seedless case its method.
-    dispatched: dict[tuple | bytes, tuple[str, str | None, CrashInfo | None, list[IpcEdge]]] = {}
+    # Each dispatch's answer under its case's key: (seed id, field_path,
+    # mutation_id), or for an empty seedless case its method.
+    dispatched: dict[tuple, tuple[str, str | None, CrashInfo | None, list[IpcEdge]]] = {}
     # The fingerprint of each crash site: its exception kind and the
     # frames fingerprint hashes.
     sites: dict[tuple[str, tuple[str, ...]], str] = {}
@@ -409,29 +408,20 @@ def _answers(prepared: PreparedCorpus, cases):
                 router, txn = seedless_transaction(case)
             else:
                 session = pristine or ReplaySession(prepared)
+                pristine = None
                 router = session.router
                 txn = session.prepare(case)
-                sent = _sent_digest((*session._replayed.values(), txn))
-                answer = dispatched.get(sent)
-                if answer is None:
-                    pristine = None
-                else:
-                    pristine = session
-                    dispatched[key] = answer
-            if answer is None:
-                reply = router.transact(txn)
-                digest = None
-                crash = reply.crash
-                if crash is not None:
-                    site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
-                    digest = sites.get(site)
-                    if digest is None:
-                        digest = sites[site] = fingerprint(crash)
-                answer = (_OUTCOME_BY_KIND[reply.kind], digest, crash, router.edges)
-                if seq is not None:
-                    dispatched[sent] = answer
-                if key is not None:
-                    dispatched[key] = answer
+            reply = router.transact(txn)
+            digest = None
+            crash = reply.crash
+            if crash is not None:
+                site = (crash.exception_kind, crash.stack_frames[:FINGERPRINT_FRAMES])
+                digest = sites.get(site)
+                if digest is None:
+                    digest = sites[site] = fingerprint(crash)
+            answer = (_OUTCOME_BY_KIND[reply.kind], digest, crash, router.edges)
+            if key is not None:
+                dispatched[key] = answer
         yield case, answer
 
 
@@ -447,7 +437,9 @@ def _open_seed(prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]) -
     class and content get one id from seed_ids, so a case whose id,
     field_path and mutation_id another case has sends the same
     transactions: the supports, then the same case bytes patched by the
-    same handles.  The key holds the seed's payload, not any case's.
+    same handles.  That key is the campaign's only memo key for a seeded
+    case; it holds the seed's payload, not any case's, and costs one
+    digest of the supports per seed.
     """
     session = ReplaySession(prepared)
     record = prepared.records[seq]
@@ -462,11 +454,11 @@ def _open_seed(prepared: PreparedCorpus, seq: int, seed_ids: dict[tuple, int]) -
 
 
 def _sent_digest(sent) -> bytes:
-    """sha256 over a sequence of transactions: for a session, the
-    supports it replayed, in order, then the case.  Each transaction
-    enters as a header, its target handle, code, payload length and
-    offsets list in decimal, then its payload bytes, so two sequences
-    share an input only if they are the same."""
+    """sha256 over a sequence of transactions, the supports a session
+    replayed for a seed, in order: the class part of _open_seed's seed
+    key.  Each transaction enters as a header, its target handle, code,
+    payload length and offsets list in decimal, then its payload bytes,
+    so two sequences share an input only if they are the same."""
     digest = hashlib.sha256()
     for txn in sent:
         data = txn.data

@@ -807,20 +807,83 @@ def build_dependency_graph(records) -> DependencyGraph:
 # ---------------------------------------------------------------------------
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CORPUS_HEADER = json.dumps(
+    {"format_version": CORPUS_FORMAT_VERSION, "corpus_manifest_ref": CORPUS_MANIFEST_REF}, sort_keys=True
+)
+# A record's line, its keys in sorted order.
+_RECORD_LINE = (
+    '{"code": %d, "consumed_handles": [%s], "descriptor": %s, "offsets": [%s], "payload_hex": "%s", '
+    '"produced_handles": [%s], "reply_kind": %s, "scenario": %s, "seq": %d, "target": %d, "trace": %s}'
+)
+
+
 def corpus_text(records) -> str:
-    """The exact text save_corpus writes, for hashing without a file."""
-    header = {
-        "format_version": CORPUS_FORMAT_VERSION,
-        "corpus_manifest_ref": CORPUS_MANIFEST_REF,
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(json.dumps(r.to_json(), sort_keys=True) for r in records)
+    """The exact text save_corpus writes, for hashing without a file: a
+    header line, then json.dumps(record.to_json(), sort_keys=True) for
+    each record, every line ended by "\n".
+
+    Each line is written directly, by format strings, which hold for
+    the records the loader accepts and those the recorder makes: each
+    field an int where json.dumps would write an int and a str where it
+    would write a str.  A payload's hex holds nothing to escape.
+    """
+    lines = [_CORPUS_HEADER]
+    for r in records:
+        lines.append(_RECORD_LINE % (
+            r.code,
+            ", ".join([
+                "[%d, %s]" % (pos, origin if type(origin) is int else _encode_str(origin))
+                for pos, origin in r.consumed_handles
+            ]),
+            _encode_str(r.descriptor),
+            ", ".join(["%d" % offset for offset in r.offsets]),
+            r.payload.hex(),
+            ", ".join(["[%d, %d]" % (value, pos) for value, pos in r.produced_handles]),
+            _encode_str(r.reply_kind),
+            _encode_str(r.scenario),
+            r.seq,
+            r.target,
+            _trace_text(r.trace),
+        ))
     return "\n".join(lines) + "\n"
 
 
-def save_corpus(records, path) -> None:
+def _trace_text(node: TraceNode) -> str:
+    """json.dumps(node.to_json(), sort_keys=True), written from a stack
+    of the nodes and closing texts still to come, so a trace of any depth
+    the loader accepts is written without recursion."""
+    chunks = []
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            chunks.append(item)
+            continue
+        kind, label, start, end, children = item
+        if kind != COMPOSITE:
+            chunks.append('{"byte_range": [%d, %d], "kind": %s, "label": %s}' % (
+                start, end, _encode_str(kind), _encode_str(label)
+            ))
+            continue
+        chunks.append('{"byte_range": [%d, %d], "children": [' % (start, end))
+        stack.append('], "kind": "COMPOSITE", "label": %s}' % _encode_str(label))
+        if children:
+            # Popped in order: the first child, ", ", the second, ...
+            for child in children[:0:-1]:
+                stack.append(child)
+                stack.append(", ")
+            stack.append(children[0])
+    return "".join(chunks)
+
+
+def save_corpus(records, path) -> str:
+    """Write corpus_text(records) to path; returns corpus_digest(records),
+    hashed from the text written rather than from a second one."""
+    text = corpus_text(records)
     with open(path, "w", encoding="utf-8") as out:
-        out.write(corpus_text(records))
+        out.write(text)
+    return _text_digest(text)
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -878,4 +941,8 @@ def corpus_digest(records) -> str:
     """Identity of a corpus: sha256 of the text save_corpus writes for
     its records, so a file loads under the same identity however it is
     spaced, and one saved file hashes to it byte for byte."""
-    return hashlib.sha256(corpus_text(records).encode("utf-8")).hexdigest()
+    return _text_digest(corpus_text(records))
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

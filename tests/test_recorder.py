@@ -7,14 +7,31 @@ order is fixed and every wrapper call is deterministic.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parcelfuzz.parcel import HANDLE, I32, I64, Parcel, handle_at
+from parcelfuzz.parcel import (
+    BOOL,
+    BYTES,
+    COMPOSITE,
+    F64,
+    HANDLE,
+    I32,
+    I32_MAX,
+    I32_MIN,
+    I64,
+    I64_MAX,
+    I64_MIN,
+    STRING,
+    Parcel,
+    handle_at,
+)
 from parcelfuzz.recorder import (
     SCENARIOS,
+    STATIC_PREFIX,
     CorpusError,
     RecordingAborted,
     SeedRecord,
@@ -279,6 +296,137 @@ def test_saved_corpus_text_is_pinned(tmp_path, corpus):
     save_corpus(corpus, path)
     assert path.read_text(encoding="utf-8") == corpus_text(corpus)
     assert corpus_digest(load_corpus(path)) == "5062513bed9b0b3a0490f7cea319c990ca7cf1fba422d1877e221fdc0f4691d6"
+
+
+def _dumped_corpus_text(records) -> str:
+    """The corpus text as json.dumps writes each line: the oracle that
+    corpus_text must match byte for byte."""
+    header = {"format_version": 1, "corpus_manifest_ref": "corpus-manifest-v1"}
+    lines = [json.dumps(header, sort_keys=True)] + [json.dumps(r.to_json(), sort_keys=True) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _copied_trace(node):
+    """node as an equal tree of distinct TraceNode objects."""
+    return TraceNode(node.kind, node.label, node.start, node.end, tuple(map(_copied_trace, node.children)))
+
+
+# Characters json.dumps writes as they are, and ones it escapes: control
+# characters, quote and backslash, non-ASCII, astral and a lone surrogate.
+_CHARACTERS = 'a~ /\x00\x1f\x7f"\\\u2028\xe9\U0001f600'
+_text = st.text(st.sampled_from(_CHARACTERS + "\ud800"), max_size=6)
+_leaf_values = {
+    I32: st.integers(I32_MIN, I32_MAX),
+    I64: st.integers(I64_MIN, I64_MAX),
+    F64: st.floats(),
+    BOOL: st.booleans(),
+    STRING: st.text(st.sampled_from(_CHARACTERS), max_size=6),
+    BYTES: st.binary(max_size=6),
+    HANDLE: st.integers(0, I32_MAX),
+}
+# A trace shape: a leaf is (kind, value, label), a composite (label, children).
+_leaf_shapes = st.sampled_from(sorted(_leaf_values)).flatmap(lambda kind: st.tuples(st.just(kind), _leaf_values[kind], _text))
+_trace_shapes = st.recursive(_leaf_shapes, lambda children: st.tuples(_text, st.lists(children, max_size=4)), max_leaves=10)
+
+
+def _written_trace(shape, parcel, draw):
+    """Write shape's leaves to parcel in order; returns its TraceNode.  A
+    composite's byte_range is any pair of ints, as the loader allows."""
+    if len(shape) == 3:
+        kind, value, label = shape
+        start = len(parcel)
+        if kind is HANDLE:
+            parcel.write_handle(value)
+        else:
+            parcel.write_value(kind, value)
+        return TraceNode(kind, label, start, len(parcel))
+    label, shapes = shape
+    children = tuple(_written_trace(child, parcel, draw) for child in shapes)
+    return TraceNode(COMPOSITE, label, draw(st.integers()), draw(st.integers()), children)
+
+
+@st.composite
+def _loadable_records(draw):
+    parcel = Parcel()
+    trace = _written_trace(draw(_trace_shapes), parcel, draw)
+    origins = st.integers() | _text.map(lambda name: STATIC_PREFIX + name)
+    return SeedRecord(
+        seq=draw(st.integers()),
+        scenario=draw(_text),
+        descriptor=draw(_text),
+        code=draw(st.integers()),
+        target=draw(st.integers()),
+        payload=parcel.buffer,
+        offsets=tuple(parcel.offsets),
+        trace=trace,
+        consumed_handles=tuple((position, draw(origins)) for position in parcel.offsets),
+        produced_handles=tuple(draw(st.lists(st.tuples(st.integers(), st.integers()), max_size=3))),
+        reply_kind=draw(_text),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_corpus_text_writes_each_loadable_record_as_json_dumps_does(tmp_path_factory, data):
+    """Records the loader accepts, some repeated with their trace object
+    shared and some with an equal trace of distinct objects: corpus_text
+    writes each line as json.dumps(sort_keys=True) does, and the file
+    loads back to the same records."""
+    records = data.draw(st.lists(_loadable_records(), min_size=1, max_size=4))
+    for record in data.draw(st.lists(st.sampled_from(records), max_size=4)):
+        shared = data.draw(st.booleans())
+        records.append(record if shared else record._replace(trace=_copied_trace(record.trace)))
+    text = corpus_text(records)
+    assert text == _dumped_corpus_text(records)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    save_corpus(records, path)
+    assert load_corpus(path) == records
+
+
+def test_corpus_text_of_the_recorded_corpora_is_as_json_dumps_writes_it(tmp_path, corpus, shuffled_corpus):
+    """The shipped corpus and the four-copy one, as recorded (a trace
+    object per record) and as loaded (one per repeated seed)."""
+    for records in (corpus, shuffled_corpus):
+        save_corpus(records, tmp_path / "corpus.jsonl")
+        loaded = load_corpus(tmp_path / "corpus.jsonl")
+        assert corpus_text(records) == corpus_text(loaded) == _dumped_corpus_text(records)
+
+
+def test_corpus_text_writes_the_deepest_trace_that_loads(tmp_path, corpus):
+    """A trace as deep as a corpus file can hold (see
+    test_the_deepest_trace_loads_twice_and_one_level_deeper_is_refused)
+    is written without recursion, as json.dumps writes it with room to
+    recurse, and saves to a file that loads back to it."""
+    record = corpus[1].to_json()
+    leaf = json.dumps(record.pop("trace"))
+    path = tmp_path / "corpus.jsonl"
+    wrapper = '{"kind": "COMPOSITE", "label": "w", "byte_range": [0, 12], "children": ['
+
+    def load(depth):
+        line = json.dumps(record)[:-1] + ', "trace": ' + wrapper * depth + leaf + "]}" * depth + "}"
+        path.write_text(json.dumps({"format_version": 1}) + "\n" + line + "\n")
+        try:
+            return load_corpus(path)
+        except CorpusError:
+            return None
+
+    low, high = 0, 4096
+    while low + 1 < high:
+        middle = (low + high) // 2
+        if load(middle) is None:
+            high = middle
+        else:
+            low = middle
+    deepest = load(low)
+    text = corpus_text(deepest)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * low)
+    try:
+        assert text == _dumped_corpus_text(deepest)
+    finally:
+        sys.setrecursionlimit(limit)
+    path.write_text(text)
+    assert corpus_text(load_corpus(path)) == text
 
 
 def test_recording_is_deterministic(tmp_path, corpus):
