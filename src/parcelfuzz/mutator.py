@@ -2,24 +2,28 @@
 
 The semi-valid policy is the interesting one.  A recorded seed is
 decomposed into its primitive leaves using the type trace captured at
-record time, exactly one leaf gets one mutation from a fixed versioned
-catalog, and the payload is what re-serializing the edited leaf list
-would write, so length prefixes, padding, and the handle-offsets table
-come out right.  Each integer and string mutation is declared once, as
+record time, and exactly one leaf gets one mutation from a fixed
+versioned catalog.  Each integer and string mutation is declared once, as
 a table entry that makes the new value from the old, and the tables'
-keys are the catalog's lists.  A seed's cases depend on its content
-alone (descriptor, code, payload and trace), and a campaign decomposes
-and re-serializes each distinct content once, keeping every leaf's byte
-range.  A case is a splice of those bytes: only the edited leaf is
-encoded, to go in place of the original, and the handle offsets after
-it move by the change in length.  A later seed of the same content makes
-its cases from the first one's splices.  Every leaf encodes to a
-multiple of four bytes wherever it sits, so the splice writes the same
-bytes a full rebuild would.  The two declared-length mutations exist to
-lie about framing: they patch the edited leaf's length prefix after
-encoding it and are flagged frame_breaking, as are the structural
-mutations, which copy or drop a subtree's contiguous byte range or
-re-encode a bundle entry's tag.
+keys are the catalog's lists.
+
+Every SeedRecord the mutator splices is canonical: its trace leaves fit
+and tile its payload, its HANDLE leaves start at its offsets, and each
+re-encodes to its own bytes, so its payload and offsets are what the
+parcel writer writes for its leaf values.  The loader and the recorder
+make only such records, and ``_splices`` checks each seed with the
+loader's checks and texts when its first case is asked for.  A case is a
+splice of the recorded payload: only the edited leaf is encoded, and the
+handle offsets after it move by the change in length.  Every leaf encodes
+to a multiple of four bytes wherever it sits, so the splice is what the
+writer writes for the edited leaf list.  A seed's cases depend on its
+content alone (descriptor, code, payload and trace): a campaign checks
+and decomposes each distinct content once, and a later seed of that
+content makes its cases from the first one's splices.  The two
+declared-length mutations lie about framing: they patch the edited
+leaf's length prefix after encoding it and are flagged frame_breaking,
+as are the structural mutations, which copy or drop a subtree's
+contiguous byte range or re-encode a bundle entry's tag.
 
 Payloads are ``bytes`` from the seed to the dispatched parcel: a case is
 built as bytes and materialized from them.  Hex appears only where a case
@@ -50,7 +54,7 @@ from types import NoneType
 from typing import Iterator, NamedTuple
 
 from .parcel import BOOL, BYTES, F64, HANDLE, I32, I32_MAX, I64, STRING, Parcel, _check_offsets
-from .recorder import SeedRecord, TraceNode, _excerpt, _field, _items
+from .recorder import SeedRecord, TraceNode, _excerpt, _field, _items, _refuse_noncanonical
 from .services import TAG_NAMES, all_methods
 
 CATALOG_VERSION = "catalog-v2"
@@ -241,7 +245,7 @@ def _case_policy(obj: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition and re-serialization.
+# Decomposition.
 # ---------------------------------------------------------------------------
 
 
@@ -249,6 +253,8 @@ class _Leaf(NamedTuple):
     kind: str
     path: tuple[int, ...]
     value: object
+    start: int  # the [start, end) its trace node covers
+    end: int
 
 
 _I32 = struct.Struct("<i")
@@ -273,7 +279,7 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
 
     def walk(node: TraceNode, path: tuple[int, ...]) -> None:
         if node.is_leaf:
-            leaves.append(_Leaf(node.kind, path, _decode_leaf(buf, node)))
+            leaves.append(_Leaf(node.kind, path, _decode_leaf(buf, node), node.start, node.end))
             return
         for i, child in enumerate(node.children):
             walk(child, path + (i,))
@@ -282,53 +288,19 @@ def decompose(record: SeedRecord) -> list[_Leaf]:
     return leaves
 
 
-def _write_leaf(parcel: Parcel, kind: str, value) -> None:
+def _encode_leaf(kind: str, value) -> bytes:
+    """What the parcel writer writes for one leaf, on its own."""
+    parcel = Parcel()
     if kind == HANDLE:
         parcel.write_handle(value)
     else:
         parcel.write_value(kind, value)
-
-
-def _rebuild(leaves) -> tuple[Parcel, list[tuple[int, int]]]:
-    """The parcel leaves encode to, and each leaf's [start, end) in it."""
-    parcel = Parcel()
-    spans = []
-    for leaf in leaves:
-        start = len(parcel)
-        _write_leaf(parcel, leaf.kind, leaf.value)
-        spans.append((start, len(parcel)))
-    return parcel, spans
-
-
-def _encode_leaf(kind: str, value) -> bytes:
-    """What _rebuild writes for one leaf, on its own."""
-    parcel = Parcel()
-    _write_leaf(parcel, kind, value)
     return parcel.buffer
 
 
 # long_64k makes one value whatever the leaf held; its 64 KiB encoding is
 # made once, not once per case.
 _LONG_64K_LEAF = _encode_leaf(STRING, STRING_VALUES["long_64k"](""))
-
-
-class _SeedEncoding(NamedTuple):
-    """A seed's identity rebuild, made once and shared by all its cases;
-    spans[i] is the [start, end) of leaves[i] in payload, and
-    subtrees[path] the composite node at path with its [first, past) leaf
-    indices, every composite in pre-order."""
-
-    leaves: list[_Leaf]
-    payload: bytes
-    spans: list[tuple[int, int]]
-    offsets: tuple[int, ...]
-    subtrees: dict[tuple[int, ...], tuple[TraceNode, int, int]]
-
-
-def _encode_seed(record: SeedRecord) -> _SeedEncoding:
-    leaves = decompose(record)
-    parcel, spans = _rebuild(leaves)
-    return _SeedEncoding(leaves, parcel.buffer, spans, tuple(parcel.offsets), _subtrees(record.trace))
 
 
 def _subtrees(trace: TraceNode) -> dict[tuple[int, ...], tuple[TraceNode, int, int]]:
@@ -358,7 +330,7 @@ def _add_subtrees(node: TraceNode, path: tuple[int, ...], first: int, subtrees: 
 
 
 class _Splice(NamedTuple):
-    """One semi-valid case as an edit of its seed's re-encoded payload:
+    """One semi-valid case as an edit of its seed's recorded payload:
     insert replaces payload[start:end], and the rest is the case's own."""
 
     start: int
@@ -371,20 +343,20 @@ class _Splice(NamedTuple):
     slot_overrides: tuple[tuple[int, str], ...]
 
 
-def _spliced_case(record: SeedRecord, base: bytes, splice: _Splice, case_id: int) -> FuzzCase:
-    """The case splice makes of record, whose re-encoded payload is base."""
+def _spliced_case(record: SeedRecord, splice: _Splice, case_id: int) -> FuzzCase:
+    """The case splice makes of record's payload."""
     start, insert, end, offsets, field_path, mutation_id, frame_breaking, slot_overrides = splice
-    payload = b"".join((base[:start], insert, base[end:]))
+    payload = b"".join((record.payload[:start], insert, record.payload[end:]))
     return tuple.__new__(FuzzCase, (
         case_id, SEMI_VALID, record.descriptor, record.code, payload, offsets,
         record.seq, field_path, mutation_id, frame_breaking, slot_overrides,
     ))
 
 
-def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_id: str) -> _Splice:
-    """One catalog mutation applied to leaves[index] of an encoded seed:
-    only the edited leaf is encoded, to go in place of the original."""
-    leaf = seed.leaves[index]
+def _mutate_leaf(record: SeedRecord, leaves: list[_Leaf], index: int, mutation_id: str) -> _Splice:
+    """One catalog mutation applied to leaves[index] of record: only the
+    edited leaf is encoded, to go in place of its recorded bytes."""
+    leaf = leaves[index]
     kind, value = leaf.kind, leaf.value
     slot_directive = None
     patch = None
@@ -419,13 +391,13 @@ def _mutate_leaf(record: SeedRecord, seed: _SeedEncoding, index: int, mutation_i
         else:
             slot_directive = "swap:%s" % ("svc.queue" if record.descriptor != "svc.queue" else "svc.audio")
 
-    start, end = seed.spans[index]
+    start, end = leaf.start, leaf.end
     if encoded is None:
         encoded = _encode_leaf(kind, value)
     if patch is not None:
         declared = _I32.unpack_from(encoded)[0]
         encoded = _I32.pack(declared + 4 if patch == "plus_4" else I32_MAX) + encoded[4:]
-    offsets = seed.offsets
+    offsets = record.offsets
     delta = len(encoded) - (end - start)
     if delta:  # a STRING or BYTES leaf: no handle inside, the ones after it move
         past = bisect_left(offsets, end)
@@ -459,31 +431,30 @@ def _structural_mutations(record: SeedRecord, node: TraceNode) -> list[str]:
     return out
 
 
-def _mutate_subtree(seed: _SeedEncoding, path: tuple[int, ...], mutation_id: str) -> _Splice:
+def _mutate_subtree(record: SeedRecord, leaves: list[_Leaf], path: tuple[int, ...], mutation_id: str) -> _Splice:
     """Subtree duplication or removal, or a bundle-entry tag rewrite, on
-    an encoded seed.  A subtree's leaves are contiguous in depth-first
-    order, so its bytes are one range of the seed's: duplication repeats
-    the range, removal drops it, and a tag swap re-encodes the one tag
-    leaf.  A subtree with no leaves leaves the seed encoding as it is."""
-    offsets = seed.offsets
-    _node, first_leaf, past_leaf = seed.subtrees[path]
+    record's composite at path, whose leaves, contiguous in depth-first
+    order, are leaves: duplication repeats their byte range, removal drops
+    it, and a tag swap re-encodes the one tag leaf.  A subtree with no
+    leaves leaves the payload as it is."""
+    offsets = record.offsets
     start = end = 0
     insert = b""
 
     if mutation_id in STRUCTURAL_MUTATIONS:
-        if past_leaf > first_leaf:
-            start, end = seed.spans[first_leaf][0], seed.spans[past_leaf - 1][1]
+        if leaves:
+            start, end = leaves[0].start, leaves[-1].end
             first, past = bisect_left(offsets, start), bisect_left(offsets, end)
             width = end - start
             if mutation_id == "duplicate_subtree":
-                insert, start = seed.payload[start:end], end  # the copy goes in after the range
+                insert, start = record.payload[start:end], end  # the copy goes in after the range
                 offsets = offsets[:past] + tuple(pos + width for pos in offsets[first:])
             else:
                 offsets = offsets[:first] + tuple(pos - width for pos in offsets[past:])
     else:
         tag_path = path + (1,)
-        tag_index = next(i for i in range(first_leaf, past_leaf) if seed.leaves[i].path == tag_path)
-        start, end = seed.spans[tag_index]
+        tag = next(leaf for leaf in leaves if leaf.path == tag_path)
+        start, end = tag.start, tag.end
         insert = _encode_leaf(I32, int(mutation_id.rsplit("_", 1)[1]))
 
     return _Splice(start, insert, end, offsets, path, mutation_id, True, ())
@@ -539,15 +510,17 @@ def _normalize_policies(policy) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _splices(record: SeedRecord, seed: _SeedEncoding) -> Iterator[_Splice]:
+def _splices(record: SeedRecord) -> Iterator[_Splice]:
     """The splice of each of record's semi-valid cases, in case order,
-    each made when it is asked for."""
-    for index, leaf in enumerate(seed.leaves):
+    each made when it is asked for, once record is checked canonical."""
+    _refuse_noncanonical(record)
+    leaves = decompose(record)
+    for index, leaf in enumerate(leaves):
         for mutation_id in CATALOG.get(leaf.kind, ()):
-            yield _mutate_leaf(record, seed, index, mutation_id)
-    for path, (node, _first, _past) in seed.subtrees.items():
+            yield _mutate_leaf(record, leaves, index, mutation_id)
+    for path, (node, first, past) in _subtrees(record.trace).items():
         for mutation_id in _structural_mutations(record, node):
-            yield _mutate_subtree(seed, path, mutation_id)
+            yield _mutate_subtree(record, leaves[first:past], path, mutation_id)
 
 
 def _policy_stream(policy: str, corpus, rng_seed: int, case_ids: Iterator[int]):
@@ -566,24 +539,20 @@ def _policy_stream(policy: str, corpus, rng_seed: int, case_ids: Iterator[int]):
                     yield make_random(descriptor, code, length, next(sub_seeds), next(case_ids))
     else:
         # Splices depend on a seed's content alone: the first seed with a
-        # content keeps its re-encoded payload and each splice as its case
-        # is made, and a later seed of that content builds its cases from
-        # them.  The list is stored once every splice is made.
-        spliced: dict[tuple, tuple[bytes, list[_Splice]]] = {}
+        # content keeps each splice as its case is made, and a later seed
+        # of that content, whose payload is the same, builds its cases
+        # from them once they are all made.
+        spliced: dict[tuple, list[_Splice]] = {}
         for record in sorted(corpus, key=lambda r: r.seq):
-            content = record.content
-            known = spliced.get(content)
-            if known is not None:
-                base, splices = known
+            splices = spliced.get(record.content)
+            if splices is not None:
                 for splice in splices:
-                    yield _spliced_case(record, base, splice, next(case_ids))
+                    yield _spliced_case(record, splice, next(case_ids))
                 continue
-            seed = _encode_seed(record)
-            splices = []
-            for splice in _splices(record, seed):
+            splices = spliced[record.content] = []
+            for splice in _splices(record):
                 splices.append(splice)
-                yield _spliced_case(record, seed.payload, splice, next(case_ids))
-            spliced[content] = (seed.payload, splices)
+                yield _spliced_case(record, splice, next(case_ids))
 
 
 def generate_campaign(corpus, policy, budget: int, rng_seed: int):

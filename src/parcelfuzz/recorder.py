@@ -20,8 +20,8 @@ checks every node, then one loop over the trace's leaves.  That loop
 checks that the leaves, in tree order, tile the payload from its first
 byte to its last, that the HANDLE leaves start at the offsets, each
 4-aligned, and that consumed_handles pairs each offset with an origin.
-Last, each leaf must re-encode to its own bytes, as the mutator re-encodes
-a seed.  Each check runs once per record, except the walk and that last
+Last, each leaf must re-encode to its own bytes, as the mutator's splices
+need.  Each check runs once per record, except the walk and that last
 check: a load makes both once per distinct payload and trace, and a
 record that repeats both reuses the trace already walked.  An error is
 worded only once a check fails, and names the first field that fails in
@@ -41,7 +41,7 @@ import struct
 from types import NoneType
 from typing import NamedTuple
 
-from .parcel import BOOL, BYTES, COMPOSITE, F64, HANDLE, I32, I32_MAX, I64, STRING, Parcel, _check_offsets, handle_at, pad4
+from .parcel import BOOL, BYTES, COMPOSITE, F64, HANDLE, I32, I32_MAX, I64, STRING, Parcel, _check_offsets, handle_at
 from .router import OK, Reply, Router, Transaction, SERVICE_MANAGER_DESCRIPTOR, SERVICE_MANAGER_HANDLE
 from .services import (
     ActivityClient,
@@ -184,8 +184,8 @@ class TraceNode(NamedTuple):
         included, a STRING or BYTES leaf must end where its length prefix
         says the padded value ends, a STRING leaf must hold UTF-8 (what a
         reader decodes it as), a HANDLE leaf must hold a handle in
-        [0, I32_MAX] (the range write_handle accepts, so every loaded seed
-        re-encodes), and every leaf is appended to leaves in tree order.
+        [0, I32_MAX] (the range write_handle accepts), and every leaf is
+        appended to leaves in tree order.
         """
         return _trace_from_json(obj, payload, leaves)
 
@@ -223,11 +223,18 @@ def _trace_from_json(obj, payload: bytes, leaves: list) -> TraceNode:
         for child in children:
             nodes.append(_trace_from_json(child, payload, leaves))
         return tuple.__new__(TraceNode, (COMPOSITE, label, start, end, tuple(nodes)))
+    return _trace_leaf(kind, label, start, end, obj.get("children"), payload, leaves)
+
+
+def _trace_leaf(kind: str, label: str, start: int, end: int, children, payload: bytes, leaves: list) -> TraceNode:
+    """Check a leaf of either walk of a trace, the JSON one and
+    _refuse_noncanonical's (see TraceNode.from_json), and append it to
+    leaves with parcel's own constant for its kind."""
     known = _LEAF_KINDS.get(kind)
     if known is None:
         raise CorpusError("unknown trace leaf kind %s" % _excerpt(kind))
     kind, fixed_part = known
-    if obj.get("children"):
+    if children:
         raise CorpusError("trace leaf %r carries children" % kind)
     if not 0 <= start <= end - fixed_part or end > len(payload):
         raise CorpusError(
@@ -241,7 +248,8 @@ def _trace_from_json(obj, payload: bytes, leaves: list) -> TraceNode:
             )
     elif kind is STRING or kind is BYTES:
         declared = _I32.unpack_from(payload, start)[0]
-        if declared < 0 or end != start + 4 + pad4(declared):
+        # pad4(declared) inline: a call would deepen a walk's deepest frame.
+        if declared < 0 or end != start + 4 + ((declared + 3) & ~3):
             raise CorpusError("trace leaf %s at [%d, %d) declares %d bytes" % (kind, start, end, declared))
         if kind is STRING:
             try:
@@ -462,9 +470,9 @@ def _accepted_before(obj, accepted) -> bool:
 
 def _refuse_reencoding(where: str, payload: bytes, leaves: list) -> None:
     """Raise the CorpusError of the first leaf that would not re-encode to
-    its own bytes, which would change every case the mutator makes of its
-    seed: a fixed-width leaf wider than its kind, nonzero padding after a
-    STRING or BYTES body, or a BOOL that holds neither 0 nor 1."""
+    its own bytes, which the mutator's splices of its seed rely on: a
+    fixed-width leaf wider than its kind, nonzero padding after a STRING
+    or BYTES body, or a BOOL that holds neither 0 nor 1."""
     for kind, _label, start, end, _children in leaves:
         value = _I32.unpack_from(payload, start)[0]
         if kind is STRING or kind is BYTES:
@@ -553,6 +561,28 @@ def _refuse_layout(obj: dict, where: str, size: int, offsets: tuple, leaves: lis
         "%s: consumed_handles cover positions %s, offsets are %s"
         % (where, _excerpt([pair[0] for pair in consumed]), _excerpt(offsets))
     )
+
+
+def _refuse_noncanonical(record: SeedRecord) -> None:
+    """Raise the CorpusError load_corpus gives for record as save_corpus
+    writes it, if the loader's trace and layout checks refuse it, run in
+    memory.  A record that passes is canonical (see mutator)."""
+    where, payload, offsets = "record %d" % record.seq, record.payload, record.offsets
+    leaves, stack = [], [record.trace]
+    try:
+        while stack:
+            kind, label, start, end, children = stack.pop()
+            if kind == COMPOSITE:
+                stack.extend(reversed(children))
+            else:
+                _trace_leaf(kind, label, start, end, children, payload, leaves)
+    except CorpusError as exc:
+        _refuse_offsets(where, offsets, len(payload))
+        raise CorpusError("%s trace: %s" % (where, exc)) from None
+    consumed = [list(pair) for pair in record.consumed_handles]  # as the file holds them
+    if not _layout_fits(leaves, len(payload), offsets, consumed):
+        _refuse_layout({"consumed_handles": consumed}, where, len(payload), offsets, leaves)  # raises
+    _refuse_reencoding(where, payload, leaves)
 
 
 class RecordingClient(Client):

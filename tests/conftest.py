@@ -6,7 +6,7 @@ import random
 import pytest
 
 from parcelfuzz.harness import build_manifest, manifest_fingerprints
-from parcelfuzz.mutator import _encode_seed, _spliced_case, _splices
+from parcelfuzz.mutator import _spliced_case, _splices
 from parcelfuzz.parcel import HANDLE, Parcel
 from parcelfuzz.recorder import SCENARIOS, RecordingClient, build_dependency_graph, record_session
 
@@ -19,9 +19,25 @@ def semi_valid_cases(record, case_ids=None):
     case_ids as it is built (0 without)."""
     if case_ids is None:
         case_ids = itertools.repeat(0)
-    seed = _encode_seed(record)
-    for splice in _splices(record, seed):
-        yield _spliced_case(record, seed.payload, splice, next(case_ids))
+    for splice in _splices(record):
+        yield _spliced_case(record, splice, next(case_ids))
+
+
+def rebuild(leaves):
+    """The reference encoder: the parcel the parcel writer makes of
+    leaves, each with a kind and a value, written one after another, and
+    each leaf's [start, end) in it.  A canonical seed is what this writes
+    for its decomposed leaves."""
+    parcel = Parcel()
+    spans = []
+    for leaf in leaves:
+        start = len(parcel)
+        if leaf.kind == HANDLE:
+            parcel.write_handle(leaf.value)
+        else:
+            parcel.write_value(leaf.kind, leaf.value)
+        spans.append((start, len(parcel)))
+    return parcel, spans
 
 
 @pytest.fixture(scope="session")

@@ -25,8 +25,10 @@ from types import NoneType
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parcelfuzz.mutator import _encode_seed
+from parcelfuzz.mutator import decompose
 from parcelfuzz.recorder import CorpusError, SeedRecord, TraceNode, corpus_text, load_corpus
+
+from conftest import rebuild
 
 # -- the oracle ------------------------------------------------------------------
 
@@ -701,10 +703,11 @@ def test_the_deepest_trace_loads_twice_and_one_level_deeper_is_refused(corpus, t
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_every_record_the_loader_accepts_reencodes_to_itself(corpus, shuffled_corpus, tmp_path_factory, data):
-    """The mutator makes a seed's cases from what its leaves re-encode
-    to, and exactly one leaf gets one mutation only if that is the
-    recorded payload.  So each record a corrupted file loads with must
-    re-encode to its own payload and offsets."""
+    """The mutator splices a seed's recorded payload, and the splice is
+    what the parcel writer writes for the edited leaf list only if the
+    leaves re-encode to that payload.  So each record a corrupted file
+    loads with must re-encode, through the reference encoder, to its own
+    payload and offsets."""
     # A record with an empty payload has no leaf to lie about.
     records = [record for record in list(corpus) + list(shuffled_corpus) if record.payload]
     with_handles = [record for record in records if record.offsets]
@@ -718,5 +721,5 @@ def test_every_record_the_loader_accepts_reencodes_to_itself(corpus, shuffled_co
     except CorpusError:
         return
     for seed in loaded:
-        encoded = _encode_seed(seed)
-        assert (encoded.payload, encoded.offsets) == (seed.payload, seed.offsets)
+        parcel, _spans = rebuild(decompose(seed))
+        assert (parcel.buffer, tuple(parcel.offsets)) == (seed.payload, seed.offsets)

@@ -58,6 +58,7 @@ from parcelfuzz.mutator import (
 from parcelfuzz.recorder import (
     CorpusError,
     TraceBuilder,
+    TraceNode,
     corpus_digest,
     corpus_text,
     load_corpus,
@@ -566,15 +567,25 @@ def test_a_case_repeats_only_if_its_supports_sent_the_same_bytes(fuzzer_sends):
     # One recording of a scenario, then a second open_session (5) and a
     # register_client (6) that is record 4 byte for byte but carries the
     # session handle record 5 produced.  Seeds 4 and 6 have one content,
-    # and their supports send the same bytes.
+    # and their supports send the same bytes.  open_session reads
+    # nothing, so each open_session carries a 4-byte pad, covered by an
+    # I32 leaf of its trace: what the pad holds changes what a support
+    # sends and nothing the corpus replies.
+    def with_pads(records, pads):
+        return [
+            r._replace(payload=pads[r.seq], trace=TraceNode(COMPOSITE, "request", 0, 4, (TraceNode(I32, "", 0, 4),)))
+            if r.seq in pads else r
+            for r in records
+        ]
+
     one = record_session(["audio_callback"])
-    corpus = [*one, one[2]._replace(seq=5), one[4]._replace(seq=6, consumed_handles=((0, 5),))]
+    recorded = [*one, one[2]._replace(seq=5), one[4]._replace(seq=6, consumed_handles=((0, 5),))]
+    corpus = with_pads(recorded, {2: b"\x00\x00\x00\x00", 5: b"\x00\x00\x00\x00"})
     plans = prepare_corpus(corpus).plans
     assert (plans[4], plans[6]) == ((2,), (5,))
     assert corpus[4].content == corpus[6].content
-    # open_session reads nothing, so four more bytes on record 5 change
-    # what seed 6's support sends and nothing the corpus replies.
-    padded = [r._replace(payload=b"\x01\x00\x00\x00") if r.seq == 5 else r for r in corpus]
+    # Record 5's pad now differs from record 2's.
+    padded = with_pads(recorded, {2: b"\x00\x00\x00\x00", 5: b"\x01\x00\x00\x00"})
 
     def campaign(records):
         fuzzer_sends.clear()

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parcelfuzz import mutator
+from parcelfuzz.harness import FuzzConfig, run_fuzz
 from parcelfuzz.mutator import (
     BYTES_MUTATIONS,
     CATALOG,
@@ -33,18 +34,16 @@ from parcelfuzz.mutator import (
     STRING_MUTATIONS,
     ConfigurationError,
     FuzzCase,
-    _Leaf,
-    _rebuild,
     _subtrees,
     decompose,
     generate_campaign,
     make_random,
 )
-from parcelfuzz.parcel import BOOL, BYTES, F64, HANDLE, I32, I32_MAX, I64, I32_MIN, STRING, CapacityError, Parcel
-from parcelfuzz.recorder import COMPOSITE, SCENARIOS, SeedRecord, TraceNode, record_session
+from parcelfuzz.parcel import BOOL, BYTES, F64, HANDLE, I32, I32_MAX, I64, I32_MIN, STRING, Parcel
+from parcelfuzz.recorder import COMPOSITE, SCENARIOS, CorpusError, SeedRecord, TraceNode, load_corpus, record_session, save_corpus
 from parcelfuzz.services import all_methods
 
-from conftest import semi_valid_cases
+from conftest import rebuild, semi_valid_cases
 
 
 def _record_for(corpus, descriptor, code=None):
@@ -106,7 +105,7 @@ def test_catalog_is_pinned():
 
 def test_identity_rebuild_reproduces_every_seed_exactly(corpus):
     for record in corpus:
-        rebuilt, _spans = _rebuild(decompose(record))
+        rebuilt, _spans = rebuild(decompose(record))
         assert rebuilt.buffer == record.payload, "record %d" % record.seq
         assert tuple(rebuilt.offsets) == record.offsets
 
@@ -462,6 +461,20 @@ def test_a_campaign_decomposes_each_seed_content_once(monkeypatch, shuffled_corp
         calls.clear()
 
 
+def test_a_campaign_checks_each_seed_content_once_before_its_first_case(monkeypatch, shuffled_corpus_of):
+    corpus = shuffled_corpus_of(1)
+    checked = []
+    check = mutator._refuse_noncanonical
+    monkeypatch.setattr(mutator, "_refuse_noncanonical", lambda record: checked.append(record.seq) or check(record))
+    first_of_content = {}
+    for record in sorted(corpus, key=lambda r: r.seq):
+        first_of_content.setdefault(_content(record), record.seq)
+    by_seq = {record.seq: record for record in corpus}
+    for case in generate_campaign(corpus, "semi-valid", sys.maxsize, 1):
+        assert first_of_content[_content(by_seq[case.seed_seq])] in checked
+    assert checked == sorted(first_of_content.values())
+
+
 def _seed_by_seed(records, budget):
     """The cases semi_valid_cases gives each record, in seq order,
     numbered from 1 and cut at budget."""
@@ -526,29 +539,31 @@ def test_a_campaign_makes_the_cases_each_seed_makes_alone(records, data):
 
 
 def _synthetic_handles_and_empty_subtree():
-    """A seed with handles before and after sized leaves, a BOOL stored
-    as 5 (the rebuild writes 1), a handle-bearing pair and an empty
-    composite: what the splice has to shift, copy, drop or normalize."""
-    payload, spans = _rebuild(
-        [_Leaf(STRING, (0,), "ab"), _Leaf(HANDLE, (1, 0), 3), _Leaf(I32, (1, 1), 5),
-         _Leaf(BYTES, (3,), b"xyz"), _Leaf(HANDLE, (4,), 7)]
-    )
-    (s0, s1), (h0, h1), (b0, b1), (y0, y1), (g0, g1) = spans
+    """A canonical seed with handles before and after sized leaves, a
+    handle-bearing pair and an empty composite: what the splice has to
+    shift, copy or drop."""
+    payload = Parcel()
+    payload.write_value(STRING, "ab")  # [0, 8)
+    payload.write_handle(3)  # [8, 12)
+    payload.write_value(BOOL, 1)  # [12, 16)
+    payload.write_value(BYTES, b"xyz")  # [16, 24)
+    payload.write_handle(7)  # [24, 28)
     trace = TraceNode(
         COMPOSITE,
         "request",
         0,
-        g1,
+        28,
         (
-            TraceNode(STRING, "", s0, s1),
-            TraceNode(COMPOSITE, "pair", h0, b1, (TraceNode(HANDLE, "", h0, h1), TraceNode(BOOL, "", b0, b1))),
-            TraceNode(COMPOSITE, "empty", y0, y0),
-            TraceNode(BYTES, "", y0, y1),
-            TraceNode(HANDLE, "", g0, g1),
+            TraceNode(STRING, "", 0, 8),
+            TraceNode(COMPOSITE, "pair", 8, 16, (TraceNode(HANDLE, "", 8, 12), TraceNode(BOOL, "", 12, 16))),
+            TraceNode(COMPOSITE, "empty", 16, 16),
+            TraceNode(BYTES, "", 16, 24),
+            TraceNode(HANDLE, "", 24, 28),
         ),
     )
+    consumed = tuple((pos, "STATIC:svc.queue") for pos in payload.offsets)
     return SeedRecord(
-        3, "synthetic", "svc.audio", 2, 1, payload.buffer, tuple(payload.offsets), trace, (), (), "OK"
+        3, "synthetic", "svc.audio", 2, 1, payload.buffer, tuple(payload.offsets), trace, consumed, (), "OK"
     )
 
 
@@ -568,7 +583,7 @@ def _full_rebuild_case(record, case):
         else:
             tag = next(i for i, leaf in enumerate(leaves) if leaf.path == path + (1,))
             leaves[tag] = leaves[tag]._replace(value=int(mutation_id.rsplit("_", 1)[1]))
-        parcel, _spans = _rebuild(leaves)
+        parcel, _spans = rebuild(leaves)
         return parcel.buffer, tuple(parcel.offsets), ()
     index = next(i for i, leaf in enumerate(leaves) if leaf.path == path)
     leaf = leaves[index]
@@ -592,7 +607,7 @@ def _full_rebuild_case(record, case):
     else:
         leaves[index] = leaf._replace(value=0 if mutation_id == "zero_handle" else I32_MAX)
         directive = "pin"
-    parcel, spans = _rebuild(leaves)
+    parcel, spans = rebuild(leaves)
     payload = parcel.buffer
     start = spans[index][0]
     if patch is not None:
@@ -618,26 +633,67 @@ def test_every_spliced_case_equals_a_full_rebuild(corpus, shuffled_corpus):
 def test_splice_moves_handles_with_the_bytes_around_them(semi_valid_case):
     record = _synthetic_handles_and_empty_subtree()
     assert record.offsets == (8, 24)
-    assert struct.unpack_from("<i", record.payload, 12)[0] == 5
     longer = semi_valid_case(record, (0,), "long_64k")
     assert longer.offsets == (65540, 65556)
-    assert struct.unpack_from("<i", longer.payload, 65544)[0] == 1  # the BOOL, normalized
     doubled = semi_valid_case(record, (1,), "duplicate_subtree")
     assert doubled.offsets == (8, 16, 32)
     dropped = semi_valid_case(record, (1,), "remove_subtree")
     assert dropped.offsets == (16,)
-    seed_bytes = _rebuild(decompose(record))[0].buffer
     for mutation_id in ("duplicate_subtree", "remove_subtree"):
         unchanged = semi_valid_case(record, (2,), mutation_id)
-        assert (unchanged.payload, unchanged.offsets) == (seed_bytes, record.offsets)
+        assert (unchanged.payload, unchanged.offsets) == (record.payload, record.offsets)
 
 
-def test_a_handle_the_rebuild_refuses_fails_at_the_seeds_first_case():
+def test_a_negative_handle_is_refused_at_the_seeds_first_case():
     record = _synthetic_handles_and_empty_subtree()
     bad = record.payload[:8] + struct.pack("<i", -5) + record.payload[12:]
     cases = semi_valid_cases(record._replace(payload=bad))
-    with pytest.raises(CapacityError, match="handle out of range: -5"):
+    with pytest.raises(CorpusError) as refused:
         next(cases)
+    assert str(refused.value) == "record 3 trace: trace leaf HANDLE at [8, 12) holds handle -5, outside [0, 2147483647]"
+
+
+# Each lie the loader refuses, as (payload, the trace's leaves as (kind,
+# start, end), what the loader's text says of it).  Each is told by a
+# record of open_session, which reads nothing and replies OK to any bytes.
+_LIES = {
+    "bool_of_5": ("05000000", [(BOOL, 0, 4)], "trace leaf BOOL at [0, 4) holds 5, not 0 or 1"),
+    "nonzero_padding": ("020000006162ffff", [(STRING, 0, 8)], "trace leaf STRING at [0, 8) pads its value with nonzero bytes"),
+    "wide_fixed_width": ("0100000002000000", [(I32, 0, 8)], "trace leaf I32 at [0, 8) is 8 bytes wide, not 4"),
+    "declared_length": ("0900000061626364", [(STRING, 0, 8)], "trace leaf STRING at [0, 8) declares 9 bytes"),
+    "negative_handle": ("fbffffff", [(HANDLE, 0, 4)], "trace leaf HANDLE at [0, 4) holds handle -5, outside [0, 2147483647]"),
+    "not_utf8": ("02000000fffe0000", [(STRING, 0, 8)], "trace leaf STRING at [0, 8) is not UTF-8: invalid start byte"),
+    "no_tiling": ("0100000002000000", [(I32, 0, 4)], "leaves do not tile the 8-byte payload: they end at 4"),
+    "handle_off_the_offsets": ("00000000", [(HANDLE, 0, 4)], "HANDLE leaves start at [0], offsets are ()"),
+}
+
+
+@pytest.mark.parametrize("lie", sorted(_LIES))
+def test_a_seed_built_in_memory_is_refused_as_its_file_is(tmp_path, lie):
+    """A seed that is not canonical is refused at its first case, by a
+    campaign and by run_fuzz alike, with the text load_corpus gives for
+    the file save_corpus writes of it."""
+    payload_hex, leaves, told = _LIES[lie]
+    payload = bytes.fromhex(payload_hex)
+    trace = TraceNode(COMPOSITE, "request", 0, len(payload), tuple(TraceNode(kind, "", start, end) for kind, start, end in leaves))
+    recorded = record_session(["audio_callback"])
+    assert (recorded[2].descriptor, recorded[2].code, recorded[2].payload) == ("svc.audio", 3, b"")
+    corpus = [r._replace(payload=payload, trace=trace) if r.seq == 2 else r for r in recorded]
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    with pytest.raises(CorpusError) as from_file:
+        load_corpus(tmp_path / "corpus.jsonl")
+    text = str(from_file.value)
+    assert text.startswith("record 2") and text.endswith(told)
+
+    # Seeds 0 and 1 make their cases first.
+    before = [r.seq for r in recorded[:2] for _ in semi_valid_cases(r)]
+    cases = generate_campaign(corpus, "semi-valid", sys.maxsize, 1)
+    assert [case.seed_seq for case in itertools.islice(cases, len(before))] == before
+    with pytest.raises(CorpusError) as from_campaign:
+        next(cases)
+    with pytest.raises(CorpusError) as from_run:
+        run_fuzz(FuzzConfig(policy="semi-valid", budget=10000, corpus=corpus))
+    assert str(from_campaign.value) == str(from_run.value) == text
 
 
 def test_empty_policy_covers_every_method_once(corpus):

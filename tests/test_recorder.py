@@ -29,6 +29,7 @@ from parcelfuzz.parcel import (
     Parcel,
     handle_at,
 )
+from parcelfuzz.mutator import decompose
 from parcelfuzz.recorder import (
     SCENARIOS,
     STATIC_PREFIX,
@@ -37,6 +38,7 @@ from parcelfuzz.recorder import (
     SeedRecord,
     TraceBuilder,
     TraceNode,
+    _refuse_noncanonical,
     build_dependency_graph,
     corpus_digest,
     corpus_text,
@@ -48,7 +50,7 @@ from parcelfuzz.recorder import (
 from parcelfuzz.router import FATAL_CRASH, Router, Service, Transaction
 from parcelfuzz.services import all_methods, fresh_router
 
-from conftest import KeepingClient
+from conftest import KeepingClient, rebuild
 
 
 # -- corpus shape ---------------------------------------------------------------
@@ -101,6 +103,19 @@ def test_traces_tile_their_payloads(trace_leaves, corpus):
         assert cursor == len(record.parcel())
         handle_positions = [leaf.start for leaf in leaves if leaf.kind == HANDLE]
         assert tuple(handle_positions) == record.offsets
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(sorted(SCENARIOS)), min_size=1, max_size=8))
+def test_every_recorded_seed_is_canonical(names):
+    """The writer's half of the mutator's invariant: whatever scenarios a
+    session runs, in whatever order and how often, each record it makes
+    passes the mutator's check, and is what the reference encoder writes
+    for its decomposed leaves."""
+    for record in record_session(names):
+        _refuse_noncanonical(record)
+        parcel, _spans = rebuild(decompose(record))
+        assert (parcel.buffer, tuple(parcel.offsets)) == (record.payload, record.offsets), record.seq
 
 
 def test_trace_roots_are_request_composites(corpus):
