@@ -32,8 +32,14 @@ about what the dispatches it would save cost.  A case with no seed has
 no supports and no handle slots, so it is sent on a fresh router without
 a session.  An empty one, EMPTY or an empty RANDOM case, sends nothing
 but an empty transaction to its method's static handle, so its method
-is its key.  A non-empty RANDOM payload is fresh SHAKE-128 output that
-no other case repeats, so it is never keyed.
+is its key.  Once a seedless dispatch of a method leaves its parcel
+unobserved (Parcel.observed), every later seedless case of that method
+is keyed by the method too: a service sees a request only through the
+parcel's public readers (see router.Service), so a handler that read
+nothing took a path no payload changes, and the answer is the same for
+every payload.  Any other non-empty RANDOM payload is fresh SHAKE-128
+output that no other case repeats, so it is not keyed.  Seeded cases
+keep the key above whether or not their method reads.
 
 Fingerprints hash the exception kind and the five innermost dispatch
 frames.  Services push frames at function and failure-site granularity
@@ -381,8 +387,11 @@ def _answers(prepared: PreparedCorpus, cases):
     (see _open_seed).
     """
     # Each dispatch's answer under its case's key: (seed id, field_path,
-    # mutation_id), or for an empty seedless case its method.
+    # mutation_id), or for a seedless case its method.
     dispatched: dict[tuple, tuple[str, str | None, CrashInfo | None, list[IpcEdge]]] = {}
+    # The methods a seedless dispatch answered without observing its
+    # parcel: every later seedless case of one is keyed by its method.
+    unread: set[tuple[str, int]] = set()
     # The fingerprint of each crash site: its exception kind and the
     # frames fingerprint hashes.
     sites: dict[tuple[str, tuple[str, ...]], str] = {}
@@ -396,7 +405,8 @@ def _answers(prepared: PreparedCorpus, cases):
     for case in cases:
         seq = case.seed_seq
         if seq is None:
-            key = None if case.payload else (case.descriptor, case.code)
+            method = (case.descriptor, case.code)
+            key = method if not case.payload or method in unread else None
         else:
             if seq != open_seq:
                 open_seq = seq
@@ -420,6 +430,9 @@ def _answers(prepared: PreparedCorpus, cases):
                 if digest is None:
                     digest = sites[site] = fingerprint(crash)
             answer = (_OUTCOME_BY_KIND[reply.kind], digest, crash, router.edges)
+            if seq is None and not txn.data.observed:
+                unread.add(method)
+                key = method
             if key is not None:
                 dispatched[key] = answer
         yield case, answer

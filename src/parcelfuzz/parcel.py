@@ -81,11 +81,16 @@ _LENIENT = (TruncationError, MalformedLengthError, EncodingError)
 class Parcel:
     """Byte buffer + handle-slot offsets table + read cursor.
 
-    The buffer and offsets are the value; the cursor and the hook slot are
-    transient reader state.
+    The buffer and offsets are the value; the cursor, the hook slot and
+    ``observed`` are transient reader state.  ``observed`` starts False
+    and turns True the first time anything looks at the bytes through the
+    public API: ``read_value`` or ``read_handle`` (and so the lenient
+    reads, which go through them), even one that fails, ``len()`` (and
+    so truth testing and ``repr``) or ``buffer``.  A parcel still
+    unobserved after a dispatch was answered without its contents.
     """
 
-    __slots__ = ("_buf", "offsets", "cursor", "_hook")
+    __slots__ = ("_buf", "offsets", "cursor", "_hook", "observed")
 
     def __init__(self, data: bytes = b"", offsets: list[int] | None = None):
         if offsets:
@@ -97,19 +102,22 @@ class Parcel:
         self.offsets = offsets
         self.cursor = 0
         self._hook = None
+        self.observed = False
 
     # -- construction / export ------------------------------------------------
 
     @property
     def buffer(self) -> bytes:
+        self.observed = True
         return bytes(self._buf)
 
     def __len__(self) -> int:
+        self.observed = True
         return len(self._buf)
 
     def __repr__(self) -> str:
         return "Parcel(%d bytes, offsets=%r, cursor=%d)" % (
-            len(self._buf),
+            len(self),
             self.offsets,
             self.cursor,
         )
@@ -157,9 +165,11 @@ class Parcel:
     #
     # Reads decode straight out of the buffer at the cursor; only the body
     # of a STRING or BYTES value is copied, once.  A failed read leaves the
-    # cursor where the read began.
+    # cursor where the read began, and still marks the parcel observed: it
+    # learnt something of the bytes.
 
     def read_value(self, kind: str):
+        self.observed = True
         start = self.cursor
         if kind is STRING:
             end, body_end = self._sized_bounds("STRING")
@@ -197,6 +207,7 @@ class Parcel:
         handle value sitting at a position the offsets table never declared
         was not written by write_handle.
         """
+        self.observed = True
         start = self.cursor
         end = start + 4
         if end > len(self._buf):

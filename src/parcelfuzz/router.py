@@ -122,6 +122,13 @@ class Service:
     Instances must be rebuildable by calling their class with no
     arguments; the router does exactly that to reset a service after it
     crashes.
+
+    A service sees a request only through the parcel's public readers:
+    ``read_value`` and ``read_handle`` (and the lenient reads built on
+    them), ``len()`` and ``buffer``, which all mark it observed.  It
+    never reads ``_buf``, ``offsets`` or ``cursor`` itself.  The
+    campaign memo relies on this: a seedless request left unobserved was
+    answered without its bytes, so every payload gets that answer.
     """
 
     def handle_transaction(self, code: int, data: Parcel, ctx: "DispatchContext") -> Parcel | None:

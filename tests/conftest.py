@@ -9,6 +9,7 @@ from parcelfuzz.harness import build_manifest, manifest_fingerprints
 from parcelfuzz.mutator import _spliced_case, _splices
 from parcelfuzz.parcel import HANDLE, Parcel
 from parcelfuzz.recorder import SCENARIOS, RecordingClient, build_dependency_graph, record_session
+from watched_parcel import methods_that_read_nothing
 
 
 def semi_valid_cases(record, case_ids=None):
@@ -76,6 +77,12 @@ def eight_copy_corpus(shuffled_corpus_of):
 @pytest.fixture(scope="session")
 def graph(corpus):
     return build_dependency_graph(corpus)
+
+
+@pytest.fixture(scope="session")
+def read_nothing():
+    """The hosted methods whose handlers read nothing of a request."""
+    return methods_that_read_nothing()
 
 
 @pytest.fixture(scope="session")

@@ -436,18 +436,45 @@ def test_a_seed_whose_supports_fail_stops_where_dispatching_every_case_does(monk
         # copies have 388 keys, the 349 of one copy 349.
         ("semi-valid", 10000, "shuffled_corpus", 1396, 388),
         ("semi-valid", 10000, "corpus", 349, 349),
-        # 339 of the 1989 RANDOM cases are empty, and each repeats the
-        # EMPTY case of its method.
-        ("empty,random", 2000, "corpus", 2000, 1661),
+        # RANDOM case i goes to method i mod 11, its length stepping
+        # through the six of the cycle once per round of 11.  339 of the
+        # 1989 RANDOM cases are empty (30 whole rounds and 9 cases of
+        # round 180), and each repeats the EMPTY case of its method.  The
+        # four methods that read nothing each get 181 RANDOM cases, 31 of
+        # them empty, and their 4 x 150 others repeat the method's EMPTY
+        # case too: 2000 - 339 - 600.
+        ("empty,random", 2000, "corpus", 2000, 1061),
+        # The benchmark's blind campaign: 1672 of the 9989 RANDOM cases
+        # are empty (152 rounds), and the methods that read nothing get
+        # 908 each, 152 of them empty: 10000 - 1672 - 4 x 756.
+        ("empty,random", 10000, "corpus", 10000, 5304),
     ],
 )
 def test_a_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
-    fuzzer_sends, request, policy, budget, corpus_fixture, executed, dispatched
+    fuzzer_sends, request, read_nothing, policy, budget, corpus_fixture, executed, dispatched
 ):
     records = request.getfixturevalue(corpus_fixture)
     report = run_fuzz(FuzzConfig(policy=policy.split(","), budget=budget, rng_seed=1, corpus=records))
     assert report.executed == executed
     assert sum(not rerun for _target, _txn, rerun in fuzzer_sends) == dispatched
+    if "semi-valid" not in policy:
+        cases = generate_campaign(records, policy.split(","), budget, 1)
+        assert len(list(_dispatched_by_rule(cases, read_nothing))) == dispatched
+
+
+def _dispatched_by_rule(cases, read_nothing):
+    """The seedless cases among cases that _answers dispatches, in order.
+    An empty case repeats its method's first empty case.  A case of a
+    method that reads nothing repeats the first case of its method,
+    whatever either payload is: that dispatch left its parcel unobserved."""
+    seen = set()
+    for case in cases:
+        method = (case.descriptor, case.code)
+        if not case.payload or method in read_nothing:
+            if method in seen:
+                continue
+            seen.add(method)
+        yield case
 
 
 @pytest.mark.parametrize(
@@ -465,9 +492,11 @@ def test_a_case_whose_session_repeats_an_earlier_one_is_not_dispatched(
 def test_cases_with_one_first_level_key_send_the_same_transactions(records, policy):
     """_answers looks a seeded case up by (seed id, field_path,
     mutation_id) before it builds a session, and an empty seedless case
-    by its method; no other key spares a dispatch.  Each case here also
-    replays on a fresh session of its own: every case under one key must
-    send what the first one sent."""
+    by its method.  Each case here also replays on a fresh session of its
+    own: every case under one key must send what the first one sent.
+    (The non-empty cases of a method that reads nothing share its key
+    too; they send other bytes, and test_service_contract checks that
+    they get one answer.)"""
     prepared = prepare_corpus(records)
     seed_ids, opened, sent_under = {}, {}, {}
     keyed = 0
@@ -518,24 +547,42 @@ def test_a_campaign_builds_a_session_per_seed_and_per_dispatch(monkeypatch, requ
     assert len(built) == sessions
 
 
-def test_an_empty_seedless_case_dispatches_once_per_method(fuzzer_sends):
+def test_an_empty_seedless_case_dispatches_once_per_method(fuzzer_sends, read_nothing):
     # Three turns of the length cycle: every method gets three empty
-    # RANDOM cases, and no EMPTY case runs before them.
+    # RANDOM cases, and no EMPTY case runs before them.  A method that
+    # reads nothing dispatches only its first case of the 18.
     budget = 3 * len(all_methods()) * len(RANDOM_LENGTH_CYCLE)
     report = run_fuzz(FuzzConfig(policy="random", budget=budget))
     sent = [(target, txn.code, txn.data.buffer) for target, txn, rerun in fuzzer_sends if not rerun]
 
-    expected, seen = [], set()
-    for case in generate_campaign((), ["random"], budget, 1):
-        method = (case.descriptor, case.code)
-        if case.payload or method not in seen:
-            expected.append((*method, case.payload))
-        if not case.payload:
-            seen.add(method)
-    assert len(seen) == len(all_methods())
+    cases = generate_campaign((), ["random"], budget, 1)
+    expected = [(case.descriptor, case.code, case.payload) for case in _dispatched_by_rule(cases, read_nothing)]
     assert sent == expected
-    assert len(sent) == budget - 2 * len(all_methods())
+    assert len(sent) == budget - 2 * len(all_methods()) - 3 * (len(RANDOM_LENGTH_CYCLE) - 1) * len(read_nothing)
     assert _check_against_every_dispatch((), ["random"], budget) == report
+
+
+def test_a_method_whose_first_case_is_not_empty_is_keyed_by_what_that_dispatch_read(fuzzer_sends, read_nothing):
+    """Every campaign sends each method an empty case first, so here the
+    stream is built by hand: peek, which reads nothing, answers its later
+    cases, empty or not, from its first dispatch; add, which reads its
+    request, dispatches every non-empty case and its first empty one."""
+    peek, add = ("svc.queue", 2), ("svc.queue", 1)
+    assert peek in read_nothing and add not in read_nothing
+    plan = [(peek, 16), (peek, 0), (peek, 64), (add, 16), (add, 0), (add, 64), (add, 0)]
+    cases = [make_random(*method, length, 7 + i, i) for i, (method, length) in enumerate(plan)]
+    prepared = prepare_corpus(())
+    answers = list(harness._answers(prepared, iter(cases)))
+
+    sent = [txn.data.buffer for _target, txn, _rerun in fuzzer_sends]
+    assert sent == [case.payload for case in _dispatched_by_rule(cases, read_nothing)]
+    assert len(sent) == 4
+    assert answers[1][1] is answers[0][1] and answers[2][1] is answers[0][1]
+    assert answers[6][1] is answers[4][1]
+    for case, answer in answers:
+        session = ReplaySession(prepared)
+        reply = session.router.transact(session.prepare(case))
+        assert answer == (classify(reply), None, reply.crash, session.router.edges), case.case_id
 
 
 def test_a_campaign_answers_each_case_before_it_pulls_the_next(monkeypatch, fuzzer_sends, corpus):

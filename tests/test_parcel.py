@@ -325,6 +325,39 @@ def test_read_hook_sees_leaves_and_scopes():
     ]
 
 
+@pytest.mark.parametrize(
+    "look",
+    [
+        lambda p: p.read_value(I32),
+        lambda p: p.read_value(STRING),
+        lambda p: p.read_handle(),
+        lambda p: p.read_lenient(I64),
+        lambda p: p.read_handle_lenient(),
+        len,
+        bool,
+        repr,
+        lambda p: p.buffer,
+    ],
+)
+@pytest.mark.parametrize("data", [b"", bytes.fromhex("2a000000")])
+def test_every_public_look_at_the_bytes_marks_the_parcel_observed(look, data):
+    parcel = Parcel(data)
+    try:
+        look(parcel)
+    except (TruncationError, MalformedLengthError):
+        pass
+    assert parcel.observed
+
+
+def test_a_parcel_nothing_read_stays_unobserved():
+    parcel = Parcel(bytes.fromhex("2a000000"))
+    parcel.cursor = 0
+    with parcel.composite("a"):
+        pass
+    parcel.write_value(I32, 7).write_handle(1)
+    assert not parcel.observed
+
+
 def test_composite_without_a_hook_is_one_shared_no_op():
     first = Parcel().composite("a")
     assert Parcel(bytes.fromhex("2a000000")).composite("b") is first
